@@ -107,11 +107,11 @@ smoke-pool:
 
 # Engine benchmarks: sequential vs parallel batch tracking, streamed
 # frames/s, the paced chain's per-frame lag (wall-clock bound), and —
-# with -benchmem — allocs/op, the number the incremental kernel's
-# scratch pooling keeps near zero (BenchmarkProcessFrame compares the
-# from-scratch and incremental kernels head to head; BenchmarkHermitianEig
-# compares cold vs warm-started Jacobi with sweeps/op; BenchmarkFFT
-# compares the planned and plan-per-call transforms).
+# with -benchmem — allocs/op (BenchmarkProcessFrame times the frame
+# kernel, whose pooled workspace keeps it at the two emitted spectra;
+# BenchmarkHermitianEig runs cold Jacobi and the frame kernel's
+# tridiagonal eigensolver side by side on the same sim covariances;
+# BenchmarkFFT compares the planned and plan-per-call transforms).
 bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
 	go test -run '^$$' -bench 'BenchmarkProcessFrame' -benchtime 20x -benchmem ./internal/isar
@@ -119,28 +119,25 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp
 
 # Machine-readable bench trajectory: every engine mode with -json
-# (schema "wivi-bench/1", see cmd/wivi-bench/report.go), merged into
+# (schema "wivi-bench/2", see cmd/wivi-bench/report.go), merged into
 # one $(BENCH_OUT) and asserted by the shared scripts/bench-gate.sh
 # harness — the exact invocation CI's bench job runs, so a gate that
 # passes here passes there. CI overrides BENCH_OUT with the per-PR
-# artifact name and uploads the file. The stream mode runs cold
-# (-eigkeyframe 1, from-scratch eig every frame) and warm (default
-# keyframe cadence) so the warm-start speedup is visible in one file;
-# the second serve run drives the multi-tenant pool's noisy-neighbor
-# suite for the per-tenant SLO and tenant_isolation gates.
+# artifact name and uploads the file. The second serve run drives the
+# multi-tenant pool's noisy-neighbor suite for the per-tenant SLO and
+# tenant_isolation gates.
 BENCH_OUT = BENCH_local.json
 bench-json:
 	go run ./cmd/wivi-bench -batch 4 -trackdur 2 -json  > bench-batch.json
-	go run ./cmd/wivi-bench -stream -batch 4 -trackdur 4 -eigkeyframe 1 -json > bench-stream-cold.json
 	go run ./cmd/wivi-bench -stream -batch 4 -trackdur 4 -json > bench-stream.json
 	go run ./cmd/wivi-bench -mixed -batch 2 -trackdur 2 -json  > bench-mixed.json
 	go run ./cmd/wivi-bench -paced -batch 2 -trackdur 2 -json  > bench-paced.json
 	go run ./cmd/wivi-bench -serve -batch 4 -trackdur 2 -json  > bench-serve.json
 	go run ./cmd/wivi-bench -serve -tenants 2 -batch 4 -trackdur 2 -json > bench-serve-tenants.json
-	jq -s '{schema: "wivi-bench/1", runs: .}' \
-		bench-batch.json bench-stream-cold.json bench-stream.json \
+	jq -s '{schema: "wivi-bench/2", runs: .}' \
+		bench-batch.json bench-stream.json \
 		bench-mixed.json bench-paced.json bench-serve.json \
 		bench-serve-tenants.json > $(BENCH_OUT)
-	rm -f bench-batch.json bench-stream-cold.json bench-stream.json bench-mixed.json bench-paced.json bench-serve.json bench-serve-tenants.json
+	rm -f bench-batch.json bench-stream.json bench-mixed.json bench-paced.json bench-serve.json bench-serve-tenants.json
 	@echo "wrote $(BENCH_OUT)"
 	scripts/bench-gate.sh $(BENCH_OUT)

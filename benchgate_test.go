@@ -3,7 +3,7 @@ package wivi_test
 // Fixture tests for the shared CI bench-gate harness
 // (scripts/bench-gate.sh + scripts/bench-gate.jq): the same invocation
 // CI and `make bench-json` run is fed a known-good and a known-bad
-// merged wivi-bench/1 report from testdata/benchgate/. A harness edit
+// merged wivi-bench/2 report from testdata/benchgate/. A harness edit
 // that silently stops rejecting bad reports — or starts rejecting good
 // ones — fails here, so the gate set cannot rot invisibly the way the
 // inlined jq asserts it replaced could. The harness needs a POSIX sh
@@ -37,7 +37,7 @@ func TestBenchGateAcceptsGoodReport(t *testing.T) {
 	}
 	// Every versioned gate must have actually run.
 	for _, gate := range []string{"schema", "paced-slo", "stream-alloc",
-		"warm-start", "serve-slo", "tenant-isolation"} {
+		"serve-slo", "tenant-isolation"} {
 		if !strings.Contains(out, "ok   "+gate) {
 			t.Errorf("gate %q did not report ok on the good report:\n%s", gate, out)
 		}
@@ -53,7 +53,7 @@ func TestBenchGateRejectsBadReport(t *testing.T) {
 		t.Fatalf("bench-gate exit on bad report = %v, want exit status 1\n%s", err, out)
 	}
 	// The bad fixture violates every perf gate; each must be named.
-	for _, gate := range []string{"paced-slo", "stream-alloc", "warm-start",
+	for _, gate := range []string{"paced-slo", "stream-alloc",
 		"serve-slo", "tenant-isolation"} {
 		if !strings.Contains(out, "FAIL "+gate) {
 			t.Errorf("gate %q did not FAIL on the bad report:\n%s", gate, out)

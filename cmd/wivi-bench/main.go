@@ -60,7 +60,7 @@
 // requests_at_slo_per_s and a tenant_isolation verdict.
 //
 // Every engine mode accepts -json: the mode's figures are emitted as a
-// single JSON object on stdout (schema "wivi-bench/1", see report.go)
+// single JSON object on stdout (schema "wivi-bench/2", see report.go)
 // while the narration moves to stderr, so runs are machine-comparable
 // and CI accumulates them as BENCH_*.json artifacts.
 package main
@@ -101,7 +101,6 @@ func main() {
 		addr     = flag.String("addr", "", "wivi-serve base URL for -serve mode (e.g. http://127.0.0.1:8080; empty starts an in-process server)")
 		tenants  = flag.Int("tenants", 0, "serve mode: drive an in-process multi-tenant pool with this many tenants (>= 2), saturating tenant t0 to typed 429s while measuring the others' per-tenant SLO attainment")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON report on stdout (narration moves to stderr)")
-		eigEvery = flag.Int("eigkeyframe", 0, "eig keyframe cadence for -stream mode devices: 0 = default, 1 = from-scratch eig every frame (the warm-start ablation/baseline)")
 	)
 	flag.Parse()
 	if *workers < 1 {
@@ -178,7 +177,7 @@ func main() {
 		if *batch < 1 {
 			*batch = 4
 		}
-		finish(runStreamMode(out, *batch, *seed, *trackDur, *eigEvery))
+		finish(runStreamMode(out, *batch, *seed, *trackDur))
 		return
 	}
 
@@ -278,33 +277,27 @@ func runExperiments(exps []eval.Experiment, opts eval.Options, workers int, emit
 // inter-frame latency, per-frame lag percentiles, frame throughput
 // (absolute and per core — the capacity figure that bounds concurrent
 // paced streams per node), whole-chain allocations per frame (with an
-// enforced gate guarding the incremental kernel's pooling), and the
+// enforced gate guarding the frame kernel's pooling), and the
 // byte-identity check.
 // streamAllocsPerFrameGate bounds whole-chain heap allocations per
 // streamed frame (ROADMAP item 2's "~zero per frame" bar, with margin
 // for per-scene setup amortized over short captures). Measured ~11
-// after the incremental kernel; the pre-incremental chain measured
+// with the pooled frame kernel; the chain before pooled scratch measured
 // ~140, so the gate must sit well below that to catch a full
 // regression. CI enforces the same bound on the emitted report via jq.
 const streamAllocsPerFrameGate = 64
 
 //
 //wivi:wallclock benchmark harness measures real elapsed wall time by design
-func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64, eigEvery int) (*benchReport, error) {
-	effectiveEig := eigEvery
-	if effectiveEig == 0 {
-		effectiveEig = isar.DefaultEigKeyframeEvery
-	}
-	fmt.Fprintf(out, "streaming latency: %d scenes x %.1fs capture (eig keyframe every %d)\n",
-		batch, trackDur, effectiveEig)
+func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64) (*benchReport, error) {
+	fmt.Fprintf(out, "streaming latency: %d scenes x %.1fs capture\n", batch, trackDur)
 	rep := newBenchReport("stream", 1, batch, trackDur)
-	rep.EigKeyframeEvery = effectiveEig
 	buildDevice := func(i int) (*wivi.Device, error) {
 		sc := wivi.NewScene(wivi.SceneOptions{Seed: seed + int64(i)})
 		if err := sc.AddWalker(trackDur + 1); err != nil {
 			return nil, err
 		}
-		return wivi.NewDevice(sc, wivi.DeviceOptions{EigKeyframeEvery: eigEvery})
+		return wivi.NewDevice(sc, wivi.DeviceOptions{})
 	}
 
 	var (
@@ -316,9 +309,6 @@ func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64, eigEv
 	)
 	addKernelDelta := func(before, after isar.KernelStats) {
 		kernel.Frames += after.Frames - before.Frames
-		kernel.Keyframes += after.Keyframes - before.Keyframes
-		kernel.WarmFrames += after.WarmFrames - before.WarmFrames
-		kernel.EigSweeps += after.EigSweeps - before.EigSweeps
 		kernel.CovNs += after.CovNs - before.CovNs
 		kernel.EigNs += after.EigNs - before.EigNs
 		kernel.SpecNs += after.SpecNs - before.SpecNs
@@ -343,11 +333,11 @@ func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64, eigEv
 		}
 		// Whole-chain allocation accounting: the Mallocs delta across the
 		// streamed run counts every heap object the capture, combine,
-		// incremental kernel and frame assembly allocate. Nothing else
+		// frame kernel and frame assembly allocate. Nothing else
 		// runs concurrently in this mode, so the delta is the chain's.
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
-		// Frame-kernel counters (sweeps, per-stage wall time) for the
+		// Frame-kernel counters (per-stage wall time) for the
 		// streamed chain only: the batch baseline above already finished,
 		// and nothing else runs concurrently in this mode, so the delta
 		// across the streamed run is exactly this scene's.
@@ -420,12 +410,9 @@ func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64, eigEv
 	rep.AllocsPerFrame = float64(totalMallocs) / float64(totalFrames)
 	if kernel.Frames > 0 {
 		kf := float64(kernel.Frames)
-		rep.EigSweepsPerFrame = float64(kernel.EigSweeps) / kf
 		rep.StageCovUs = float64(kernel.CovNs) / kf / 1e3
 		rep.StageEigUs = float64(kernel.EigNs) / kf / 1e3
 		rep.StageSpectrumUs = float64(kernel.SpecNs) / kf / 1e3
-		fmt.Fprintf(out, "  eig: %.2f Jacobi sweeps/frame (%d keyframes + %d warm over %d frames)\n",
-			rep.EigSweepsPerFrame, kernel.Keyframes, kernel.WarmFrames, kernel.Frames)
 		fmt.Fprintf(out, "  stages: cov %.0fus  eig %.0fus  spectrum %.0fus per frame\n",
 			rep.StageCovUs, rep.StageEigUs, rep.StageSpectrumUs)
 	}
@@ -444,11 +431,11 @@ func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64, eigEv
 	// slices plus amortized per-stream fixed cost — see
 	// TestPacedStreamSteadyStateAllocs); whole-chain accounting here
 	// also amortizes per-scene setup (device trace, result assembly,
-	// first-scene pool warm-up) and measures ~11. The pre-incremental
+	// first-scene pool warm-up) and measures ~11. The unpooled
 	// chain measured ~140 per frame, so the gate has margin on both
 	// sides.
 	if rep.AllocsPerFrame > streamAllocsPerFrameGate {
-		return nil, fmt.Errorf("streamed chain allocates %.1f objects/frame, gate is %d — the incremental kernel's pooling regressed",
+		return nil, fmt.Errorf("streamed chain allocates %.1f objects/frame, gate is %d — the frame kernel's pooling regressed",
 			rep.AllocsPerFrame, streamAllocsPerFrameGate)
 	}
 	return rep, nil

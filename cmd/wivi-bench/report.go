@@ -9,7 +9,9 @@ package main
 // Schema (stable; additions are backward-compatible, removals and
 // renames are breaking and require a schema bump):
 //
-//	schema           "wivi-bench/1"
+//	schema           "wivi-bench/2" (version 2 dropped the warm-start
+//	                 eigensolver's eig_keyframe_every and
+//	                 eig_sweeps_per_frame)
 //	mode             "batch" | "stream" | "mixed" | "paced" | "serve" | "eval"
 //	workers          worker-pool size the run used
 //	gomaxprocs       runtime.GOMAXPROCS(0) on the host
@@ -25,9 +27,6 @@ package main
 //	frames_per_s_per_core   frames_per_s / gomaxprocs (stream)
 //	allocs_per_frame heap allocations per streamed frame, whole-chain
 //	                 (capture + combine + kernel + assembly) (stream)
-//	eig_keyframe_every      effective eig keyframe cadence; 1 means
-//	                        from-scratch every frame (stream)
-//	eig_sweeps_per_frame    mean cyclic Jacobi sweeps per frame (stream)
 //	stage_cov_us / stage_eig_us / stage_spectrum_us  per-frame wall
 //	                 microseconds in the covariance, eigendecomposition
 //	                 and spectrum stages of the frame kernel (stream)
@@ -67,7 +66,7 @@ import (
 )
 
 // benchSchema versions the JSON layout.
-const benchSchema = "wivi-bench/1"
+const benchSchema = "wivi-bench/2"
 
 type benchReport struct {
 	Schema         string  `json:"schema"`
@@ -90,11 +89,9 @@ type benchReport struct {
 	FramesPerSecPerCore float64 `json:"frames_per_s_per_core,omitempty"`
 	AllocsPerFrame      float64 `json:"allocs_per_frame,omitempty"`
 
-	EigKeyframeEvery  int     `json:"eig_keyframe_every,omitempty"`
-	EigSweepsPerFrame float64 `json:"eig_sweeps_per_frame,omitempty"`
-	StageCovUs        float64 `json:"stage_cov_us,omitempty"`
-	StageEigUs        float64 `json:"stage_eig_us,omitempty"`
-	StageSpectrumUs   float64 `json:"stage_spectrum_us,omitempty"`
+	StageCovUs      float64 `json:"stage_cov_us,omitempty"`
+	StageEigUs      float64 `json:"stage_eig_us,omitempty"`
+	StageSpectrumUs float64 `json:"stage_spectrum_us,omitempty"`
 
 	RealTimeFactor float64 `json:"real_time_factor,omitempty"`
 	SpeedupX       float64 `json:"speedup_x,omitempty"`

@@ -7,8 +7,9 @@ import (
 	"math/cmplx"
 )
 
-// Eig holds the eigendecomposition of a Hermitian matrix: real eigenvalues
-// and the corresponding orthonormal eigenvectors (columns of Vectors).
+// Eig holds the full eigendecomposition of a Hermitian matrix: real
+// eigenvalues and the corresponding orthonormal eigenvectors (columns of
+// Vectors).
 type Eig struct {
 	// Values are the eigenvalues sorted in descending order.
 	Values []float64
@@ -16,214 +17,86 @@ type Eig struct {
 	Vectors *Matrix
 }
 
-// ErrNotHermitian is returned by HermitianEig when the input matrix is not
-// Hermitian within the verification tolerance.
+// ErrNotHermitian is returned by the eigensolvers when the input matrix is
+// not Hermitian within the verification tolerance.
 var ErrNotHermitian = errors.New("cmath: matrix is not Hermitian")
 
-// ErrNoConvergence is returned when the Jacobi iteration fails to reduce the
-// off-diagonal norm below tolerance within the sweep budget. This indicates
-// a pathological input; well-conditioned Hermitian matrices converge in a
-// handful of sweeps.
-var ErrNoConvergence = errors.New("cmath: Jacobi eigendecomposition did not converge")
+// ErrNoConvergence is returned when an eigensolver's iteration fails to
+// converge within its budget. This indicates a pathological input;
+// well-conditioned Hermitian matrices converge in a handful of Jacobi
+// sweeps or a few QL steps per eigenvalue.
+var ErrNoConvergence = errors.New("cmath: eigendecomposition did not converge")
 
 const (
 	jacobiMaxSweeps = 64
 	jacobiTol       = 1e-12
+
+	// eps is the float64 unit roundoff, 2^-52.
+	eps = 0x1p-52
+	// qlMaxIter bounds the implicit QL steps spent on one eigenvalue.
+	qlMaxIter = 30
+	// invIterSteps is the number of inverse-iteration solves per
+	// eigenvector. The shift is an eigenvalue accurate to ~eps, so the
+	// first solve already amplifies the wanted direction by ~1/eps; the
+	// other two clean up (LAPACK dstein's two extra iterations).
+	invIterSteps = 3
+	// clusterGap groups eigenvalues of the unit-norm tridiagonal that lie
+	// closer than this into one cluster, whose inverse-iteration vectors
+	// are re-orthogonalised against each other (dstein's 1e-3·‖T‖).
+	clusterGap = 1e-3
 )
 
-// EigWorkspace holds the buffers HermitianEigInto and HermitianEigWarmInto
-// reuse across calls: the working copy of the input, the accumulated
-// rotations, and the sorted output. A workspace is bound to one matrix
-// size and must not be shared between concurrent calls.
-type EigWorkspace struct {
-	n    int
-	w    *Matrix // Jacobi working copy of the input
-	v    *Matrix // accumulated rotations (unsorted eigenvectors)
-	vecs *Matrix // sorted eigenvector columns (aliased by the result)
-	prod *Matrix // warm-path product temporary, allocated on first warm use
-	vals []float64
-	idx  []int
-	eig  Eig // the returned decomposition (aliases vecs and its Values)
-
-	// LastSweeps is the number of cyclic Jacobi sweeps the most recent
-	// decomposition through this workspace performed — the cost metric
-	// the warm-start path exists to collapse. A warm start from an
-	// exact eigenbasis reports 0 (the rotated matrix is already within
-	// tolerance of diagonal).
-	LastSweeps int
-}
-
-// NewEigWorkspace returns a workspace for n x n decompositions.
-func NewEigWorkspace(n int) *EigWorkspace {
-	return &EigWorkspace{
-		n:    n,
-		w:    NewMatrix(n, n),
-		v:    NewMatrix(n, n),
-		vecs: NewMatrix(n, n),
-		vals: make([]float64, n),
-		idx:  make([]int, n),
-		eig:  Eig{Values: make([]float64, n)},
-	}
-}
-
-// HermitianEig computes the eigendecomposition of the Hermitian matrix a
-// using cyclic complex Jacobi rotations. The input is not modified.
+// HermitianEig computes the full eigendecomposition of the Hermitian
+// matrix a using cyclic complex Jacobi rotations. The input is not
+// modified. Eigenvalues are returned in descending order with matching
+// eigenvector columns.
 //
-// Eigenvalues are returned in descending order with matching eigenvector
-// columns; this is the order the MUSIC algorithm consumes (signal subspace
-// first, noise subspace last). It is HermitianEigInto with a fresh
-// workspace, so the two entry points share one kernel and produce
-// bit-identical decompositions.
+// It is the full-decomposition reference. The frame kernel runs the
+// subspace solver (EigWorkspace), whose tests check it against
+// HermitianEig; the smoothing ablation and the benchmark's eig yardstick
+// call HermitianEig directly.
 func HermitianEig(a *Matrix) (*Eig, error) {
-	return HermitianEigInto(a, NewEigWorkspace(a.Rows))
-}
-
-// HermitianEigInto is HermitianEig computing into ws: no allocation in
-// steady state. The returned Eig aliases the workspace and is valid only
-// until the next call with the same workspace. ws must match a's size.
-//
-//wivi:hotpath
-func HermitianEigInto(a *Matrix, ws *EigWorkspace) (*Eig, error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, ErrNotHermitian
-	}
-	if ws.n != n {
-		return nil, fmt.Errorf("cmath: eig workspace for %dx%d used on %dx%d matrix", ws.n, ws.n, n, n)
 	}
 	// Hermitian check with a tolerance scaled by the matrix magnitude.
 	scale := a.FrobeniusNorm()
 	if scale == 0 {
 		// Zero matrix: all eigenvalues zero, identity eigenvectors.
-		ws.LastSweeps = 0
-		for i := range ws.eig.Values {
-			ws.eig.Values[i] = 0
-		}
-		setIdentity(ws.vecs)
-		ws.eig.Vectors = ws.vecs
-		return &ws.eig, nil
+		return &Eig{Values: make([]float64, n), Vectors: Identity(n)}, nil
 	}
 	if !a.IsHermitian(1e-9 * scale) {
 		return nil, ErrNotHermitian
 	}
 
-	symmetrizeInto(ws.w, a)
-	setIdentity(ws.v)
-	return ws.sweepAndSort(scale, 0)
-}
-
-// HermitianEigWarmInto is HermitianEigInto warm-started from an
-// orthonormal basis `warm` expected to be close to a's eigenbasis —
-// typically the eigenvectors of a nearby matrix, such as the previous
-// keyframe's covariance in a sliding-window chain. The input problem is
-// rotated into the warm basis, W = warmᴴ·A·warm, which is near-diagonal
-// when the guess is good, so the cyclic Jacobi iteration converges in a
-// fraction of the cold path's sweeps (0 for an exact eigenbasis; see
-// EigWorkspace.LastSweeps). The rotation basis is accumulated starting
-// from warm, so the returned eigenvectors live in the original
-// coordinates, exactly like the cold path's.
-//
-// The result satisfies the same convergence contract as HermitianEigInto
-// (off-diagonal norm below jacobiTol times the input's Frobenius norm);
-// it is numerically equivalent to — though not bit-identical with — the
-// cold decomposition, because the two paths apply different rotation
-// sequences. warm must be unitary for the decomposition to be valid; it
-// is read only, never modified. Passing the identity reproduces the cold
-// path's arithmetic exactly.
-//
-//wivi:hotpath
-func HermitianEigWarmInto(a, warm *Matrix, ws *EigWorkspace) (*Eig, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, ErrNotHermitian
-	}
-	if ws.n != n {
-		return nil, fmt.Errorf("cmath: eig workspace for %dx%d used on %dx%d matrix", ws.n, ws.n, n, n)
-	}
-	if warm.Rows != n || warm.Cols != n {
-		return nil, fmt.Errorf("cmath: warm basis is %dx%d, matrix is %dx%d", warm.Rows, warm.Cols, n, n)
-	}
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
-		// Zero matrix: all eigenvalues zero; the warm basis is already a
-		// valid orthonormal eigenbasis.
-		ws.LastSweeps = 0
-		for i := range ws.eig.Values {
-			ws.eig.Values[i] = 0
-		}
-		copy(ws.vecs.Data, warm.Data)
-		ws.eig.Vectors = ws.vecs
-		return &ws.eig, nil
-	}
-	if !a.IsHermitian(1e-9 * scale) {
-		return nil, ErrNotHermitian
-	}
-	if ws.prod == nil {
-		ws.prod = NewMatrix(n, n) //wivi:alloc lazy one-time workspace growth, amortized to zero
-	}
-	// Rotate the problem into the warm basis. ws.vecs is free as a
-	// temporary for the symmetrized input until the final sort overwrites
-	// it. The Hermitian-aware product computes only the upper triangle of
-	// W and mirrors it, so W is exactly Hermitian by construction — the
-	// same guarantee symmetrize gives the cold path — at 3/4 the flops of
-	// two full products.
-	symmetrizeInto(ws.vecs, a)
-	mulInto(ws.prod, ws.vecs, warm)
-	mulConjTransposeHermitianInto(ws.w, warm, ws.prod)
-	copy(ws.v.Data, warm.Data)
-	// Pivot-skip threshold tol/n: warm starts leave W near-diagonal, so
-	// most pivots are negligible and skipping them turns an O(n^3) sweep
-	// into an O(n^2) scan. Convergence cannot stall: if every skipped
-	// pivot satisfies |w_pq| <= tol/n, the off-diagonal norm is at most
-	// sqrt(n(n-1))*tol/n < tol — already converged — so any non-converged
-	// sweep rotates at least one pivot and makes progress.
-	return ws.sweepAndSort(scale, jacobiTol*scale/float64(n))
-}
-
-// sweepAndSort runs cyclic Jacobi sweeps on ws.w (accumulating rotations
-// into ws.v) until the off-diagonal norm falls below jacobiTol*scale,
-// then sorts the eigenpairs descending into ws.eig — the shared back half
-// of both the cold and warm entry points. Pivots with magnitude <=
-// skipThresh are not rotated; 0 (the cold path) skips only exact zeros,
-// which jacobiRotate treats as no-ops anyway, keeping the cold arithmetic
-// bit-identical to the historical kernel.
-//
-//wivi:hotpath
-func (ws *EigWorkspace) sweepAndSort(scale, skipThresh float64) (*Eig, error) {
-	n, w, v := ws.n, ws.w, ws.v
+	w := a.Clone()
+	forceHermitian(w)
+	v := Identity(n)
 	tol := jacobiTol * scale
-	skip2 := skipThresh * skipThresh
 	converged := false
-	sweeps := 0
-	for sweeps < jacobiMaxSweeps {
+	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		if w.offDiagNorm() <= tol {
 			converged = true
 			break
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if real(apq)*real(apq)+imag(apq)*imag(apq) <= skip2 {
-					continue
-				}
 				jacobiRotate(w, v, p, q)
 			}
 		}
-		sweeps++
 	}
-	ws.LastSweeps = sweeps
 	if !converged && w.offDiagNorm() > tol*1e3 {
 		return nil, ErrNoConvergence
 	}
 
-	vals := ws.vals
-	for i := 0; i < n; i++ {
+	vals := make([]float64, n)
+	for i := range vals {
 		vals[i] = real(w.At(i, i))
 	}
 	// Sort descending, permuting eigenvector columns alongside. Insertion
-	// sort: n is small (the subarray size), the kernel must not allocate,
-	// and ties break deterministically (stable on original column order).
-	idx := ws.idx
+	// sort: ties break deterministically (stable on original column order).
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -235,26 +108,14 @@ func (ws *EigWorkspace) sweepAndSort(scale, skipThresh float64) (*Eig, error) {
 		}
 		idx[j] = key
 	}
-
-	sortedVals := ws.eig.Values
-	sortedVecs := ws.vecs
+	e := &Eig{Values: make([]float64, n), Vectors: NewMatrix(n, n)}
 	for newCol, oldCol := range idx {
-		sortedVals[newCol] = vals[oldCol]
+		e.Values[newCol] = vals[oldCol]
 		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
+			e.Vectors.Set(r, newCol, v.At(r, oldCol))
 		}
 	}
-	ws.eig.Vectors = sortedVecs
-	return &ws.eig, nil
-}
-
-// symmetrizeInto copies the square matrix a into w and forces exact
-// Hermitian symmetry so rounding in the input cannot bias the rotations.
-//
-//wivi:hotpath
-func symmetrizeInto(w, a *Matrix) {
-	copy(w.Data, a.Data)
-	forceHermitian(w)
+	return e, nil
 }
 
 // forceHermitian replaces w with (w + wᴴ)/2 element by element: real
@@ -271,69 +132,6 @@ func forceHermitian(w *Matrix) {
 			w.Set(i, j, avg)
 			w.Set(j, i, cmplx.Conj(avg))
 		}
-	}
-}
-
-// mulInto sets dst = a·b for square matrices of one size. dst must not
-// alias a or b.
-//
-//wivi:hotpath
-func mulInto(dst, a, b *Matrix) {
-	n := a.Rows
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		rowA := a.Data[i*n : (i+1)*n]
-		rowOut := dst.Data[i*n : (i+1)*n]
-		for k := 0; k < n; k++ {
-			aik := rowA[k]
-			rowB := b.Data[k*n : (k+1)*n]
-			for j := range rowB {
-				rowOut[j] += aik * rowB[j]
-			}
-		}
-	}
-}
-
-// mulConjTransposeHermitianInto sets dst = aᴴ·b for square matrices of
-// one size, for products known to be Hermitian up to rounding (b = M·a
-// with M Hermitian, so aᴴ·b = aᴴMa): only the upper triangle is computed
-// and the lower is its conjugate mirror, so dst is exactly Hermitian by
-// construction — the guarantee forceHermitian provides the cold path — at
-// half the flops of a full product. dst must not alias a or b.
-//
-//wivi:hotpath
-func mulConjTransposeHermitianInto(dst, a, b *Matrix) {
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		rowOut := dst.Data[i*n : (i+1)*n]
-		for j := i; j < n; j++ {
-			rowOut[j] = 0
-		}
-		for k := 0; k < n; k++ {
-			c := cmplx.Conj(a.Data[k*n+i])
-			rowB := b.Data[k*n : (k+1)*n]
-			for j := i; j < n; j++ {
-				rowOut[j] += c * rowB[j]
-			}
-		}
-		rowOut[i] = complex(real(rowOut[i]), 0)
-		for j := i + 1; j < n; j++ {
-			dst.Data[j*n+i] = cmplx.Conj(rowOut[j])
-		}
-	}
-}
-
-// setIdentity overwrites the square matrix m with the identity.
-//
-//wivi:hotpath
-func setIdentity(m *Matrix) {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Set(i, i, 1)
 	}
 }
 
@@ -411,26 +209,6 @@ func (e *Eig) EigenvectorColumns(k int) []Vector {
 	return out
 }
 
-// SignalSubspaceInto copies the leading signalDim eigenvector columns —
-// the signal-space basis, the complement of NoiseSubspaceInto's — into
-// buf (length >= n*signalDim) and appends them to dst[:0]: no allocation
-// when the caller's buffers are large enough. The returned vectors alias
-// buf and are valid until its next reuse.
-//
-//wivi:hotpath
-func (e *Eig) SignalSubspaceInto(signalDim int, dst []Vector, buf Vector) []Vector {
-	n := len(e.Values)
-	dst = dst[:0]
-	for j := 0; j < signalDim; j++ {
-		col := buf[j*n : (j+1)*n]
-		for r := 0; r < n; r++ {
-			col[r] = e.Vectors.At(r, j)
-		}
-		dst = append(dst, col)
-	}
-	return dst
-}
-
 // NoiseSubspace returns the eigenvector columns with index >= signalDim,
 // i.e. the noise-space basis used by MUSIC. It panics if signalDim is out
 // of range.
@@ -457,4 +235,436 @@ func (e *Eig) NoiseSubspaceInto(signalDim int, dst []Vector, buf Vector) []Vecto
 		dst = append(dst, col)
 	}
 	return dst
+}
+
+// EigWorkspace is the frame kernel's eigensolver: every eigenvalue of a
+// Hermitian matrix, then eigenvectors for only the few leading ones — the
+// signal subspace that complement-form MUSIC reads. It has the shape of
+// LAPACK's zheevr, in two calls on one workspace:
+//
+//   - Eigenvalues scales the matrix to unit Frobenius norm, reduces it to
+//     a real symmetric tridiagonal T = Qᴴ·A·Q with Householder reflectors,
+//     and finds all of T's eigenvalues by implicit-shift QL.
+//   - LeadingEigenvectors finds T's eigenvectors for the k largest
+//     eigenvalues by inverse iteration, re-orthogonalised within
+//     eigenvalue clusters, and maps them back through the reflectors.
+//
+// Nothing carries over from one matrix to the next, so every
+// decomposition is a pure function of its input. A workspace is bound to
+// one matrix size, keeps its buffers in a few flat slices, and must not
+// be shared between concurrent calls.
+type EigWorkspace struct {
+	n int
+	// a is the working copy of the input. The reduction leaves reflector
+	// k's vector in row k, columns k+1..n-1, and its scalar in tau[k].
+	a   Matrix
+	tau []complex128
+	tmp []complex128
+	// d and e are T's diagonal and off-diagonal (e[k] couples k and k+1).
+	d, e []float64
+	// qd holds T's eigenvalues sorted descending (qe is QL's scratch);
+	// vals is qd in the input's units, the slice Eigenvalues returns.
+	qd, qe, vals []float64
+	// dl, dd, du, du2 and swap hold the pivoted LU factors of T − λI.
+	dl, dd, du, du2 []float64
+	swap            []bool
+	// z holds T's eigenvectors, row j for eigenvalue j; vecs are the
+	// input's eigenvectors, rows of one flat buffer.
+	z    []float64
+	vecs []Vector
+	// zero marks the zero matrix; ready marks that Eigenvalues succeeded
+	// on the current matrix.
+	zero, ready bool
+}
+
+// NewEigWorkspace returns a workspace for n x n decompositions.
+func NewEigWorkspace(n int) *EigWorkspace {
+	c := make([]complex128, 2*n*n+2*n)
+	f := make([]float64, n*n+9*n)
+	cut := func(k int) []float64 {
+		s := f[:k:k]
+		f = f[k:]
+		return s
+	}
+	ws := &EigWorkspace{
+		n:    n,
+		a:    Matrix{Rows: n, Cols: n, Data: c[: n*n : n*n]},
+		tau:  c[n*n : n*n+n : n*n+n],
+		tmp:  c[n*n+n : n*n+2*n : n*n+2*n],
+		z:    cut(n * n),
+		swap: make([]bool, n),
+		vecs: make([]Vector, n),
+	}
+	out := c[n*n+2*n:]
+	for j := range ws.vecs {
+		ws.vecs[j] = out[j*n : (j+1)*n : (j+1)*n]
+	}
+	for _, s := range []*[]float64{&ws.d, &ws.e, &ws.qd, &ws.qe, &ws.vals, &ws.dl, &ws.dd, &ws.du, &ws.du2} {
+		*s = cut(n)
+	}
+	return ws
+}
+
+// Eigenvalues returns every eigenvalue of the Hermitian matrix a in
+// descending order, and prepares LeadingEigenvectors for the same
+// matrix. The returned slice aliases the workspace and is valid until its
+// next use; a is not modified. The zero matrix has all-zero eigenvalues.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) Eigenvalues(a *Matrix) ([]float64, error) {
+	n := ws.n
+	ws.ready = false
+	if a.Rows != a.Cols {
+		return nil, ErrNotHermitian
+	}
+	if a.Rows != n {
+		return nil, fmt.Errorf("cmath: eig workspace for %dx%d used on %dx%d matrix", n, n, a.Rows, a.Cols)
+	}
+	scale := a.FrobeniusNorm()
+	ws.zero = scale == 0
+	if ws.zero {
+		clear(ws.vals)
+		ws.ready = true
+		return ws.vals, nil
+	}
+	if !a.IsHermitian(1e-9 * scale) {
+		return nil, ErrNotHermitian
+	}
+	// At unit Frobenius norm every tolerance below is absolute: eps·‖T‖
+	// is eps.
+	inv := 1 / scale
+	for i, x := range a.Data {
+		ws.a.Data[i] = complex(real(x)*inv, imag(x)*inv)
+	}
+	forceHermitian(&ws.a)
+	ws.tridiagonalize()
+	copy(ws.qd, ws.d)
+	copy(ws.qe, ws.e)
+	if err := tridiagEigenvalues(ws.qd, ws.qe); err != nil {
+		return nil, err
+	}
+	// Insertion sort, descending: n is small and the kernel must not
+	// allocate.
+	qd := ws.qd
+	for i := 1; i < n; i++ {
+		j, key := i, qd[i]
+		for j > 0 && qd[j-1] < key {
+			qd[j] = qd[j-1]
+			j--
+		}
+		qd[j] = key
+	}
+	for i, v := range qd {
+		ws.vals[i] = v * scale
+	}
+	ws.ready = true
+	return ws.vals, nil
+}
+
+// LeadingEigenvectors returns orthonormal eigenvectors for the k largest
+// eigenvalues of the matrix the last Eigenvalues call decomposed, in the
+// same order. The vectors alias the workspace and are valid until its
+// next use. For the zero matrix they are the first k unit vectors. It
+// panics unless Eigenvalues just succeeded and 0 <= k <= n.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) LeadingEigenvectors(k int) []Vector {
+	n := ws.n
+	if !ws.ready || k < 0 || k > n {
+		panic(fmt.Sprintf("cmath: LeadingEigenvectors(%d) on a %dx%d workspace (ready=%v)", k, n, n, ws.ready))
+	}
+	out := ws.vecs[:k]
+	if ws.zero {
+		for j, y := range out {
+			clear(y)
+			y[j] = 1
+		}
+		return out
+	}
+	start := 0 // first eigenvalue of the current cluster
+	for j := 0; j < k; j++ {
+		if j > 0 && ws.qd[j-1]-ws.qd[j] > clusterGap {
+			start = j
+		}
+		z := ws.z[j*n : (j+1)*n]
+		ws.inverseIteration(ws.qd[j], uint64(j), z, ws.z[start*n:j*n])
+		ws.backTransform(z, out[j])
+	}
+	return out
+}
+
+// tridiagonalize reduces the Hermitian working matrix to the real
+// symmetric tridiagonal T = Qᴴ·A·Q, Q = H_0·H_1·…·H_{n-2} (LAPACK zhetd2
+// with zlarfg's reflectors). Reflector H_k = I − τ_k·v·vᴴ acts on indices
+// k+1..n-1 and zeroes column k below its subdiagonal. τ_k is complex so
+// that the surviving subdiagonal entry β_k comes out real: the diagonal
+// phase scaling that turns a Hermitian tridiagonal into a real one is
+// folded into the reflectors. v (v[0] = 1) is stored in row k, columns
+// k+1..n-1, which the reduction no longer reads.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) tridiagonalize() {
+	n, a := ws.n, ws.a.Data
+	for k := 0; k < n-1; k++ {
+		row := a[k*n : (k+1)*n]
+		ws.d[k] = real(row[k])
+		// Column k below the diagonal is the conjugate of row k right of
+		// it: x = (alpha, x[1:]).
+		alpha := cmplx.Conj(row[k+1])
+		var xnorm2 float64
+		for _, x := range row[k+2:] {
+			xnorm2 += real(x)*real(x) + imag(x)*imag(x)
+		}
+		if xnorm2 == 0 && imag(alpha) == 0 {
+			// Already reduced and real: H_k = I.
+			ws.tau[k] = 0
+			ws.e[k] = real(alpha)
+			continue
+		}
+		beta := -math.Copysign(math.Sqrt(real(alpha)*real(alpha)+imag(alpha)*imag(alpha)+xnorm2), real(alpha))
+		tau := complex((beta-real(alpha))/beta, -imag(alpha)/beta)
+		ws.tau[k] = tau
+		ws.e[k] = beta
+		v := row[k+1:]
+		s := 1 / (alpha - complex(beta, 0))
+		v[0] = 1
+		for j := 1; j < len(v); j++ {
+			v[j] = cmplx.Conj(v[j]) * s
+		}
+
+		// Two-sided update of the trailing block B = A[k+1:, k+1:]:
+		// H_kᴴ·B·H_k = B − v·wᴴ − w·vᴴ with p = τ·B·v and
+		// w = p − ½·τ·(pᴴ·v)·v. Only the upper triangle is computed; the
+		// lower is its conjugate mirror, so B stays exactly Hermitian.
+		m := len(v)
+		w := ws.tmp[:m]
+		var pv complex128
+		for i := 0; i < m; i++ {
+			bi := a[(k+1+i)*n+k+1 : (k+2+i)*n]
+			var acc complex128
+			for j, bij := range bi {
+				acc += bij * v[j]
+			}
+			w[i] = tau * acc
+			pv += cmplx.Conj(w[i]) * v[i]
+		}
+		c := -0.5 * tau * pv
+		for i := range w {
+			w[i] += c * v[i]
+		}
+		for i := 0; i < m; i++ {
+			bi := a[(k+1+i)*n+k+1 : (k+2+i)*n]
+			vi, wi := v[i], w[i]
+			bi[i] = complex(real(bi[i])-2*real(vi*cmplx.Conj(wi)), 0)
+			for j := i + 1; j < m; j++ {
+				x := bi[j] - vi*cmplx.Conj(w[j]) - wi*cmplx.Conj(v[j])
+				bi[j] = x
+				a[(k+1+j)*n+k+1+i] = cmplx.Conj(x)
+			}
+		}
+	}
+	ws.d[n-1] = real(a[n*n-1])
+}
+
+// tridiagEigenvalues overwrites d with the eigenvalues (unordered) of the
+// symmetric tridiagonal matrix with diagonal d and off-diagonal e (e[i]
+// couples i and i+1; e[n-1] is scratch) by implicit-shift QL with
+// Wilkinson shifts (EISPACK tql1), destroying e. The matrix must have
+// unit norm: an off-diagonal below eps·‖T‖ counts as zero.
+//
+//wivi:hotpath
+func tridiagEigenvalues(d, e []float64) error {
+	n := len(d)
+	e[n-1] = 0
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			// Find the first negligible coupling at or after l: small next
+			// to its two diagonal entries, or below eps·‖T‖.
+			m := l
+			for ; m < n-1; m++ {
+				if ae := math.Abs(e[m]); ae <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) || ae <= eps {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if iter == qlMaxIter {
+				return ErrNoConvergence
+			}
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f := s * e[i]
+				b := c * e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 {
+					// Underflow: the block splits here; retry from l.
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				s = f / r
+				c = g / r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+			}
+			if r == 0 && i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	return nil
+}
+
+// inverseIteration finds the unit eigenvector z of T for its eigenvalue
+// lam: invIterSteps solves of (T − lam·I)·z = b from a deterministic
+// pseudo-random start (seeded by the eigenvalue's rank), each followed by
+// modified Gram–Schmidt against the earlier vectors of lam's cluster
+// (consecutive rows of cluster), so that close or repeated eigenvalues
+// still get orthonormal vectors.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) inverseIteration(lam float64, seed uint64, z, cluster []float64) {
+	n := ws.n
+	ws.factorShifted(lam)
+	x := (seed + 1) * 0x9E3779B97F4A7C15
+	for i := range z {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		z[i] = float64(x>>11)/(1<<52) - 1
+	}
+	for it := 0; it < invIterSteps; it++ {
+		normalize(z)
+		ws.solveShifted(z)
+		for q := 0; q < len(cluster); q += n {
+			u := cluster[q : q+n]
+			var dot float64
+			for i, ui := range u {
+				dot += ui * z[i]
+			}
+			for i, ui := range u {
+				z[i] -= dot * ui
+			}
+		}
+	}
+	normalize(z)
+}
+
+// normalize scales z to unit Euclidean norm.
+//
+//wivi:hotpath
+func normalize(z []float64) {
+	var s float64
+	for _, v := range z {
+		s += v * v
+	}
+	inv := 1 / math.Sqrt(s)
+	for i := range z {
+		z[i] *= inv
+	}
+}
+
+// factorShifted LU-factors T − lam·I with partial pivoting (LAPACK
+// dgttrf): unit lower multipliers in dl, U's diagonal and two
+// superdiagonals in dd, du and du2, and swap[i] marks an interchange of
+// rows i and i+1. Inverse iteration factors an almost singular matrix by
+// design, so pivots below eps·‖T‖ are lifted to ±eps (LAPACK dlagts's
+// perturbation), which keeps every solve finite.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) factorShifted(lam float64) {
+	n := ws.n
+	dl, dd, du, du2 := ws.dl, ws.dd, ws.du, ws.du2
+	for i := range dd {
+		dd[i] = ws.d[i] - lam
+	}
+	copy(dl, ws.e)
+	copy(du, ws.e)
+	for i := 0; i < n-1; i++ {
+		du2[i] = 0
+		ws.swap[i] = math.Abs(dd[i]) < math.Abs(dl[i])
+		if !ws.swap[i] {
+			if dd[i] != 0 {
+				f := dl[i] / dd[i]
+				dl[i] = f
+				dd[i+1] -= f * du[i]
+			}
+			continue
+		}
+		f := dd[i] / dl[i]
+		dd[i] = dl[i]
+		dl[i] = f
+		du[i], dd[i+1] = dd[i+1], du[i]-f*dd[i+1]
+		if i < n-2 {
+			du2[i] = du[i+1]
+			du[i+1] = -f * du[i+1]
+		}
+	}
+	for i, v := range dd {
+		if math.Abs(v) < eps {
+			dd[i] = math.Copysign(eps, v)
+		}
+	}
+}
+
+// solveShifted overwrites b with (T − lam·I)⁻¹·b from factorShifted's
+// factors (LAPACK dgtts2).
+//
+//wivi:hotpath
+func (ws *EigWorkspace) solveShifted(b []float64) {
+	n := ws.n
+	dl, dd, du, du2 := ws.dl, ws.dd, ws.du, ws.du2
+	for i := 0; i < n-1; i++ {
+		if ws.swap[i] {
+			b[i], b[i+1] = b[i+1], b[i]-dl[i]*b[i+1]
+		} else {
+			b[i+1] -= dl[i] * b[i]
+		}
+	}
+	b[n-1] /= dd[n-1]
+	if n > 1 {
+		b[n-2] = (b[n-2] - du[n-2]*b[n-1]) / dd[n-2]
+	}
+	for i := n - 3; i >= 0; i-- {
+		b[i] = (b[i] - du[i]*b[i+1] - du2[i]*b[i+2]) / dd[i]
+	}
+}
+
+// backTransform maps an eigenvector z of T to the eigenvector y = Q·z of
+// the input, applying the reflectors innermost first.
+//
+//wivi:hotpath
+func (ws *EigWorkspace) backTransform(z []float64, y Vector) {
+	n, a := ws.n, ws.a.Data
+	for i, zi := range z {
+		y[i] = complex(zi, 0)
+	}
+	for k := n - 2; k >= 0; k-- {
+		tau := ws.tau[k]
+		if tau == 0 {
+			continue
+		}
+		v := a[k*n+k+1 : (k+1)*n]
+		yk := y[k+1:]
+		var s complex128
+		for j, vj := range v {
+			s += cmplx.Conj(vj) * yk[j]
+		}
+		s *= tau
+		for j, vj := range v {
+			yk[j] -= s * vj
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package cmath
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -209,222 +210,6 @@ func TestHermitianEigLowRank(t *testing.T) {
 	}
 }
 
-func BenchmarkHermitianEig32(b *testing.B) {
-	r := rng.New(1)
-	m := randHermitian(r, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := HermitianEig(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// perturbedPair builds a Hermitian matrix and a small Hermitian
-// perturbation of it — the adjacent-analysis-window structure the
-// warm-start path is designed for (consecutive covariances differ by a
-// rank-Hop update that is small relative to the shared window).
-func perturbedPair(r *rng.Stream, n int, eps float64) (*Matrix, *Matrix) {
-	a := randHermitian(r, n)
-	b := a.Clone()
-	p := randHermitian(r, n)
-	for i := range b.Data {
-		b.Data[i] += complex(eps, 0) * p.Data[i]
-	}
-	return a, b
-}
-
-// cloneEigBasis deep-copies a decomposition's eigenvector matrix so it
-// survives workspace reuse — what the isar keyframe anchor does.
-func cloneEigBasis(e *Eig) *Matrix { return e.Vectors.Clone() }
-
-// TestHermitianEigWarmFromExactBasis: warm-starting from the matrix's own
-// eigenbasis must converge without a single sweep — the rotated matrix is
-// already diagonal to within the solver tolerance — and reproduce the
-// cold eigenvalues to rounding.
-func TestHermitianEigWarmFromExactBasis(t *testing.T) {
-	r := rng.New(42)
-	for _, n := range []int{2, 5, 8, 24, 32} {
-		a := randHermitian(r, n)
-		cold, err := HermitianEig(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		basis := cloneEigBasis(cold)
-		ws := NewEigWorkspace(n)
-		warm, err := HermitianEigWarmInto(a, basis, ws)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if ws.LastSweeps != 0 {
-			t.Errorf("n=%d: warm start from exact basis took %d sweeps, want 0", n, ws.LastSweeps)
-		}
-		scale := a.FrobeniusNorm()
-		for i := range cold.Values {
-			if math.Abs(warm.Values[i]-cold.Values[i]) > 1e-10*scale {
-				t.Errorf("n=%d: eigenvalue %d = %g warm vs %g cold", n, i, warm.Values[i], cold.Values[i])
-			}
-		}
-		assertEigResidual(t, a, warm, 1e-8)
-	}
-}
-
-// TestHermitianEigWarmFromIdentityMatchesCold: with the identity as warm
-// basis, the rotated problem is the original problem (products against I
-// add exact zeros and multiply by exact ones), so the warm path must
-// solve it in no more sweeps than the cold path and reproduce its
-// eigenvalues to solver tolerance. The two are no longer bit-identical:
-// the warm sweep skips pivots below tol/n (see sweepAndSort), a
-// deliberately different — cheaper — rotation sequence.
-func TestHermitianEigWarmFromIdentityMatchesCold(t *testing.T) {
-	r := rng.New(7)
-	for _, n := range []int{3, 8, 24} {
-		a := randHermitian(r, n)
-		wsCold := NewEigWorkspace(n)
-		cold, err := HermitianEigInto(a, wsCold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wsWarm := NewEigWorkspace(n)
-		warm, err := HermitianEigWarmInto(a, Identity(n), wsWarm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wsWarm.LastSweeps > wsCold.LastSweeps {
-			t.Errorf("n=%d: identity warm start took %d sweeps, cold took %d", n, wsWarm.LastSweeps, wsCold.LastSweeps)
-		}
-		scale := a.FrobeniusNorm()
-		for i := range cold.Values {
-			if d := math.Abs(warm.Values[i] - cold.Values[i]); d > 1e-10*scale {
-				t.Errorf("n=%d: eigenvalue %d differs: %g warm vs %g cold (|d|=%g)", n, i, warm.Values[i], cold.Values[i], d)
-			}
-		}
-		assertEigResidual(t, a, warm, 1e-9)
-	}
-}
-
-// TestHermitianEigWarmPerturbed is the equivalence bound on the intended
-// workload: warm-start the perturbed matrix from the original's
-// eigenbasis and require (1) a full valid decomposition (residual,
-// unitarity, descending order), (2) eigenvalues matching the cold
-// decomposition of the same perturbed matrix to solver tolerance, and
-// (3) no more sweeps than the cold path needs.
-func TestHermitianEigWarmPerturbed(t *testing.T) {
-	r := rng.New(3)
-	for _, n := range []int{8, 24, 32} {
-		for _, eps := range []float64{1e-6, 1e-3, 1e-1} {
-			a, b := perturbedPair(r, n, eps)
-			base, err := HermitianEig(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			basis := cloneEigBasis(base)
-			wsCold := NewEigWorkspace(n)
-			cold, err := HermitianEigInto(b, wsCold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wsWarm := NewEigWorkspace(n)
-			warm, err := HermitianEigWarmInto(b, basis, wsWarm)
-			if err != nil {
-				t.Fatalf("n=%d eps=%g: %v", n, eps, err)
-			}
-			if wsWarm.LastSweeps > wsCold.LastSweeps {
-				t.Errorf("n=%d eps=%g: warm %d sweeps > cold %d", n, eps, wsWarm.LastSweeps, wsCold.LastSweeps)
-			}
-			scale := b.FrobeniusNorm()
-			for i := range cold.Values {
-				if math.Abs(warm.Values[i]-cold.Values[i]) > 1e-9*scale {
-					t.Errorf("n=%d eps=%g: eigenvalue %d = %g warm vs %g cold", n, eps, i, warm.Values[i], cold.Values[i])
-				}
-			}
-			for i := 1; i < n; i++ {
-				if warm.Values[i] > warm.Values[i-1]+1e-12*scale {
-					t.Errorf("n=%d eps=%g: warm eigenvalues not sorted at %d: %v", n, eps, i, warm.Values)
-				}
-			}
-			assertEigResidual(t, b, warm, 1e-8)
-		}
-	}
-}
-
-// assertEigResidual checks A·v = λ·v for every eigenpair and Vᴴ·V = I,
-// with tolerances relative to the matrix scale.
-func assertEigResidual(t *testing.T, a *Matrix, e *Eig, tol float64) {
-	t.Helper()
-	n := a.Rows
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
-		scale = 1
-	}
-	for j := 0; j < n; j++ {
-		v := e.Vectors.Col(j)
-		av := a.MulVec(v)
-		for i := range av {
-			if cmplx.Abs(av[i]-complex(e.Values[j], 0)*v[i]) > tol*scale {
-				t.Fatalf("eigenpair %d: |A·v - λ·v|[%d] = %g > %g", j,
-					i, cmplx.Abs(av[i]-complex(e.Values[j], 0)*v[i]), tol*scale)
-			}
-		}
-	}
-	vhv := e.Vectors.ConjTranspose().Mul(e.Vectors)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := complex128(0)
-			if i == j {
-				want = 1
-			}
-			if cmplx.Abs(vhv.At(i, j)-want) > 1e-9 {
-				t.Fatalf("V not unitary at (%d,%d): %v", i, j, vhv.At(i, j))
-			}
-		}
-	}
-}
-
-// TestHermitianEigWarmRejects covers the warm entry point's validation:
-// mismatched workspace, mismatched basis, non-Hermitian input.
-func TestHermitianEigWarmRejects(t *testing.T) {
-	r := rng.New(9)
-	a := randHermitian(r, 4)
-	if _, err := HermitianEigWarmInto(a, Identity(4), NewEigWorkspace(5)); err == nil {
-		t.Fatal("size-mismatched workspace accepted")
-	}
-	if _, err := HermitianEigWarmInto(a, Identity(3), NewEigWorkspace(4)); err == nil {
-		t.Fatal("size-mismatched warm basis accepted")
-	}
-	bad := NewMatrix(4, 4)
-	bad.Set(0, 1, 1)
-	bad.Set(1, 0, 2)
-	if _, err := HermitianEigWarmInto(bad, Identity(4), NewEigWorkspace(4)); err != ErrNotHermitian {
-		t.Fatalf("err = %v, want ErrNotHermitian", err)
-	}
-}
-
-// TestHermitianEigWarmZeroMatrix: the zero matrix short-circuits with the
-// warm basis as the (valid) eigenbasis and zero sweeps.
-func TestHermitianEigWarmZeroMatrix(t *testing.T) {
-	r := rng.New(13)
-	basis := cloneEigBasis(mustEig(t, randHermitian(r, 4)))
-	ws := NewEigWorkspace(4)
-	e, err := HermitianEigWarmInto(NewMatrix(4, 4), basis, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.LastSweeps != 0 {
-		t.Fatalf("zero matrix took %d sweeps", ws.LastSweeps)
-	}
-	for i, v := range e.Values {
-		if v != 0 {
-			t.Fatalf("eigenvalue %d = %g, want 0", i, v)
-		}
-	}
-	for i := range basis.Data {
-		if e.Vectors.Data[i] != basis.Data[i] {
-			t.Fatal("zero-matrix eigenbasis is not the warm basis")
-		}
-	}
-}
-
 func mustEig(t *testing.T, a *Matrix) *Eig {
 	t.Helper()
 	e, err := HermitianEig(a)
@@ -434,42 +219,221 @@ func mustEig(t *testing.T, a *Matrix) *Eig {
 	return e
 }
 
-// BenchmarkHermitianEig compares the cold and warm-started solvers on the
-// warm path's target workload: two nearby 32x32 Hermitian matrices
-// (adjacent analysis windows). The sweeps/op metric is the work the warm
-// start removes.
-func BenchmarkHermitianEig(b *testing.B) {
-	r := rng.New(1)
-	const n = 32
-	a, a2 := perturbedPair(r, n, 1e-3)
-	base, err := HermitianEig(a)
-	if err != nil {
-		b.Fatal(err)
+// withSpectrum returns U·diag(vals)·Uᴴ for a random unitary U (the
+// Jacobi eigenbasis of a random Hermitian matrix).
+func withSpectrum(t *testing.T, r *rng.Stream, vals []float64) *Matrix {
+	t.Helper()
+	n := len(vals)
+	u := mustEig(t, randHermitian(r, n)).Vectors
+	d := NewMatrix(n, n)
+	for i, v := range vals {
+		d.Set(i, i, complex(v, 0))
 	}
-	basis := cloneEigBasis(base)
+	return u.Mul(d).Mul(u.ConjTranspose())
+}
 
-	b.Run("cold", func(b *testing.B) {
-		ws := NewEigWorkspace(n)
-		b.ReportAllocs()
-		var sweeps int
-		for i := 0; i < b.N; i++ {
-			if _, err := HermitianEigInto(a2, ws); err != nil {
-				b.Fatal(err)
-			}
-			sweeps += ws.LastSweeps
+type eigCase struct {
+	name string
+	a    *Matrix
+}
+
+// eigCases are the subspace solver's property-test inputs: random
+// Hermitian matrices at n in {3, 8, 32}, and at the prototype subarray
+// size 32 the spectra the frame kernel meets or must survive.
+func eigCases(t *testing.T) []eigCase {
+	r := rng.New(12)
+	var cases []eigCase
+	for _, n := range []int{3, 8, 32} {
+		for i := 0; i < 5; i++ {
+			cases = append(cases, eigCase{fmt.Sprintf("random-%d/%d", n, i), randHermitian(r, n)})
 		}
-		b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
-	})
-	b.Run("warm", func(b *testing.B) {
-		ws := NewEigWorkspace(n)
-		b.ReportAllocs()
-		var sweeps int
-		for i := 0; i < b.N; i++ {
-			if _, err := HermitianEigWarmInto(a2, basis, ws); err != nil {
-				b.Fatal(err)
+	}
+	// Five separated signal eigenvalues over a 27-wide near-degenerate
+	// noise cluster: the shape of a frame covariance.
+	vals := []float64{1000, 300, 80, 20, 6}
+	for len(vals) < 32 {
+		vals = append(vals, 1+1e-3*r.Norm())
+	}
+	cases = append(cases, eigCase{"signal-over-noise-cluster", withSpectrum(t, r, vals)})
+	// An exactly repeated leading eigenvalue (and an exactly degenerate
+	// noise floor): only re-orthogonalisation within the cluster keeps
+	// the vectors apart.
+	vals = []float64{50, 50, 20, 5}
+	for len(vals) < 32 {
+		vals = append(vals, 1)
+	}
+	cases = append(cases, eigCase{"repeated-leading", withSpectrum(t, r, vals)})
+	// Rank one: a single source, every other eigenvalue exactly zero.
+	v := make(Vector, 32)
+	for i := range v {
+		v[i] = complex(r.Norm(), r.Norm())
+	}
+	rank1 := NewMatrix(32, 32)
+	rank1.AddOuter(v, v)
+	return append(cases, eigCase{"rank-1", rank1})
+}
+
+// residualNorm returns ‖a·v − lam·v‖.
+func residualNorm(a *Matrix, lam float64, v Vector) float64 {
+	av := a.MulVec(v)
+	var s float64
+	for i := range av {
+		d := av[i] - complex(lam, 0)*v[i]
+		s += real(d)*real(d) + imag(d)*imag(d)
+	}
+	return math.Sqrt(s)
+}
+
+// orthoError returns max |vᵢᴴ·vⱼ − δᵢⱼ|.
+func orthoError(vs []Vector) float64 {
+	worst := 0.0
+	for i := range vs {
+		for j := range vs {
+			want := complex128(0)
+			if i == j {
+				want = 1
 			}
-			sweeps += ws.LastSweeps
+			worst = math.Max(worst, cmplx.Abs(vs[i].Dot(vs[j])-want))
 		}
-		b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
-	})
+	}
+	return worst
+}
+
+// eigPropC is the constant c of TestEigWorkspaceProperties' bounds; the
+// worst case measured is 1.
+const eigPropC = 4
+
+// TestEigWorkspaceProperties checks the subspace solver on every
+// eigCases input at full width (k = n, which covers every leading-k
+// prefix, since a vector depends only on the eigenvalues ranked above
+// it). With ε the unit roundoff and c = eigPropC:
+//
+//	|λᵢ − λᵢ(Jacobi)| ≤ c·n·ε·‖R‖_F
+//	‖R·vᵢ − λᵢ·vᵢ‖   ≤ c·n·ε·‖R‖_F
+//	‖VₖᴴVₖ − I‖_max  ≤ c·n·ε
+//
+// and the eigenvalues come out sorted descending.
+func TestEigWorkspaceProperties(t *testing.T) {
+	worst := map[string]float64{}
+	for _, tc := range eigCases(t) {
+		n := tc.a.Rows
+		ref := mustEig(t, tc.a)
+		ws := NewEigWorkspace(n)
+		vals, err := ws.Eigenvalues(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		norm := tc.a.FrobeniusNorm()
+		bound := eigPropC * float64(n) * eps
+		for i, v := range vals {
+			if i > 0 && v > vals[i-1] {
+				t.Fatalf("%s: eigenvalues not descending at %d: %v", tc.name, i, vals)
+			}
+			d := math.Abs(v-ref.Values[i]) / norm
+			worst["eigenvalue"] = math.Max(worst["eigenvalue"], d/(float64(n)*eps))
+			if d > bound {
+				t.Errorf("%s: eigenvalue %d = %g, Jacobi %g (|d|/‖R‖ = %g > %g)", tc.name, i, v, ref.Values[i], d, bound)
+			}
+		}
+		vecs := ws.LeadingEigenvectors(n)
+		for j, v := range vecs {
+			res := residualNorm(tc.a, vals[j], v) / norm
+			worst["residual"] = math.Max(worst["residual"], res/(float64(n)*eps))
+			if res > bound {
+				t.Errorf("%s: eigenpair %d residual %g·‖R‖ > %g", tc.name, j, res, bound)
+			}
+		}
+		o := orthoError(vecs)
+		worst["orthonormality"] = math.Max(worst["orthonormality"], o/(float64(n)*eps))
+		if o > bound {
+			t.Errorf("%s: orthonormality error %g > %g", tc.name, o, bound)
+		}
+	}
+	t.Logf("worst error in units of n·ε (bound c = %g): %v", float64(eigPropC), worst)
+}
+
+// TestEigWorkspaceStateless pins purity: a decomposition depends only on
+// its input, never on what the workspace decomposed before.
+func TestEigWorkspaceStateless(t *testing.T) {
+	r := rng.New(5)
+	a, b := randHermitian(r, 32), randHermitian(r, 32)
+	ws := NewEigWorkspace(32)
+	run := func(m *Matrix) ([]float64, []Vector) {
+		vals, err := ws.Eigenvalues(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vecs []Vector
+		for _, v := range ws.LeadingEigenvectors(5) {
+			vecs = append(vecs, append(Vector(nil), v...))
+		}
+		return append([]float64(nil), vals...), vecs
+	}
+	vals1, vecs1 := run(a)
+	run(b)
+	vals2, vecs2 := run(a)
+	for i := range vals1 {
+		if math.Float64bits(vals1[i]) != math.Float64bits(vals2[i]) {
+			t.Fatalf("eigenvalue %d changed after another decomposition: %g vs %g", i, vals1[i], vals2[i])
+		}
+	}
+	for j := range vecs1 {
+		for i := range vecs1[j] {
+			if vecs1[j][i] != vecs2[j][i] {
+				t.Fatalf("eigenvector %d changed after another decomposition", j)
+			}
+		}
+	}
+}
+
+// TestEigWorkspaceZeroMatrix: the zero matrix gives zero eigenvalues and
+// the first k unit vectors — no NaN from the unit-norm scaling — as
+// HermitianEig gives identity columns.
+func TestEigWorkspaceZeroMatrix(t *testing.T) {
+	ws := NewEigWorkspace(4)
+	vals, err := ws.Eigenvalues(NewMatrix(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if v != 0 {
+			t.Fatalf("eigenvalue %d = %g, want 0", i, v)
+		}
+	}
+	for j, v := range ws.LeadingEigenvectors(3) {
+		for i, x := range v {
+			want := complex128(0)
+			if i == j {
+				want = 1
+			}
+			if x != want {
+				t.Fatalf("vector %d = %v, want unit vector %d", j, v, j)
+			}
+		}
+	}
+}
+
+// TestEigWorkspaceRejects covers validation: a mismatched size, a
+// rectangular or non-Hermitian input, and asking for vectors after a
+// failed decomposition.
+func TestEigWorkspaceRejects(t *testing.T) {
+	ws := NewEigWorkspace(4)
+	if _, err := ws.Eigenvalues(NewMatrix(5, 5)); err == nil {
+		t.Fatal("size-mismatched matrix accepted")
+	}
+	if _, err := ws.Eigenvalues(NewMatrix(4, 3)); err != ErrNotHermitian {
+		t.Fatalf("rectangular err = %v, want ErrNotHermitian", err)
+	}
+	bad := NewMatrix(4, 4)
+	bad.Set(0, 1, 1)
+	bad.Set(1, 0, 2)
+	if _, err := ws.Eigenvalues(bad); err != ErrNotHermitian {
+		t.Fatalf("err = %v, want ErrNotHermitian", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LeadingEigenvectors after a failed decomposition did not panic")
+		}
+	}()
+	ws.LeadingEigenvectors(1)
 }

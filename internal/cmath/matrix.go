@@ -140,27 +140,6 @@ func (m *Matrix) AddOuter(v, w Vector) {
 	}
 }
 
-// SubOuter removes the rank-1 update m -= v * conj(w)^T in place — the
-// inverse of AddOuter, used by the sliding-window covariance to retire
-// departed subarrays. It panics on dimension mismatch.
-//
-//wivi:hotpath
-func (m *Matrix) SubOuter(v, w Vector) {
-	if m.Rows != len(v) || m.Cols != len(w) {
-		panic(fmt.Sprintf("cmath: SubOuter dims %dx%d -= %d x %d", m.Rows, m.Cols, len(v), len(w)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] -= vi * cmplx.Conj(w[j])
-		}
-	}
-}
-
 // ScaleInPlace multiplies every element by a and returns m.
 func (m *Matrix) ScaleInPlace(a complex128) *Matrix {
 	for i := range m.Data {

@@ -3,21 +3,22 @@ package isar
 // Stage decomposition of the ISAR chain. The angle-time image is built
 // from analysis frames that are mutually independent: frame f reads only
 // its own window h[start : start+Window] and the processor's immutable
-// steering tables. That independence is what the concurrent engine
+// steering tables, and the frame kernel keeps no state from one frame to
+// the next. That independence is what the concurrent engine
 // (internal/pipeline) exploits — frames fan out over a bounded pool of
 // goroutines and fan back in by index, so the assembled image is
-// byte-identical to the sequential chain regardless of worker count or
-// scheduling.
+// byte-identical to the sequential chain regardless of worker count,
+// scheduling, or whether the frames were computed in a batch or streamed.
 //
 // The stages are:
 //
-//	FrameSpecs  — slice the channel stream into overlapping windows
-//	ProcessFrame — one window -> one Frame (correlation, eig, spectra)
-//	assembleImage — frames in index order -> Image
+//	FrameSpecs    — slice the channel stream into overlapping windows
+//	processFrame  — one window -> one Frame (covariance, eig, spectra)
+//	AssembleImage — frames in index order -> Image
 //
-// ProcessFrame is pure: it never mutates the processor or the input
-// slice, so any number of goroutines may call it concurrently on the
-// same Processor.
+// ProcessFrame is processFrame with a fresh workspace. Neither mutates
+// the processor or the input slice, so any number of goroutines may run
+// frames concurrently on the same Processor.
 
 import (
 	"context"
@@ -75,49 +76,98 @@ type Frame struct {
 	SignalDim int
 }
 
-// ProcessFrame runs the full per-frame stage over one window of the
-// capture h: spatially-smoothed correlation, then either the smoothed
-// MUSIC pseudospectrum (music = true, Eq. 5.3) or the plain Eq. 5.1
-// beamformer, plus the Bartlett spectrum and motion-power metadata. It
-// is safe for concurrent use: h is only read, and the processor's
-// steering tables are immutable after NewProcessor.
+// ProcessFrame runs the frame kernel over one window of the capture h
+// with a freshly allocated workspace: the allocating form of the kernel
+// the batch and stream chains run with pooled workspaces, so it returns
+// the identical Frame. It is safe for concurrent use: h is only read,
+// and the processor's steering tables are immutable after NewProcessor.
 func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Frame, error) {
 	w := p.cfg.Window
 	if spec.Start < 0 || spec.Start+w > len(h) {
 		return Frame{}, fmt.Errorf("isar: frame window [%d, %d) outside capture of %d samples",
 			spec.Start, spec.Start+w, len(h))
 	}
-	window := h[spec.Start : spec.Start+w]
+	return p.processFrame(h[spec.Start:spec.Start+w], spec, music, p.newFrameScratch())
+}
+
+// frameScratch bundles every reusable buffer of the frame kernel: the
+// window copy, the covariance, the Bartlett diagonal sums, the
+// eigensolver workspace and the median sort scratch. One scratch serves
+// one goroutine at a time; Processor pools them, so a steady-state frame
+// allocates only its emitted Power and Bartlett slices.
+type frameScratch struct {
+	// win receives the window copy the Streamer hands to a worker, so the
+	// producer's sample buffer can be trimmed while the frame is in
+	// flight.
+	win    []complex128
+	cov    cmath.Matrix
+	diag   cmath.Vector
+	eig    *cmath.EigWorkspace
+	medBuf []float64
+}
+
+func (p *Processor) newFrameScratch() *frameScratch {
+	n, w := p.cfg.Subarray, p.cfg.Window
+	buf := make([]complex128, w+n+n*n)
+	return &frameScratch{
+		win:    buf[:w:w],
+		diag:   buf[w : w+n : w+n],
+		cov:    cmath.Matrix{Rows: n, Cols: n, Data: buf[w+n:]},
+		eig:    cmath.NewEigWorkspace(n),
+		medBuf: make([]float64, n),
+	}
+}
+
+func (p *Processor) getScratch() *frameScratch   { return p.scratch.Get().(*frameScratch) }
+func (p *Processor) putScratch(sc *frameScratch) { p.scratch.Put(sc) }
+
+// processFrame is the frame kernel: one window of exactly Window samples
+// to one Frame. It computes the smoothed covariance (Hankel recursion),
+// the Bartlett spectrum, and either the smoothed-MUSIC pseudospectrum
+// (music = true, Eq. 5.3: every eigenvalue, then eigenvectors for only
+// the estimated signal subspace) or the plain Eq. 5.1 beamformer, plus
+// the motion-power metadata. Every temporary comes from sc, and the
+// result depends only on the window and spec, never on what sc held
+// before; the only allocations are the emitted Frame's Power and Bartlett
+// slices.
+//
+//wivi:hotpath
+func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool, sc *frameScratch) (Frame, error) {
 	fr := Frame{
 		Spec:        spec,
-		Time:        (float64(spec.Start) + float64(w)/2) * p.cfg.SampleT,
+		Time:        (float64(spec.Start) + float64(p.cfg.Window)/2) * p.cfg.SampleT,
 		MotionPower: motionPower(window),
 		SignalDim:   1,
+		Power:       make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
+		Bartlett:    make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 	}
-	r, err := p.SmoothedCorrelation(window)
-	if err != nil {
-		return Frame{}, err
-	}
-	fr.Bartlett = p.BartlettSpectrum(r)
-	if music {
-		eig, err := cmath.HermitianEig(r)
-		if err != nil {
-			return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, err)
-		}
-		fr.SignalDim = p.EstimateSignalDim(eig.Values)
-		// The complement form of the pseudospectrum, through the same
-		// kernel as processFrameCov, so the two entry points stay
-		// bit-identical (see musicSpectrumComplementInto).
-		n := len(eig.Values)
-		sig := eig.SignalSubspaceInto(fr.SignalDim, nil, make(cmath.Vector, n*fr.SignalDim))
-		fr.Power = make([]float64, len(p.thetasDeg))
-		p.musicSpectrumComplementInto(sig, fr.Power)
-	} else {
-		fr.Power, err = p.BeamformSpectrum(window)
+	kernelStats.frames.Add(1)
+	start := kernelNow()
+	p.smoothedCorrelationInto(window, &sc.cov)
+	kernelStats.covNs.Add(kernelNow().Sub(start).Nanoseconds())
+	start = kernelNow()
+	p.bartlettSpectrumInto(&sc.cov, fr.Bartlett, sc.diag)
+	kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
+	if !music {
+		start = kernelNow()
+		err := p.beamformSpectrumInto(window, fr.Power)
+		kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
 		if err != nil {
 			return Frame{}, err
 		}
+		return fr, nil
 	}
+	start = kernelNow()
+	vals, err := sc.eig.Eigenvalues(&sc.cov)
+	if err != nil {
+		return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, err)
+	}
+	fr.SignalDim = p.estimateSignalDim(vals, sc.medBuf)
+	signal := sc.eig.LeadingEigenvectors(fr.SignalDim)
+	kernelStats.eigNs.Add(kernelNow().Sub(start).Nanoseconds())
+	start = kernelNow()
+	p.musicSpectrumComplementInto(signal, fr.Power)
+	kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
 	return fr, nil
 }
 
@@ -143,62 +193,25 @@ func (p *Processor) AssembleImage(frames []Frame) *Image {
 	return img
 }
 
-// computeFrames runs the per-frame stage over every spec, fanning out
-// over up to `workers` goroutines. The smoothed covariance and the
-// keyframe eigendecompositions are computed first, serially in
-// frame-index order by a covTracker and eigTracker — the sliding sum is
-// inherently sequential, each cohort's warm frames need their keyframe's
-// basis before they can start, and running both on the calling goroutine
-// in the same order the Streamer dispatches is what keeps stream and
-// batch byte-identical by construction. Only the independent eig +
-// spectra stage fans out; results land in their spec's index slot, so the
-// frame order — and therefore the assembled image — is deterministic for
-// any worker count. The first error (or a context cancellation) stops the
-// remaining work.
+// computeFrames runs the frame kernel over every spec, fanning out over
+// up to `workers` goroutines. Frames are independent (see the top of
+// this file), so workers take specs from a shared cursor and each result
+// lands in its spec's index slot: the frame order — and therefore the
+// assembled image — is deterministic for any worker count. The first
+// error (or a context cancellation) stops the remaining work.
 func (p *Processor) computeFrames(ctx context.Context, h []complex128, specs []FrameSpec, music bool, workers int) ([]Frame, error) {
 	frames := make([]Frame, len(specs))
 	if len(specs) == 0 {
 		return frames, nil
 	}
 	win := p.cfg.Window
-
-	covs := make([]*cmath.Matrix, len(specs))
-	anchors := make([]*eigAnchor, len(specs))
-	defer func() {
-		for _, c := range covs {
-			if c != nil {
-				p.putCov(c)
-			}
-		}
-	}()
-	ct := newCovTracker(p)
-	var et *eigTracker
-	if music {
-		et = newEigTracker(p)
-	}
-	for _, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if spec.Start < 0 || spec.Start+win > len(h) {
-			return nil, fmt.Errorf("isar: frame window [%d, %d) outside capture of %d samples",
-				spec.Start, spec.Start+win, len(h))
-		}
-		cov := p.getCov()
-		ct.advanceInto(cov, h[spec.Start:spec.Start+win], spec.Index)
-		covs[spec.Index] = cov
-		if et != nil {
-			a, err := et.advance(cov, spec.Index)
-			if err != nil {
-				return nil, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, err)
-			}
-			anchors[spec.Index] = a
-		}
-	}
-
 	runSpec := func(i int, sc *frameScratch) error {
 		spec := specs[i]
-		fr, err := p.processFrameCov(covs[spec.Index], h[spec.Start:spec.Start+win], spec, music, sc, anchors[spec.Index])
+		if spec.Start < 0 || spec.Start+win > len(h) {
+			return fmt.Errorf("isar: frame window [%d, %d) outside capture of %d samples",
+				spec.Start, spec.Start+win, len(h))
+		}
+		fr, err := p.processFrame(h[spec.Start:spec.Start+win], spec, music, sc)
 		if err != nil {
 			return err
 		}

@@ -60,18 +60,6 @@ type Config struct {
 	// EigNoiseFactor: eigenvalues above EigNoiseFactor times the median
 	// eigenvalue are classified as signal. Default 8.
 	EigNoiseFactor float64
-	// EigKeyframeEvery is the keyframe cadence of the warm-started
-	// eigendecomposition (see eigtrack.go): every EigKeyframeEvery-th
-	// frame runs the from-scratch Jacobi kernel and the frames between
-	// warm-start from that keyframe's eigenbasis. 0 selects the default
-	// (the covariance refresh cadence, so keyframes stay bit-identical to
-	// the from-scratch reference); 1 disables warm-starting and runs
-	// every frame from scratch — the pre-warm-start behavior, kept as the
-	// benchmarkable baseline. Both batch and stream chains honor it, and
-	// any value preserves batch/stream byte-identity and worker-count
-	// independence; only cadences that are multiples of the covariance
-	// refresh keep keyframes bit-identical to ProcessFrame.
-	EigKeyframeEvery int
 }
 
 // DefaultConfig returns the prototype parameters.
@@ -115,8 +103,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("isar: ThetaStepDeg %v out of range", c.ThetaStepDeg)
 	case c.MaxSources < 1 || c.MaxSources >= c.Subarray:
 		return fmt.Errorf("isar: MaxSources %d must be in [1, Subarray)", c.MaxSources)
-	case c.EigKeyframeEvery < 0:
-		return fmt.Errorf("isar: EigKeyframeEvery %d must be >= 0", c.EigKeyframeEvery)
 	}
 	return nil
 }
@@ -142,11 +128,8 @@ type Processor struct {
 	// steerWin[t] is the steering vector on the full window (for
 	// beamforming).
 	steerWin []cmath.Vector
-	// scratch pools per-goroutine frame workspaces; covPool pools the
-	// covariance matrices handed from the serial tracker pass to the
-	// frame workers (see incremental.go).
+	// scratch pools the per-goroutine frame workspaces (see frame.go).
 	scratch sync.Pool
-	covPool sync.Pool
 }
 
 // NewProcessor validates cfg and builds a processor.
@@ -159,7 +142,7 @@ func NewProcessor(cfg Config) (*Processor, error) {
 		thetas = append(thetas, th)
 	}
 	p := &Processor{cfg: cfg, thetasDeg: thetas}
-	p.initPools()
+	p.scratch.New = func() any { return p.newFrameScratch() }
 	p.steerSub = make([]cmath.Vector, len(thetas))
 	p.steerWin = make([]cmath.Vector, len(thetas))
 	for i, th := range thetas {
@@ -186,15 +169,58 @@ func (p *Processor) SmoothedCorrelation(window []complex128) (*cmath.Matrix, err
 		return nil, fmt.Errorf("isar: window of %d samples shorter than subarray %d", len(window), w)
 	}
 	r := cmath.NewMatrix(w, w)
-	sub := make(cmath.Vector, w)
-	count := 0
-	for start := 0; start+w <= len(window); start++ {
-		copy(sub, window[start:start+w])
-		r.AddOuter(sub, sub)
-		count++
-	}
-	r.ScaleInPlace(complex(1/float64(count), 0))
+	p.smoothedCorrelationInto(window, r)
 	return r, nil
+}
+
+// smoothedCorrelationInto is SmoothedCorrelation computing into dst
+// (Subarray x Subarray), the frame kernel's covariance stage. window
+// must hold at least Subarray samples.
+//
+// With w' = Subarray and L = len(window) - w' + 1 subarrays, the
+// unnormalised sum S[i][j] = sum_{s<L} x[s+i]·conj(x[s+j]) has Hankel
+// structure: shifting both indices by one drops the first product of the
+// sum and adds one past its end,
+//
+//	S[i+1][j+1] = S[i][j] - x[i]·conj(x[j]) + x[i+L]·conj(x[j+L]).
+//
+// So one O(L·w') pass builds the first row, each superdiagonal follows
+// from it in O(1) per entry, and the lower triangle is the conjugate
+// mirror: O(L·w' + w'^2) instead of the direct sum's O(L·w'^2), about 3k
+// complex multiply-adds instead of 70k at prototype geometry. The
+// recursion is exact in real arithmetic; in floats it reorders the sums,
+// within ~w'·eps of the direct sum (TestHankelCovarianceMatchesDirectSum).
+// The result is exactly Hermitian with a real diagonal.
+//
+//wivi:hotpath
+func (p *Processor) smoothedCorrelationInto(window []complex128, dst *cmath.Matrix) {
+	w := p.cfg.Subarray
+	l := len(window) - w + 1
+	d := dst.Data
+	for j := 0; j < w; j++ {
+		var s complex128
+		for t := 0; t < l; t++ {
+			s += window[t] * cmplx.Conj(window[t+j])
+		}
+		d[j] = s
+	}
+	for i := 0; i+1 < w; i++ {
+		xi, xil := window[i], window[i+l]
+		row, next := d[i*w:(i+1)*w], d[(i+1)*w:(i+2)*w]
+		for j := i; j+1 < w; j++ {
+			next[j+1] = row[j] - xi*cmplx.Conj(window[j]) + xil*cmplx.Conj(window[j+l])
+		}
+	}
+	inv := 1 / float64(l)
+	for i := 0; i < w; i++ {
+		row := d[i*w : (i+1)*w]
+		row[i] = complex(real(row[i])*inv, 0)
+		for j := i + 1; j < w; j++ {
+			v := complex(real(row[j])*inv, imag(row[j])*inv)
+			row[j] = v
+			d[j*w+i] = cmplx.Conj(v)
+		}
+	}
 }
 
 // EstimateSignalDim classifies eigenvalues into signal and noise
@@ -268,7 +294,7 @@ func (p *Processor) musicSpectrumInto(noise []cmath.Vector, out []float64) {
 }
 
 // musicSpectrumComplementInto evaluates the same MUSIC pseudospectrum as
-// musicSpectrumInto from the signal side of the eigenbasis. The Jacobi
+// musicSpectrumInto from the signal side of the eigenbasis. The
 // eigenvectors form a unitary basis, so for a unit-modulus steering
 // vector of length n the projections satisfy
 //
@@ -278,13 +304,16 @@ func (p *Processor) musicSpectrumInto(noise []cmath.Vector, out []float64) {
 // n - sum_{k < signalDim} |steer^H u_k|^2. With signalDim capped at
 // MaxSources (5) against n-signalDim noise vectors (27 at the prototype
 // subarray size), the complement form does ~5x fewer dot products per
-// angle. It is numerically equivalent to — not bit-identical with — the
-// noise-sum form: the identity holds exactly in real arithmetic, and in
-// floats the basis is unitary to the Jacobi rotations' rounding, so the
-// two denominators agree to ~n*eps relative — far below the 1e-6 golden
-// tolerance. The 1e-18 clamp carries over unchanged and additionally
-// absorbs any tiny negative complement when a steering vector lies
-// entirely in the signal subspace.
+// angle — and the eigensolver need only compute those signalDim vectors
+// (cmath.EigWorkspace.LeadingEigenvectors). It is numerically equivalent
+// to — not bit-identical with — the noise-sum form: the identity holds
+// exactly in real arithmetic, and in floats the signal vectors are
+// orthonormal to ~n*eps, so the two denominators agree to ~n*eps
+// absolute. Near a sharp peak the denominator is small and the
+// subtraction cancels, which amplifies that to a larger relative error
+// (TestImageCloseToFromScratchChain), still far below the 1e-6 golden
+// tolerance. The 1e-18 clamp absorbs any tiny negative complement when a
+// steering vector lies entirely in the signal subspace.
 //
 //wivi:hotpath
 func (p *Processor) musicSpectrumComplementInto(signal []cmath.Vector, out []float64) {

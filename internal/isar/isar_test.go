@@ -165,3 +165,92 @@ func maxOf(x []float64) float64 {
 	_, m := dsp.MinMax(x)
 	return m
 }
+
+// TestEstimateSignalDimClampOrder pins the clamp ordering fix: the >= 1
+// floor must be applied after the MaxSources and n-2 caps, so degenerate
+// geometries yield 1 (the DC) rather than 0 and a full-space
+// NoiseSubspace(0).
+func TestEstimateSignalDimClampOrder(t *testing.T) {
+	p, err := NewProcessor(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		values []float64
+		want   int
+	}{
+		// Two eigenvalues: the n-2 cap is 0, the floor must win with 1.
+		// Before the fix the floor ran first and this returned 0.
+		{"two-values-all-signal", []float64{100, 90}, 1},
+		{"two-values-quiet", []float64{1, 1}, 1},
+		// Three eigenvalues, two strong: n-2 caps to 1.
+		{"three-values-two-signal", []float64{1000, 900, 1}, 1},
+		// All-noise window: nothing above the factor, floored to 1.
+		{"all-noise", []float64{1, 1, 1, 1, 1, 1}, 1},
+		// Healthy case: strong signals up to MaxSources.
+		{"two-movers", []float64{5000, 900, 1, 1, 1, 1, 1, 1, 1}, 2},
+	}
+	for _, tc := range cases {
+		if got := p.EstimateSignalDim(tc.values); got != tc.want {
+			t.Errorf("%s: EstimateSignalDim = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := p.EstimateSignalDim(tc.values); got < 1 {
+			t.Errorf("%s: signal dimension %d < 1 leaves no DC dimension", tc.name, got)
+		}
+	}
+}
+
+// TestValidateRejectsNoNoiseSubspace: Subarray 2 leaves no noise
+// subspace for MUSIC (dim floor 1, n-2 cap 0), so Validate must reject
+// it outright instead of letting EstimateSignalDim degenerate.
+func TestValidateRejectsNoNoiseSubspace(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Window = 8
+	cfg.Subarray = 2
+	cfg.MaxSources = 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted Subarray=2 (no noise subspace)")
+	}
+	cfg.Subarray = 3
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate rejected Subarray=3: %v", err)
+	}
+}
+
+// TestNormalizeMin1Contract: the documented contract is min = 1 on every
+// output. Exact zeros are clamped up to the smallest positive entry
+// before scaling; an all-zero spectrum normalizes to all ones.
+func TestNormalizeMin1Contract(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []float64
+	}{
+		{"plain", []float64{4, 2, 8}},
+		{"with-exact-zero", []float64{4, 0, 8}},
+		{"all-zero", []float64{0, 0, 0}},
+		{"single-zero", []float64{0}},
+		{"tiny-positive", []float64{1e-300, 2e-300}},
+	}
+	for _, tc := range cases {
+		x := append([]float64(nil), tc.in...)
+		normalizeMin1(x)
+		min := math.Inf(1)
+		for _, v := range x {
+			if v < min {
+				min = v
+			}
+		}
+		if min != 1 {
+			t.Errorf("%s: min after normalizeMin1 = %g, want exactly 1 (out %v)", tc.name, min, x)
+		}
+	}
+	// Clamp-then-normalize semantics: the exact zero is clamped up to the
+	// smallest positive entry (4) before scaling, so it lands at exactly
+	// 1 and the positive entries keep their ratios.
+	x := []float64{4, 0, 8}
+	normalizeMin1(x)
+	if x[0] != 1 || x[1] != 1 || x[2] != 2 {
+		t.Errorf("normalizeMin1([4 0 8]) = %v, want [1 1 2]", x)
+	}
+}

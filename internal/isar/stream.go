@@ -4,11 +4,10 @@ package isar
 // slicing a complete capture into FrameSpecs and fanning them out, a
 // Streamer consumes the channel stream incrementally and schedules each
 // frame the moment its window closes, while later windows are still
-// filling. The covariance is advanced by the same serial covTracker the
-// batch chain uses — on the Append goroutine, in frame-index order — and
-// the independent eig + spectra stage runs through processFrameCov, so
-// the frame sequence (and any image assembled from it) is bit-identical
-// to the batch chain for every worker count and every input chunking.
+// filling. Each frame runs the same stateless kernel the batch chain runs
+// (processFrame) on a copy of its own window, so the frame sequence (and
+// any image assembled from it) is bit-identical to the batch chain for
+// every worker count and every input chunking.
 //
 // The sample buffer is bounded: each scheduled frame takes its own copy
 // of its window at dispatch, so Append can trim every sample older than
@@ -20,8 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"wivi/internal/cmath"
 )
 
 // StreamConfig parameterizes a Streamer.
@@ -59,13 +56,9 @@ type Streamer struct {
 	// Producer-side state, touched only by the Append goroutine. h holds
 	// the not-yet-consumed tail of the sample stream; base is the
 	// absolute sample index of h[0] (it grows as the consumed prefix is
-	// trimmed). ct advances the sliding covariance at dispatch; et runs
-	// the serial keyframe eigendecompositions the cohort's warm frames
-	// start from (nil in beamform mode, which has no eig stage).
+	// trimmed).
 	h    []complex128
 	base int
-	ct   *covTracker
-	et   *eigTracker
 
 	// next is the next frame index to schedule. Written only by the
 	// Append goroutine; atomic so Scheduled is safe from any goroutine.
@@ -93,14 +86,10 @@ func (p *Processor) NewStreamer(cfg StreamConfig) *Streamer {
 	s := &Streamer{
 		p:       p,
 		music:   !cfg.Beamform,
-		ct:      newCovTracker(p),
 		extra:   make(chan struct{}, extra),
 		results: make(chan Frame, 1),
 		out:     make(chan Frame),
 		failed:  make(chan struct{}),
-	}
-	if s.music {
-		s.et = newEigTracker(p)
 	}
 	go s.collect()
 	return s
@@ -198,31 +187,16 @@ func (s *Streamer) Scheduled() int { return int(s.next.Load()) }
 // exposed so tests can assert the bounded-memory contract.
 func (s *Streamer) Retained() int { return len(s.h) }
 
-// dispatch advances the covariance and keyframe-eig trackers for one
-// frame (serially, on the Append goroutine), copies the frame's window
-// into pooled scratch, and runs the independent per-frame stage — on a
-// borrowed goroutine when both a local slot and a global frame token are
-// free, else inline — the same always-progress policy as computeFrames.
-// The window copy is what lets Append trim s.h while the frame is still
-// in flight.
+// dispatch copies one frame's window into pooled scratch and runs the
+// frame kernel on it — on a borrowed goroutine when both a local slot and
+// a global frame token are free, else inline — the same always-progress
+// policy as computeFrames. The window copy is what lets Append trim s.h
+// while the frame is still in flight.
 func (s *Streamer) dispatch(spec FrameSpec) {
 	w := s.p.cfg.Window
 	rel := spec.Start - s.base
 	sc := s.p.getScratch()
 	copy(sc.win, s.h[rel:rel+w])
-	cov := s.p.getCov()
-	s.ct.advanceInto(cov, sc.win, spec.Index)
-	var anchor *eigAnchor
-	if s.et != nil {
-		a, err := s.et.advance(cov, spec.Index)
-		if err != nil {
-			s.p.putCov(cov)
-			s.p.putScratch(sc)
-			s.fail(fmt.Errorf("isar: streaming frame %d: %w", spec.Index, err))
-			return
-		}
-		anchor = a
-	}
 	select {
 	case s.extra <- struct{}{}:
 		select {
@@ -231,7 +205,7 @@ func (s *Streamer) dispatch(spec FrameSpec) {
 			go func() {
 				defer s.wg.Done()
 				defer func() { <-frameTokens; <-s.extra }()
-				s.runFrame(cov, sc, spec, anchor)
+				s.runFrame(sc, spec)
 			}()
 			return
 		default:
@@ -239,14 +213,13 @@ func (s *Streamer) dispatch(spec FrameSpec) {
 		}
 	default:
 	}
-	s.runFrame(cov, sc, spec, anchor)
+	s.runFrame(sc, spec)
 }
 
-// runFrame executes the fan-out stage for one dispatched frame and
-// returns its covariance matrix and scratch to the processor pools.
-func (s *Streamer) runFrame(cov *cmath.Matrix, sc *frameScratch, spec FrameSpec, anchor *eigAnchor) {
-	fr, err := s.p.processFrameCov(cov, sc.win, spec, s.music, sc, anchor)
-	s.p.putCov(cov)
+// runFrame runs the frame kernel on a dispatched frame's window copy and
+// returns the scratch to the processor's pool.
+func (s *Streamer) runFrame(sc *frameScratch, spec FrameSpec) {
+	fr, err := s.p.processFrame(sc.win, spec, s.music, sc)
 	s.p.putScratch(sc)
 	if err != nil {
 		s.fail(fmt.Errorf("isar: streaming frame %d: %w", spec.Index, err))

@@ -1,7 +1,7 @@
 // Package hotpathalloc enforces the steady-state allocation budget on the
 // per-frame kernel path. The repo's perf contract (DESIGN.md §7, the
 // TestStreamerSteadyStateAllocs / TestPacedStreamSteadyStateAllocs gates)
-// says the incremental kernels allocate during warm-up and then run
+// says the frame kernels allocate during warm-up and then run
 // allocation-free; this analyzer turns that from a counted aggregate into a
 // per-function, per-site check.
 //

@@ -3,8 +3,8 @@
 // XxxInto (or XxxAppend) taking caller-owned storage, the convenience form
 // must be a thin delegator — allocate the destination, call the sibling,
 // return. Logic duplicated between the two forms is how they drift apart;
-// the warm-started eigensolver and planned-FFT work made the Into forms the
-// single source of truth, and this analyzer keeps it that way.
+// the frame-kernel and planned-FFT work made the Into forms the single
+// source of truth, and this analyzer keeps it that way.
 //
 // Detection is name-based and same-package: an exported function/method Xxx
 // pairs with a sibling whose lowercased name equals lower(Xxx)+"into" or

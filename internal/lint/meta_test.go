@@ -17,23 +17,23 @@ import (
 )
 
 // requiredHotpath is the per-frame kernel surface that must stay under
-// hotpathalloc checking: the incremental covariance and warm-started eig
-// paths, the spectrum kernels, the planned-FFT execute paths, and the
-// Into/Append primitives they call. Grown deliberately, never pruned
+// hotpathalloc checking: the frame kernel with its Hankel covariance,
+// the subspace eigensolver, the spectrum kernels, the planned-FFT execute
+// paths, and the Into/Append primitives they call. Grown deliberately, never pruned
 // casually — removing a name here means arguing the function left the hot
 // path.
 var requiredHotpath = map[string][]string{
 	"wivi/internal/isar": {
-		"advanceInto", "processFrameCov", "estimateSignalDim",
+		"processFrame", "smoothedCorrelationInto", "estimateSignalDim",
 		"musicSpectrumInto", "musicSpectrumComplementInto",
 		"bartlettSpectrumInto", "beamformSpectrumInto",
 	},
 	"wivi/internal/cmath": {
-		"HermitianEigInto", "HermitianEigWarmInto", "sweepAndSort",
-		"jacobiRotate", "symmetrizeInto", "forceHermitian", "mulInto",
-		"mulConjTransposeHermitianInto", "setIdentity",
-		"SignalSubspaceInto", "NoiseSubspaceInto", "MulVecInto",
-		"AddOuter", "SubOuter", "Dot",
+		"Eigenvalues", "LeadingEigenvectors", "tridiagonalize",
+		"tridiagEigenvalues", "inverseIteration", "normalize",
+		"factorShifted", "solveShifted", "backTransform",
+		"forceHermitian", "jacobiRotate",
+		"NoiseSubspaceInto", "MulVecInto", "AddOuter", "Dot",
 	},
 	"wivi/internal/dsp": {
 		"FFTInto", "IFFTInto", "fftInPlace", "radix2", "bluestein",

@@ -302,13 +302,29 @@ func (t *tenant) ensureEngineLocked(r *Router) {
 type Handle struct {
 	tenant string
 	inner  engineHandle
+	// release returns the request's budget slot; it runs once, from Wait
+	// or from Submit's settle goroutine, whichever sees the request
+	// settle first.
+	release func()
 }
 
 // Tenant names the tenant whose engine runs the request.
 func (h *Handle) Tenant() string { return h.tenant }
 
-// Wait joins the request's result (wivi.Handle.Wait semantics).
-func (h *Handle) Wait(ctx context.Context) (*wivi.Result, error) { return h.inner.Wait(ctx) }
+// Wait joins the request's result (wivi.Handle.Wait semantics). Once the
+// request has settled, its budget slot is free before Wait returns, so a
+// closed-loop client that resubmits as soon as it has its result finds
+// the slot it just used available. A Wait cut short by ctx leaves the
+// slot to the request's own settling.
+func (h *Handle) Wait(ctx context.Context) (*wivi.Result, error) {
+	res, err := h.inner.Wait(ctx)
+	if err == nil || ctx.Err() == nil {
+		// The inner Wait returns early only when ctx ends, so either way
+		// the request has settled.
+		h.release()
+	}
+	return res, err
+}
 
 // Stream returns the live frame stream of a Stream request
 // (wivi.Handle.Stream semantics).
@@ -362,11 +378,15 @@ func (r *Router) Submit(ctx context.Context, tenantName string, req wivi.Request
 	// pin admission capacity. Wait joins the same settled state for
 	// batch and streaming requests alike, and completed work is never
 	// discarded, so this goroutine always terminates with the request.
+	// Handle.Wait releases the same slot synchronously when its caller
+	// joins the settled request first; the Once makes that a no-op here.
+	var once sync.Once
+	release := func() { once.Do(func() { t.release(r, req.Stream) }) }
 	go func() {
 		_, _ = h.Wait(context.Background())
-		t.release(r, req.Stream)
+		release()
 	}()
-	return &Handle{tenant: t.name, inner: h}, nil
+	return &Handle{tenant: t.name, inner: h, release: release}, nil
 }
 
 // release returns one admission slot and wakes a drain waiting on idle.

@@ -593,3 +593,72 @@ func TestTenantsSorted(t *testing.T) {
 		t.Fatalf("Tenants() = %v, want %v", got, want)
 	}
 }
+
+// TestBackToBackStreamsAtMaxStreams is the regression test for spurious
+// 429s at exactly MaxStreams: two closed-loop clients, each resubmitting
+// a one-frame stream the moment its previous result arrives, must never
+// find their own just-settled slot still taken. Freeing the slot only in
+// Submit's settle goroutine, after Wait has returned, draws 499 refusals
+// in these 1000 submits.
+func TestBackToBackStreamsAtMaxStreams(t *testing.T) {
+	const clients, perClient = 2, 500
+	r := NewRouter(Options{
+		Budget: Budget{Workers: clients, MaxStreams: clients},
+		Devices: func(string) (map[string]*wivi.Device, error) {
+			devs := map[string]*wivi.Device{}
+			for i := 0; i < clients; i++ {
+				sc := wivi.NewScene(wivi.SceneOptions{Seed: int64(i + 1)})
+				if err := sc.AddWalker(1); err != nil {
+					return nil, err
+				}
+				dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{FrameWorkers: 1})
+				if err != nil {
+					return nil, err
+				}
+				devs[fmt.Sprint("dev", i)] = dev
+			}
+			return devs, nil
+		},
+	})
+	defer r.Close()
+	_, devs, err := r.Devices("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var saturated atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		dev := devs[fmt.Sprint("dev", c)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				h, err := r.Submit(ctx, "", wivi.Request{Device: dev, Duration: 0.32, Stream: true})
+				if errors.Is(err, ErrTenantSaturated) {
+					saturated.Add(1)
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st, err := h.Stream(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for range st.Frames() {
+				}
+				if _, err := h.Wait(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := saturated.Load(); n != 0 {
+		t.Fatalf("%d of %d back-to-back streams refused with ErrTenantSaturated at MaxStreams %d", n, clients*perClient, clients)
+	}
+}

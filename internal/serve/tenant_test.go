@@ -317,8 +317,9 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 			t.Fatalf("tenant b frames %d, want %d", got, wantN)
 		}
 		// Replica identity holds for the device's first capture only —
-		// warm-start eig state persists on a device across captures by
-		// design, so run 1 checks completion and lag, not bits.
+		// the sim device's noise stream and oscillator phase carry over
+		// from one capture to the next, so run 1 checks completion and
+		// lag, not bits.
 		if run == 0 {
 			for i, fr := range frames {
 				if len(fr.Power) != len(ref[i].Power) {

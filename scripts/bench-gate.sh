@@ -1,5 +1,5 @@
 #!/bin/sh
-# bench-gate/1 — assert every perf gate over a merged wivi-bench/1
+# bench-gate/2 — assert every perf gate over a merged wivi-bench/2
 # report. The single harness shared by CI (.github/workflows/ci.yml,
 # bench job) and `make bench-json`, so the gates cannot drift between
 # the two: both run exactly

@@ -201,17 +201,6 @@ type DeviceOptions struct {
 	// per chunk). The chunk size never affects the streamed image, only
 	// latency and cancellation granularity.
 	StreamChunkSamples int
-	// EigKeyframeEvery is the eigendecomposition keyframe cadence of the
-	// MUSIC imaging chain: every EigKeyframeEvery-th frame runs a
-	// from-scratch eigensolve and the frames in between warm-start from
-	// that keyframe's eigenbasis (internal/isar; DESIGN.md §10). 0 uses
-	// the default cadence (one keyframe per covariance refresh); 1
-	// disables warm-starting entirely — every frame decomposes from
-	// scratch, the pre-warm-start behavior. The cadence is deterministic
-	// per frame index, so it never affects the batch/stream identity or
-	// worker-count independence guarantees; warm-started spectra track
-	// the from-scratch chain within 1e-6 relative.
-	EigKeyframeEvery int
 	// Paced delivers capture samples at the radio's real cadence (one
 	// sample per SampleT of wall clock, like the paper's USRP) instead
 	// of as fast as the simulator can synthesize them. A paced capture
@@ -254,7 +243,6 @@ func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 	if opts.FrameWorkers > 0 {
 		cfg.FrameWorkers = opts.FrameWorkers
 	}
-	cfg.ISAR.EigKeyframeEvery = opts.EigKeyframeEvery
 	pipeline, err := core.New(front, cfg)
 	if err != nil {
 		return nil, err
