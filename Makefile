@@ -1,11 +1,11 @@
 # Tier-1 gate, mirrored by .github/workflows/ci.yml.
-.PHONY: check fmt vet staticcheck lint build examples test smoke smoke-serve smoke-pool bench bench-json
+.PHONY: check fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool bench bench-json
 
 # Pinned staticcheck release, mirrored by CI. Bump deliberately: a new
 # release can add checks and turn a green tree red.
 STATICCHECK_VERSION = 2025.1.1
 
-check: fmt vet staticcheck lint build examples test smoke smoke-serve smoke-pool
+check: fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool
 
 # gofmt gate: fail (and list the offenders) if any file needs formatting.
 fmt:
@@ -44,6 +44,11 @@ examples:
 
 test:
 	go test -race ./...
+
+# Short native-fuzzing pass over /v1/track body decoding and validation
+# (FuzzTrackRequest stubs the pool, so no capture runs). Mirrored by CI.
+fuzz:
+	go test -run '^$$' -fuzz FuzzTrackRequest -fuzztime 10s ./internal/serve
 
 # Streaming smoke: stream 4 scenes, verify byte-identity with batch
 # Track and that the first frame lands well before the capture ends.

@@ -81,7 +81,7 @@ func BenchmarkTrackSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, d := range devices {
-			if _, err := d.Track(benchTrackDur); err != nil {
+			if _, err := d.Track(context.Background(), benchTrackDur); err != nil {
 				b.Fatalf("scene %d: %v", j, err)
 			}
 		}
@@ -93,11 +93,15 @@ func BenchmarkTrackSequential(b *testing.B) {
 // engine at 8 workers.
 func BenchmarkTrackParallel(b *testing.B) {
 	devices := buildBenchBatch(b, 0)
+	eng := NewEngine(EngineOptions{Workers: benchWorkers, QueueDepth: benchBatch})
+	defer eng.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrackMany(context.Background(), devices, benchTrackDur,
-			TrackManyOptions{Workers: benchWorkers}); err != nil {
-			b.Fatal(err)
+		_, errs := trackAll(context.Background(), eng, devices, benchTrackDur)
+		for j, err := range errs {
+			if err != nil {
+				b.Fatalf("scene %d: %v", j, err)
+			}
 		}
 	}
 	b.ReportMetric(float64(benchBatch*b.N)/b.Elapsed().Seconds(), "scenes/s")

@@ -16,9 +16,10 @@
 //
 // Throughput mode (-batch N) exercises the concurrent tracking engine
 // instead of the evaluation suite: it builds N independent one-walker
-// scenes, tracks them sequentially and then through wivi.TrackMany at
-// -workers, verifies the two result sets render identically, and reports
-// scenes/second plus the parallel speedup.
+// scenes, tracks them sequentially and then through an explicit
+// wivi.NewEngine of -workers workers, verifies the two result sets
+// render identically, and reports scenes/second plus the parallel
+// speedup.
 //
 // Streaming mode (-stream, with -batch N scenes) exercises the
 // incremental tracking chain: each scene is tracked once through batch
@@ -321,7 +322,7 @@ func runStreamMode(out io.Writer, batch int, seed int64, trackDur float64) (*ben
 			return nil, err
 		}
 		batchStart := time.Now()
-		want, err := dev.Track(trackDur)
+		want, err := dev.Track(context.Background(), trackDur)
 		if err != nil {
 			return nil, fmt.Errorf("batch scene %d: %w", i, err)
 		}
@@ -476,7 +477,7 @@ func runBatchMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	seqStart := time.Now()
 	seqResults := make([]*wivi.TrackingResult, batch)
 	for i, d := range seqDevices {
-		res, err := d.Track(trackDur)
+		res, err := d.Track(context.Background(), trackDur)
 		if err != nil {
 			return nil, fmt.Errorf("sequential scene %d: %w", i, err)
 		}
@@ -489,10 +490,9 @@ func runBatchMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 		return nil, err
 	}
 	parStart := time.Now()
-	parResults, err := wivi.TrackMany(context.Background(), parDevices, trackDur,
-		wivi.TrackManyOptions{Workers: workers})
+	parResults, err := trackOnEngine(parDevices, workers, trackDur)
 	if err != nil {
-		return nil, fmt.Errorf("TrackMany: %w", err)
+		return nil, err
 	}
 	parElapsed := time.Since(parStart)
 
@@ -514,4 +514,30 @@ func runBatchMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	fmt.Fprintf(out, "  parallel:   %8.2fs  (%.2f scenes/s)\n", parElapsed.Seconds(), parRate)
 	fmt.Fprintf(out, "  speedup:    %.2fx; outputs identical across %d scenes\n", rep.SpeedupX, batch)
 	return rep, nil
+}
+
+// trackOnEngine submits one batch track per device to a private engine
+// of the given worker count, with queue room for the whole batch, and
+// joins the results in device order.
+func trackOnEngine(devices []*wivi.Device, workers int, trackDur float64) ([]*wivi.TrackingResult, error) {
+	eng := wivi.NewEngine(wivi.EngineOptions{Workers: workers, QueueDepth: len(devices)})
+	defer eng.Close()
+	ctx := context.Background()
+	handles := make([]*wivi.Handle, len(devices))
+	for i, d := range devices {
+		h, err := eng.Submit(ctx, wivi.Request{Device: d, Duration: trackDur})
+		if err != nil {
+			return nil, fmt.Errorf("parallel scene %d: %w", i, err)
+		}
+		handles[i] = h
+	}
+	out := make([]*wivi.TrackingResult, len(devices))
+	for i, h := range handles {
+		res, err := h.Wait(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("parallel scene %d: %w", i, err)
+		}
+		out[i] = res.Tracking
+	}
+	return out, nil
 }

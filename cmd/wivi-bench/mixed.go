@@ -83,14 +83,14 @@ func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur floa
 		if err != nil {
 			return nil, err
 		}
-		if trackWant[i], err = dev.Track(trackDur); err != nil {
+		if trackWant[i], err = dev.Track(context.Background(), trackDur); err != nil {
 			return nil, fmt.Errorf("track baseline %d: %w", i, err)
 		}
 		sdev, err := newWalkerDevice(seed + 1000 + int64(i))
 		if err != nil {
 			return nil, err
 		}
-		if streamWant[i], err = sdev.Track(trackDur); err != nil {
+		if streamWant[i], err = sdev.Track(context.Background(), trackDur); err != nil {
 			return nil, fmt.Errorf("stream baseline %d: %w", i, err)
 		}
 	}

@@ -68,7 +68,7 @@ func runPacedMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 			return nil, err
 		}
 		t0 := time.Now()
-		if want[i], err = dev.Track(trackDur); err != nil {
+		if want[i], err = dev.Track(context.Background(), trackDur); err != nil {
 			return nil, fmt.Errorf("baseline scene %d: %w", i, err)
 		}
 		computeSum += time.Since(t0).Seconds()

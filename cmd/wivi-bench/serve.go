@@ -41,37 +41,18 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	rep := newBenchReport("serve", workers, 2*batch, trackDur)
 	ctx := context.Background()
 
-	// No -addr: spin up the served stack in-process on a loopback port,
-	// with two identically-seeded replica devices so the wire-identity
-	// check below has a bit-identical pair to compare.
-	var inproc *wivi.Engine
+	// No -addr: spin up the served stack in-process on a loopback port —
+	// a one-tenant pool at its default budget, whose replica pair gives
+	// the wire-identity check below a bit-identical pair to compare.
 	if addr == "" {
-		registry := make(map[string]*wivi.Device, 2)
-		for _, name := range []string{"dev0", "dev1"} {
-			sc := wivi.NewScene(wivi.SceneOptions{Seed: seed})
-			if err := sc.AddWalker(trackDur + 1); err != nil {
-				return nil, err
-			}
-			dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{})
-			if err != nil {
-				return nil, err
-			}
-			registry[name] = dev
-		}
-		inproc = wivi.NewEngine(wivi.EngineOptions{Workers: workers})
-		defer inproc.Close()
-		srv, err := serve.New(serve.Config{Engine: inproc, Devices: registry})
+		router := pool.NewRouter(pool.Options{Devices: replicaFactory(seed, trackDur, "")})
+		defer router.Close()
+		base, stop, err := listenInProcess(router)
 		if err != nil {
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		hs := &http.Server{Handler: srv}
-		go hs.Serve(ln)
-		defer hs.Close()
-		addr = "http://" + ln.Addr().String()
+		defer stop()
+		addr = base
 		fmt.Fprintf(out, "serve mode: in-process wivi-serve on %s\n", addr)
 	} else {
 		fmt.Fprintf(out, "serve mode: driving external daemon at %s\n", addr)
@@ -90,6 +71,17 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 		rep.TrackDurationS = trackDur
 		fmt.Fprintf(out, "  capture clamped to the server cap: %g s\n", trackDur)
 	}
+	// The tenant admits at most max_streams concurrent streams and
+	// answers any more with 429, so the clients never hold more open.
+	st, err := client.Stats(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("reading the tenant budget: %w", err)
+	}
+	maxStreams := st.Pool.Tenants[st.Pool.DefaultTenant].Budget.MaxStreams
+	if maxStreams < 1 {
+		return nil, fmt.Errorf("server at %s reports no stream budget for tenant %q", addr, st.Pool.DefaultTenant)
+	}
+	streamSlots := make(chan struct{}, maxStreams)
 
 	// Wire identity: two identically-seeded replica devices capture
 	// bit-identical data (wivi-serve registers replicas; fresh same-seed
@@ -134,12 +126,16 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 					Device:    devs.Devices[i%len(devs.Devices)],
 					DurationS: trackDur,
 				}
+				stream := i%2 == 1
+				if stream {
+					streamSlots <- struct{}{}
+				}
 				t0 := time.Now()
 				var queueMs float64
 				var err error
-				stream := i%2 == 1
 				if stream {
 					frames, serr := collectStream(ctx, client, req.Device, trackDur)
+					<-streamSlots
 					if serr == nil && len(frames) == 0 {
 						serr = fmt.Errorf("stream returned no frames")
 					}
@@ -201,7 +197,7 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	rep.RequestP99Ms = percentileMs(lats, 99)
 
 	// The served engine's own view, over the same wire it serves.
-	if st, err := client.Stats(ctx); err == nil {
+	if st, err = client.Stats(ctx); err == nil {
 		rep.Engine = snapshotEngine(st.Engine)
 	} else {
 		fmt.Fprintf(out, "  (stats endpoint unavailable: %v)\n", err)
@@ -238,27 +234,11 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 	rep := newBenchReport("serve", workers, len(victims)*batch+2, trackDur)
 	ctx := context.Background()
 
-	// Per-tenant device fleets: two identically-seeded replicas each, so
-	// every tenant offers the wire-identity check a bit-identical pair.
-	// The noisy tenant's replicas are paced — its captures consume real
-	// wall clock, which is what lets two concurrent streams pin it at
-	// its budget for a deterministic saturation window.
-	factory := func(tenant string) (map[string]*wivi.Device, error) {
-		registry := make(map[string]*wivi.Device, 2)
-		for _, name := range []string{"dev0", "dev1"} {
-			sc := wivi.NewScene(wivi.SceneOptions{Seed: seed})
-			if err := sc.AddWalker(trackDur + 1); err != nil {
-				return nil, err
-			}
-			dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{Paced: tenant == noisy})
-			if err != nil {
-				return nil, err
-			}
-			registry[name] = dev
-		}
-		return registry, nil
-	}
-
+	// Per-tenant replica fleets. The noisy tenant's replicas are paced —
+	// its captures consume real wall clock, which is what lets two
+	// concurrent streams pin it at its budget for a deterministic
+	// saturation window.
+	//
 	// The noisy tenant admits exactly two requests (maxInflight =
 	// Workers + QueueDepth = 2); victims get the full -workers budget.
 	// Two streams therefore saturate t0 without touching anyone else.
@@ -266,21 +246,14 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 		Budget:  pool.Budget{Workers: workers},
 		Budgets: map[string]pool.Budget{noisy: {Workers: 1, QueueDepth: 1, MaxStreams: 2}},
 		Tenants: names,
-		Devices: factory,
+		Devices: replicaFactory(seed, trackDur, noisy),
 	})
 	defer router.Close()
-	srv, err := serve.New(serve.Config{Pool: router})
+	addr, stop, err := listenInProcess(router)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
-	addr := "http://" + ln.Addr().String()
+	defer stop()
 	fmt.Fprintf(out, "serve mode: in-process multi-tenant pool on %s (%d tenants, noisy neighbor %s)\n",
 		addr, tenants, noisy)
 
@@ -354,7 +327,7 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 		if err != nil {
 			return rep, fmt.Errorf("polling noisy-tenant stats: %w", err)
 		}
-		if st.Pool != nil && st.Pool.Tenants[noisy].InFlight >= 2 {
+		if st.Pool.Tenants[noisy].InFlight >= 2 {
 			break
 		}
 		if time.Now().After(admitDeadline) {
@@ -447,9 +420,7 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 			RequestP95Ms:        percentileMs(lats, 95),
 			FrameLagP95Ms:       percentileMs(lags, 95),
 			Saturated:           saturated,
-		}
-		if full.Pool != nil {
-			f.Rejected = full.Pool.Tenants[name].Rejected
+			Rejected:            full.Pool.Tenants[name].Rejected,
 		}
 		return f, nil
 	}
@@ -516,6 +487,45 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 		return rep, fmt.Errorf("tenant isolation violated: a victim tenant missed its SLO while %s was saturated", noisy)
 	}
 	return rep, nil
+}
+
+// replicaFactory builds each tenant two identically-seeded one-walker
+// replicas, dev0 and dev1. A fresh same-seed device captures
+// bit-identical data, so every tenant offers the wire-identity check a
+// pair to compare. The paced tenant's replicas deliver samples at the
+// radio's cadence.
+func replicaFactory(seed int64, trackDur float64, paced string) func(string) (map[string]*wivi.Device, error) {
+	return func(tenant string) (map[string]*wivi.Device, error) {
+		registry := make(map[string]*wivi.Device, 2)
+		for _, name := range []string{"dev0", "dev1"} {
+			sc := wivi.NewScene(wivi.SceneOptions{Seed: seed})
+			if err := sc.AddWalker(trackDur + 1); err != nil {
+				return nil, err
+			}
+			dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{Paced: tenant == paced})
+			if err != nil {
+				return nil, err
+			}
+			registry[name] = dev
+		}
+		return registry, nil
+	}
+}
+
+// listenInProcess serves router through internal/serve on a loopback
+// port and returns the base URL and the listener's stop function.
+func listenInProcess(router *pool.Router) (string, func(), error) {
+	srv, err := serve.New(serve.Config{Pool: router})
+	if err != nil {
+		return "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	hs := &http.Server{Handler: srv}
+	go hs.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }
 
 // collectStream runs one streamed request to completion and returns its

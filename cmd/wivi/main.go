@@ -76,7 +76,7 @@ func main() {
 			}
 			return
 		}
-		res, err := dev.Track(*duration)
+		res, err := dev.Track(context.Background(), *duration)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		msg, err := dev.DecodeMessage(dur)
+		msg, err := dev.DecodeMessage(context.Background(), dur)
 		if err != nil {
 			log.Fatal(err)
 		}

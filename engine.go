@@ -4,10 +4,11 @@ package wivi
 // mixed workloads.
 //
 // An Engine owns one bounded worker pool and is the single scheduling
-// entry point of the package — Device.Track, TrackStream, DecodeMessage
-// and TrackMany are thin wrappers that submit to a lazily created
-// default engine. Servers that need pool isolation (per tenant, per
-// priority class) create their own:
+// entry point of the package — Device.Track, TrackStream and
+// DecodeMessage each build one Request and submit it to a lazily
+// created default engine. Servers that need pool isolation (per tenant,
+// per priority class) and batch callers that size their own pool
+// create their own:
 //
 //	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 8})
 //	defer eng.Close()
@@ -99,10 +100,10 @@ type EngineOptions struct {
 }
 
 // Engine is an explicitly owned scheduling pool for Wi-Vi observations.
-// All package entry points (Device.Track, TrackStream, DecodeMessage,
-// TrackMany) route through an engine; NewEngine gives multi-tenant
-// servers their own isolated pools with explicit lifecycle and
-// observability. Engines are safe for concurrent use.
+// All package entry points (Device.Track, TrackStream, DecodeMessage)
+// route through an engine; NewEngine gives multi-tenant servers their
+// own isolated pools with explicit lifecycle and observability. Engines
+// are safe for concurrent use.
 type Engine struct {
 	inner *pipeline.Engine
 }
@@ -373,11 +374,11 @@ func decodedMessage(res *gesture.Result) *DecodedMessage {
 	return out
 }
 
-// sharedEngine is the lazily started engine behind the Device
-// convenience methods (Track, TrackStream, DecodeMessage) and
-// TrackMany: a pool sized to the machine, shared by every device so
-// independent callers multiplex instead of oversubscribing. Servers
-// that need isolation own explicit engines via NewEngine.
+// sharedEngine is the lazily started engine behind the Device methods
+// (Track, TrackStream, DecodeMessage): a pool sized to the machine,
+// shared by every device so independent callers multiplex instead of
+// oversubscribing. Servers that need isolation own explicit engines via
+// NewEngine.
 var (
 	engineOnce   sync.Once
 	sharedEngine *Engine

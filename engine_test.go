@@ -345,7 +345,7 @@ func TestEngineStatsUnderLoad(t *testing.T) {
 // advance when they run.
 func TestDeviceEntryPointsShareDefaultEngine(t *testing.T) {
 	before := defaultEngine().Stats()
-	if _, err := newTrackedDevice(t, 75).Track(trackDuration); err != nil {
+	if _, err := newTrackedDevice(t, 75).Track(context.Background(), trackDuration); err != nil {
 		t.Fatal(err)
 	}
 	after := defaultEngine().Stats()

@@ -37,7 +37,7 @@ func Example_tracking() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dev.Track(4)
+	res, err := dev.Track(context.Background(), 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func Example_streamingTracking() {
 	if err := stream.Err(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := stream.Result() // identical to dev.Track(4)'s result
+	res, err := stream.Result() // identical to dev.Track(ctx, 4)'s result
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func Example_gestureMessage() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	msg, err := dev.DecodeMessage(duration)
+	msg, err := dev.DecodeMessage(context.Background(), duration)
 	if err != nil {
 		log.Fatal(err)
 	}

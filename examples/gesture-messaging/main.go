@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	decoded, err := dev.DecodeMessage(duration)
+	decoded, err := dev.DecodeMessage(context.Background(), duration)
 	if err != nil {
 		log.Fatal(err)
 	}

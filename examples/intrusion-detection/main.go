@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dev.Track(trialSeconds)
+		res, err := dev.Track(context.Background(), trialSeconds)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func captureVariance(seed int64, occupants int, w, d float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := dev.Track(trialSeconds)
+	res, err := dev.Track(context.Background(), trialSeconds)
 	if err != nil {
 		return 0, err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -45,7 +46,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			msg, err := dev.DecodeMessage(dur)
+			msg, err := dev.DecodeMessage(context.Background(), dur)
 			if err != nil {
 				log.Fatal(err)
 			}

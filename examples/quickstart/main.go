@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 
 	// Capture 8 seconds and beamform in time with the human's own motion
 	// as the antenna array (§5).
-	res, err := dev.Track(8)
+	res, err := dev.Track(context.Background(), 8)
 	if err != nil {
 		log.Fatal(err)
 	}

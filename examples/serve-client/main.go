@@ -19,34 +19,37 @@ import (
 	"net/http/httptest"
 
 	"wivi"
+	"wivi/internal/pool"
 	"wivi/internal/serve"
 )
 
 func main() {
-	// One walker scene behind the wall, fronted by an engine.
-	scene := wivi.NewScene(wivi.SceneOptions{Seed: 42})
-	if err := scene.AddWalker(10); err != nil {
-		log.Fatal(err)
-	}
-	dev, err := wivi.NewDevice(scene, wivi.DeviceOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// A paced replica for the load-shedding demo below: deadline
-	// admission bites when capture runs at the radio's real cadence.
-	paced, err := wivi.NewDevice(scene, wivi.DeviceOptions{Paced: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng := wivi.NewEngine(wivi.EngineOptions{})
-	defer eng.Close()
+	// A single-tenant server is a pool with only the default tenant. Its
+	// registry: one walker scene behind the wall, seen by an unpaced
+	// device and by a paced replica for the load-shedding demo below
+	// (deadline admission bites when capture runs at the radio's real
+	// cadence).
+	router := pool.NewRouter(pool.Options{
+		Devices: func(string) (map[string]*wivi.Device, error) {
+			scene := wivi.NewScene(wivi.SceneOptions{Seed: 42})
+			if err := scene.AddWalker(10); err != nil {
+				return nil, err
+			}
+			dev, err := wivi.NewDevice(scene, wivi.DeviceOptions{})
+			if err != nil {
+				return nil, err
+			}
+			paced, err := wivi.NewDevice(scene, wivi.DeviceOptions{Paced: true})
+			if err != nil {
+				return nil, err
+			}
+			return map[string]*wivi.Device{"dev0": dev, "paced0": paced}, nil
+		},
+	})
+	defer router.Close()
 
 	// The same handler cmd/wivi-serve mounts, on a loopback test server.
-	srv, err := serve.New(serve.Config{
-		Engine:       eng,
-		Devices:      map[string]*wivi.Device{"dev0": dev, "paced0": paced},
-		MaxDurationS: 8,
-	})
+	srv, err := serve.New(serve.Config{Pool: router, MaxDurationS: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,8 +92,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstats: %d completed, %d frames, p95 end-to-end %v\n",
-		st.Engine.Completed, st.Engine.Frames, st.Engine.EndToEnd.P95)
+	fmt.Printf("\nstats: tenant %s, %d completed, %d frames, p95 end-to-end %v\n",
+		st.Pool.DefaultTenant, st.Engine.Completed, st.Engine.Frames, st.Engine.EndToEnd.P95)
 
 	// A deadline the engine provably cannot meet — a paced 2 s capture
 	// can never finish in 1 ms — is shed at admission with HTTP 503 and

@@ -59,15 +59,31 @@ func RealClock() Clock { return realClock{} }
 type FakeClock struct {
 	auto bool
 
-	mu      sync.Mutex
-	now     time.Time
-	changed chan struct{} // closed and replaced on every Advance
+	mu       sync.Mutex
+	now      time.Time
+	changed  chan struct{} // closed and replaced on every Advance
+	sleepers int           // Sleep calls parked until a later instant
+	parked   chan struct{} // closed and replaced whenever a Sleep parks
 }
 
 // NewFakeClock starts a fake clock at start. With autoAdvance, every
 // Sleep advances the clock by its own duration instead of blocking.
 func NewFakeClock(start time.Time, autoAdvance bool) *FakeClock {
-	return &FakeClock{auto: autoAdvance, now: start, changed: make(chan struct{})}
+	return &FakeClock{auto: autoAdvance, now: start, changed: make(chan struct{}), parked: make(chan struct{})}
+}
+
+// AwaitSleepers blocks until at least n Sleep calls are parked. A Sleep
+// anchors its wake instant when it parks, so a test that advances only
+// after AwaitSleepers knows exactly which instant each sleeper waits for.
+func (c *FakeClock) AwaitSleepers(n int) {
+	c.mu.Lock()
+	for c.sleepers < n {
+		parked := c.parked
+		c.mu.Unlock()
+		<-parked
+		c.mu.Lock()
+	}
+	c.mu.Unlock()
 }
 
 // Now returns the fake clock's current time.
@@ -103,6 +119,14 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	target := c.now.Add(d)
+	c.sleepers++
+	close(c.parked)
+	c.parked = make(chan struct{})
+	defer func() {
+		c.mu.Lock()
+		c.sleepers--
+		c.mu.Unlock()
+	}()
 	for c.now.Before(target) {
 		changed := c.changed
 		c.mu.Unlock()

@@ -44,8 +44,9 @@ import (
 	"wivi/internal/core"
 )
 
-// DefaultTenant is the tenant name used when a request names none —
-// the back-compat tenant single-tenant deployments implicitly use.
+// DefaultTenant is the tenant name used when a request names none. A
+// Router always provisions it, so a Router with no other tenants is a
+// single-tenant deployment.
 const DefaultTenant = "default"
 
 // Typed admission errors. Codes, not messages, are the contract: the
@@ -273,9 +274,6 @@ func (r *Router) tenantFor(name string) (*tenant, error) {
 	}
 	return t, nil
 }
-
-// DefaultName returns the router's default tenant name.
-func (r *Router) DefaultName() string { return DefaultTenant }
 
 // Tenants returns the allowed tenant names, sorted.
 func (r *Router) Tenants() []string {

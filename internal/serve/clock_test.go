@@ -4,7 +4,7 @@ package serve
 // path and the latency/lag histogram contributions are asserted exactly
 // (not approximately) by driving the injected clock manually — the
 // serve-tier counterpart of internal/pipeline's FakeClock tests. The
-// engine is stubbed out through the Server.submit seam so only the
+// pool is stubbed out through the Server.submit seam so only the
 // handler's own clock reads are in play.
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"wivi"
 	"wivi/internal/core"
+	"wivi/internal/pool"
 )
 
 // stubHandle scripts the engine seam for handler tests.
@@ -56,19 +57,15 @@ func (s *stubStream) TotalFrames() int               { return 0 }
 func (s *stubStream) WindowDuration() time.Duration  { return s.window }
 
 // newClockServer builds a Server on a manual FakeClock with a scripted
-// submit seam. The engine and device exist only to satisfy Config.
+// submit seam. The Router and its device exist only to resolve the
+// request's tenant and device; no capture runs.
 func newClockServer(t *testing.T, clk *core.FakeClock, timeout time.Duration,
 	submit func(ctx context.Context, tenant string, req wivi.Request) (handle, error)) *Server {
 	t.Helper()
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	t.Cleanup(func() { eng.Close() })
-	dev := newWalkerDevice(t, 91, 0, 0, false)
-	srv, err := New(Config{
-		Engine:         eng,
-		Devices:        map[string]*wivi.Device{"dev0": dev},
-		RequestTimeout: timeout,
-		Clock:          clk,
-	})
+	router := pool.NewRouter(oneTenant(pool.Budget{Workers: 1},
+		map[string]*wivi.Device{"dev0": newWalkerDevice(t, 91, 0, 0, false)}))
+	t.Cleanup(func() { router.Close() })
+	srv, err := New(Config{Pool: router, RequestTimeout: timeout, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +101,7 @@ func TestFakeClockRequestTimeout(t *testing.T) {
 	}()
 
 	<-started            // the handler is blocked in Wait
+	clk.AwaitSleepers(1) // its timeout sleeper has anchored its deadline
 	clk.Advance(timeout) // the timeout fires, exactly on its deadline
 	<-done               // handler returned; its deferred Observe ran
 
@@ -199,8 +197,10 @@ func TestFakeClockStreamLag(t *testing.T) {
 	if last.Type != EventResult || last.Result == nil {
 		t.Fatalf("terminal event %+v, want result", last)
 	}
-	if last.Result.NumFrames != 3 || last.Result.QueueWaitMs != 7 || last.Result.WindowMs != 320 {
-		t.Fatalf("result %+v, want 3 frames, queue_wait_ms 7, window_ms 320", last.Result)
+	if last.Result.NumFrames != 3 || last.Result.QueueWaitMs != 7 || last.Result.WindowMs != 320 ||
+		last.Result.Tenant != pool.DefaultTenant {
+		t.Fatalf("result %+v, want 3 frames, queue_wait_ms 7, window_ms 320, tenant %q",
+			last.Result, pool.DefaultTenant)
 	}
 
 	// Exact histogram contributions: nearest-rank over {1,5,100} ms.

@@ -5,8 +5,9 @@ package serve
 // frame lag) in the same bounded-reservoir recorders the engine uses
 // (pipeline.LatencyRecorder), so every layer of the stack reports
 // identical percentile math. GET /v1/stats returns the JSON form; GET
-// /metrics renders the same figures — plus the engine's own Stats() —
-// in Prometheus text exposition format.
+// /metrics renders the same figures — plus every tenant engine's
+// Stats() and the pool's routing counters — in Prometheus text
+// exposition format.
 
 import (
 	"fmt"
@@ -98,14 +99,14 @@ type ServeStats struct {
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	// Engine is the fronted engine's Stats() snapshot. Pool-backed
-	// servers put the default (or ?tenant=-selected) tenant's engine
-	// here so single-tenant dashboards keep working.
+	// Engine is the Stats() snapshot of the default tenant's engine, or
+	// of the ?tenant=-selected tenant's.
 	Engine wivi.EngineStats `json:"engine"`
 	// Serve is the HTTP tier's own counters.
 	Serve ServeStats `json:"serve"`
-	// Pool is the per-tenant snapshot; only pool-backed servers set it.
-	Pool *pool.Stats `json:"pool,omitempty"`
+	// Pool is the per-tenant snapshot (only the selected tenant's slice
+	// under ?tenant=).
+	Pool pool.Stats `json:"pool"`
 }
 
 // serveStats snapshots the tier for /v1/stats.
@@ -130,65 +131,44 @@ func (s *Server) serveStats() ServeStats {
 
 // writeProm renders the engine, pool and serve figures in Prometheus
 // text exposition format (version 0.0.4): counters as *_total, quantile
-// summaries for every latency dimension, durations in seconds.
-//
-// Engine-backed servers emit the wivi_engine_* series unlabeled — the
-// PR 9 exposition, byte-compatible for existing scrapes. Pool-backed
-// servers emit the same series once per tenant with a {tenant="..."}
-// label (HELP/TYPE once, one sample per tenant, Prometheus's canonical
-// multi-series shape; an evicted or never-started tenant reports its
-// engine series as zeros) plus the wivi_pool_* routing-layer series.
+// summaries for every latency dimension, durations in seconds. The
+// engine and pool series carry one {tenant="..."} sample per tenant
+// (HELP/TYPE once, Prometheus's canonical multi-series shape; an
+// evicted or never-started tenant reports its engine series as zeros).
 func (s *Server) writeProm(w io.Writer) {
-	// engines lists each engine snapshot with its tenant label; "" means
-	// emit the sample unlabeled (single-engine mode).
-	type labeled struct {
-		tenant string
-		st     wivi.EngineStats
+	pst := s.cfg.Pool.Stats()
+	tenants := make([]string, 0, len(pst.Tenants))
+	for name := range pst.Tenants {
+		tenants = append(tenants, name)
 	}
-	var engines []labeled
-	var pst pool.Stats
-	if s.cfg.Pool != nil {
-		pst = s.cfg.Pool.Stats()
-		names := make([]string, 0, len(pst.Tenants))
-		for name := range pst.Tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			engines = append(engines, labeled{tenant: name, st: pst.Tenants[name].Engine})
-		}
-	} else {
-		engines = []labeled{{st: s.cfg.Engine.Stats()}}
-	}
+	sort.Strings(tenants)
 
-	sample := func(name, tenant string) string { return name + tenantSuffix(tenant) }
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
-	engSeries := func(name, typ, help string, get func(wivi.EngineStats) float64) {
+	tenantSeries := func(name, typ, help string, get func(pool.TenantStats) float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, e := range engines {
-			fmt.Fprintf(w, "%s %g\n", sample(name, e.tenant), get(e.st))
+		for _, tn := range tenants {
+			fmt.Fprintf(w, "%s{tenant=%q} %g\n", name, tn, get(pst.Tenants[tn]))
 		}
+	}
+	engSeries := func(name, typ, help string, get func(wivi.EngineStats) float64) {
+		tenantSeries(name, typ, help, func(t pool.TenantStats) float64 { return get(t.Engine) })
 	}
 	engSummary := func(name, help string, get func(wivi.EngineStats) wivi.LatencyProfile) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		for _, e := range engines {
-			p := get(e.st)
+		for _, tn := range tenants {
+			p := get(pst.Tenants[tn].Engine)
 			for _, q := range []struct {
 				q string
 				d time.Duration
 			}{{"0.5", p.P50}, {"0.95", p.P95}, {"0.99", p.P99}} {
-				if e.tenant == "" {
-					fmt.Fprintf(w, "%s{quantile=%q} %g\n", name, q.q, q.d.Seconds())
-				} else {
-					fmt.Fprintf(w, "%s{tenant=%q,quantile=%q} %g\n", name, e.tenant, q.q, q.d.Seconds())
-				}
+				fmt.Fprintf(w, "%s{tenant=%q,quantile=%q} %g\n", name, tn, q.q, q.d.Seconds())
 			}
-			fmt.Fprintf(w, "%s_count%s %d\n", name, tenantSuffix(e.tenant), p.Count)
+			fmt.Fprintf(w, "%s_count{tenant=%q} %d\n", name, tn, p.Count)
 		}
 	}
 	summary := func(name, help string, p wivi.LatencyProfile) {
@@ -227,25 +207,17 @@ func (s *Server) writeProm(w io.Writer) {
 	engSummary("wivi_engine_end_to_end_seconds", "Accept-to-completion latency.",
 		func(e wivi.EngineStats) wivi.LatencyProfile { return e.EndToEnd })
 
-	if s.cfg.Pool != nil {
-		gauge("wivi_pool_active_engines", "Tenants holding a live engine right now.", float64(pst.ActiveEngines))
-		poolSeries := func(name, typ, help string, get func(pool.TenantStats) float64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, e := range engines {
-				fmt.Fprintf(w, "%s %g\n", sample(name, e.tenant), get(pst.Tenants[e.tenant]))
-			}
-		}
-		poolSeries("wivi_pool_in_flight", "gauge", "Admitted requests not yet settled, per tenant.",
-			func(t pool.TenantStats) float64 { return float64(t.InFlight) })
-		poolSeries("wivi_pool_active_streams", "gauge", "Streaming subset of in-flight, per tenant.",
-			func(t pool.TenantStats) float64 { return float64(t.ActiveStreams) })
-		poolSeries("wivi_pool_submitted_total", "counter", "Requests admitted to the tenant's engine.",
-			func(t pool.TenantStats) float64 { return float64(t.Submitted) })
-		poolSeries("wivi_pool_rejected_total", "counter", "Requests rejected at the tenant's budget (the 429 series).",
-			func(t pool.TenantStats) float64 { return float64(t.Rejected) })
-		poolSeries("wivi_pool_evictions_total", "counter", "Idle engine evictions, per tenant.",
-			func(t pool.TenantStats) float64 { return float64(t.Evictions) })
-	}
+	gauge("wivi_pool_active_engines", "Tenants holding a live engine right now.", float64(pst.ActiveEngines))
+	tenantSeries("wivi_pool_in_flight", "gauge", "Admitted requests not yet settled, per tenant.",
+		func(t pool.TenantStats) float64 { return float64(t.InFlight) })
+	tenantSeries("wivi_pool_active_streams", "gauge", "Streaming subset of in-flight, per tenant.",
+		func(t pool.TenantStats) float64 { return float64(t.ActiveStreams) })
+	tenantSeries("wivi_pool_submitted_total", "counter", "Requests admitted to the tenant's engine.",
+		func(t pool.TenantStats) float64 { return float64(t.Submitted) })
+	tenantSeries("wivi_pool_rejected_total", "counter", "Requests rejected at the tenant's budget (the 429 series).",
+		func(t pool.TenantStats) float64 { return float64(t.Rejected) })
+	tenantSeries("wivi_pool_evictions_total", "counter", "Idle engine evictions, per tenant.",
+		func(t pool.TenantStats) float64 { return float64(t.Evictions) })
 
 	sst := s.serveStats()
 	gauge("wivi_serve_draining", "1 while the server drains for shutdown.", boolGauge(sst.Draining))
@@ -270,13 +242,4 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// tenantSuffix renders the {tenant="..."} label set, empty for the
-// unlabeled single-engine exposition.
-func tenantSuffix(tenant string) string {
-	if tenant == "" {
-		return ""
-	}
-	return fmt.Sprintf("{tenant=%q}", tenant)
 }

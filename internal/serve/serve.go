@@ -1,44 +1,45 @@
 package serve
 
-// The wivi-serve HTTP tier: a stdlib-only daemon fronting either a
-// single wivi.Engine or a multi-tenant pool.Router.
+// The wivi-serve HTTP tier: a stdlib-only daemon fronting a
+// pool.Router. A single-tenant server is a Router that has only the
+// default tenant.
 //
 // Endpoint map:
 //
 //	POST /v1/track    submit one capture; JSON response, or NDJSON
 //	                  frame stream (flush-per-frame) when Stream is set
-//	GET  /v1/devices  registered device names + the duration cap
-//	                  (?tenant= selects a tenant's registry)
-//	GET  /v1/stats    engine + serve (+ pool) counters as JSON
+//	GET  /v1/devices  the tenant's device names + the duration cap
+//	GET  /v1/stats    engine, serve and pool counters as JSON
 //	                  (?tenant= narrows to one tenant)
 //	GET  /metrics     the same figures in Prometheus text format,
-//	                  tenant-labeled when a pool fronts the server
+//	                  every engine and pool series tenant-labelled
 //	GET  /healthz     liveness (503 once draining)
 //
 // The tier adds no processing of its own — frames cross the wire as the
 // exact float64 values the engine emitted (see wire.go), so the
 // batch/stream byte-identity invariant extends across serialization.
-// Admission control is the backend's: an infeasible Request.Deadline
+// Admission control is the pool's: an infeasible Request.Deadline
 // surfaces as HTTP 503 "deadline_infeasible" before the capture consumes
-// a worker, and with a pool backend a tenant at its own budget gets 429
-// "tenant_saturated" without its request ever touching another tenant's
-// engine. The tenant is resolved from the request ("tenant" body field,
-// X-Wivi-Tenant header as fallback; empty means the default tenant, so
-// single-tenant clients are unchanged). Graceful drain (Drain) rejects
-// new requests with 503 "draining" while in-flight streams run to their
-// final frame, mirroring Engine.Close semantics one layer up.
+// a worker, and a tenant at its own budget gets 429 "tenant_saturated"
+// without its request ever touching another tenant's engine. The tenant
+// is resolved from the request ("tenant" body field, X-Wivi-Tenant
+// header as fallback; empty means the default tenant) and echoed on
+// every response. Graceful drain (Drain) rejects new requests with 503
+// "draining" while in-flight streams run to their final frame, mirroring
+// Engine.Close semantics one layer up.
 //
 // Every wall-clock read goes through the injected core.Clock, so the
 // request-timeout and latency-accounting paths run deterministically
 // under core.FakeClock in tests.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -56,20 +57,20 @@ var errRequestTimeout = errors.New("serve: request timeout")
 // but it keeps the requests-by-code counters honest.
 const statusClientClosedRequest = 499
 
-// Config assembles a Server. Exactly one backend must be set: Engine
-// (single-tenant, the PR 9 shape — wire layout unchanged) or Pool
-// (multi-tenant routing with per-tenant admission and stats).
+// maxTrackBodyBytes bounds a /v1/track request body. A TrackRequest is
+// a few hundred bytes; anything past this cap answers 413
+// "request_too_large" before the server buffers more of it.
+const maxTrackBodyBytes = 8 << 10
+
+// maxDeadlineMs is the largest deadline_ms a time.Duration holds; a
+// larger value would overflow into a negative Request.Deadline.
+const maxDeadlineMs = float64(math.MaxInt64 / int64(time.Millisecond))
+
+// Config assembles a Server.
 type Config struct {
-	// Engine is the single scheduling pool every request submits to.
-	// Mutually exclusive with Pool.
-	Engine *wivi.Engine
-	// Pool routes requests to per-tenant engines. Device registries come
-	// from the pool's own per-tenant factory, so Devices must be nil.
+	// Pool routes requests to per-tenant engines and owns each tenant's
+	// device registry. Required.
 	Pool *pool.Router
-	// Devices is the device registry of an Engine-backed server: request
-	// Device names resolve here. An empty request Device selects the
-	// lexicographically first name.
-	Devices map[string]*wivi.Device
 	// MaxDurationS caps per-request capture length in seconds (0 = none).
 	MaxDurationS float64
 	// RequestTimeout bounds one request's handler time; 0 disables it.
@@ -86,13 +87,11 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	clock core.Clock
-	names []string // sorted device names (Engine backend only)
 	mux   *http.ServeMux
 	m     metrics
 
-	// submit is the backend seam: production wraps Engine.Submit or
-	// Pool.Submit, tests substitute scripted handles. tenant is the
-	// resolved tenant name ("" for the default tenant).
+	// submit is the backend seam: production wraps Pool.Submit, tests
+	// substitute scripted handles. tenant is the resolved tenant name.
 	submit func(ctx context.Context, tenant string, req wivi.Request) (handle, error)
 
 	// drain state: requests register while executing; Drain flips
@@ -100,7 +99,7 @@ type Server struct {
 	drain drainGate
 }
 
-// handle abstracts *wivi.Handle for handler tests.
+// handle abstracts *pool.Handle for handler tests.
 type handle interface {
 	Wait(ctx context.Context) (*wivi.Result, error)
 	Stream(ctx context.Context) (frameStream, error)
@@ -114,13 +113,6 @@ type frameStream interface {
 	WindowDuration() time.Duration
 }
 
-// engineHandle adapts *wivi.Handle to the handle seam.
-type engineHandle struct{ h *wivi.Handle }
-
-func (e engineHandle) Wait(ctx context.Context) (*wivi.Result, error) { return e.h.Wait(ctx) }
-
-func (e engineHandle) Stream(ctx context.Context) (frameStream, error) { return e.h.Stream(ctx) }
-
 // poolHandle adapts *pool.Handle to the handle seam.
 type poolHandle struct{ h *pool.Handle }
 
@@ -128,46 +120,24 @@ func (p poolHandle) Wait(ctx context.Context) (*wivi.Result, error) { return p.h
 
 func (p poolHandle) Stream(ctx context.Context) (frameStream, error) { return p.h.Stream(ctx) }
 
-// New builds a Server over one backend: an engine plus its device
-// registry, or a tenant-routing pool (which owns its own registries).
+// New builds a Server over a tenant-routing pool; Config.Pool is
+// required.
 func New(cfg Config) (*Server, error) {
-	if cfg.Engine == nil && cfg.Pool == nil {
-		return nil, errors.New("serve: nil engine and nil pool (set one)")
-	}
-	if cfg.Engine != nil && cfg.Pool != nil {
-		return nil, errors.New("serve: both engine and pool set (set one)")
-	}
-	if cfg.Pool != nil && len(cfg.Devices) > 0 {
-		return nil, errors.New("serve: pool backend owns device registries; Devices must be nil")
-	}
-	if cfg.Engine != nil && len(cfg.Devices) == 0 {
-		return nil, errors.New("serve: empty device registry")
+	router := cfg.Pool
+	if router == nil {
+		return nil, errors.New("serve: Config.Pool is required")
 	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = core.RealClock()
 	}
 	s := &Server{cfg: cfg, clock: clock, mux: http.NewServeMux()}
-	for name := range cfg.Devices {
-		s.names = append(s.names, name)
-	}
-	sort.Strings(s.names)
-	if cfg.Pool != nil {
-		s.submit = func(ctx context.Context, tenant string, req wivi.Request) (handle, error) {
-			h, err := cfg.Pool.Submit(ctx, tenant, req)
-			if err != nil {
-				return nil, err
-			}
-			return poolHandle{h}, nil
+	s.submit = func(ctx context.Context, tenant string, req wivi.Request) (handle, error) {
+		h, err := router.Submit(ctx, tenant, req)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		s.submit = func(ctx context.Context, tenant string, req wivi.Request) (handle, error) {
-			h, err := cfg.Engine.Submit(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return engineHandle{h}, nil
-		}
+		return poolHandle{h}, nil
 	}
 	s.drain.idle = make(chan struct{})
 	s.mux.HandleFunc("POST /v1/track", s.handleTrack)
@@ -294,31 +264,14 @@ func mapError(err error, timedOut, clientGone bool) (int, string) {
 	}
 }
 
-// resolveTenant extracts the request's tenant: the body field first,
-// then the X-Wivi-Tenant header; empty means the default tenant.
-// Engine-backed servers accept only the default tenant — they are the
-// single-tenant deployment shape.
-func (s *Server) resolveTenant(r *http.Request, body string) (string, error) {
-	tenant := body
-	if tenant == "" {
-		tenant = r.Header.Get(HeaderTenant)
+// resolveTenant extracts the tenant a request names: the body field (or
+// query parameter) first, then the X-Wivi-Tenant header; "" when it
+// names none.
+func resolveTenant(r *http.Request, named string) string {
+	if named == "" {
+		named = r.Header.Get(HeaderTenant)
 	}
-	if s.cfg.Pool == nil && tenant != "" && tenant != pool.DefaultTenant {
-		return "", fmt.Errorf("%w: %q (single-tenant server)", pool.ErrUnknownTenant, tenant)
-	}
-	return tenant, nil
-}
-
-// tenantLabel is the name reported on wires and metrics: the effective
-// tenant for pool backends, "" (omitted) for single-engine servers.
-func (s *Server) tenantLabel(tenant string) string {
-	if s.cfg.Pool == nil {
-		return ""
-	}
-	if tenant == "" {
-		return pool.DefaultTenant
-	}
-	return tenant
+	return named
 }
 
 // handleTrack serves POST /v1/track: decode, resolve the tenant, admit,
@@ -336,7 +289,13 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	defer s.drain.end()
 
 	var req TrackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTrackBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, endpoint, http.StatusRequestEntityTooLarge, CodeRequestTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", maxTrackBodyBytes))
+			return
+		}
 		s.writeError(w, endpoint, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("decoding request body: %v", err))
 		return
@@ -362,35 +321,23 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown mode %q (want %q or %q)", req.Mode, ModeTrack, ModeGesture))
 		return
 	}
-	if req.DeadlineMs < 0 {
+	if req.DeadlineMs < 0 || req.DeadlineMs > maxDeadlineMs {
 		s.writeError(w, endpoint, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("deadline_ms must be non-negative, got %g", req.DeadlineMs))
+			fmt.Sprintf("deadline_ms must be in [0, %g], got %g", maxDeadlineMs, req.DeadlineMs))
 		return
 	}
-	tenant, err := s.resolveTenant(r, req.Tenant)
+	tenant := cmp.Or(resolveTenant(r, req.Tenant), pool.DefaultTenant)
+	names, devs, err := s.cfg.Pool.Devices(tenant)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownTenant, err.Error())
+		status, code := mapError(err, false, false)
+		s.writeError(w, endpoint, status, code, fmt.Sprintf("resolving tenant devices: %v", err))
 		return
 	}
 	name := req.Device
-	var dev *wivi.Device
-	if s.cfg.Pool != nil {
-		names, devs, derr := s.cfg.Pool.Devices(tenant)
-		if derr != nil {
-			status, code := mapError(derr, false, false)
-			s.writeError(w, endpoint, status, code, fmt.Sprintf("resolving tenant devices: %v", derr))
-			return
-		}
-		if name == "" && len(names) > 0 {
-			name = names[0]
-		}
-		dev = devs[name]
-	} else {
-		if name == "" {
-			name = s.names[0]
-		}
-		dev = s.cfg.Devices[name]
+	if name == "" && len(names) > 0 {
+		name = names[0]
 	}
+	dev := devs[name]
 	if dev == nil {
 		s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownDevice,
 			fmt.Sprintf("device %q is not registered", name))
@@ -399,9 +346,11 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 
 	// The request context with the server's own timeout layered on via
 	// the clock seam. The deadline is fixed against the handler's start
-	// instant before the sleeper runs, so a FakeClock Advance that lands
-	// first still fires it exactly (Sleep of a non-positive remainder
-	// returns immediately).
+	// instant, so a FakeClock Advance that lands before the sleeper reads
+	// the clock still fires it exactly (Sleep of a non-positive remainder
+	// returns immediately). One that lands between that read and the
+	// Sleep would push the wake instant a full timeout later, so tests
+	// advance only once the sleeper has parked (FakeClock.AwaitSleepers).
 	ctx := r.Context()
 	timedOut := func() bool { return false }
 	if s.cfg.RequestTimeout > 0 {
@@ -431,9 +380,8 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	label := s.tenantLabel(tenant)
 	if req.Stream {
-		s.serveStream(w, ctx, endpoint, label, name, req.Mode, h, timedOut, clientGone)
+		s.serveStream(w, ctx, endpoint, tenant, name, req.Mode, h, timedOut, clientGone)
 		return
 	}
 
@@ -444,12 +392,12 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.countRequest(endpoint, http.StatusOK)
-	writeJSON(w, http.StatusOK, s.trackResponse(label, name, req.Mode, res, 0))
+	writeJSON(w, http.StatusOK, s.trackResponse(tenant, name, req.Mode, res, 0))
 }
 
 // trackResponse assembles the wire result. windowMs is carried only by
 // streamed responses (batch clients have no frame-lag SLO to hold it
-// against); tenant only by pool-backed servers.
+// against).
 func (s *Server) trackResponse(tenant, device, mode string, res *wivi.Result, windowMs float64) *TrackResponse {
 	if mode == "" {
 		mode = ModeTrack
@@ -547,76 +495,49 @@ func (s *Server) serveStream(w http.ResponseWriter, ctx context.Context, endpoin
 	emit(StreamEvent{Type: EventResult, Result: resp})
 }
 
-// queryTenant resolves the tenant of a GET endpoint: the ?tenant= query
-// parameter first, then the X-Wivi-Tenant header.
-func (s *Server) queryTenant(r *http.Request) (string, error) {
-	return s.resolveTenant(r, r.URL.Query().Get("tenant"))
-}
-
-// handleDevices serves GET /v1/devices. With a pool backend the
-// ?tenant= parameter (or header) selects whose registry to list; the
-// tenant's devices are built on first use, like on the submit path.
+// handleDevices serves GET /v1/devices: the registry of the tenant the
+// ?tenant= parameter (or header) names, built on first use like on the
+// submit path.
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v1/devices"
-	tenant, err := s.queryTenant(r)
+	tenant := cmp.Or(resolveTenant(r, r.URL.Query().Get("tenant")), pool.DefaultTenant)
+	names, _, err := s.cfg.Pool.Devices(tenant)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownTenant, err.Error())
+		status, code := mapError(err, false, false)
+		s.writeError(w, endpoint, status, code, fmt.Sprintf("resolving tenant devices: %v", err))
 		return
-	}
-	names := s.names
-	if s.cfg.Pool != nil {
-		var derr error
-		names, _, derr = s.cfg.Pool.Devices(tenant)
-		if derr != nil {
-			status, code := mapError(derr, false, false)
-			s.writeError(w, endpoint, status, code, fmt.Sprintf("resolving tenant devices: %v", derr))
-			return
-		}
 	}
 	s.m.countRequest(endpoint, http.StatusOK)
 	writeJSON(w, http.StatusOK, DevicesResponse{
-		Tenant:       s.tenantLabel(tenant),
+		Tenant:       tenant,
 		Devices:      append([]string(nil), names...),
 		MaxDurationS: s.cfg.MaxDurationS,
 	})
 }
 
-// handleStats serves GET /v1/stats. Engine-backed servers answer the PR
-// 9 layout unchanged. Pool-backed servers add the per-tenant pool
-// snapshot; the Engine field carries the default tenant's engine for
-// dashboard back-compat, and ?tenant= narrows both to one tenant.
+// handleStats serves GET /v1/stats: the pool snapshot, the serve tier's
+// own counters, and in Engine the default tenant's engine. ?tenant= (or
+// the header) moves Engine to that tenant and narrows Pool to it alone.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v1/stats"
-	tenant, err := s.queryTenant(r)
-	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownTenant, err.Error())
+	named := resolveTenant(r, r.URL.Query().Get("tenant"))
+	focus := cmp.Or(named, pool.DefaultTenant)
+	st := s.cfg.Pool.Stats()
+	ts, ok := st.Tenants[focus]
+	if !ok {
+		s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownTenant,
+			fmt.Sprintf("tenant %q is not provisioned", focus))
 		return
 	}
-	resp := StatsResponse{Serve: s.serveStats()}
-	if s.cfg.Pool == nil {
-		resp.Engine = s.cfg.Engine.Stats()
-	} else {
-		st := s.cfg.Pool.Stats()
-		focus := s.tenantLabel(tenant)
-		ts, ok := st.Tenants[focus]
-		if !ok {
-			s.writeError(w, endpoint, http.StatusNotFound, CodeUnknownTenant,
-				fmt.Sprintf("tenant %q is not provisioned", focus))
-			return
+	if named != "" {
+		st.Tenants = map[string]pool.TenantStats{focus: ts}
+		st.ActiveEngines = 0
+		if ts.Active {
+			st.ActiveEngines = 1
 		}
-		if tenant != "" {
-			// Narrowed view: only the named tenant's slice.
-			st.Tenants = map[string]pool.TenantStats{focus: ts}
-			st.ActiveEngines = 0
-			if ts.Active {
-				st.ActiveEngines = 1
-			}
-		}
-		resp.Engine = ts.Engine
-		resp.Pool = &st
 	}
 	s.m.countRequest(endpoint, http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, StatsResponse{Engine: ts.Engine, Serve: s.serveStats(), Pool: st})
 }
 
 // handleMetrics serves GET /metrics in Prometheus text format.

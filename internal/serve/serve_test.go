@@ -1,6 +1,6 @@
 package serve
 
-// Integration tests of the HTTP tier against real engines and devices:
+// Integration tests of the HTTP tier against real pools and devices:
 // wire identity (the batch/stream byte-identity invariant extended
 // across serialization), fault injection (disconnect, drain, infeasible
 // deadlines), request validation, and the stats/metrics endpoints.
@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"wivi"
+	"wivi/internal/core"
+	"wivi/internal/pool"
 )
 
 const trackDur = 1.0 // seconds; 9 frames at the default calibration
@@ -43,10 +45,26 @@ func newWalkerDevice(t testing.TB, seed int64, workers, chunk int, paced bool) *
 	return dev
 }
 
-// newTestServer wires a device registry into a served Server + Client.
-func newTestServer(t testing.TB, eng *wivi.Engine, devices map[string]*wivi.Device, mut func(*Config)) (*Server, *Client) {
+// oneTenant is the Router of a single-tenant server: only the default
+// tenant, whose engine takes budget and whose registry is devices.
+func oneTenant(budget pool.Budget, devices map[string]*wivi.Device) pool.Options {
+	return pool.Options{
+		Budget:  budget,
+		Devices: func(string) (map[string]*wivi.Device, error) { return devices, nil },
+	}
+}
+
+// newTestServer serves a Router built from opts and returns the router,
+// the server and a client for it. mut adjusts the serve Config.
+func newTestServer(t testing.TB, opts pool.Options, mut func(*Config)) (*pool.Router, *Server, *Client) {
 	t.Helper()
-	cfg := Config{Engine: eng, Devices: devices}
+	router := pool.NewRouter(opts)
+	t.Cleanup(func() {
+		if err := router.Close(); err != nil {
+			t.Errorf("router close: %v", err)
+		}
+	})
+	cfg := Config{Pool: router}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -56,7 +74,17 @@ func newTestServer(t testing.TB, eng *wivi.Engine, devices map[string]*wivi.Devi
 	}
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	return srv, &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
+	return router, srv, &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
+}
+
+// defaultTenant snapshots the default tenant's router and engine view.
+func defaultTenant(t testing.TB, router *pool.Router) pool.TenantStats {
+	t.Helper()
+	ts, err := router.TenantStats(pool.DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
 }
 
 // batchTrack runs one in-process batch request through eng.
@@ -115,7 +143,7 @@ func TestWireIdentity(t *testing.T) {
 
 			// The same capture over the wire.
 			devWire := newWalkerDevice(t, seed, workers, chunk, false)
-			_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": devWire}, nil)
+			_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": devWire}), nil)
 			cs, err := client.TrackStream(context.Background(), TrackRequest{Device: "dev0", DurationS: trackDur})
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
@@ -193,7 +221,7 @@ func TestBatchAndGestureOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	// Empty device name resolves to the registry's first device.
 	got, err := client.Track(context.Background(), TrackRequest{Mode: ModeGesture, DurationS: dur})
@@ -233,9 +261,7 @@ func TestBatchAndGestureOverWire(t *testing.T) {
 // running any capture.
 func TestDeadlineInfeasible503(t *testing.T) {
 	dev := newWalkerDevice(t, 31, 0, 0, true)
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
-	_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	router, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	_, err := client.Track(context.Background(), TrackRequest{Device: "dev0", DurationS: 1, DeadlineMs: 10})
 	var apiErr *APIError
@@ -245,7 +271,7 @@ func TestDeadlineInfeasible503(t *testing.T) {
 	if apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != CodeDeadlineInfeasible {
 		t.Fatalf("got %d/%s, want 503/%s", apiErr.Status, apiErr.Code, CodeDeadlineInfeasible)
 	}
-	if st := eng.Stats(); st.Completed != 0 {
+	if st := defaultTenant(t, router).Engine; st.Completed != 0 {
 		t.Fatalf("rejected request still ran a capture: %+v", st)
 	}
 }
@@ -255,9 +281,7 @@ func TestDeadlineInfeasible503(t *testing.T) {
 // /healthz flips to 503, and Drain returns once the stream is done.
 func TestDrain(t *testing.T) {
 	dev := newWalkerDevice(t, 33, 0, 0, true) // paced: the stream outlives Drain's start
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 2})
-	defer eng.Close()
-	srv, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	_, srv, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	cs, err := client.TrackStream(context.Background(), TrackRequest{Device: "dev0", DurationS: 0.6})
 	if err != nil {
@@ -323,9 +347,7 @@ func TestDrain(t *testing.T) {
 // stress.
 func TestClientDisconnectNoLeak(t *testing.T) {
 	dev := newWalkerDevice(t, 35, 0, 0, true) // paced: the capture is slow enough to abandon
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 2})
-	defer eng.Close()
-	srv, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	router, srv, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	// Warm up: one complete stream stabilizes the engine pool and the
 	// HTTP client's transport goroutines before the baseline is taken.
@@ -360,15 +382,17 @@ func TestClientDisconnectNoLeak(t *testing.T) {
 		cs.Close()
 
 		// The handler must observe the disconnect and free the engine's
-		// stream slot long before the 2 s capture would have finished.
+		// and the tenant's stream slots long before the 2 s capture would
+		// have finished.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			st := eng.Stats()
-			if st.ActiveStreams == 0 && st.InFlight == 0 && srv.activeRequests() == 0 {
+			ts := defaultTenant(t, router)
+			if ts.Engine.ActiveStreams == 0 && ts.Engine.InFlight == 0 && ts.InFlight == 0 &&
+				srv.activeRequests() == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("iteration %d: engine still busy after disconnect: %+v", i, st)
+				t.Fatalf("iteration %d: tenant still busy after disconnect: %+v", i, ts)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -395,28 +419,36 @@ func TestClientDisconnectNoLeak(t *testing.T) {
 	}
 }
 
+// validationCases are the typed 4xx answers to invalid TrackRequests
+// on a server capped at validationMaxDurationS with the one device
+// "dev0" (an oversized body is one whose device name alone passes the
+// body cap); FuzzTrackRequest seeds its corpus from them.
+var validationCases = []struct {
+	name   string
+	req    TrackRequest
+	status int
+	code   string
+}{
+	{"zero duration", TrackRequest{Device: "dev0"}, http.StatusBadRequest, CodeBadRequest},
+	{"negative duration", TrackRequest{Device: "dev0", DurationS: -1}, http.StatusBadRequest, CodeBadRequest},
+	{"over cap", TrackRequest{Device: "dev0", DurationS: 4}, http.StatusBadRequest, CodeBadRequest},
+	{"negative deadline", TrackRequest{Device: "dev0", DurationS: 1, DeadlineMs: -5}, http.StatusBadRequest, CodeBadRequest},
+	{"bad mode", TrackRequest{Device: "dev0", DurationS: 1, Mode: "sonar"}, http.StatusBadRequest, CodeBadRequest},
+	{"unknown device", TrackRequest{Device: "nope", DurationS: 1}, http.StatusNotFound, CodeUnknownDevice},
+	{"unknown tenant", TrackRequest{Tenant: "ghost", Device: "dev0", DurationS: 1}, http.StatusNotFound, CodeUnknownTenant},
+	{"oversized body", TrackRequest{Device: strings.Repeat("d", maxTrackBodyBytes), DurationS: 1},
+		http.StatusRequestEntityTooLarge, CodeRequestTooLarge},
+}
+
+const validationMaxDurationS = 3
+
 // TestRequestValidation pins the typed 4xx contract.
 func TestRequestValidation(t *testing.T) {
 	dev := newWalkerDevice(t, 37, 0, 0, false)
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
-	_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev},
-		func(c *Config) { c.MaxDurationS = 3 })
+	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}),
+		func(c *Config) { c.MaxDurationS = validationMaxDurationS })
 
-	cases := []struct {
-		name   string
-		req    TrackRequest
-		status int
-		code   string
-	}{
-		{"zero duration", TrackRequest{Device: "dev0"}, http.StatusBadRequest, CodeBadRequest},
-		{"negative duration", TrackRequest{Device: "dev0", DurationS: -1}, http.StatusBadRequest, CodeBadRequest},
-		{"over cap", TrackRequest{Device: "dev0", DurationS: 4}, http.StatusBadRequest, CodeBadRequest},
-		{"negative deadline", TrackRequest{Device: "dev0", DurationS: 1, DeadlineMs: -5}, http.StatusBadRequest, CodeBadRequest},
-		{"bad mode", TrackRequest{Device: "dev0", DurationS: 1, Mode: "sonar"}, http.StatusBadRequest, CodeBadRequest},
-		{"unknown device", TrackRequest{Device: "nope", DurationS: 1}, http.StatusNotFound, CodeUnknownDevice},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		_, err := client.Track(context.Background(), tc.req)
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) {
@@ -443,12 +475,11 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestStatsAndMetrics pins the observability surface: /v1/stats JSON
-// and the Prometheus rendering both reflect a completed request.
+// and the Prometheus rendering both reflect a completed request, with
+// every engine series labelled by its tenant.
 func TestStatsAndMetrics(t *testing.T) {
 	dev := newWalkerDevice(t, 39, 0, 0, false)
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
-	_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	if _, err := client.Track(context.Background(), TrackRequest{Device: "dev0", DurationS: trackDur}); err != nil {
 		t.Fatal(err)
@@ -461,6 +492,9 @@ func TestStatsAndMetrics(t *testing.T) {
 	if st.Engine.Completed < 1 || st.Engine.Frames < 1 {
 		t.Fatalf("engine stats %+v, want a completed request with frames", st.Engine)
 	}
+	if ts, ok := st.Pool.Tenants[pool.DefaultTenant]; !ok || ts.Submitted != 1 || len(st.Pool.Tenants) != 1 {
+		t.Fatalf("pool stats %+v, want the default tenant alone with one submit", st.Pool)
+	}
 	if st.Serve.RequestLatency.Count != 1 || st.Serve.RequestLatency.P50 <= 0 {
 		t.Fatalf("serve request latency %+v, want one positive sample", st.Serve.RequestLatency)
 	}
@@ -472,7 +506,7 @@ func TestStatsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dr.Devices) != 1 || dr.Devices[0] != "dev0" {
+	if dr.Tenant != pool.DefaultTenant || len(dr.Devices) != 1 || dr.Devices[0] != "dev0" {
 		t.Fatalf("devices %+v", dr)
 	}
 
@@ -486,25 +520,32 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"wivi_engine_completed_total 1",
-		"wivi_engine_queue_wait_seconds{quantile=\"0.5\"}",
+		`wivi_engine_completed_total{tenant="default"} 1`,
+		`wivi_engine_queue_wait_seconds{tenant="default",quantile="0.5"}`,
+		`wivi_engine_queue_wait_seconds_count{tenant="default"} 1`,
+		`wivi_pool_submitted_total{tenant="default"} 1`,
 		"wivi_serve_request_duration_seconds_count 1",
-		"wivi_serve_requests_total{endpoint=\"/v1/track\",code=\"200\"} 1",
+		`wivi_serve_requests_total{endpoint="/v1/track",code="200"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "wivi_engine_") && !strings.Contains(line, `{tenant="`) {
+			t.Fatalf("unlabelled engine series %q", line)
+		}
+	}
 }
 
-// TestNewValidation pins constructor errors.
+// TestNewValidation pins constructor errors: without a pool, New fails
+// however the other fields are set.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New with nil engine succeeded")
+		t.Fatal("New without a pool succeeded")
 	}
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
-	if _, err := New(Config{Engine: eng}); err == nil {
-		t.Fatal("New with empty registry succeeded")
+	cfg := Config{MaxDurationS: 1, RequestTimeout: time.Second, Clock: core.RealClock()}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New with every field but the pool succeeded")
 	}
 }

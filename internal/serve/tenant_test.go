@@ -41,29 +41,11 @@ func walkerFactory(seed int64, paced map[string]bool) func(string) (map[string]*
 	}
 }
 
-// newPoolServer wires a pool-backed Server + Client.
-func newPoolServer(t testing.TB, opts pool.Options) (*pool.Router, *Server, *Client) {
-	t.Helper()
-	router := pool.NewRouter(opts)
-	t.Cleanup(func() {
-		if err := router.Close(); err != nil {
-			t.Errorf("router close: %v", err)
-		}
-	})
-	srv, err := New(Config{Pool: router})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	return router, srv, &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
-}
-
 func TestTenantResolutionOrder(t *testing.T) {
-	_, _, client := newPoolServer(t, pool.Options{
+	_, _, client := newTestServer(t, pool.Options{
 		Tenants: []string{"a", "b"},
 		Devices: walkerFactory(31, nil),
-	})
+	}, nil)
 
 	// No tenant anywhere → the default tenant.
 	res, err := client.Track(context.Background(), TrackRequest{DurationS: trackDur})
@@ -105,10 +87,10 @@ func apiError(t *testing.T, err error, status int, code string) {
 }
 
 func TestUnknownTenantOverTheWire(t *testing.T) {
-	_, _, client := newPoolServer(t, pool.Options{
+	_, _, client := newTestServer(t, pool.Options{
 		Tenants: []string{"a"},
 		Devices: walkerFactory(31, nil),
-	})
+	}, nil)
 	client.Tenant = "ghost"
 	_, err := client.Track(context.Background(), TrackRequest{DurationS: trackDur})
 	apiError(t, err, http.StatusNotFound, CodeUnknownTenant)
@@ -118,23 +100,20 @@ func TestUnknownTenantOverTheWire(t *testing.T) {
 	apiError(t, err, http.StatusNotFound, CodeUnknownTenant)
 }
 
-// TestSingleTenantServerRejectsTenants pins the back-compat contract:
-// an Engine-backed server is the default tenant and nothing else.
+// TestSingleTenantServerRejectsTenants: a server whose Router has only
+// the default tenant serves that tenant, echoed by name, and nothing
+// else.
 func TestSingleTenantServerRejectsTenants(t *testing.T) {
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
 	dev := newWalkerDevice(t, 31, 0, 0, false)
-	_, client := newTestServer(t, eng, map[string]*wivi.Device{"dev0": dev}, nil)
+	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
-	// The default tenant name is accepted (and the response stays in the
-	// single-tenant wire shape, no tenant echo).
 	client.Tenant = pool.DefaultTenant
 	res, err := client.Track(context.Background(), TrackRequest{DurationS: trackDur})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tenant != "" {
-		t.Fatalf("single-tenant response carries tenant %q, want empty", res.Tenant)
+	if res.Tenant != pool.DefaultTenant {
+		t.Fatalf("single-tenant response carries tenant %q, want %q", res.Tenant, pool.DefaultTenant)
 	}
 
 	client.Tenant = "other"
@@ -143,10 +122,10 @@ func TestSingleTenantServerRejectsTenants(t *testing.T) {
 }
 
 func TestPerTenantStatsAndMetrics(t *testing.T) {
-	_, srv, client := newPoolServer(t, pool.Options{
+	_, srv, client := newTestServer(t, pool.Options{
 		Tenants: []string{"a", "b"},
 		Devices: walkerFactory(31, nil),
-	})
+	}, nil)
 	for _, tn := range []string{"a", "b"} {
 		if _, err := client.Track(context.Background(), TrackRequest{Tenant: tn, DurationS: trackDur}); err != nil {
 			t.Fatal(err)
@@ -158,9 +137,6 @@ func TestPerTenantStatsAndMetrics(t *testing.T) {
 	st, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Pool == nil {
-		t.Fatal("pool-backed /v1/stats has no pool section")
 	}
 	if st.Pool.DefaultTenant != pool.DefaultTenant || len(st.Pool.Tenants) != 3 {
 		t.Fatalf("pool stats %+v, want default tenant + 3 tenants", st.Pool)
@@ -214,14 +190,14 @@ func TestPerTenantStatsAndMetrics(t *testing.T) {
 // window.
 func TestNoisyNeighborIsolation(t *testing.T) {
 	const seed = 71
-	_, _, client := newPoolServer(t, pool.Options{
+	_, _, client := newTestServer(t, pool.Options{
 		Tenants: []string{"a", "b"},
 		Budgets: map[string]pool.Budget{
 			"a": {Workers: 1, QueueDepth: 1, MaxStreams: 2}, // maxInflight 2
 			"b": {Workers: 2, QueueDepth: 4, MaxStreams: 2},
 		},
 		Devices: walkerFactory(seed, map[string]bool{"a": true}),
-	})
+	}, nil)
 
 	// The in-process reference for B's captures: a same-seed replica
 	// streamed through a separate engine.
@@ -357,35 +333,37 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolServerConfigValidation pins the one-backend rule.
+// TestPoolServerConfigValidation pins the one-backend rule: the Router
+// is the only backend, every other Config field is optional, and a nil
+// Clock defaults to the real clock.
 func TestPoolServerConfigValidation(t *testing.T) {
 	router := pool.NewRouter(pool.Options{})
 	defer router.Close()
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
-	defer eng.Close()
-	dev := newWalkerDevice(t, 31, 0, 0, false)
 
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New with no backend succeeded")
 	}
-	if _, err := New(Config{Engine: eng, Pool: router, Devices: map[string]*wivi.Device{"dev0": dev}}); err == nil {
-		t.Fatal("New with both backends succeeded")
-	}
-	if _, err := New(Config{Pool: router, Devices: map[string]*wivi.Device{"dev0": dev}}); err == nil {
-		t.Fatal("New with pool + devices succeeded")
-	}
-	if _, err := New(Config{Pool: router}); err != nil {
+	srv, err := New(Config{Pool: router})
+	if err != nil {
 		t.Fatalf("New with pool backend: %v", err)
+	}
+	if srv.clock == nil {
+		t.Fatal("nil Config.Clock not defaulted")
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/healthz status %d, want 200", rec.Code)
 	}
 }
 
-// TestPoolDrainOverHTTP: server drain still answers 503 "draining" with
-// a pool backend, and router.Close afterwards drains every tenant.
+// TestPoolDrainOverHTTP: server drain answers 503 "draining", and
+// router.Close afterwards drains every tenant.
 func TestPoolDrainOverHTTP(t *testing.T) {
-	router, srv, client := newPoolServer(t, pool.Options{
+	router, srv, client := newTestServer(t, pool.Options{
 		Tenants: []string{"a"},
 		Devices: walkerFactory(31, nil),
-	})
+	}, nil)
 	if _, err := client.Track(context.Background(), TrackRequest{Tenant: "a", DurationS: trackDur}); err != nil {
 		t.Fatal(err)
 	}

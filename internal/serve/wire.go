@@ -50,9 +50,8 @@ type TrackRequest struct {
 // TrackResponse is the body of a successful batch POST /v1/track, and
 // the payload of the terminal "result" StreamEvent of a streamed one.
 type TrackResponse struct {
-	// Tenant names the tenant whose engine served the request (omitted
-	// by single-engine servers for wire back-compat).
-	Tenant string `json:"tenant,omitempty"`
+	// Tenant names the tenant whose engine served the request.
+	Tenant string `json:"tenant"`
 	// Device and Mode echo the resolved request.
 	Device string `json:"device"`
 	Mode   string `json:"mode"`
@@ -119,6 +118,9 @@ type StreamEvent struct {
 const (
 	// CodeBadRequest: malformed body or invalid parameters (HTTP 400).
 	CodeBadRequest = "bad_request"
+	// CodeRequestTooLarge: the request body exceeds the server's fixed
+	// size cap (HTTP 413).
+	CodeRequestTooLarge = "request_too_large"
 	// CodeUnknownDevice: the named device is not registered (HTTP 404).
 	CodeUnknownDevice = "unknown_device"
 	// CodeDeadlineInfeasible: admission control proved the request's
@@ -165,9 +167,8 @@ type ErrorResponse struct {
 // DevicesResponse is the body of GET /v1/devices: what a client (or
 // load generator) needs to know to form valid requests.
 type DevicesResponse struct {
-	// Tenant names the tenant whose registry this is (omitted by
-	// single-engine servers).
-	Tenant string `json:"tenant,omitempty"`
+	// Tenant names the tenant whose registry this is.
+	Tenant string `json:"tenant"`
 	// Devices lists the registered device names, sorted.
 	Devices []string `json:"devices"`
 	// MaxDurationS is the server's per-request capture cap (0 = none).

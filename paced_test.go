@@ -34,7 +34,7 @@ func TestPacedStreamMatchesBatchRealClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := bdev.Track(duration)
+	want, err := bdev.Track(context.Background(), duration)
 	if err != nil {
 		t.Fatal(err)
 	}

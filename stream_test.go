@@ -28,7 +28,7 @@ func newStreamDevice(t testing.TB, seed int64, frameWorkers, chunk int) *Device 
 // Track for worker counts {1, 4, GOMAXPROCS} and several chunk sizes.
 func TestTrackStreamMatchesTrack(t *testing.T) {
 	const seed = 41
-	want, err := newStreamDevice(t, seed, 0, 0).Track(trackDuration)
+	want, err := newStreamDevice(t, seed, 0, 0).Track(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTrackStreamMatchesTrack(t *testing.T) {
 // calls on other devices through the shared engine: both paths complete
 // and the stream result stays byte-identical.
 func TestTrackStreamWhileBatchTracks(t *testing.T) {
-	want, err := newStreamDevice(t, 43, 0, 0).Track(trackDuration)
+	want, err := newStreamDevice(t, 43, 0, 0).Track(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTrackStreamWhileBatchTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newStreamDevice(t, 44, 0, 0).Track(trackDuration); err != nil {
+	if _, err := newStreamDevice(t, 44, 0, 0).Track(context.Background(), trackDuration); err != nil {
 		t.Fatalf("batch track alongside stream: %v", err)
 	}
 	got, err := ts.Result()
@@ -144,8 +144,9 @@ func TestTrackStreamCancelNoLeaks(t *testing.T) {
 	}
 }
 
-// TestDecodeMessageCtx exercises the engine-routed gesture path: the
-// decoded message matches DecodeMessage, and cancellation works.
+// TestDecodeMessageCtx exercises DecodeMessage and its context: the
+// engine-routed gesture path decodes the sent message, and a canceled
+// context fails the request with context.Canceled.
 func TestDecodeMessageCtx(t *testing.T) {
 	build := func() (*Device, float64) {
 		sc := NewScene(SceneOptions{Seed: 21, RoomWidth: 11, RoomDepth: 8})
@@ -160,7 +161,7 @@ func TestDecodeMessageCtx(t *testing.T) {
 		return dev, dur
 	}
 	dev, dur := build()
-	msg, err := dev.DecodeMessageCtx(context.Background(), dur)
+	msg, err := dev.DecodeMessage(context.Background(), dur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDecodeMessageCtx(t *testing.T) {
 	dev2, dur2 := build()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := dev2.DecodeMessageCtx(ctx, dur2); !errors.Is(err, context.Canceled) {
+	if _, err := dev2.DecodeMessage(ctx, dur2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled decode: %v, want context.Canceled", err)
 	}
 }

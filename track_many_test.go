@@ -29,14 +29,37 @@ func newTrackedDevice(t testing.TB, seed int64) *Device {
 	return dev
 }
 
-// TestTrackManyMatchesSequential asserts the engine's batch output is
-// byte-identical to per-scene sequential Track for several worker
-// counts: parallelism must never change the physics.
+// trackAll submits one batch track per device to eng, then joins the
+// results in device order: out[i] belongs to devices[i] and is nil
+// exactly when errs[i] reports that scene's failure.
+func trackAll(ctx context.Context, eng *Engine, devices []*Device, duration float64) (out []*TrackingResult, errs []error) {
+	out = make([]*TrackingResult, len(devices))
+	errs = make([]error, len(devices))
+	handles := make([]*Handle, len(devices))
+	for i, d := range devices {
+		handles[i], errs[i] = eng.Submit(ctx, Request{Device: d, Duration: duration})
+	}
+	for i, h := range handles {
+		if errs[i] != nil {
+			continue
+		}
+		var res *Result
+		if res, errs[i] = h.Wait(ctx); errs[i] == nil {
+			out[i] = res.Tracking
+		}
+	}
+	return out, errs
+}
+
+// TestTrackManyMatchesSequential asserts that many scenes tracked
+// together on an explicit engine are byte-identical to per-scene
+// sequential Track, for several worker counts: parallelism must never
+// change the physics.
 func TestTrackManyMatchesSequential(t *testing.T) {
 	seeds := []int64{3, 4, 5, 6, 7}
 	want := make([]*TrackingResult, len(seeds))
 	for i, seed := range seeds {
-		res, err := newTrackedDevice(t, seed).Track(trackDuration)
+		res, err := newTrackedDevice(t, seed).Track(context.Background(), trackDuration)
 		if err != nil {
 			t.Fatalf("sequential track of scene %d: %v", i, err)
 		}
@@ -47,16 +70,15 @@ func TestTrackManyMatchesSequential(t *testing.T) {
 		for i, seed := range seeds {
 			devices[i] = newTrackedDevice(t, seed)
 		}
-		got, err := TrackMany(context.Background(), devices, trackDuration, TrackManyOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("TrackMany(workers=%d): %v", workers, err)
-		}
+		eng := NewEngine(EngineOptions{Workers: workers, QueueDepth: len(devices)})
+		got, errs := trackAll(context.Background(), eng, devices, trackDuration)
+		eng.Close()
 		for i := range seeds {
-			if got[i] == nil {
-				t.Fatalf("TrackMany(workers=%d): scene %d missing", workers, i)
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: scene %d: %v", workers, i, errs[i])
 			}
 			if !got[i].Equal(want[i]) {
-				t.Fatalf("TrackMany(workers=%d): scene %d image differs from sequential Track", workers, i)
+				t.Fatalf("workers=%d: scene %d image differs from sequential Track", workers, i)
 			}
 		}
 	}
@@ -74,7 +96,7 @@ func TestFrameWorkersOptionIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dev.Track(trackDuration)
+		res, err := dev.Track(context.Background(), trackDuration)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,93 +110,45 @@ func TestFrameWorkersOptionIdentity(t *testing.T) {
 	}
 }
 
-// TestTrackCtxMatchesTrack asserts the shared-engine path returns the
-// same image as a fresh identical device's Track.
-func TestTrackCtxMatchesTrack(t *testing.T) {
-	want, err := newTrackedDevice(t, 11).Track(trackDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := newTrackedDevice(t, 11).TrackCtx(context.Background(), trackDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("TrackCtx image differs from Track")
-	}
-}
-
+// TestTrackCtxCanceled: Track honors its context — a canceled context
+// fails the request with context.Canceled.
 func TestTrackCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := newTrackedDevice(t, 12).TrackCtx(ctx, trackDuration); !errors.Is(err, context.Canceled) {
+	if _, err := newTrackedDevice(t, 12).Track(ctx, trackDuration); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
-func TestTrackManyEdgeCases(t *testing.T) {
-	if res, err := TrackMany(context.Background(), nil, 1, TrackManyOptions{}); err != nil || res != nil {
-		t.Fatalf("empty batch: %v, %v", res, err)
-	}
-	// A nil device fails its own scene but the rest of the batch runs.
-	devices := []*Device{newTrackedDevice(t, 13), nil}
-	out, err := TrackMany(context.Background(), devices, trackDuration, TrackManyOptions{})
-	if err == nil {
-		t.Fatal("nil device accepted")
-	}
-	if len(out) != 2 || out[0] == nil || out[1] != nil {
-		t.Fatalf("partial results not honored: %v", out)
-	}
-	// Invalid duration surfaces per scene but still returns the slice.
-	out, err = TrackMany(context.Background(), devices[:1], -1, TrackManyOptions{})
-	if err == nil {
-		t.Fatal("negative duration accepted")
-	}
-	if len(out) != 1 || out[0] != nil {
-		t.Fatalf("failed scene should be nil in results: %v", out)
-	}
-}
-
-// TestTrackManyStressCancellation submits 100 concurrent scenes and
-// cancels mid-flight; with -race this doubles as the engine's data-race
-// stress test. Scenes that ran before the cancel must carry real images;
-// the rest must fail with context.Canceled.
+// TestTrackManyStressCancellation submits 100 scenes to a 4-worker
+// engine and cancels mid-flight; with -race this doubles as the
+// engine's data-race stress test. Scenes that ran before the cancel
+// must carry real images; the rest must fail with context.Canceled.
 func TestTrackManyStressCancellation(t *testing.T) {
 	const n = 100
 	devices := make([]*Device, n)
 	for i := range devices {
 		devices[i] = newTrackedDevice(t, int64(100+i))
 	}
+	eng := NewEngine(EngineOptions{Workers: 4, QueueDepth: n})
+	defer eng.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	out, err := TrackMany(ctx, devices, 0.35, TrackManyOptions{Workers: 4})
-	if err == nil {
-		// The whole batch beat the cancel; nothing left to assert on the
-		// cancellation path, but every scene must be present.
-		for i, r := range out {
-			if r == nil {
-				t.Fatalf("scene %d missing from fully-completed batch", i)
-			}
-		}
-		return
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch error %v, want context.Canceled", err)
-	}
+	out, errs := trackAll(ctx, eng, devices, 0.35)
 	completed := 0
-	for _, r := range out {
-		if r != nil {
+	for i, r := range out {
+		switch {
+		case errs[i] == nil:
 			completed++
 			if r.NumFrames() < 1 {
-				t.Fatal("completed scene has no frames")
+				t.Fatalf("completed scene %d has no frames", i)
 			}
+		case !errors.Is(errs[i], context.Canceled):
+			t.Fatalf("scene %d error %v, want context.Canceled", i, errs[i])
 		}
-	}
-	if completed == n {
-		t.Fatal("error reported but every scene completed")
 	}
 	t.Logf("completed %d/%d scenes before cancellation", completed, n)
 }

@@ -10,12 +10,13 @@
 //	scene := wivi.NewScene(wivi.SceneOptions{Seed: 1})
 //	scene.AddWalker(30)                     // a person moving at will
 //	dev, _ := wivi.NewDevice(scene, wivi.DeviceOptions{})
-//	res, _ := dev.Track(10)                 // null, capture, image
+//	res, _ := dev.Track(ctx, 10)            // null, capture, image
 //	fmt.Println(res.Heatmap(64, 20))        // the Fig. 5-2 style image
 //
-// Tracking also streams: TrackStream emits the image's frames while the
-// capture is still running (the first after ~0.32 s of samples), and its
-// Result is byte-identical to Track's.
+// Each operation has one context-taking form on the shared default
+// engine: Track, TrackStream and DecodeMessage. TrackStream emits the
+// image's frames while the capture is still running (the first after
+// ~0.32 s of samples), and its Result is byte-identical to Track's.
 //
 //	ts, _ := dev.TrackStream(ctx, 10)
 //	for fr := range ts.Frames() {           // columns of the image, live
@@ -25,7 +26,7 @@
 //
 // Underneath every entry point sits the Engine service API (engine.go):
 // an explicitly owned worker pool accepting mixed workloads, with mode
-// as per-request data. Servers create their own pools:
+// as per-request data. Servers and batch callers create their own pools:
 //
 //	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 8})
 //	defer eng.Close()
@@ -276,18 +277,13 @@ type TrackingResult struct {
 }
 
 // Track nulls (if needed), captures duration seconds and runs the
-// smoothed-MUSIC ISAR chain (§5).
-func (d *Device) Track(duration float64) (*TrackingResult, error) {
-	return d.TrackCtx(context.Background(), duration)
-}
-
-// TrackCtx is Track with cancellation. The request is scheduled on the
-// shared default engine: captures of one device serialize (a radio is
-// one stateful instrument) while different devices and the per-frame
-// ISAR stages run in parallel, so the result is identical to a direct
-// sequential Track. Callers that need an isolated pool submit the same
-// Request through their own NewEngine.
-func (d *Device) TrackCtx(ctx context.Context, duration float64) (*TrackingResult, error) {
+// smoothed-MUSIC ISAR chain (§5). The request is scheduled on the shared
+// default engine: captures of one device serialize (a radio is one
+// stateful instrument) while different devices and the per-frame ISAR
+// stages run in parallel, so the result is identical to a sequential
+// capture. Canceling ctx abandons the request. Callers that need an
+// isolated pool submit the same Request through their own NewEngine.
+func (d *Device) Track(ctx context.Context, duration float64) (*TrackingResult, error) {
 	h, err := defaultEngine().Submit(ctx, Request{Device: d, Duration: duration})
 	if err != nil {
 		return nil, err
@@ -407,66 +403,6 @@ func (ts *TrackStream) Result() (*TrackingResult, error) {
 	return &TrackingResult{img: img, dev: ts.dev}, nil
 }
 
-// TrackManyOptions configures a batch tracking run.
-type TrackManyOptions struct {
-	// Workers bounds the scene-level worker pool. 0 routes the batch
-	// through the shared per-process engine (one worker per CPU), so
-	// concurrent callers multiplex instead of oversubscribing; a
-	// positive value runs the batch on a private pool of that size. The
-	// output never depends on the worker count — only on each device's
-	// own measurement stream.
-	Workers int
-}
-
-// TrackMany captures duration seconds on every device concurrently,
-// multiplexing the scenes over an engine with context cancellation.
-// results[i] belongs to devices[i] and is identical to what
-// devices[i].Track(duration) would have returned. On failure the error
-// reports the first failing scene (a nil device counts as one) while
-// the remaining entries are still returned; failed scenes are nil in
-// the slice.
-func TrackMany(ctx context.Context, devices []*Device, duration float64, opts TrackManyOptions) ([]*TrackingResult, error) {
-	if len(devices) == 0 {
-		return nil, nil
-	}
-	eng := defaultEngine()
-	if opts.Workers > 0 {
-		private := NewEngine(EngineOptions{Workers: opts.Workers, QueueDepth: len(devices)})
-		defer private.Close()
-		eng = private
-	}
-	handles := make([]*Handle, len(devices))
-	errs := make([]error, len(devices))
-	for i, d := range devices {
-		if d == nil {
-			errs[i] = errors.New("wivi: nil device")
-			continue
-		}
-		h, err := eng.Submit(ctx, Request{Device: d, Duration: duration})
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		handles[i] = h
-	}
-	out := make([]*TrackingResult, len(devices))
-	var firstErr error
-	for i := range devices {
-		err := errs[i]
-		if handles[i] != nil {
-			var res *Result
-			if res, err = handles[i].Wait(ctx); err == nil {
-				out[i] = res.Tracking
-				continue
-			}
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("wivi: scene %d: %w", i, err)
-		}
-	}
-	return out, firstErr
-}
-
 // NumFrames returns the number of angle-spectrum frames.
 func (r *TrackingResult) NumFrames() int { return r.img.NumFrames() }
 
@@ -537,19 +473,14 @@ type DecodedMessage struct {
 }
 
 // DecodeMessage captures duration seconds in gesture mode and decodes
-// the step gestures into bits.
-func (d *Device) DecodeMessage(duration float64) (*DecodedMessage, error) {
-	return d.DecodeMessageCtx(context.Background(), duration)
-}
-
-// DecodeMessageCtx is DecodeMessage with cancellation. Like TrackCtx,
-// the request is scheduled on the shared default engine (captures of
-// one device serialize; the gesture decode itself is pure compute), so
-// gesture captures multiplex fairly with tracking traffic instead of
-// bypassing the worker pool. Gesture is per-request data — no device
+// the step gestures into bits. Like Track, the request is scheduled on
+// the shared default engine (captures of one device serialize; the
+// gesture decode itself is pure compute), so gesture captures multiplex
+// fairly with tracking traffic. Gesture is per-request data — no device
 // state changes — so concurrent Track and DecodeMessage calls on one
-// device are safe and each sees exactly its own mode.
-func (d *Device) DecodeMessageCtx(ctx context.Context, duration float64) (*DecodedMessage, error) {
+// device are safe and each sees exactly its own mode. Canceling ctx
+// abandons the request.
+func (d *Device) DecodeMessage(ctx context.Context, duration float64) (*DecodedMessage, error) {
 	h, err := defaultEngine().Submit(ctx, Request{Device: d, Duration: duration, Mode: Gesture})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package wivi
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -83,7 +84,7 @@ func TestTrackWalkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Track(4)
+	res, err := d.Track(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestGestureMessageEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := d.DecodeMessage(dur)
+	msg, err := d.DecodeMessage(context.Background(), dur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestCounterTrainAndClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Track(4)
+	res, err := d.Track(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
