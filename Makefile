@@ -45,29 +45,32 @@ examples:
 test:
 	go test -race ./...
 
-# Short native-fuzzing pass over /v1/track body decoding and validation
-# (FuzzTrackRequest stubs the pool, so no capture runs). Mirrored by CI.
+# Short native-fuzzing passes over the two wire decoders: /v1/track body
+# decoding and validation (FuzzTrackRequest stubs the pool, so no capture
+# runs) and the client's NDJSON stream decoder (FuzzClientStream). -fuzz
+# takes one target per run, hence the anchored patterns. CI runs this
+# target.
 fuzz:
-	go test -run '^$$' -fuzz FuzzTrackRequest -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzTrackRequest$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzClientStream$$' -fuzztime 10s ./internal/serve
 
-# Streaming smoke: stream 4 scenes, verify byte-identity with batch
-# Track and that the first frame lands well before the capture ends.
-# Mixed smoke: concurrent track + gesture + stream requests against one
-# explicit engine, per-mode throughput/queue wait, identity checks.
-# Paced smoke: concurrent real-time paced streams; enforces the
-# wall-clock SLOs (real-time factor >= 1.0, p95 frame lag < one
-# analysis window) and typed deadline rejection.
+# Engine smokes (CI runs this target): stream 4 scenes, byte-identical
+# to batch Track, with the first frame well before the capture ends;
+# concurrent track + gesture + stream requests on one explicit engine,
+# identity checks retained; concurrent real-time paced streams, typed
+# deadline rejection. Each run gates its own report
+# (internal/benchreport/gate.go) and exits non-zero on a miss.
 # (The public-API guard — TestPublicAPISurface vs testdata/api.txt —
 # runs inside `make test`.)
 smoke:
-	go run ./cmd/wivi-bench -stream -batch 4 -trackdur 2
-	go run ./cmd/wivi-bench -mixed -batch 2 -trackdur 2
-	go run ./cmd/wivi-bench -paced -batch 2 -trackdur 2
+	go run ./cmd/wivi-bench -mode stream -batch 4 -trackdur 2
+	go run ./cmd/wivi-bench -mode mixed -batch 2 -trackdur 2
+	go run ./cmd/wivi-bench -mode paced -batch 2 -trackdur 2
 
 # Service smoke: start the wivi-serve daemon on a random port (two
 # identically-seeded replica devices so wire identity is checkable),
-# drive it with the wivi-bench -serve load generator, scrape /metrics
-# and /healthz, then SIGTERM and require a clean graceful-drain exit.
+# drive it with wivi-bench's serve mode, scrape /metrics and /healthz,
+# then SIGTERM and require a clean graceful-drain exit.
 smoke-serve:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o $$tmp/wivi-serve ./cmd/wivi-serve; \
@@ -76,7 +79,7 @@ smoke-serve:
 	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
 	[ -s $$tmp/addr ] || { echo "wivi-serve never wrote its address"; kill $$pid; exit 1; }; \
 	addr=$$(cat $$tmp/addr); \
-	$$tmp/wivi-bench -serve -addr http://$$addr -batch 2 -trackdur 1 -json > $$tmp/serve.json; \
+	$$tmp/wivi-bench -mode serve -addr http://$$addr -batch 2 -trackdur 1 > $$tmp/serve.json; \
 	grep -q '"requests_per_s"' $$tmp/serve.json; \
 	grep -q '"identity": true' $$tmp/serve.json; \
 	curl -fsS http://$$addr/metrics | grep -q '^wivi_engine_completed_total'; \
@@ -85,7 +88,7 @@ smoke-serve:
 	echo "smoke-serve: daemon served, measured and drained cleanly"
 
 # Pool smoke (mirrored by CI): first the noisy-neighbor fault-injection
-# suite in-process (wivi-bench -serve -tenants saturates tenant t0 to
+# suite in-process (wivi-bench's tenants mode saturates tenant t0 to
 # typed 429s while tenant t1's streams must hold their frame-lag SLO),
 # then a multi-tenant wivi-serve daemon — tenant-routed /v1/track,
 # per-tenant /v1/stats, tenant-labeled /metrics series — with a clean
@@ -94,7 +97,7 @@ smoke-pool:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o $$tmp/wivi-serve ./cmd/wivi-serve; \
 	go build -o $$tmp/wivi-bench ./cmd/wivi-bench; \
-	$$tmp/wivi-bench -serve -tenants 2 -batch 2 -trackdur 1 -json > $$tmp/pool.json; \
+	$$tmp/wivi-bench -mode tenants -batch 2 -trackdur 1 > $$tmp/pool.json; \
 	grep -q '"tenant_isolation": true' $$tmp/pool.json; \
 	$$tmp/wivi-serve -addr 127.0.0.1:0 -addr-file $$tmp/addr -devices 2 -tenants acme,globex -maxdur 3 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
@@ -123,26 +126,25 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkHermitianEig' -benchmem ./internal/cmath
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp
 
-# Machine-readable bench trajectory: every engine mode with -json
-# (schema "wivi-bench/2", see cmd/wivi-bench/report.go), merged into
-# one $(BENCH_OUT) and asserted by the shared scripts/bench-gate.sh
-# harness — the exact invocation CI's bench job runs, so a gate that
-# passes here passes there. CI overrides BENCH_OUT with the per-PR
-# artifact name and uploads the file. The second serve run drives the
-# multi-tenant pool's noisy-neighbor suite for the per-tenant SLO and
-# tenant_isolation gates.
+# Machine-readable bench trajectory: six wivi-bench runs, one per
+# engine mode plus the tenants suite, each writing its "wivi-bench/2"
+# report (internal/benchreport: report.go, gate.go) and gating it. The runs
+# all go ahead even when one misses a gate, so $(BENCH_OUT) always
+# holds every figure; the recipe then fails if any run did. CI's bench
+# job runs this target with BENCH_OUT set to the per-PR artifact name
+# and uploads the file.
 BENCH_OUT = BENCH_local.json
 bench-json:
-	go run ./cmd/wivi-bench -batch 4 -trackdur 2 -json  > bench-batch.json
-	go run ./cmd/wivi-bench -stream -batch 4 -trackdur 4 -json > bench-stream.json
-	go run ./cmd/wivi-bench -mixed -batch 2 -trackdur 2 -json  > bench-mixed.json
-	go run ./cmd/wivi-bench -paced -batch 2 -trackdur 2 -json  > bench-paced.json
-	go run ./cmd/wivi-bench -serve -batch 4 -trackdur 2 -json  > bench-serve.json
-	go run ./cmd/wivi-bench -serve -tenants 2 -batch 4 -trackdur 2 -json > bench-serve-tenants.json
-	jq -s '{schema: "wivi-bench/2", runs: .}' \
-		bench-batch.json bench-stream.json \
-		bench-mixed.json bench-paced.json bench-serve.json \
-		bench-serve-tenants.json > $(BENCH_OUT)
-	rm -f bench-batch.json bench-stream.json bench-mixed.json bench-paced.json bench-serve.json bench-serve-tenants.json
-	@echo "wrote $(BENCH_OUT)"
-	scripts/bench-gate.sh $(BENCH_OUT)
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o $$tmp/wivi-bench ./cmd/wivi-bench; \
+	status=0; \
+	$$tmp/wivi-bench -mode batch -batch 4 -trackdur 2 > $$tmp/batch.json || status=1; \
+	$$tmp/wivi-bench -mode stream -batch 4 -trackdur 4 > $$tmp/stream.json || status=1; \
+	$$tmp/wivi-bench -mode mixed -batch 2 -trackdur 2 > $$tmp/mixed.json || status=1; \
+	$$tmp/wivi-bench -mode paced -batch 2 -trackdur 2 > $$tmp/paced.json || status=1; \
+	$$tmp/wivi-bench -mode serve -batch 4 -trackdur 2 > $$tmp/serve.json || status=1; \
+	$$tmp/wivi-bench -mode tenants -batch 4 -trackdur 2 > $$tmp/tenants.json || status=1; \
+	jq -s '{schema: "wivi-bench/2", runs: .}' $$tmp/batch.json $$tmp/stream.json $$tmp/mixed.json \
+		$$tmp/paced.json $$tmp/serve.json $$tmp/tenants.json > $(BENCH_OUT); \
+	echo "wrote $(BENCH_OUT)"; \
+	exit $$status

@@ -1,12 +1,12 @@
 package main
 
-// Mixed-workload mode (-mixed): the Engine service API under the
-// traffic shape it was redesigned for — concurrent track, gesture and
-// streaming requests sharing one explicit pool. Reports per-mode
-// completion counts, mean queue wait and end-to-end latency, the
-// engine's own Stats() counters, and re-verifies the correctness
-// invariants under mixing: track and streamed images byte-identical to
-// an independently computed baseline, gesture messages decoded exactly.
+// Mixed mode: the Engine service API under the traffic shape it was
+// designed for, concurrent track, gesture and streaming requests
+// sharing one explicit pool. Reports per-kind completion counts, mean
+// queue wait and end-to-end latency, the engine's own Stats() counters,
+// and re-verifies the correctness invariants under mixing: track and
+// streamed images byte-identical to an independently computed baseline,
+// gesture messages decoded exactly.
 
 import (
 	"context"
@@ -16,52 +16,18 @@ import (
 	"time"
 
 	"wivi"
+	"wivi/internal/benchreport"
 )
 
-// mixedKind indexes the per-mode aggregates.
-type mixedKind int
-
-const (
-	kindTrack mixedKind = iota
-	kindGesture
-	kindStream
-	numKinds
-)
-
-func (k mixedKind) String() string {
-	switch k {
-	case kindGesture:
-		return "gesture"
-	case kindStream:
-		return "stream"
-	default:
-		return "track"
-	}
-}
-
-type mixedSample struct {
-	kind      mixedKind
-	queueWait time.Duration
-	latency   time.Duration
-	err       error
-}
-
-// runMixedMode submits perMode requests of each kind against one
-// explicit engine and aggregates per-mode figures.
+// runMixed submits -batch requests of each kind against one explicit
+// engine and aggregates per-kind figures.
 //
 //wivi:wallclock benchmark harness measures real elapsed wall time by design
-func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur float64) (*benchReport, error) {
-	rep := newBenchReport("mixed", workers, perMode, trackDur)
-	fmt.Fprintf(out, "mixed workload: %d track + %d gesture + %d stream requests, %d workers\n",
-		perMode, perMode, perMode, workers)
+func runMixed(out io.Writer, c config) (*benchreport.Report, error) {
+	n := c.batch
+	rep := newBenchReport("mixed", c.workers, n, c.trackDur)
+	fmt.Fprintf(out, "mixed workload: %d track + %d gesture + %d stream requests, %d workers\n", n, n, n, c.workers)
 
-	newWalkerDevice := func(s int64) (*wivi.Device, error) {
-		sc := wivi.NewScene(wivi.SceneOptions{Seed: s})
-		if err := sc.AddWalker(trackDur + 1); err != nil {
-			return nil, err
-		}
-		return wivi.NewDevice(sc, wivi.DeviceOptions{})
-	}
 	// The known-good two-bit gesture scene; fresh builds with one seed
 	// are byte-identical, so every gesture request must decode "01".
 	newGestureDevice := func() (*wivi.Device, float64, error) {
@@ -74,54 +40,47 @@ func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur floa
 		return dev, dur, err
 	}
 
-	// Identity baselines, computed before the mixed run on fresh
-	// identical devices: mixing traffic must not change the physics.
-	trackWant := make([]*wivi.TrackingResult, perMode)
-	streamWant := make([]*wivi.TrackingResult, perMode)
-	for i := 0; i < perMode; i++ {
-		dev, err := newWalkerDevice(seed + int64(i))
+	// Track and stream requests run on scenes seeded apart; each gets an
+	// identity baseline on fresh identical devices, computed before the
+	// mixed run: mixing traffic must not change the physics.
+	var devs [2][]*wivi.Device
+	var want [2][]*wivi.TrackingResult
+	for k, seed := range []int64{c.seed, c.seed + 1000} {
+		base, err := walkers(seed, n, c.trackDur, wivi.DeviceOptions{})
 		if err != nil {
 			return nil, err
 		}
-		if trackWant[i], err = dev.Track(context.Background(), trackDur); err != nil {
-			return nil, fmt.Errorf("track baseline %d: %w", i, err)
-		}
-		sdev, err := newWalkerDevice(seed + 1000 + int64(i))
-		if err != nil {
+		if want[k], _, err = baseline(base, c.trackDur); err != nil {
 			return nil, err
 		}
-		if streamWant[i], err = sdev.Track(context.Background(), trackDur); err != nil {
-			return nil, fmt.Errorf("stream baseline %d: %w", i, err)
+		if devs[k], err = walkers(seed, n, c.trackDur, wivi.DeviceOptions{}); err != nil {
+			return nil, err
 		}
 	}
 
-	eng := wivi.NewEngine(wivi.EngineOptions{Workers: workers})
+	eng := wivi.NewEngine(wivi.EngineOptions{Workers: c.workers})
 	defer eng.Close()
 	ctx := context.Background()
-	samples := make(chan mixedSample, 3*perMode)
+	samples := make(chan sample, 3*n) // one per request
 	var wg sync.WaitGroup
 	start := time.Now()
 
-	run := func(kind mixedKind, req wivi.Request, check func(*wivi.Result) error) {
+	submit := func(kind string, req wivi.Request, check func(*wivi.Result) error) {
 		defer wg.Done()
 		t0 := time.Now()
 		h, err := eng.Submit(ctx, req)
 		if err != nil {
-			samples <- mixedSample{kind: kind, err: fmt.Errorf("%v submit: %w", kind, err)}
+			samples <- sample{kind: kind, err: fmt.Errorf("%s submit: %w", kind, err)}
 			return
 		}
 		if req.Stream {
 			ts, err := h.Stream(ctx)
 			if err != nil {
-				samples <- mixedSample{kind: kind, err: fmt.Errorf("stream start: %w", err)}
+				samples <- sample{kind: kind, err: fmt.Errorf("stream start: %w", err)}
 				return
 			}
-			frames := 0
-			for range ts.Frames() {
-				frames++
-			}
-			if frames == 0 {
-				samples <- mixedSample{kind: kind, err: fmt.Errorf("stream emitted no frames: %v", ts.Err())}
+			if len(drain(ts, t0).lags) == 0 {
+				samples <- sample{kind: kind, err: fmt.Errorf("stream emitted no frames: %v", ts.Err())}
 				return
 			}
 		}
@@ -129,42 +88,33 @@ func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur floa
 		if err == nil {
 			err = check(res)
 		}
-		sample := mixedSample{kind: kind, latency: time.Since(t0), err: err}
+		s := sample{kind: kind, latency: time.Since(t0), err: err}
 		if res != nil {
-			sample.queueWait = res.QueueWait
+			s.queue = res.QueueWait
 		}
-		samples <- sample
+		samples <- s
 	}
 
-	for i := 0; i < perMode; i++ {
-		i := i
-		tdev, err := newWalkerDevice(seed + int64(i))
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
 		gdev, gdur, err := newGestureDevice()
 		if err != nil {
 			return nil, err
 		}
-		sdev, err := newWalkerDevice(seed + 1000 + int64(i))
-		if err != nil {
-			return nil, err
-		}
 		wg.Add(3)
-		go run(kindTrack, wivi.Request{Device: tdev, Duration: trackDur}, func(r *wivi.Result) error {
-			if !r.Tracking.Equal(trackWant[i]) {
+		go submit("track", wivi.Request{Device: devs[0][i], Duration: c.trackDur}, func(r *wivi.Result) error {
+			if !r.Tracking.Equal(want[0][i]) {
 				return fmt.Errorf("track %d: mixed-engine image differs from baseline", i)
 			}
 			return nil
 		})
-		go run(kindGesture, wivi.Request{Device: gdev, Duration: gdur, Mode: wivi.Gesture}, func(r *wivi.Result) error {
+		go submit("gesture", wivi.Request{Device: gdev, Duration: gdur, Mode: wivi.Gesture}, func(r *wivi.Result) error {
 			if r.Message == nil || r.Message.String() != "01" {
 				return fmt.Errorf("gesture %d: decoded %v, want 01", i, r.Message)
 			}
 			return nil
 		})
-		go run(kindStream, wivi.Request{Device: sdev, Duration: trackDur, Stream: true}, func(r *wivi.Result) error {
-			if !r.Tracking.Equal(streamWant[i]) {
+		go submit("stream", wivi.Request{Device: devs[1][i], Duration: c.trackDur, Stream: true}, func(r *wivi.Result) error {
+			if !r.Tracking.Equal(want[1][i]) {
 				return fmt.Errorf("stream %d: streamed image differs from batch baseline", i)
 			}
 			return nil
@@ -172,38 +122,28 @@ func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur floa
 	}
 	wg.Wait()
 	close(samples)
-	elapsed := time.Since(start).Seconds()
+	elapsed := time.Since(start)
 
-	var count [numKinds]int
-	var waitSum, latSum [numKinds]time.Duration
+	var all []sample
 	for s := range samples {
-		if s.err != nil {
-			return nil, s.err
-		}
-		count[s.kind]++
-		waitSum[s.kind] += s.queueWait
-		latSum[s.kind] += s.latency
+		all = append(all, s)
 	}
-	rep.PerMode = make(map[string]modeFigures, numKinds)
-	for k := mixedKind(0); k < numKinds; k++ {
-		if count[k] != perMode {
-			return nil, fmt.Errorf("%v: %d of %d requests completed", k, count[k], perMode)
-		}
-		n := time.Duration(count[k])
-		rep.PerMode[k.String()] = modeFigures{
-			Requests:        count[k],
-			RequestsPerSec:  float64(count[k]) / elapsed,
-			QueueWaitMeanMs: float64(waitSum[k]/n) / 1e6,
-			LatencyMeanMs:   float64(latSum[k]/n) / 1e6,
+	var err error
+	if rep.PerMode, err = perMode(all, elapsed); err != nil {
+		return nil, err
+	}
+	for _, kind := range []string{"track", "gesture", "stream"} {
+		m := rep.PerMode[kind]
+		if m.Requests != n {
+			return nil, fmt.Errorf("%s: %d of %d requests completed", kind, m.Requests, n)
 		}
 		fmt.Fprintf(out, "  %-8s %d requests, %6.2f req/s, queue wait %8.2fms mean, latency %8.2fms mean\n",
-			k.String()+":", count[k], float64(count[k])/elapsed,
-			float64(waitSum[k]/n)/1e6, float64(latSum[k]/n)/1e6)
+			kind+":", m.Requests, m.RequestsPerSec, m.QueueWaitMeanMs, m.LatencyMeanMs)
 	}
 	// Stream counters settle one scheduling beat after the final frame;
 	// give them that beat before asserting.
 	st := eng.Stats()
-	for deadline := time.Now().Add(2 * time.Second); st.Completed != int64(3*perMode) && time.Now().Before(deadline); st = eng.Stats() {
+	for deadline := time.Now().Add(2 * time.Second); st.Completed != int64(3*n) && time.Now().Before(deadline); st = eng.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	fmt.Fprintf(out, "  engine:  %d completed, %d failed, %d frames (%.1f frames/s), queued %d, in-flight %d\n",
@@ -212,13 +152,13 @@ func runMixedMode(out io.Writer, perMode, workers int, seed int64, trackDur floa
 		ms(st.QueueWait.P50), ms(st.QueueWait.P95), ms(st.QueueWait.P99),
 		ms(st.EndToEnd.P50), ms(st.EndToEnd.P95), ms(st.EndToEnd.P99))
 	fmt.Fprintf(out, "  identity checks: %d track == baseline, %d stream == batch, %d messages == \"01\" in %.2fs\n",
-		perMode, perMode, perMode, elapsed)
-	if st.Completed != int64(3*perMode) {
-		return nil, fmt.Errorf("engine stats report %d completed, want %d", st.Completed, 3*perMode)
+		n, n, n, elapsed.Seconds())
+	if st.Completed != int64(3*n) {
+		return nil, fmt.Errorf("engine stats report %d completed, want %d", st.Completed, 3*n)
 	}
 	rep.Identity = true
-	rep.ElapsedS = elapsed
-	rep.ScenesPerSec = float64(3*perMode) / elapsed
+	rep.ElapsedS = elapsed.Seconds()
+	rep.ScenesPerSec = float64(3*n) / elapsed.Seconds()
 	rep.Engine = snapshotEngine(st)
 	return rep, nil
 }

@@ -1,161 +1,18 @@
 package main
 
-// Machine-readable bench reports (-json). Every bench mode fills one
-// benchReport and, under -json, marshals it to stdout as a single JSON
-// object while the human-readable narration moves to stderr — so
-// `wivi-bench -stream -json > out.json` always yields parseable JSON
-// and CI can accumulate a perf trajectory across PRs (BENCH_*.json).
-//
-// Schema (stable; additions are backward-compatible, removals and
-// renames are breaking and require a schema bump):
-//
-//	schema           "wivi-bench/2" (version 2 dropped the warm-start
-//	                 eigensolver's eig_keyframe_every and
-//	                 eig_sweeps_per_frame)
-//	mode             "batch" | "stream" | "mixed" | "paced" | "serve" | "eval"
-//	workers          worker-pool size the run used
-//	gomaxprocs       runtime.GOMAXPROCS(0) on the host
-//	scenes           scenes (or requests per kind, mixed mode)
-//	track_duration_s per-scene capture duration
-//	elapsed_s        full mode wall time
-//	scenes_per_s     primary throughput figure
-//	identity         batch/stream/parallel byte-identity checks passed
-//	ttff_ms          mean time-to-first-frame        (stream, paced)
-//	frame_lag_p50_ms / _p95_ms / _p99_ms             (stream, paced)
-//	window_ms        one analysis window             (stream, paced)
-//	frames_per_s     streamed frame throughput       (stream)
-//	frames_per_s_per_core   frames_per_s / gomaxprocs (stream)
-//	allocs_per_frame heap allocations per streamed frame, whole-chain
-//	                 (capture + combine + kernel + assembly) (stream)
-//	stage_cov_us / stage_eig_us / stage_spectrum_us  per-frame wall
-//	                 microseconds in the covariance, eigendecomposition
-//	                 and spectrum stages of the frame kernel (stream)
-//	real_time_factor capture span / compute time     (paced)
-//	speedup_x        parallel over sequential        (batch)
-//	per_mode         {track|gesture|stream: figures} (mixed, serve)
-//	engine           engine Stats() snapshot         (mixed, paced, serve)
-//	experiments, failures                            (eval)
-//	requests_per_s   completed requests per second over the wire (serve)
-//	requests_at_slo_per_s   completed requests per second that met
-//	                 the latency SLO (one capture duration)       (serve)
-//	slo_ok_fraction  fraction of requests that met the SLO        (serve)
-//	request_p50_ms / _p95_ms / _p99_ms   wire request latency     (serve)
-//	tenants          per-tenant figures, keyed by tenant name
-//	                 (serve -tenants): requests, requests_per_s,
-//	                 requests_at_slo_per_s, slo_ok_fraction,
-//	                 request_p95_ms, frame_lag_p95_ms, rejected
-//	                 (typed tenant_saturated 429s), saturated
-//	                 (true on the injected noisy tenant). A batch
-//	                 request is at SLO when it finishes within one
-//	                 capture duration; a streamed one when its p95
-//	                 frame lag stays under one analysis window.
-//	tenant_isolation noisy-neighbor proof (serve -tenants): the
-//	                 saturated tenant drew typed 429s while every
-//	                 victim tenant's streams held p95 frame lag
-//	                 under one window and met the SLO
-
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
 	"wivi"
+	"wivi/internal/benchreport"
 	"wivi/internal/pipeline"
 )
 
-// benchSchema versions the JSON layout.
-const benchSchema = "wivi-bench/2"
-
-type benchReport struct {
-	Schema         string  `json:"schema"`
-	Mode           string  `json:"mode"`
-	Workers        int     `json:"workers"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	Scenes         int     `json:"scenes"`
-	TrackDurationS float64 `json:"track_duration_s,omitempty"`
-	ElapsedS       float64 `json:"elapsed_s"`
-	ScenesPerSec   float64 `json:"scenes_per_s,omitempty"`
-	Identity       bool    `json:"identity"`
-
-	TTFFMs        float64 `json:"ttff_ms,omitempty"`
-	FrameLagP50Ms float64 `json:"frame_lag_p50_ms,omitempty"`
-	FrameLagP95Ms float64 `json:"frame_lag_p95_ms,omitempty"`
-	FrameLagP99Ms float64 `json:"frame_lag_p99_ms,omitempty"`
-	WindowMs      float64 `json:"window_ms,omitempty"`
-
-	FramesPerSec        float64 `json:"frames_per_s,omitempty"`
-	FramesPerSecPerCore float64 `json:"frames_per_s_per_core,omitempty"`
-	AllocsPerFrame      float64 `json:"allocs_per_frame,omitempty"`
-
-	StageCovUs      float64 `json:"stage_cov_us,omitempty"`
-	StageEigUs      float64 `json:"stage_eig_us,omitempty"`
-	StageSpectrumUs float64 `json:"stage_spectrum_us,omitempty"`
-
-	RealTimeFactor float64 `json:"real_time_factor,omitempty"`
-	SpeedupX       float64 `json:"speedup_x,omitempty"`
-
-	RequestsPerSec      float64 `json:"requests_per_s,omitempty"`
-	RequestsAtSLOPerSec float64 `json:"requests_at_slo_per_s,omitempty"`
-	SLOOkFraction       float64 `json:"slo_ok_fraction,omitempty"`
-	RequestP50Ms        float64 `json:"request_p50_ms,omitempty"`
-	RequestP95Ms        float64 `json:"request_p95_ms,omitempty"`
-	RequestP99Ms        float64 `json:"request_p99_ms,omitempty"`
-
-	Tenants         map[string]tenantFigures `json:"tenants,omitempty"`
-	TenantIsolation bool                     `json:"tenant_isolation,omitempty"`
-
-	PerMode map[string]modeFigures `json:"per_mode,omitempty"`
-	Engine  *engineFigures         `json:"engine,omitempty"`
-
-	Experiments int `json:"experiments,omitempty"`
-	Failures    int `json:"failures"`
-}
-
-// tenantFigures are one tenant's aggregates in serve -tenants mode.
-// Rejected is the router's lifetime typed-429 count for the tenant;
-// Saturated marks the tenant the noisy-neighbor phase deliberately
-// drove to its budget.
-type tenantFigures struct {
-	Requests            int     `json:"requests"`
-	RequestsPerSec      float64 `json:"requests_per_s"`
-	RequestsAtSLOPerSec float64 `json:"requests_at_slo_per_s"`
-	SLOOkFraction       float64 `json:"slo_ok_fraction"`
-	RequestP95Ms        float64 `json:"request_p95_ms"`
-	FrameLagP95Ms       float64 `json:"frame_lag_p95_ms,omitempty"`
-	Rejected            int64   `json:"rejected"`
-	Saturated           bool    `json:"saturated,omitempty"`
-}
-
-// modeFigures are the per-kind aggregates of the mixed mode.
-type modeFigures struct {
-	Requests        int     `json:"requests"`
-	RequestsPerSec  float64 `json:"requests_per_s"`
-	QueueWaitMeanMs float64 `json:"queue_wait_mean_ms"`
-	LatencyMeanMs   float64 `json:"latency_mean_ms"`
-}
-
-// engineFigures snapshots wivi.EngineStats for the report.
-type engineFigures struct {
-	Completed      int64   `json:"completed"`
-	Failed         int64   `json:"failed"`
-	Frames         int64   `json:"frames"`
-	FramesPerSec   float64 `json:"frames_per_s"`
-	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP95Ms float64 `json:"queue_wait_p95_ms"`
-	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
-	FrameLagP50Ms  float64 `json:"frame_lag_p50_ms"`
-	FrameLagP95Ms  float64 `json:"frame_lag_p95_ms"`
-	FrameLagP99Ms  float64 `json:"frame_lag_p99_ms"`
-	EndToEndP50Ms  float64 `json:"end_to_end_p50_ms"`
-	EndToEndP95Ms  float64 `json:"end_to_end_p95_ms"`
-	EndToEndP99Ms  float64 `json:"end_to_end_p99_ms"`
-}
-
-func newBenchReport(mode string, workers, scenes int, trackDur float64) *benchReport {
-	return &benchReport{
-		Schema:         benchSchema,
+func newBenchReport(mode string, workers, scenes int, trackDur float64) *benchreport.Report {
+	return &benchreport.Report{
+		Schema:         benchreport.Schema,
 		Mode:           mode,
 		Workers:        workers,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
@@ -164,8 +21,8 @@ func newBenchReport(mode string, workers, scenes int, trackDur float64) *benchRe
 	}
 }
 
-func snapshotEngine(st wivi.EngineStats) *engineFigures {
-	return &engineFigures{
+func snapshotEngine(st wivi.EngineStats) *benchreport.EngineFigures {
+	return &benchreport.EngineFigures{
 		Completed:      st.Completed,
 		Failed:         st.Failed,
 		Frames:         st.Frames,
@@ -182,16 +39,6 @@ func snapshotEngine(st wivi.EngineStats) *engineFigures {
 	}
 }
 
-// emitJSON writes the report as one JSON object on stdout.
-func emitJSON(r *benchReport) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("encoding bench report: %w", err)
-	}
-	return nil
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // percentileMs returns the nearest-rank p-th percentile of samples, in
@@ -199,4 +46,79 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // estimator so the bench and Engine.Stats() report identical math.
 func percentileMs(samples []time.Duration, p int) float64 {
 	return ms(pipeline.Percentile(samples, p))
+}
+
+// sample is one timed request of the mixed, serve or tenants mode.
+type sample struct {
+	kind    string // its per_mode key: track, gesture, stream or batch
+	latency time.Duration
+	queue   time.Duration   // engine queue wait, where reported
+	lags    []time.Duration // a stream's per-frame lag
+	err     error
+}
+
+// perMode folds samples run over span into per-kind figures. A failed
+// request fails the run.
+func perMode(samples []sample, span time.Duration) (map[string]benchreport.ModeFigures, error) {
+	figs := map[string]benchreport.ModeFigures{}
+	for _, s := range samples {
+		if s.err != nil {
+			return nil, fmt.Errorf("%s request failed: %w", s.kind, s.err)
+		}
+		m := figs[s.kind]
+		m.Requests++
+		m.QueueWaitMeanMs += ms(s.queue)
+		m.LatencyMeanMs += ms(s.latency)
+		figs[s.kind] = m
+	}
+	for kind, m := range figs {
+		m.RequestsPerSec = float64(m.Requests) / span.Seconds()
+		m.QueueWaitMeanMs /= float64(m.Requests)
+		m.LatencyMeanMs /= float64(m.Requests)
+		figs[kind] = m
+	}
+	return figs, nil
+}
+
+// wireFigures aggregate one set of wire requests.
+type wireFigures struct {
+	perSec, atSLOPerSec, okFraction float64
+	p50Ms, p95Ms, p99Ms, lagP95Ms   float64
+}
+
+// aggregate folds samples run over span into throughput, throughput at
+// SLO, SLO fraction and latency percentiles; atSLO says which requests
+// met the SLO. A failed request fails the run.
+func aggregate(samples []sample, span time.Duration, atSLO func(sample) bool) (wireFigures, error) {
+	var lats, lags []time.Duration
+	ok := 0
+	for _, s := range samples {
+		if s.err != nil {
+			return wireFigures{}, fmt.Errorf("%s request failed: %w", s.kind, s.err)
+		}
+		lats = append(lats, s.latency)
+		lags = append(lags, s.lags...)
+		if atSLO(s) {
+			ok++
+		}
+	}
+	return wireFigures{
+		perSec:      float64(len(samples)) / span.Seconds(),
+		atSLOPerSec: float64(ok) / span.Seconds(),
+		okFraction:  float64(ok) / float64(len(samples)),
+		p50Ms:       percentileMs(lats, 50),
+		p95Ms:       percentileMs(lats, 95),
+		p99Ms:       percentileMs(lats, 99),
+		lagP95Ms:    percentileMs(lags, 95),
+	}, nil
+}
+
+// setRequests records a run's whole-run request figures.
+func setRequests(r *benchreport.Report, f wireFigures) {
+	r.RequestsPerSec = f.perSec
+	r.RequestsAtSLOPerSec = f.atSLOPerSec
+	r.SLOOkFraction = f.okFraction
+	r.RequestP50Ms = f.p50Ms
+	r.RequestP95Ms = f.p95Ms
+	r.RequestP99Ms = f.p99Ms
 }

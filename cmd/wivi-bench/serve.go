@@ -1,14 +1,16 @@
 package main
 
-// Serve mode (-serve): the wivi-serve load generator. It drives the
-// HTTP tier over localhost — against an external daemon (-addr) or an
-// in-process server it spins up itself — with a mix of batch and
-// streaming requests, and reports requests-per-second-at-SLO, where the
-// SLO is one capture duration of wall clock: a tracking service is
-// keeping up exactly when a request completes faster than the motion it
-// images. Before loading, it re-proves the wire-identity invariant by
-// streaming the same request twice and comparing every spectrum value
-// bitwise across the serialize/deserialize cycle.
+// The HTTP modes. Serve mode is the wivi-serve load generator: it
+// drives the HTTP tier over localhost, against an external daemon
+// (-addr) or an in-process server it spins up itself, with a mix of
+// batch and streaming requests, and reports requests-per-second-at-SLO,
+// where the SLO is one capture duration of wall clock: a tracking
+// service is keeping up exactly when a request completes faster than
+// the motion it images. Before loading, it re-proves the wire-identity
+// invariant by streaming the same request on two replica devices and
+// comparing every spectrum value bitwise across the serialize /
+// deserialize cycle. Tenants mode is the noisy-neighbour suite over an
+// in-process two-tenant pool.
 
 import (
 	"context"
@@ -22,30 +24,25 @@ import (
 	"time"
 
 	"wivi"
+	"wivi/internal/benchreport"
 	"wivi/internal/pool"
 	"wivi/internal/serve"
 )
 
-type serveSample struct {
-	stream  bool
-	latency time.Duration
-	queueMs float64
-	err     error
-}
-
-// runServeMode drives 2*batch requests (half batch, half streaming) at
-// the given client concurrency and aggregates wire-level figures.
+// runServe drives 2*batch requests (alternately batch and streaming)
+// at -workers client concurrency and aggregates wire-level figures.
 //
 //wivi:wallclock benchmark harness measures real elapsed wall time by design
-func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float64, addr string) (*benchReport, error) {
-	rep := newBenchReport("serve", workers, 2*batch, trackDur)
+func runServe(out io.Writer, c config) (*benchreport.Report, error) {
+	rep := newBenchReport("serve", c.workers, 2*c.batch, c.trackDur)
 	ctx := context.Background()
+	addr, trackDur := c.addr, c.trackDur
 
-	// No -addr: spin up the served stack in-process on a loopback port —
-	// a one-tenant pool at its default budget, whose replica pair gives
-	// the wire-identity check below a bit-identical pair to compare.
+	// No -addr: serve a one-tenant pool at its default budget in-process,
+	// whose replica pair gives the wire-identity check below a
+	// bit-identical pair to compare.
 	if addr == "" {
-		router := pool.NewRouter(pool.Options{Devices: replicaFactory(seed, trackDur, "")})
+		router := pool.NewRouter(pool.Options{Devices: replicaFactory(c.seed, trackDur, "")})
 		defer router.Close()
 		base, stop, err := listenInProcess(router)
 		if err != nil {
@@ -83,71 +80,38 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	}
 	streamSlots := make(chan struct{}, maxStreams)
 
-	// Wire identity: two identically-seeded replica devices capture
-	// bit-identical data (wivi-serve registers replicas; fresh same-seed
-	// devices are the library's identity baseline), so streaming one
-	// request against each must decode to bit-identical frames —
-	// determinism and JSON float64 round-tripping proven over the wire
-	// before any load figures. A single-device server can't offer a
-	// bit-identical pair, so the check is skipped there.
+	// Wire identity before any load figures. wivi-serve registers
+	// identically-seeded replicas; a single-device server offers no
+	// pair, so identity stays unproven and gate fails the run.
 	if len(devs.Devices) >= 2 {
-		first, err := collectStream(ctx, client, devs.Devices[0], trackDur)
-		if err != nil {
-			return nil, fmt.Errorf("identity stream on %s: %w", devs.Devices[0], err)
+		if rep.Identity, _, err = wireIdentity(ctx, client, devs.Devices[0], devs.Devices[1], trackDur); err != nil {
+			return nil, err
 		}
-		second, err := collectStream(ctx, client, devs.Devices[1], trackDur)
-		if err != nil {
-			return nil, fmt.Errorf("identity stream on %s: %w", devs.Devices[1], err)
-		}
-		rep.Identity = framesIdentical(first, second)
-		if !rep.Identity {
-			return rep, fmt.Errorf("wire identity violated: streams of replica devices %s and %s differ",
-				devs.Devices[0], devs.Devices[1])
-		}
-		fmt.Fprintf(out, "  wire identity: %d frames bit-identical across replica streams\n", len(first))
+		fmt.Fprintf(out, "  wire identity: %v across replicas %s and %s\n", rep.Identity, devs.Devices[0], devs.Devices[1])
 	} else {
-		fmt.Fprintf(out, "  wire identity: skipped (server registers a single device; need two replicas)\n")
+		fmt.Fprintf(out, "  wire identity: unproven (one registered device; it takes two replicas)\n")
 	}
 
 	// Load phase: 2*batch requests, alternating batch/stream, fanned
-	// out over `workers` client goroutines round-robin across devices.
-	total := 2 * batch
-	slo := time.Duration(trackDur * float64(time.Second))
+	// out over -workers client goroutines round-robin across devices.
+	total := 2 * c.batch
 	jobs := make(chan int)
-	samples := make([]serveSample, total)
+	samples := make([]sample, total)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for w := 0; w < c.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				req := serve.TrackRequest{
-					Device:    devs.Devices[i%len(devs.Devices)],
-					DurationS: trackDur,
-				}
 				stream := i%2 == 1
 				if stream {
 					streamSlots <- struct{}{}
 				}
-				t0 := time.Now()
-				var queueMs float64
-				var err error
+				samples[i] = request(ctx, client, devs.Devices[i%len(devs.Devices)], trackDur, stream)
 				if stream {
-					frames, serr := collectStream(ctx, client, req.Device, trackDur)
 					<-streamSlots
-					if serr == nil && len(frames) == 0 {
-						serr = fmt.Errorf("stream returned no frames")
-					}
-					err = serr
-				} else {
-					var res *serve.TrackResponse
-					res, err = client.Track(ctx, req)
-					if err == nil {
-						queueMs = res.QueueWaitMs
-					}
 				}
-				samples[i] = serveSample{stream: stream, latency: time.Since(t0), queueMs: queueMs, err: err}
 			}
 		}()
 	}
@@ -159,42 +123,15 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	elapsed := time.Since(start)
 	rep.ElapsedS = elapsed.Seconds()
 
-	// Aggregate: throughput, SLO attainment, latency percentiles.
-	var lats []time.Duration
-	okAtSLO := 0
-	perMode := map[string]*modeFigures{"batch": {}, "stream": {}}
-	modeLat := map[string]time.Duration{}
-	for _, s := range samples {
-		if s.err != nil {
-			return rep, fmt.Errorf("load request failed: %w", s.err)
-		}
-		lats = append(lats, s.latency)
-		if s.latency <= slo {
-			okAtSLO++
-		}
-		key := "batch"
-		if s.stream {
-			key = "stream"
-		}
-		perMode[key].Requests++
-		perMode[key].QueueWaitMeanMs += s.queueMs
-		modeLat[key] += s.latency
+	slo := time.Duration(trackDur * float64(time.Second))
+	f, err := aggregate(samples, elapsed, func(s sample) bool { return s.latency <= slo })
+	if err != nil {
+		return nil, err
 	}
-	for key, m := range perMode {
-		if m.Requests == 0 {
-			continue
-		}
-		m.RequestsPerSec = float64(m.Requests) / elapsed.Seconds()
-		m.QueueWaitMeanMs /= float64(m.Requests)
-		m.LatencyMeanMs = ms(modeLat[key] / time.Duration(m.Requests))
+	setRequests(rep, f)
+	if rep.PerMode, err = perMode(samples, elapsed); err != nil {
+		return nil, err
 	}
-	rep.PerMode = map[string]modeFigures{"batch": *perMode["batch"], "stream": *perMode["stream"]}
-	rep.RequestsPerSec = float64(total) / elapsed.Seconds()
-	rep.RequestsAtSLOPerSec = float64(okAtSLO) / elapsed.Seconds()
-	rep.SLOOkFraction = float64(okAtSLO) / float64(total)
-	rep.RequestP50Ms = percentileMs(lats, 50)
-	rep.RequestP95Ms = percentileMs(lats, 95)
-	rep.RequestP99Ms = percentileMs(lats, 99)
 
 	// The served engine's own view, over the same wire it serves.
 	if st, err = client.Stats(ctx); err == nil {
@@ -204,7 +141,7 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	}
 
 	fmt.Fprintf(out, "  %d requests (%d batch + %d stream) in %.2f s at %d client workers\n",
-		total, batch, batch, elapsed.Seconds(), workers)
+		total, c.batch, c.batch, elapsed.Seconds(), c.workers)
 	fmt.Fprintf(out, "  throughput   %.2f req/s, %.2f req/s within SLO (%.0f%% ≤ %v)\n",
 		rep.RequestsPerSec, rep.RequestsAtSLOPerSec, 100*rep.SLOOkFraction, slo)
 	fmt.Fprintf(out, "  wire latency p50 %.1f ms, p95 %.1f ms, p99 %.1f ms\n",
@@ -212,26 +149,18 @@ func runServeMode(out io.Writer, batch, workers int, seed int64, trackDur float6
 	return rep, nil
 }
 
-// runServeTenantsMode is the noisy-neighbor fault-injection suite: it
-// spins up an in-process multi-tenant pool behind internal/serve,
-// deliberately saturates tenant t0 (tiny budget, paced devices, two
-// concurrent streams) until the router answers with typed 429
-// "tenant_saturated", and concurrently drives every other tenant's load
-// to prove their streams keep meeting the frame-lag SLO. Per-tenant
-// figures land in the report's tenants map; tenant_isolation is the
-// verdict CI gates on.
+// runTenants is the noisy-neighbour fault-injection suite: it spins up
+// an in-process two-tenant pool behind internal/serve, deliberately
+// saturates tenant t0 (tiny budget, paced devices, two concurrent
+// streams) until the router answers with typed 429 "tenant_saturated",
+// and concurrently drives tenant t1's load to prove its streams keep
+// meeting the frame-lag SLO. Per-tenant figures land in the report's
+// tenants map; tenant_isolation is the verdict gate checks.
 //
 //wivi:wallclock benchmark harness measures real elapsed wall time by design
-func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur float64, tenants int) (*benchReport, error) {
-	if tenants < 2 {
-		return nil, fmt.Errorf("-tenants needs at least 2 tenants (the noisy tenant plus victims), got %d", tenants)
-	}
-	names := make([]string, tenants)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
-	}
-	noisy, victims := names[0], names[1:]
-	rep := newBenchReport("serve", workers, len(victims)*batch+2, trackDur)
+func runTenants(out io.Writer, c config) (*benchreport.Report, error) {
+	const noisy, victim = "t0", "t1"
+	rep := newBenchReport("serve", c.workers, c.batch+2, c.trackDur)
 	ctx := context.Background()
 
 	// Per-tenant replica fleets. The noisy tenant's replicas are paced —
@@ -240,13 +169,13 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 	// saturation window.
 	//
 	// The noisy tenant admits exactly two requests (maxInflight =
-	// Workers + QueueDepth = 2); victims get the full -workers budget.
-	// Two streams therefore saturate t0 without touching anyone else.
+	// Workers + QueueDepth = 2); the victim gets the full -workers
+	// budget. Two streams therefore saturate t0 without touching t1.
 	router := pool.NewRouter(pool.Options{
-		Budget:  pool.Budget{Workers: workers},
+		Budget:  pool.Budget{Workers: c.workers},
 		Budgets: map[string]pool.Budget{noisy: {Workers: 1, QueueDepth: 1, MaxStreams: 2}},
-		Tenants: names,
-		Devices: replicaFactory(seed, trackDur, noisy),
+		Tenants: []string{noisy, victim},
+		Devices: replicaFactory(c.seed, c.trackDur, noisy),
 	})
 	defer router.Close()
 	addr, stop, err := listenInProcess(router)
@@ -254,52 +183,26 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 		return nil, err
 	}
 	defer stop()
-	fmt.Fprintf(out, "serve mode: in-process multi-tenant pool on %s (%d tenants, noisy neighbor %s)\n",
-		addr, tenants, noisy)
+	fmt.Fprintf(out, "serve mode: in-process multi-tenant pool on %s (tenants %s, %s; noisy neighbor %s)\n",
+		addr, noisy, victim, noisy)
+	noisyClient := &serve.Client{BaseURL: addr, Tenant: noisy}
+	victimClient := &serve.Client{BaseURL: addr, Tenant: victim}
 
-	clients := make(map[string]*serve.Client, tenants)
-	for _, n := range names {
-		clients[n] = &serve.Client{BaseURL: addr, Tenant: n}
+	// Wire identity inside the victim's fleet.
+	var res *serve.TrackResponse
+	if rep.Identity, res, err = wireIdentity(ctx, victimClient, "dev0", "dev1", c.trackDur); err != nil {
+		return nil, fmt.Errorf("tenant %s: %w", victim, err)
 	}
+	rep.WindowMs = res.WindowMs
+	fmt.Fprintf(out, "  wire identity: %v over replica streams of tenant %s\n", rep.Identity, victim)
 
-	// Wire identity per victim tenant: each tenant's replicas must
-	// stream bit-identical spectra across the serialize/deserialize
-	// cycle — determinism holds inside every tenant's fleet.
-	for _, v := range victims {
-		first, res, err := collectStreamResult(ctx, clients[v], "dev0", trackDur)
-		if err != nil {
-			return nil, fmt.Errorf("identity stream on %s/dev0: %w", v, err)
-		}
-		second, _, err := collectStreamResult(ctx, clients[v], "dev1", trackDur)
-		if err != nil {
-			return nil, fmt.Errorf("identity stream on %s/dev1: %w", v, err)
-		}
-		if !framesIdentical(first, second) {
-			return rep, fmt.Errorf("wire identity violated: tenant %s replica streams differ", v)
-		}
-		if rep.WindowMs == 0 {
-			rep.WindowMs = res.WindowMs
-		}
-	}
-	rep.Identity = true
-	fmt.Fprintf(out, "  wire identity: replica streams bit-identical on %d victim tenants\n", len(victims))
-
-	type reqSample struct {
-		stream  bool
-		latency time.Duration
-		lags    []time.Duration
-		err     error
-	}
-	slo := time.Duration(trackDur * float64(time.Second))
+	slo := time.Duration(c.trackDur * float64(time.Second))
 	// A batch request is at SLO when it finishes within one capture
 	// duration; a stream when its p95 frame lag stays under one window
 	// (the paced-mode SLO — a live stream is keeping up exactly when
 	// frames emerge at the radio's cadence).
-	atSLO := func(s reqSample) bool {
-		if s.err != nil {
-			return false
-		}
-		if s.stream {
+	atSLO := func(s sample) bool {
+		if s.kind == "stream" {
 			return len(s.lags) > 0 && percentileMs(s.lags, 95) < rep.WindowMs
 		}
 		return s.latency <= slo
@@ -307,202 +210,137 @@ func runServeTenantsMode(out io.Writer, batch, workers int, seed int64, trackDur
 	start := time.Now()
 
 	// Saturate: two paced streams pin the noisy tenant at its budget.
-	noisySamples := make([]reqSample, 2)
-	var noisyWG sync.WaitGroup
+	noisySamples := make([]sample, 2)
+	var wg sync.WaitGroup
 	for i, dev := range []string{"dev0", "dev1"} {
-		noisyWG.Add(1)
-		go func(i int, dev string) {
-			defer noisyWG.Done()
-			t0 := time.Now()
-			frames, _, err := collectStreamResult(ctx, clients[noisy], dev, trackDur)
-			if err == nil && len(frames) == 0 {
-				err = fmt.Errorf("stream returned no frames")
-			}
-			noisySamples[i] = reqSample{stream: true, latency: time.Since(t0), lags: frameLags(frames), err: err}
-		}(i, dev)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			noisySamples[i] = request(ctx, noisyClient, dev, c.trackDur, true)
+		}()
 	}
 	admitDeadline := time.Now().Add(10*time.Second + 2*slo)
 	for {
-		st, err := clients[noisy].Stats(ctx)
+		st, err := noisyClient.Stats(ctx)
 		if err != nil {
-			return rep, fmt.Errorf("polling noisy-tenant stats: %w", err)
+			return nil, fmt.Errorf("polling noisy-tenant stats: %w", err)
 		}
 		if st.Pool.Tenants[noisy].InFlight >= 2 {
 			break
 		}
 		if time.Now().After(admitDeadline) {
-			return rep, fmt.Errorf("noisy tenant %s never reached its budget", noisy)
+			return nil, fmt.Errorf("noisy tenant %s never reached its budget", noisy)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Victim load, concurrent with the saturation window: each victim
-	// tenant runs -batch requests, alternating batch and stream.
-	victimSamples := make(map[string][]reqSample, len(victims))
-	victimElapsed := make(map[string]time.Duration, len(victims))
-	var victimWG sync.WaitGroup
-	var vmu sync.Mutex
-	for _, v := range victims {
-		victimWG.Add(1)
-		go func(v string) {
-			defer victimWG.Done()
-			samples := make([]reqSample, batch)
-			t0 := time.Now()
-			for i := range samples {
-				dev := []string{"dev0", "dev1"}[i%2]
-				r0 := time.Now()
-				if i%2 == 1 {
-					frames, _, serr := collectStreamResult(ctx, clients[v], dev, trackDur)
-					if serr == nil && len(frames) == 0 {
-						serr = fmt.Errorf("stream returned no frames")
-					}
-					samples[i] = reqSample{stream: true, latency: time.Since(r0), lags: frameLags(frames), err: serr}
-				} else {
-					_, terr := clients[v].Track(ctx, serve.TrackRequest{Device: dev, DurationS: trackDur})
-					samples[i] = reqSample{latency: time.Since(r0), err: terr}
-				}
-			}
-			vmu.Lock()
-			victimSamples[v] = samples
-			victimElapsed[v] = time.Since(t0)
-			vmu.Unlock()
-		}(v)
-	}
+	// Victim load, concurrent with the saturation window: -batch
+	// requests, alternating batch and stream across the replicas.
+	victimSamples := make([]sample, c.batch)
+	var victimSpan time.Duration
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t0 := time.Now()
+		for i := range victimSamples {
+			victimSamples[i] = request(ctx, victimClient, []string{"dev0", "dev1"}[i%2], c.trackDur, i%2 == 1)
+		}
+		victimSpan = time.Since(t0)
+	}()
 
 	// Fault injection: while the noisy tenant sits at its budget, every
 	// probe must come back as the typed 429 — never an untyped error,
 	// never a stall, and never at another tenant's expense.
 	rejected429 := 0
 	for i := 0; i < 5; i++ {
-		_, perr := clients[noisy].Track(ctx, serve.TrackRequest{Device: "dev0", DurationS: trackDur})
+		_, perr := noisyClient.Track(ctx, serve.TrackRequest{Device: "dev0", DurationS: c.trackDur})
 		if perr == nil {
 			break // a slot freed — the saturation window ended
 		}
 		var apiErr *serve.APIError
 		if !errors.As(perr, &apiErr) || apiErr.Status != http.StatusTooManyRequests || apiErr.Code != serve.CodeTenantSaturated {
-			return rep, fmt.Errorf("saturated-tenant probe drew the wrong rejection: %v", perr)
+			return nil, fmt.Errorf("saturated-tenant probe drew the wrong rejection: %v", perr)
 		}
 		rejected429++
 		time.Sleep(20 * time.Millisecond)
 	}
 	if rejected429 == 0 {
-		return rep, fmt.Errorf("noisy tenant %s at budget was never refused with %s", noisy, serve.CodeTenantSaturated)
+		return nil, fmt.Errorf("noisy tenant %s at budget was never refused with %s", noisy, serve.CodeTenantSaturated)
 	}
-
-	victimWG.Wait()
-	noisyWG.Wait()
+	wg.Wait()
 	elapsed := time.Since(start)
 	rep.ElapsedS = elapsed.Seconds()
 
 	// Per-tenant figures plus the isolation verdict.
 	full, err := (&serve.Client{BaseURL: addr}).Stats(ctx)
 	if err != nil {
-		return rep, fmt.Errorf("reading pool stats: %w", err)
+		return nil, fmt.Errorf("reading pool stats: %w", err)
 	}
-	tenantFigure := func(name string, samples []reqSample, span time.Duration, saturated bool) (tenantFigures, error) {
-		var lats, lags []time.Duration
-		ok := 0
-		for _, s := range samples {
-			if s.err != nil {
-				return tenantFigures{}, fmt.Errorf("tenant %s request failed: %w", name, s.err)
-			}
-			lats = append(lats, s.latency)
-			lags = append(lags, s.lags...)
-			if atSLO(s) {
-				ok++
-			}
+	tenant := func(name string, samples []sample, span time.Duration) (benchreport.TenantFigures, error) {
+		f, err := aggregate(samples, span, atSLO)
+		if err != nil {
+			return benchreport.TenantFigures{}, fmt.Errorf("tenant %s: %w", name, err)
 		}
-		f := tenantFigures{
+		return benchreport.TenantFigures{
 			Requests:            len(samples),
-			RequestsPerSec:      float64(len(samples)) / span.Seconds(),
-			RequestsAtSLOPerSec: float64(ok) / span.Seconds(),
-			SLOOkFraction:       float64(ok) / float64(len(samples)),
-			RequestP95Ms:        percentileMs(lats, 95),
-			FrameLagP95Ms:       percentileMs(lags, 95),
-			Saturated:           saturated,
+			RequestsPerSec:      f.perSec,
+			RequestsAtSLOPerSec: f.atSLOPerSec,
+			SLOOkFraction:       f.okFraction,
+			RequestP95Ms:        f.p95Ms,
+			FrameLagP95Ms:       f.lagP95Ms,
 			Rejected:            full.Pool.Tenants[name].Rejected,
-		}
-		return f, nil
+			Saturated:           name == noisy,
+		}, nil
 	}
-	rep.Tenants = make(map[string]tenantFigures, tenants)
-	var noisySpan time.Duration
-	for _, s := range noisySamples {
-		if s.latency > noisySpan {
-			noisySpan = s.latency
-		}
+	// The noisy tenant's span is its longer stream.
+	noisyFig, err := tenant(noisy, noisySamples, max(noisySamples[0].latency, noisySamples[1].latency))
+	if err != nil {
+		return nil, err
 	}
-	if rep.Tenants[noisy], err = tenantFigure(noisy, noisySamples, noisySpan, true); err != nil {
-		return rep, err
+	victimFig, err := tenant(victim, victimSamples, victimSpan)
+	if err != nil {
+		return nil, err
 	}
-	isolation := rep.Identity && rep.Tenants[noisy].RequestsAtSLOPerSec > 0
-	var all []reqSample
-	all = append(all, noisySamples...)
-	for _, v := range victims {
-		if rep.Tenants[v], err = tenantFigure(v, victimSamples[v], victimElapsed[v], false); err != nil {
-			return rep, err
-		}
-		if rep.Tenants[v].RequestsAtSLOPerSec <= 0 {
-			isolation = false
-		}
-		for _, s := range victimSamples[v] {
-			// The acceptance bar: the victim's *streams* hold p95 frame
-			// lag under one window while the neighbor is saturated.
-			if s.stream && !atSLO(s) {
-				isolation = false
-			}
-		}
-		all = append(all, victimSamples[v]...)
-	}
-	rep.TenantIsolation = isolation
-
-	var lats []time.Duration
-	okAtSLO := 0
-	for _, s := range all {
-		lats = append(lats, s.latency)
-		if atSLO(s) {
-			okAtSLO++
+	rep.Tenants = map[string]benchreport.TenantFigures{noisy: noisyFig, victim: victimFig}
+	// The acceptance bar: the victim's streams hold p95 frame lag under
+	// one window while the neighbour is saturated.
+	rep.TenantIsolation = rep.Identity && noisyFig.RequestsAtSLOPerSec > 0 && victimFig.RequestsAtSLOPerSec > 0
+	for _, s := range victimSamples {
+		if s.kind == "stream" && !atSLO(s) {
+			rep.TenantIsolation = false
 		}
 	}
-	rep.RequestsPerSec = float64(len(all)) / elapsed.Seconds()
-	rep.RequestsAtSLOPerSec = float64(okAtSLO) / elapsed.Seconds()
-	rep.SLOOkFraction = float64(okAtSLO) / float64(len(all))
-	rep.RequestP50Ms = percentileMs(lats, 50)
-	rep.RequestP95Ms = percentileMs(lats, 95)
-	rep.RequestP99Ms = percentileMs(lats, 99)
-	if st, err := clients[victims[0]].Stats(ctx); err == nil {
+	f, err := aggregate(append(noisySamples, victimSamples...), elapsed, atSLO)
+	if err != nil {
+		return nil, err
+	}
+	setRequests(rep, f)
+	if st, err := victimClient.Stats(ctx); err == nil {
 		rep.Engine = snapshotEngine(st.Engine)
 	}
 
 	fmt.Fprintf(out, "  noisy neighbor: %s held at budget, drew %d typed 429s (router counted %d)\n",
-		noisy, rejected429, rep.Tenants[noisy].Rejected)
-	for _, n := range names {
-		f := rep.Tenants[n]
+		noisy, rejected429, noisyFig.Rejected)
+	for _, name := range []string{noisy, victim} {
+		f := rep.Tenants[name]
 		fmt.Fprintf(out, "  tenant %-4s %d requests, %.2f req/s (%.2f at SLO, %.0f%%), p95 %.1f ms, lag p95 %.2f ms, rejected %d\n",
-			n, f.Requests, f.RequestsPerSec, f.RequestsAtSLOPerSec, 100*f.SLOOkFraction,
+			name, f.Requests, f.RequestsPerSec, f.RequestsAtSLOPerSec, 100*f.SLOOkFraction,
 			f.RequestP95Ms, f.FrameLagP95Ms, f.Rejected)
 	}
 	fmt.Fprintf(out, "  tenant isolation: %v (victim streams held p95 lag < %.1f ms window under saturation)\n",
 		rep.TenantIsolation, rep.WindowMs)
-	if !rep.TenantIsolation {
-		return rep, fmt.Errorf("tenant isolation violated: a victim tenant missed its SLO while %s was saturated", noisy)
-	}
 	return rep, nil
 }
 
-// replicaFactory builds each tenant two identically-seeded one-walker
-// replicas, dev0 and dev1. A fresh same-seed device captures
-// bit-identical data, so every tenant offers the wire-identity check a
-// pair to compare. The paced tenant's replicas deliver samples at the
-// radio's cadence.
+// replicaFactory builds each tenant two identically-seeded walker
+// replicas, dev0 and dev1, so every tenant offers the wire-identity
+// check a pair to compare. The paced tenant's replicas deliver samples
+// at the radio's cadence.
 func replicaFactory(seed int64, trackDur float64, paced string) func(string) (map[string]*wivi.Device, error) {
 	return func(tenant string) (map[string]*wivi.Device, error) {
 		registry := make(map[string]*wivi.Device, 2)
 		for _, name := range []string{"dev0", "dev1"} {
-			sc := wivi.NewScene(wivi.SceneOptions{Seed: seed})
-			if err := sc.AddWalker(trackDur + 1); err != nil {
-				return nil, err
-			}
-			dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{Paced: tenant == paced})
+			dev, err := walker(seed, trackDur, wivi.DeviceOptions{Paced: tenant == paced})
 			if err != nil {
 				return nil, err
 			}
@@ -528,15 +366,31 @@ func listenInProcess(router *pool.Router) (string, func(), error) {
 	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }
 
-// collectStream runs one streamed request to completion and returns its
-// frames.
-func collectStream(ctx context.Context, client *serve.Client, device string, trackDur float64) ([]serve.Frame, error) {
-	frames, _, err := collectStreamResult(ctx, client, device, trackDur)
-	return frames, err
+// request runs one wire request on device, a batch track or a stream
+// collected to its result, and times it.
+//
+//wivi:wallclock benchmark harness measures real elapsed wall time by design
+func request(ctx context.Context, client *serve.Client, device string, trackDur float64, stream bool) sample {
+	t0 := time.Now()
+	if stream {
+		frames, _, err := collectStream(ctx, client, device, trackDur)
+		lags := make([]time.Duration, len(frames))
+		for i, fr := range frames {
+			lags[i] = time.Duration(fr.LagMs * float64(time.Millisecond))
+		}
+		return sample{kind: "stream", latency: time.Since(t0), lags: lags, err: err}
+	}
+	res, err := client.Track(ctx, serve.TrackRequest{Device: device, DurationS: trackDur})
+	s := sample{kind: "batch", latency: time.Since(t0), err: err}
+	if err == nil {
+		s.queue = time.Duration(res.QueueWaitMs * float64(time.Millisecond))
+	}
+	return s
 }
 
-// collectStreamResult is collectStream plus the terminal result event.
-func collectStreamResult(ctx context.Context, client *serve.Client, device string, trackDur float64) ([]serve.Frame, *serve.TrackResponse, error) {
+// collectStream runs one streamed request to its result event. A
+// stream that carried no frame fails.
+func collectStream(ctx context.Context, client *serve.Client, device string, trackDur float64) ([]serve.Frame, *serve.TrackResponse, error) {
 	cs, err := client.TrackStream(ctx, serve.TrackRequest{Device: device, DurationS: trackDur})
 	if err != nil {
 		return nil, nil, err
@@ -553,38 +407,41 @@ func collectStreamResult(ctx context.Context, client *serve.Client, device strin
 	if err := cs.Err(); err != nil {
 		return nil, nil, err
 	}
-	if cs.Result() == nil {
-		return nil, nil, fmt.Errorf("stream ended without a result event")
+	if len(frames) == 0 {
+		return nil, nil, errors.New("stream returned no frames")
 	}
 	return frames, cs.Result(), nil
 }
 
-// frameLags extracts each streamed frame's emission lag.
-func frameLags(frames []serve.Frame) []time.Duration {
-	lags := make([]time.Duration, len(frames))
-	for i, fr := range frames {
-		lags[i] = time.Duration(fr.LagMs * float64(time.Millisecond))
+// wireIdentity streams one request on each of two replica devices,
+// returning whether their frames are bitwise identical (indices, times,
+// every spectrum value; lag is wall clock and excluded) and the first
+// stream's result. Fresh same-seed devices capture bit-identical data,
+// so a mismatch means the wire broke determinism or float64
+// round-tripping.
+func wireIdentity(ctx context.Context, client *serve.Client, devA, devB string, trackDur float64) (bool, *serve.TrackResponse, error) {
+	a, res, err := collectStream(ctx, client, devA, trackDur)
+	if err != nil {
+		return false, nil, fmt.Errorf("identity stream on %s: %w", devA, err)
 	}
-	return lags
-}
-
-// framesIdentical compares two streamed captures bitwise (indices,
-// times, every spectrum value). Lag is wall-clock and excluded.
-func framesIdentical(a, b []serve.Frame) bool {
+	b, _, err := collectStream(ctx, client, devB, trackDur)
+	if err != nil {
+		return false, nil, fmt.Errorf("identity stream on %s: %w", devB, err)
+	}
 	if len(a) != len(b) {
-		return false
+		return false, res, nil
 	}
 	for i := range a {
 		if a[i].Index != b[i].Index ||
 			math.Float64bits(a[i].TimeS) != math.Float64bits(b[i].TimeS) ||
 			len(a[i].Power) != len(b[i].Power) {
-			return false
+			return false, res, nil
 		}
 		for k := range a[i].Power {
 			if math.Float64bits(a[i].Power[k]) != math.Float64bits(b[i].Power[k]) {
-				return false
+				return false, res, nil
 			}
 		}
 	}
-	return true
+	return true, res, nil
 }

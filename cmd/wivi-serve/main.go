@@ -80,7 +80,7 @@ func main() {
 	// Per-tenant device fleets: every tenant gets its own -devices
 	// walker-scene replicas, all identically seeded. Identical seeds are
 	// a feature, not laziness: a fresh same-seed device captures
-	// bit-identical data, so a client (wivi-bench -serve) can verify
+	// bit-identical data, so a client (wivi-bench -mode serve) can verify
 	// wire determinism per tenant by streaming two of that tenant's
 	// replicas and comparing spectra bitwise — the externally checkable
 	// form of the batch/stream identity invariant. The factory runs on a

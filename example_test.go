@@ -210,7 +210,7 @@ func Example_pacedTracking() {
 	for fr := range stream.Frames() {
 		// Under pacing, fr.Lag is real wall-clock latency behind the
 		// radio; keeping its p95 under one stream.WindowDuration() is the
-		// chain's SLO (wivi-bench -paced enforces it).
+		// chain's SLO (wivi-bench -mode paced gates on it).
 		_ = fr.Lag
 		frames++
 	}

@@ -251,14 +251,40 @@ func (d *Device) CaptureTrace(startT, duration float64) (*Trace, error) {
 	return d.CaptureTraceCtx(context.Background(), startT, duration)
 }
 
+// ErrShortCapture rejects an imaging request whose capture holds fewer
+// samples than one ISAR analysis window (0.32 s at the default
+// calibration): such a capture yields no frame. TrackCtx, Observe and
+// ObserveStream return it before nulling or capturing.
+var ErrShortCapture = errors.New("core: capture shorter than one analysis window")
+
+// samples converts a capture duration to its sample count; imaged
+// requests must also span one analysis window.
+func (d *Device) samples(duration float64, imaged bool) (int, error) {
+	if duration <= 0 {
+		return 0, fmt.Errorf("core: non-positive capture duration %v", duration)
+	}
+	n := max(int(duration/d.fe.SampleT()), 1)
+	if imaged && n < d.cfg.ISAR.Window {
+		return 0, fmt.Errorf("%w: %d samples < window %d", ErrShortCapture, n, d.cfg.ISAR.Window)
+	}
+	return n, nil
+}
+
 // CaptureTraceCtx is CaptureTrace with cancellation. The front end is
 // one stateful radio, so concurrent captures serialize on the device
 // mutex; the context is checked before the measurement starts (a capture
 // in progress runs to completion, mirroring real hardware DMA).
 func (d *Device) CaptureTraceCtx(ctx context.Context, startT, duration float64) (*Trace, error) {
-	if duration <= 0 {
-		return nil, fmt.Errorf("core: non-positive capture duration %v", duration)
+	n, err := d.samples(duration, false)
+	if err != nil {
+		return nil, err
 	}
+	return d.captureTrace(ctx, startT, n)
+}
+
+// captureTrace records n samples starting at startT, nulling first if
+// the device has not been nulled yet.
+func (d *Device) captureTrace(ctx context.Context, startT float64, n int) (*Trace, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -271,10 +297,6 @@ func (d *Device) CaptureTraceCtx(ctx context.Context, startT, duration float64) 
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	n := int(duration / d.fe.SampleT())
-	if n < 1 {
-		n = 1
 	}
 	var perSub [][]complex128
 	var err error
@@ -333,8 +355,14 @@ func (d *Device) Track(startT, duration float64) (*isar.Image, *Trace, error) {
 // TrackCtx is Track with cancellation: the capture serializes on the
 // device (stateful radio), then the ISAR stages fan out per frame. This
 // is the entry point the concurrent engine (internal/pipeline) drives.
+// A duration shorter than one analysis window fails with
+// ErrShortCapture before any measurement.
 func (d *Device) TrackCtx(ctx context.Context, startT, duration float64) (*isar.Image, *Trace, error) {
-	tr, err := d.CaptureTraceCtx(ctx, startT, duration)
+	n, err := d.samples(duration, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := d.captureTrace(ctx, startT, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -164,18 +164,12 @@ func (d *Device) TrackStreamCtx(ctx context.Context, startT, duration float64, o
 // alongside the image, byte-identical to what a batch Observe of the
 // same request would have produced.
 func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, error) {
-	if req.Duration <= 0 {
-		return nil, fmt.Errorf("core: non-positive capture duration %v", req.Duration)
+	n, err := d.samples(req.Duration, true)
+	if err != nil {
+		return nil, err
 	}
-	startT, duration := req.StartT, req.Duration
+	startT := req.StartT
 	opts := StreamOptions{ChunkSamples: req.ChunkSamples}
-	n := int(duration / d.fe.SampleT())
-	if n < 1 {
-		n = 1
-	}
-	if n < d.cfg.ISAR.Window {
-		return nil, fmt.Errorf("core: %d samples < window %d", n, d.cfg.ISAR.Window)
-	}
 	chunk := opts.ChunkSamples
 	if chunk <= 0 {
 		chunk = d.cfg.StreamChunk

@@ -107,9 +107,26 @@ func TestTrackStreamValidation(t *testing.T) {
 	if _, err := dev.TrackStreamCtx(context.Background(), 0, -1, StreamOptions{}); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	// Shorter than one analysis window: no image either way.
-	if _, err := dev.TrackStreamCtx(context.Background(), 0, 0.01, StreamOptions{}); err == nil {
-		t.Fatal("sub-window capture accepted")
+	// Shorter than one analysis window: no image either way, so batch
+	// and stream both refuse with the typed error before nulling or
+	// capturing anything.
+	short := TrackRequest{Duration: 0.1}
+	if _, err := dev.ObserveStream(context.Background(), short); !errors.Is(err, ErrShortCapture) {
+		t.Fatalf("sub-window stream: err = %v, want ErrShortCapture", err)
+	}
+	if _, err := dev.Observe(context.Background(), short); !errors.Is(err, ErrShortCapture) {
+		t.Fatalf("sub-window batch: err = %v, want ErrShortCapture", err)
+	}
+	if dev.NullingResult() != nil {
+		t.Fatal("a rejected sub-window request nulled the device")
+	}
+	// One window exactly is one frame.
+	obs, err := dev.Observe(context.Background(), TrackRequest{Duration: 0.32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(obs.Image.Times); got != 1 {
+		t.Fatalf("one-window capture imaged %d frames, want 1", got)
 	}
 }
 

@@ -12,14 +12,10 @@
 // no result depends on goroutine scheduling — only on each device's own
 // measurement stream.
 //
-//	eng := pipeline.New(pipeline.Config{Workers: 8})
-//	defer eng.Close()
-//	results := eng.TrackBatch(ctx, reqs) // results[i] matches reqs[i]
-//
-// Submit gives the async form: it returns a Handle future immediately
-// (blocking only when the bounded queue is full), and Handle.Wait joins
-// the result. Cancellation is cooperative — a canceled context fails
-// queued requests before their capture starts and stops in-flight frame
+// Submit returns a Handle future immediately (blocking only when the
+// bounded queue is full), and Handle.Wait joins the result.
+// Cancellation is cooperative — a canceled context fails queued
+// requests before their capture starts and stops in-flight frame
 // processing between frames.
 //
 // SubmitStream schedules a streaming capture (stream.go): the request
@@ -438,29 +434,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Handle, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// TrackBatch submits every request and waits for all of them; the
-// returned slice is in request order (results[i] answers reqs[i]),
-// independent of completion order.
-func (e *Engine) TrackBatch(ctx context.Context, reqs []Request) []Result {
-	handles := make([]*Handle, len(reqs))
-	results := make([]Result, len(reqs))
-	for i, r := range reqs {
-		h, err := e.Submit(ctx, r)
-		if err != nil {
-			results[i] = Result{Err: err}
-			continue
-		}
-		handles[i] = h
-	}
-	for i, h := range handles {
-		if h == nil {
-			continue
-		}
-		results[i] = h.Wait(ctx)
-	}
-	return results
 }
 
 // Close stops the workers and fails any still-queued requests with

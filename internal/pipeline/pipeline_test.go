@@ -50,26 +50,27 @@ func (f *fakeTracker) Observe(ctx context.Context, req core.TrackRequest) (*core
 func TestBatchPreservesRequestOrder(t *testing.T) {
 	eng := New(Config{Workers: 8})
 	defer eng.Close()
-	const n = 50
-	reqs := make([]Request, n)
-	for i := range reqs {
+	handles := make([]*Handle, 50)
+	for i := range handles {
 		// Later requests finish first, so completion order inverts
-		// submission order; the results must not.
-		reqs[i] = Request{
-			Tracker:  &fakeTracker{id: i, delay: time.Duration(n-i) * 100 * time.Microsecond},
+		// submission order; each handle must still resolve to its own
+		// tracker's result.
+		h, err := eng.Submit(context.Background(), Request{
+			Tracker:  &fakeTracker{id: i, delay: time.Duration(len(handles)-i) * 100 * time.Microsecond},
 			Duration: 1,
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
+		handles[i] = h
 	}
-	results := eng.TrackBatch(context.Background(), reqs)
-	if len(results) != n {
-		t.Fatalf("got %d results, want %d", len(results), n)
-	}
-	for i, r := range results {
+	for i, h := range handles {
+		r := h.Wait(context.Background())
 		if r.Err != nil {
 			t.Fatalf("request %d failed: %v", i, r.Err)
 		}
 		if got := int(r.Image.Times[0]); got != i {
-			t.Fatalf("results[%d] carries tracker %d", i, got)
+			t.Fatalf("handle %d resolved to tracker %d", i, got)
 		}
 	}
 }
@@ -99,11 +100,18 @@ func TestErrorPropagation(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	defer eng.Close()
 	boom := errors.New("boom")
-	results := eng.TrackBatch(context.Background(), []Request{
+	var results []Result
+	for _, req := range []Request{
 		{Tracker: &fakeTracker{id: 0}, Duration: 1},
 		{Tracker: &fakeTracker{id: 1, err: boom}, Duration: 1},
 		{Tracker: nil},
-	})
+	} {
+		h, err := eng.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, h.Wait(context.Background()))
+	}
 	if results[0].Err != nil {
 		t.Fatalf("healthy request failed: %v", results[0].Err)
 	}

@@ -1,7 +1,7 @@
 package serve
 
 // A minimal stdlib client for the wivi-serve API, shared by the wire
-// identity tests, the wivi-bench -serve load generator, and the
+// identity tests, wivi-bench's serve and tenants modes, and the
 // examples. It decodes exactly what the server encodes (the wire.go
 // types), so a frame that crosses the wire and back carries the same
 // float64 bits the engine emitted.
@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -104,11 +105,18 @@ func (c *Client) TrackStream(ctx context.Context, req TrackRequest) (*ClientStre
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	// One NDJSON line holds a full angle spectrum; give the scanner room
-	// well past the default 64 KiB token cap.
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	return &ClientStream{body: resp.Body, sc: sc}, nil
+	return newClientStream(resp.Body), nil
+}
+
+// maxStreamLine caps one NDJSON event line. A line holds a full angle
+// spectrum, so the cap sits well past bufio's default 64 KiB token.
+const maxStreamLine = 8 << 20
+
+// newClientStream decodes the NDJSON events read from body.
+func newClientStream(body io.ReadCloser) *ClientStream {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), maxStreamLine)
+	return &ClientStream{body: body, sc: sc}
 }
 
 // ClientStream decodes the NDJSON event stream of one streamed request.
@@ -121,8 +129,10 @@ type ClientStream struct {
 }
 
 // Next returns the next frame, blocking until the server flushes one.
-// ok is false once the terminal event (result or error) has arrived;
-// check Err then.
+// ok is false once the stream has ended; then exactly one of Err and
+// Result is non-nil. A stream ends cleanly only on a result event that
+// carries its result; anything else (an error event, a malformed or
+// bodiless event, a truncated body) ends it with an error.
 func (s *ClientStream) Next() (Frame, bool) {
 	for !s.done {
 		if !s.sc.Scan() {
@@ -148,8 +158,12 @@ func (s *ClientStream) Next() (Frame, bool) {
 			if ev.Frame != nil {
 				return *ev.Frame, true
 			}
+			s.done, s.err = true, errors.New("serve: frame event without a frame")
 		case EventResult:
 			s.done, s.res = true, ev.Result
+			if s.res == nil {
+				s.err = errors.New("serve: result event without a result")
+			}
 		case EventError:
 			s.done = true
 			if ev.Err != nil {

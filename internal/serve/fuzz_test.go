@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -133,4 +136,60 @@ func FuzzTrackRequest(f *testing.F) {
 			t.Fatalf("response %+v, want tenant %q on dev0", resp, pool.DefaultTenant)
 		}
 	})
+}
+
+// FuzzClientStream drives arbitrary response bodies through the NDJSON
+// stream decoder. However the body ends — a result, an error event, a
+// malformed or bodiless event, a truncated line or no terminal event at
+// all — once Next returns false exactly one of Err and Result is set,
+// so a caller that checks Err can never mistake a broken stream for a
+// complete one.
+//
+//	go test -run '^$' -fuzz '^FuzzClientStream$' -fuzztime 10s ./internal/serve
+func FuzzClientStream(f *testing.F) {
+	frame := `{"type":"frame","frame":{"index":0,"time_s":0.16,"power":[1,2],"lag_ms":3}}` + "\n"
+	result := `{"type":"result","result":{"tenant":"default","device":"dev0","mode":"track","num_frames":1}}` + "\n"
+	for _, body := range []string{
+		frame + result,
+		frame + `{"type":"fra`,             // truncated line
+		frame,                              // no terminal event
+		"",                                 // empty body
+		`{"type":"result"}` + "\n",         // result without its body
+		`{"type":"frame"}` + "\n" + result, // frame without its body
+		`{"type":"error"}` + "\n",          // error without its body
+		`{"type":"error","error":{"code":"internal","message":"boom"}}` + "\n",
+		`{"type":"heartbeat"}` + "\n" + result, // unknown event type
+		"\n  \n" + result + frame,              // blank lines, then events past the result
+		"null\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cs := newClientStream(io.NopCloser(bytes.NewReader(body)))
+		for {
+			if _, ok := cs.Next(); !ok {
+				break
+			}
+		}
+		if (cs.Err() == nil) == (cs.Result() == nil) {
+			t.Fatalf("stream ended with Err %v and Result %+v, want exactly one set", cs.Err(), cs.Result())
+		}
+		if _, ok := cs.Next(); ok {
+			t.Fatal("Next yielded a frame after the stream ended")
+		}
+	})
+}
+
+// TestClientStreamLineCap pins the decoder's line bound: an event line
+// past maxStreamLine ends the stream with bufio.ErrTooLong instead of
+// growing the buffer without limit.
+func TestClientStreamLineCap(t *testing.T) {
+	line := append(bytes.Repeat([]byte{' '}, maxStreamLine+1), '\n')
+	cs := newClientStream(io.NopCloser(bytes.NewReader(line)))
+	if _, ok := cs.Next(); ok {
+		t.Fatal("an oversized line yielded a frame")
+	}
+	if !errors.Is(cs.Err(), bufio.ErrTooLong) {
+		t.Fatalf("Err = %v, want bufio.ErrTooLong", cs.Err())
+	}
 }

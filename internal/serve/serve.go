@@ -253,6 +253,8 @@ func mapError(err error, timedOut, clientGone bool) (int, string) {
 		return http.StatusServiceUnavailable, CodeDeadlineInfeasible
 	case errors.Is(err, wivi.ErrEngineClosed):
 		return http.StatusServiceUnavailable, CodeEngineClosed
+	case errors.Is(err, core.ErrShortCapture):
+		return http.StatusBadRequest, CodeBadRequest
 	case timedOut:
 		return http.StatusGatewayTimeout, CodeTimeout
 	case clientGone || errors.Is(err, context.Canceled):

@@ -474,6 +474,33 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSubWindowDuration pins the one-window floor: a capture shorter
+// than one analysis window images nothing, so it answers 400
+// bad_request for batch and stream alike, while exactly one window
+// (the request of the benchmark's serve_short workload) answers 200
+// with one frame.
+func TestSubWindowDuration(t *testing.T) {
+	dev := newWalkerDevice(t, 43, 0, 0, false)
+	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
+	ctx := context.Background()
+	short := TrackRequest{Device: "dev0", DurationS: 0.1}
+	_, batchErr := client.Track(ctx, short)
+	_, streamErr := client.TrackStream(ctx, short)
+	for kind, err := range map[string]error{"batch": batchErr, "stream": streamErr} {
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+			t.Fatalf("0.1 s %s: error %v, want 400 %s", kind, err, CodeBadRequest)
+		}
+	}
+	res, err := client.Track(ctx, TrackRequest{Device: "dev0", DurationS: 0.32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumFrames != 1 {
+		t.Fatalf("0.32 s capture answered %d frames, want 1", res.NumFrames)
+	}
+}
+
 // TestStatsAndMetrics pins the observability surface: /v1/stats JSON
 // and the Prometheus rendering both reflect a completed request, with
 // every engine series labelled by its tenant.
