@@ -1,11 +1,11 @@
 # Tier-1 gate, mirrored by .github/workflows/ci.yml.
-.PHONY: check fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool bench bench-json
+.PHONY: check fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool eval bench bench-json
 
 # Pinned staticcheck release, mirrored by CI. Bump deliberately: a new
 # release can add checks and turn a green tree red.
 STATICCHECK_VERSION = 2025.1.1
 
-check: fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool
+check: fmt vet staticcheck lint build examples test fuzz smoke smoke-serve smoke-pool eval
 
 # gofmt gate: fail (and list the offenders) if any file needs formatting.
 fmt:
@@ -113,16 +113,25 @@ smoke-pool:
 	kill -TERM $$pid; wait $$pid; \
 	echo "smoke-pool: multi-tenant daemon isolated, measured and drained cleanly"
 
+# The full-scale §7 evaluation (wivi-bench's default mode): all 17
+# experiments at paper scale, where `go test` runs them only at quick
+# scale. The run exits non-zero on any shape mismatch against the
+# paper's figures. CI's check job runs this target.
+eval:
+	go run ./cmd/wivi-bench
+
 # Engine benchmarks: sequential vs parallel batch tracking, streamed
 # frames/s, the paced chain's per-frame lag (wall-clock bound), and —
 # with -benchmem — allocs/op (BenchmarkProcessFrame times the frame
 # kernel, whose pooled workspace keeps it at the two emitted spectra;
 # BenchmarkHermitianEig runs cold Jacobi and the frame kernel's
 # tridiagonal eigensolver side by side on the same sim covariances;
-# BenchmarkFFT compares the planned and plan-per-call transforms).
+# BenchmarkFFT compares the planned and plan-per-call transforms;
+# BenchmarkCapture times capture synthesis per sample for 1-3 walkers).
 bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
 	go test -run '^$$' -bench 'BenchmarkProcessFrame' -benchtime 20x -benchmem ./internal/isar
+	go test -run '^$$' -bench 'BenchmarkCapture' -benchtime 20x -benchmem ./internal/sim
 	go test -run '^$$' -bench 'BenchmarkHermitianEig' -benchmem ./internal/cmath
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp
 

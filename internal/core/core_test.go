@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"wivi/internal/detect"
@@ -31,6 +32,67 @@ func newSimDevice(t *testing.T, seed int64, build func(*sim.Scene)) (*Device, *s
 		t.Fatal(err)
 	}
 	return dev, fe
+}
+
+// TestNewProcessorShared: isar.NewProcessor returns one processor per
+// distinct Config, so every device of one geometry shares its steering
+// tables and scratch pool. Four devices on that one processor, tracking
+// concurrently (run it under -race), must give the same images as four
+// identically seeded devices tracking one after another.
+func TestNewProcessorShared(t *testing.T) {
+	cfg := isar.DefaultConfig()
+	a, err := isar.NewProcessor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := isar.NewProcessor(cfg); err != nil || b != a {
+		t.Fatalf("equal configs gave %p and %p (err %v)", a, b, err)
+	}
+	cfg.Hop++
+	if c, err := isar.NewProcessor(cfg); err != nil || c == a || c.Config() != cfg {
+		t.Fatalf("config %+v got a shared or mismatched processor (err %v)", cfg, err)
+	}
+
+	const devices = 4
+	build := func() []*Device {
+		devs := make([]*Device, devices)
+		for i := range devs {
+			devs[i] = newWalkerDevice(t, int64(11+i))
+			devs[i].cfg.FrameWorkers = 2
+		}
+		return devs
+	}
+	sequential, concurrent := build(), build()
+	for _, d := range append(sequential, concurrent...) {
+		if d.proc != sequential[0].proc {
+			t.Fatal("devices of one geometry hold different processors")
+		}
+	}
+	want := make([]*isar.Image, devices)
+	for i, d := range sequential {
+		if want[i], _, err = d.TrackCtx(context.Background(), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*isar.Image, devices)
+	errs := make([]error, devices)
+	var wg sync.WaitGroup
+	for i, d := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, errs[i] = d.TrackCtx(context.Background(), 0, 1)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("device %d: concurrent image differs from the sequential one", i)
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {

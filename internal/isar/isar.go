@@ -81,8 +81,25 @@ func DefaultConfig() Config {
 // "Delta is twice the one-way separation to account for the round-trip").
 func (c Config) Delta() float64 { return 2 * c.Velocity * c.SampleT }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN slips past the range checks below (every comparison with
+// it is false), and since NaN != NaN, a config holding one could never
+// be found again in NewProcessor's cache.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Lambda", c.Lambda},
+		{"SampleT", c.SampleT},
+		{"Velocity", c.Velocity},
+		{"ThetaStepDeg", c.ThetaStepDeg},
+		{"EigNoiseFactor", c.EigNoiseFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("isar: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Lambda <= 0:
 		return errors.New("isar: Lambda must be positive")
@@ -120,6 +137,9 @@ func SteeringVector(n int, lambda, delta, thetaRad float64) cmath.Vector {
 }
 
 // Processor precomputes the angle grid and steering vectors for a config.
+// It holds only those immutable tables and a pool of frame scratch
+// buffers, so one Processor serves any number of devices and goroutines
+// at once; NewProcessor hands out one shared Processor per Config.
 type Processor struct {
 	cfg       Config
 	thetasDeg []float64
@@ -132,11 +152,30 @@ type Processor struct {
 	scratch sync.Pool
 }
 
-// NewProcessor validates cfg and builds a processor.
+// processors caches one Processor per distinct Config for the life of
+// the process, as dsp caches its FFT plans: every device of one geometry
+// shares the same steering tables (~380 KB at prototype geometry) and
+// the same scratch pool instead of building its own. Only configs that pass
+// Validate are stored, and Validate rejects NaN, so every key can be
+// found again.
+var processors sync.Map // Config -> *Processor
+
+// NewProcessor validates cfg and returns the processor for it, built on
+// first use and shared by every later caller with an equal Config.
 func NewProcessor(cfg Config) (*Processor, error) {
+	if p, ok := processors.Load(cfg); ok {
+		return p.(*Processor), nil
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	actual, _ := processors.LoadOrStore(cfg, newProcessor(cfg))
+	return actual.(*Processor), nil
+}
+
+// newProcessor builds the angle grid, the steering tables and the
+// scratch pool for a validated config.
+func newProcessor(cfg Config) *Processor {
 	var thetas []float64
 	for th := -90.0; th <= 90.0+1e-9; th += cfg.ThetaStepDeg {
 		thetas = append(thetas, th)
@@ -150,10 +189,11 @@ func NewProcessor(cfg Config) (*Processor, error) {
 		p.steerSub[i] = SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), rad)
 		p.steerWin[i] = SteeringVector(cfg.Window, cfg.Lambda, cfg.Delta(), rad)
 	}
-	return p, nil
+	return p
 }
 
-// Thetas returns the processor's angle grid in degrees.
+// Thetas returns the processor's angle grid in degrees. The slice is
+// shared by every user of the processor and must not be modified.
 func (p *Processor) Thetas() []float64 { return p.thetasDeg }
 
 // Config returns the processor configuration.

@@ -3,6 +3,7 @@ package isar
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"wivi/internal/cmath"
@@ -197,6 +198,34 @@ func TestEstimateSignalDimClampOrder(t *testing.T) {
 		}
 		if got := p.EstimateSignalDim(tc.values); got < 1 {
 			t.Errorf("%s: signal dimension %d < 1 leaves no DC dimension", tc.name, got)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN passes every range check (each
+// comparison with it is false), and an infinity passes the lower bounds,
+// so each float field is checked for finiteness first. NewProcessor must
+// refuse such a config rather than build (and cache) a processor for it.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Lambda", func(c *Config) { c.Lambda = math.NaN() }},
+		{"SampleT", func(c *Config) { c.SampleT = math.NaN() }},
+		{"Velocity", func(c *Config) { c.Velocity = math.Inf(1) }},
+		{"ThetaStepDeg", func(c *Config) { c.ThetaStepDeg = math.NaN() }},
+		{"EigNoiseFactor", func(c *Config) { c.EigNoiseFactor = math.NaN() }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", tc.field, err)
+		}
+		if p, err := NewProcessor(cfg); err == nil {
+			t.Errorf("%s: NewProcessor built a processor with %d angles", tc.field, len(p.Thetas()))
 		}
 	}
 }

@@ -8,6 +8,115 @@ import (
 	"wivi/internal/rng"
 )
 
+// CombineSubcarriers coherently combines per-subcarrier channel time
+// series into one stream, improving SNR (§7.1: "The channel measurements
+// across the different subcarriers are combined to improve the SNR").
+//
+// hs[k][n] is the channel of subcarrier k at time n; bins may be nil (the
+// DC bin). Because the signal bandwidth (5 MHz) is tiny relative to the
+// 2.4 GHz carrier, the motion-induced phase evolution is essentially
+// identical across subcarriers; each subcarrier differs only by a static
+// phase offset determined by the path delays. The combiner aligns each
+// subcarrier to the reference subcarrier using the time-averaged
+// cross-phase, then averages.
+//
+// It aligns over the whole capture at once (acausal), so it cannot
+// stream: no combined sample is computable before the last raw sample
+// arrives. The capture pipeline uses AverageSubcarriers instead — see
+// its doc for why the alignment is skipped entirely there — and the
+// tests keep this combiner as the reference that plain averaging is
+// measured against.
+func CombineSubcarriers(hs [][]complex128) ([]complex128, error) {
+	active, err := ActiveSubcarriers(hs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(active[0])
+	ref := active[len(active)/2]
+	out := make([]complex128, n)
+	for _, h := range active {
+		// Time-averaged cross-correlation phase against the reference.
+		var x complex128
+		for i := 0; i < n; i++ {
+			x += h[i] * cmplx.Conj(ref[i])
+		}
+		rot := complex(1, 0)
+		if m := cmplx.Abs(x); m > 0 {
+			rot = cmplx.Conj(x / complex(m, 0))
+		}
+		for i := 0; i < n; i++ {
+			out[i] += h[i] * rot
+		}
+	}
+	inv := complex(1/float64(len(active)), 0)
+	for i := range out {
+		out[i] *= inv
+	}
+	return out, nil
+}
+
+func TestCombineSubcarriersCoherentGain(t *testing.T) {
+	// K subcarriers observing the same motion signal with different static
+	// phases plus independent noise: combining must raise SNR.
+	const k = 16
+	const n = 400
+	s := rng.New(21)
+	signal := make([]complex128, n)
+	for i := range signal {
+		signal[i] = cmplx.Rect(1, 2*math.Pi*0.01*float64(i))
+	}
+	const noisePwr = 0.5
+	hs := make([][]complex128, k)
+	for j := 0; j < k; j++ {
+		rot := s.UnitPhasor()
+		hs[j] = make([]complex128, n)
+		for i := 0; i < n; i++ {
+			hs[j][i] = signal[i]*rot + s.ComplexGaussian(noisePwr)
+		}
+	}
+	combined, err := CombineSubcarriers(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Residual error vs the (rotated) clean signal: align combined to
+	// signal first, then measure error power.
+	var x complex128
+	for i := 0; i < n; i++ {
+		x += combined[i] * cmplx.Conj(signal[i])
+	}
+	rot := x / complex(cmplx.Abs(x), 0)
+	var errPwr float64
+	for i := 0; i < n; i++ {
+		e := combined[i] - signal[i]*rot
+		errPwr += real(e)*real(e) + imag(e)*imag(e)
+	}
+	errPwr /= n
+	// Perfect combining of k subcarriers divides noise by k. Allow 3x
+	// slack for alignment estimation error.
+	if errPwr > 3*noisePwr/float64(k) {
+		t.Fatalf("combined noise %v, want <= %v", errPwr, 3*noisePwr/float64(k))
+	}
+}
+
+func TestCombineSubcarriersSkipsNilAndValidates(t *testing.T) {
+	a := []complex128{1, 2, 3}
+	combined, err := CombineSubcarriers([][]complex128{nil, a, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if cmplx.Abs(combined[i]-a[i]) > 1e-12 {
+			t.Fatalf("single-subcarrier combine altered data: %v", combined)
+		}
+	}
+	if _, err := CombineSubcarriers(nil); err == nil {
+		t.Fatal("empty combine accepted")
+	}
+	if _, err := CombineSubcarriers([][]complex128{{1}, {1, 2}}); err == nil {
+		t.Fatal("ragged combine accepted")
+	}
+}
+
 // synthBand builds per-subcarrier series sharing one motion-phase
 // evolution, offset by small static per-subcarrier phases (the 5 MHz /
 // 2.4 GHz regime: path-delay offsets stay well under a radian), plus

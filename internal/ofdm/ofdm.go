@@ -6,7 +6,6 @@ package ofdm
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"wivi/internal/dsp"
 	"wivi/internal/rng"
@@ -134,10 +133,10 @@ func EstimateChannel(rx []complex128, p *Preamble) ([]complex128, error) {
 }
 
 // ActiveSubcarriers returns the non-nil subcarrier series of a capture
-// after validating that they share one length — the common prologue of
-// every combiner (and of the streaming chunk adapter), kept in one
-// place so batch combining and stream chunking can never diverge on how
-// inactive bins or ragged input are treated.
+// after validating that they share one length — the prologue of the
+// streaming chunk adapter, matching AverageSubcarriersAppend's checks so
+// batch combining and stream chunking can never diverge on how inactive
+// bins or ragged input are treated.
 func ActiveSubcarriers(hs [][]complex128) ([][]complex128, error) {
 	var active [][]complex128
 	for _, h := range hs {
@@ -157,52 +156,6 @@ func ActiveSubcarriers(hs [][]complex128) ([][]complex128, error) {
 	return active, nil
 }
 
-// CombineSubcarriers coherently combines per-subcarrier channel time
-// series into one stream, improving SNR (§7.1: "The channel measurements
-// across the different subcarriers are combined to improve the SNR").
-//
-// hs[k][n] is the channel of subcarrier k at time n; bins may be nil (the
-// DC bin). Because the signal bandwidth (5 MHz) is tiny relative to the
-// 2.4 GHz carrier, the motion-induced phase evolution is essentially
-// identical across subcarriers; each subcarrier differs only by a static
-// phase offset determined by the path delays. The combiner aligns each
-// subcarrier to the reference subcarrier using the time-averaged
-// cross-phase, then averages.
-//
-// CombineSubcarriers aligns over the whole capture at once (acausal),
-// which is fine for offline analysis but cannot stream: no combined
-// sample is computable before the last raw sample arrives. The capture
-// pipeline uses AverageSubcarriers instead — see its doc for why the
-// alignment is skipped entirely there.
-func CombineSubcarriers(hs [][]complex128) ([]complex128, error) {
-	active, err := ActiveSubcarriers(hs)
-	if err != nil {
-		return nil, err
-	}
-	n := len(active[0])
-	ref := active[len(active)/2]
-	out := make([]complex128, n)
-	for _, h := range active {
-		// Time-averaged cross-correlation phase against the reference.
-		var x complex128
-		for i := 0; i < n; i++ {
-			x += h[i] * cmplx.Conj(ref[i])
-		}
-		rot := complex(1, 0)
-		if m := cmplx.Abs(x); m > 0 {
-			rot = cmplx.Conj(x / complex(m, 0))
-		}
-		for i := 0; i < n; i++ {
-			out[i] += h[i] * rot
-		}
-	}
-	inv := complex(1/float64(len(active)), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
-}
-
 // AverageSubcarriers combines per-subcarrier samples by plain
 // averaging, without phase alignment — the streaming pipeline's
 // combiner (batch and streamed captures both run it, per chunk).
@@ -214,9 +167,10 @@ func CombineSubcarriers(hs [][]complex128) ([]complex128, error) {
 // cross-correlation) injects estimation noise that exceeds that loss
 // exactly where it matters — at motion onset after a quiet lead-in,
 // where the estimate is still noise-driven (measured on the §6 gesture
-// trials; see DESIGN.md §6). The acausal whole-capture alignment of
-// CombineSubcarriers avoids the estimation noise but cannot stream: no
-// combined sample is computable before the last raw sample arrives.
+// trials; see DESIGN.md §6). An acausal whole-capture alignment avoids
+// the estimation noise but cannot stream: no combined sample is
+// computable before the last raw sample arrives (the tests keep one as
+// the SNR reference).
 // Plain averaging is stateless, exactly causal, and trivially invariant
 // to how the capture is chunked — the streaming chain's batch-identity
 // guarantee rests on that invariance. Noise still averages down by √K

@@ -1,7 +1,6 @@
 package ofdm
 
 import (
-	"math"
 	"math/cmplx"
 	"testing"
 
@@ -152,68 +151,6 @@ func TestApplyChannelFlatValidates(t *testing.T) {
 	}
 	if _, err := EstimateChannel(make([]complex128, 32), NewPreamble(1)); err == nil {
 		t.Fatal("mismatched estimate accepted")
-	}
-}
-
-func TestCombineSubcarriersCoherentGain(t *testing.T) {
-	// K subcarriers observing the same motion signal with different static
-	// phases plus independent noise: combining must raise SNR.
-	const k = 16
-	const n = 400
-	s := rng.New(21)
-	signal := make([]complex128, n)
-	for i := range signal {
-		signal[i] = cmplx.Rect(1, 2*math.Pi*0.01*float64(i))
-	}
-	const noisePwr = 0.5
-	hs := make([][]complex128, k)
-	for j := 0; j < k; j++ {
-		rot := s.UnitPhasor()
-		hs[j] = make([]complex128, n)
-		for i := 0; i < n; i++ {
-			hs[j][i] = signal[i]*rot + s.ComplexGaussian(noisePwr)
-		}
-	}
-	combined, err := CombineSubcarriers(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residual error vs the (rotated) clean signal: align combined to
-	// signal first, then measure error power.
-	var x complex128
-	for i := 0; i < n; i++ {
-		x += combined[i] * cmplx.Conj(signal[i])
-	}
-	rot := x / complex(cmplx.Abs(x), 0)
-	var errPwr float64
-	for i := 0; i < n; i++ {
-		e := combined[i] - signal[i]*rot
-		errPwr += real(e)*real(e) + imag(e)*imag(e)
-	}
-	errPwr /= n
-	// Perfect combining of k subcarriers divides noise by k. Allow 3x
-	// slack for alignment estimation error.
-	if errPwr > 3*noisePwr/float64(k) {
-		t.Fatalf("combined noise %v, want <= %v", errPwr, 3*noisePwr/float64(k))
-	}
-}
-
-func TestCombineSubcarriersSkipsNilAndValidates(t *testing.T) {
-	a := []complex128{1, 2, 3}
-	combined, err := CombineSubcarriers([][]complex128{nil, a, nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if cmplx.Abs(combined[i]-a[i]) > 1e-12 {
-			t.Fatalf("single-subcarrier combine altered data: %v", combined)
-		}
-	}
-	if _, err := CombineSubcarriers(nil); err == nil {
-		t.Fatal("empty combine accepted")
-	}
-	if _, err := CombineSubcarriers([][]complex128{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged combine accepted")
 	}
 }
 

@@ -26,9 +26,14 @@ type Device struct {
 	scene   *Scene
 	lambdas []float64 // per-subcarrier wavelengths
 	lambda0 float64   // center wavelength
-	noise   *rng.Stream
-	adc     sdr.ADC
-	tx      sdr.Transmitter
+	// ampRatio[k] = lambdas[k]/lambda0 scales a path's center-wavelength
+	// amplitude to subcarrier k; binStep = Δf/c is the change of 1/λ
+	// from one subcarrier to the next (see addPathInto).
+	ampRatio []float64
+	binStep  float64
+	noise    *rng.Stream
+	adc      sdr.ADC
+	tx       sdr.Transmitter
 
 	// static per-antenna, per-subcarrier channel sums (geometry frozen).
 	static [2][]complex128
@@ -107,7 +112,9 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 		idx := k - cal.NumSubcarriers/2
 		f := rf.SubcarrierFreq(cal.CenterHz, cal.BandwidthHz, idx, cal.NumSubcarriers)
 		d.lambdas = append(d.lambdas, rf.Wavelength(f))
+		d.ampRatio = append(d.ampRatio, d.lambdas[k]/d.lambda0)
 	}
+	d.binStep = cal.BandwidthHz / float64(cal.NumSubcarriers) / rf.C
 	d.static[0] = d.computeStatic(1)
 	d.static[1] = d.computeStatic(2)
 	return d, nil
@@ -185,62 +192,91 @@ func (d *Device) computeStatic(ant int) []complex128 {
 // trajectory" loci (§5.1 fn. 5) measure-zero in practice.
 const sideWallReflectivity = 0.35
 
-// movingChannels returns the per-subcarrier channel contribution of all
-// humans at time t for one transmit antenna: the direct through-wall
-// return of every body part plus its side-wall bounce images. The path
-// geometry is computed once per scatterer and replayed across
-// subcarriers.
-func (d *Device) movingChannels(ant int, t float64) []complex128 {
-	out := make([]complex128, len(d.lambdas))
-	d.movingChannelsInto(out, ant, t)
-	return out
-}
-
-// movingChannelsInto is movingChannels accumulating into out (length
-// NumSubcarriers, zeroed here) — the allocation-free kernel the tracking
-// capture loop reuses every sample.
-func (d *Device) movingChannelsInto(out []complex128, ant int, t float64) {
-	for k := range out {
-		out[k] = 0
-	}
-	txa := d.txAntenna(ant)
+// movingChannelsInto writes the per-subcarrier channel contribution of
+// all humans at time t for transmit antennas 1 and 2 into h1 and h2
+// (length NumSubcarriers, zeroed here): the direct through-wall return
+// of every body part plus its two side-wall bounce images. It is the
+// tracking capture's per-sample kernel, run in one pass for both
+// antennas: each part's position, and each scatter point's receive
+// distance and receive gain, are computed once and shared by the two
+// transmit paths (DESIGN §2).
+//
+//wivi:hotpath
+func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64) {
+	clear(h1)
+	clear(h2)
 	wallAmp := d.scene.TwoWayWallAmp()
-	addPath := func(pos geom.Point, rcs, extra float64) {
-		p0 := rf.ScatterPath(txa, d.Rx, pos, d.lambda0, rcs, extra)
-		for k, lambda := range d.lambdas {
-			amp := p0.Amp * lambda / d.lambda0
-			out[k] += rf.Path{Length: p0.Length, Amp: amp}.Channel(lambda)
-		}
-	}
 	east := d.scene.Room.Max.X
 	west := d.scene.Room.Min.X
-	addScatter := func(pos geom.Point, rcs float64) {
-		addPath(pos, rcs, wallAmp)
-		// Side-wall bounce images (one reflection each).
-		addPath(geom.Point{X: 2*east - pos.X, Y: pos.Y}, rcs, wallAmp*sideWallReflectivity)
-		addPath(geom.Point{X: 2*west - pos.X, Y: pos.Y}, rcs, wallAmp*sideWallReflectivity)
-	}
 	for _, h := range d.scene.Humans {
 		for _, part := range h.Parts {
-			addScatter(part.Traj.At(t), part.RCS)
+			pos := part.Traj.At(t)
+			// sqrt(rcs/4π)·λ0/4π: the radar-equation factor both
+			// antennas' paths to this part share (rf.ScatterPath).
+			rcsAmp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi)
+			d.addScatterInto(h1, h2, pos, rcsAmp*wallAmp)
+			d.addScatterInto(h1, h2, geom.Point{X: 2*east - pos.X, Y: pos.Y}, rcsAmp*wallAmp*sideWallReflectivity)
+			d.addScatterInto(h1, h2, geom.Point{X: 2*west - pos.X, Y: pos.Y}, rcsAmp*wallAmp*sideWallReflectivity)
 		}
 	}
 }
 
-// channelAt returns the full per-subcarrier channel for one transmit
-// antenna at time t.
-func (d *Device) channelAt(ant int, t float64) []complex128 {
-	mov := make([]complex128, len(d.lambdas))
-	d.channelAtInto(mov, ant, t)
-	return mov
+// addScatterInto adds one point scatterer's bistatic path from each
+// transmit antenna to the receiver: amp/(d1·d2) times both antenna
+// gains (the radar equation of rf.ScatterPath at the center
+// wavelength), scaled per subcarrier by λk/λ0. The receive leg is
+// evaluated once for both antennas.
+//
+//wivi:hotpath
+func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64) {
+	d2 := math.Max(d.Rx.Pos.Dist(at), rf.MinRange)
+	rx := d.Rx.AmplitudeGainToward(at) * amp / d2
+	d1 := math.Max(d.Tx1.Pos.Dist(at), rf.MinRange)
+	d.addPathInto(h1, d.Tx1.AmplitudeGainToward(at)*rx/d1, d1+d2)
+	d1 = math.Max(d.Tx2.Pos.Dist(at), rf.MinRange)
+	d.addPathInto(h2, d.Tx2.AmplitudeGainToward(at)*rx/d1, d1+d2)
 }
 
-// channelAtInto is channelAt computing into dst.
-func (d *Device) channelAtInto(dst []complex128, ant int, t float64) {
-	d.movingChannelsInto(dst, ant, t)
-	st := d.static[ant-1]
-	for k := range dst {
-		dst[k] += st[k]
+// addPathInto adds a path of the given length, whose amplitude at the
+// center wavelength is amp, to every subcarrier of out. The simulated
+// bins are evenly spaced in frequency, so the path's phase
+// -2π·length/λk steps by the same δ = -2π·length·Δf/c from bin to bin:
+// the channel is amp·(λk/λ0)·e^{jφ0}·(e^{jδ})^k, two Sincos calls and a
+// complex multiply per bin instead of one Sincos per bin. Each step of
+// the recursion rounds by ~ε, so bin k is within ~k·ε of the direct
+// e^{-j2π·length/λk}, far below the ADC's resolution (DESIGN §2).
+//
+//wivi:hotpath
+func (d *Device) addPathInto(out []complex128, amp, length float64) {
+	s, c := math.Sincos(-2 * math.Pi * length / d.lambdas[0])
+	z := complex(amp*c, amp*s)
+	s, c = math.Sincos(-2 * math.Pi * length * d.binStep)
+	step := complex(c, s)
+	r := d.ampRatio
+	out = out[:len(r)]
+	out[0] += complex(r[0]*real(z), r[0]*imag(z))
+	for k := 1; k < len(r); k++ {
+		z *= step
+		out[k] += complex(r[k]*real(z), r[k]*imag(z))
+	}
+}
+
+// channelsAt returns the full per-subcarrier channel of both transmit
+// antennas at time t.
+func (d *Device) channelsAt(t float64) (h1, h2 []complex128) {
+	h1 = make([]complex128, len(d.lambdas))
+	h2 = make([]complex128, len(d.lambdas))
+	d.channelsAtInto(h1, h2, t)
+	return h1, h2
+}
+
+// channelsAtInto is channelsAt computing into h1 and h2: the moving
+// channels plus each antenna's static sum.
+func (d *Device) channelsAtInto(h1, h2 []complex128, t float64) {
+	d.movingChannelsInto(h1, h2, t)
+	for k := range h1 {
+		h1[k] += d.static[0][k]
+		h2[k] += d.static[1][k]
 	}
 }
 
@@ -251,8 +287,9 @@ func (d *Device) ensureStage1Gain() float64 {
 		return d.stage1Gain
 	}
 	peak := 0.0
-	for ant := 1; ant <= 2; ant++ {
-		for _, h := range d.channelAt(ant, d.nullTime) {
+	h1, h2 := d.channelsAt(d.nullTime)
+	for _, hs := range [][]complex128{h1, h2} {
+		for _, h := range hs {
 			if a := cAbs(h) * d.Cal.TxRefAmp; a > peak {
 				peak = a
 			}
@@ -323,7 +360,11 @@ func (d *Device) MeasureSingle(ant int) ([]complex128, error) {
 		return nil, fmt.Errorf("sim: MeasureSingle antenna %d (want 1 or 2)", ant)
 	}
 	gain := d.ensureStage1Gain()
-	h := d.channelAt(ant, d.nullTime)
+	h1, h2 := d.channelsAt(d.nullTime)
+	h := h1
+	if ant == 2 {
+		h = h2
+	}
 	out := make([]complex128, len(h))
 	jitter := d.phaseJitter()
 	for k := range h {
@@ -344,8 +385,7 @@ func (d *Device) MeasureCombined(p []complex128, boostDB float64) ([]complex128,
 		return nil, fmt.Errorf("sim: precoding length %d != %d subcarriers", len(p), len(d.lambdas))
 	}
 	amp, _ := d.tx.Output(complex(d.Cal.TxRefAmp*math.Pow(10, boostDB/20), 0))
-	h1 := d.channelAt(1, d.nullTime)
-	h2 := d.channelAt(2, d.nullTime)
+	h1, h2 := d.channelsAt(d.nullTime)
 	// AGC: aim the residual at the target fraction of full scale.
 	peak := 0.0
 	for k := range h1 {
@@ -379,8 +419,7 @@ func (d *Device) MeasureCombinedFixedGain(p []complex128, boostDB float64) ([]co
 	}
 	gain := d.ensureStage1Gain()
 	amp, _ := d.tx.Output(complex(d.Cal.TxRefAmp*math.Pow(10, boostDB/20), 0))
-	h1 := d.channelAt(1, d.nullTime)
-	h2 := d.channelAt(2, d.nullTime)
+	h1, h2 := d.channelsAt(d.nullTime)
 	out := make([]complex128, len(h1))
 	clipped := 0
 	jitter := d.phaseJitter()
@@ -520,8 +559,7 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 	d := s.d
 	for i := 0; i < n; i++ {
 		t := s.start + float64(s.next+i)*d.Cal.SampleT
-		d.channelAtInto(s.h1, 1, t)
-		d.channelAtInto(s.h2, 2, t)
+		d.channelsAtInto(s.h1, s.h2, t)
 		h1, h2 := s.h1, s.h2
 		if s.gain == 0 {
 			peak := 0.0
@@ -563,7 +601,7 @@ func (d *Device) CaptureRaw(startT float64, n int) ([][]complex128, error) {
 	}
 	for i := 0; i < n; i++ {
 		t := startT + float64(i)*d.Cal.SampleT
-		h1 := d.channelAt(1, t)
+		h1, _ := d.channelsAt(t)
 		jitter := d.phaseJitter()
 		for k := range h1 {
 			y, _ := d.captureEstimate(h1[k]*complex(d.Cal.TxRefAmp, 0), jitter, gain, d.Cal.TrackAverages)

@@ -149,7 +149,7 @@ func TestMeasureSingleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := d.channelAt(1, 0)
+	truth, _ := d.channelsAt(0)
 	var errPwr, sigPwr float64
 	for k := range est {
 		e := est[k] - truth[k]

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"iter"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -389,8 +390,10 @@ func (ts *TrackStream) TotalFrames() int { return ts.inner.TotalFrames() }
 func (ts *TrackStream) WindowDuration() time.Duration { return ts.inner.WindowDuration() }
 
 // Thetas returns the angle grid (degrees) the frame spectra are sampled
-// on: ascending over [-90, 90], positive toward the device.
-func (ts *TrackStream) Thetas() []float64 { return ts.inner.Thetas() }
+// on: ascending over [-90, 90], positive toward the device. The slice is
+// the caller's copy; the grid itself is shared by every device of one
+// geometry.
+func (ts *TrackStream) Thetas() []float64 { return slices.Clone(ts.inner.Thetas()) }
 
 // Result blocks until the capture completes and returns the assembled
 // tracking result, byte-identical to what Track(duration) would have
