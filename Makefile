@@ -127,7 +127,8 @@ eval:
 # BenchmarkHermitianEig runs cold Jacobi and the frame kernel's
 # tridiagonal eigensolver side by side on the same sim covariances;
 # BenchmarkFFT compares the planned and plan-per-call transforms;
-# BenchmarkCapture times capture synthesis per sample for 1-3 walkers).
+# BenchmarkCapture times capture synthesis per sample for 1-3 walkers,
+# fanned out over the CPUs and, as workers=1, on one core).
 bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
 	go test -run '^$$' -bench 'BenchmarkProcessFrame' -benchtime 20x -benchmem ./internal/isar

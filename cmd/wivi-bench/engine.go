@@ -100,8 +100,8 @@ func runBatch(out io.Writer, c config) (*benchreport.Report, error) {
 	fmt.Fprintf(out, "engine throughput: %d scenes x %.1fs capture, %d workers\n", c.batch, c.trackDur, c.workers)
 
 	// FrameWorkers 1 makes the baseline truly sequential (no per-frame
-	// fan-out either); the knob never changes the image, so the identity
-	// check below still compares like with like.
+	// or capture-synthesis fan-out either); the knob never changes the
+	// image, so the identity check below still compares like with like.
 	seqDevs, err := walkers(c.seed, c.batch, c.trackDur, wivi.DeviceOptions{FrameWorkers: 1})
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func main() {
 	tenants := flag.String("tenants", "", "comma-separated tenant names to provision beyond the default tenant")
 	idleEvict := flag.Duration("idle-evict", 0, "evict a tenant's engine+devices after this idle time (0 = never)")
 	seed := flag.Int64("seed", 1, "scene seed; every tenant's devices are identically-seeded replicas")
-	maxDur := flag.Float64("maxdur", 10, "per-request capture cap in seconds (0 = none)")
+	maxDur := flag.Float64("maxdur", serve.DefaultMaxDurationS, "per-request capture cap in seconds")
 	paced := flag.Bool("paced", false, "pace devices at the radio's sample cadence")
 	reqTimeout := flag.Duration("reqtimeout", 0, "per-request handler timeout (0 = none)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace period on SIGTERM")
@@ -69,6 +69,9 @@ func main() {
 	log.SetPrefix("wivi-serve: ")
 	if *devices < 1 {
 		log.Fatalf("-devices must be at least 1, got %d", *devices)
+	}
+	if !(*maxDur > 0) {
+		log.Fatalf("-maxdur must be positive, got %g", *maxDur)
 	}
 	var tenantNames []string
 	for _, name := range strings.Split(*tenants, ",") {
@@ -87,9 +90,6 @@ func main() {
 	// tenant's first request (and again after an idle eviction), so
 	// provisioned-but-quiet tenants cost nothing.
 	walkDur := *maxDur + 1
-	if *maxDur <= 0 {
-		walkDur = 60
-	}
 	deviceFactory := func(tenant string) (map[string]*wivi.Device, error) {
 		registry := make(map[string]*wivi.Device, *devices)
 		for i := 0; i < *devices; i++ {

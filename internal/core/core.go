@@ -176,7 +176,9 @@ func (t *Trace) Duration() float64 { return float64(len(t.Combined)) * t.SampleT
 // stages (ISAR imaging, counting, gesture decoding) run lock-free and
 // may overlap freely across goroutines. The concurrent engine in
 // internal/pipeline therefore parallelizes across devices and across
-// ISAR frames, never across captures of one radio.
+// ISAR frames. Captures of one radio still serialize, but each
+// capture's channel synthesis fans out over sample blocks inside the
+// simulated front end (DESIGN §2).
 type Device struct {
 	fe   FrontEnd
 	cfg  Config

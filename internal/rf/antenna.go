@@ -15,7 +15,9 @@ import (
 type Antenna struct {
 	// Pos is the antenna location in the scene plane.
 	Pos geom.Point
-	// Boresight is the pointing direction (need not be normalized).
+	// Boresight is the pointing direction. PowerGainDBToward accepts any
+	// length; PowerGainDBAlong needs unit length, which the constructors
+	// give.
 	Boresight geom.Vec
 	// GainDBi is the peak gain in dBi.
 	GainDBi float64
@@ -32,7 +34,7 @@ type Antenna struct {
 func NewDirectional(pos geom.Point, boresight geom.Vec) Antenna {
 	return Antenna{
 		Pos:           pos,
-		Boresight:     boresight,
+		Boresight:     boresight.Unit(),
 		GainDBi:       6,
 		HPBWDeg:       70,
 		FrontToBackDB: 20,
@@ -48,13 +50,20 @@ func NewOmni(pos geom.Point) Antenna {
 // point p.
 func (a Antenna) PowerGainDBToward(p geom.Point) float64 {
 	dir := p.Sub(a.Pos)
-	if dir.Len() == 0 {
+	a.Boresight = a.Boresight.Unit() // a copy: the receiver is a value
+	return a.PowerGainDBAlong(dir, dir.Len())
+}
+
+// PowerGainDBAlong is the kernel form of PowerGainDBToward: the pattern
+// gain in dB along dir, whose length dist the caller has already
+// computed. A path's own length normalizes its direction, so the
+// pattern takes no square root. Boresight must be unit length; dist 0
+// is the antenna's own position, where the gain is GainDBi.
+func (a Antenna) PowerGainDBAlong(dir geom.Vec, dist float64) float64 {
+	if dist == 0 || a.HPBWDeg >= 360 {
 		return a.GainDBi
 	}
-	if a.HPBWDeg >= 360 {
-		return a.GainDBi
-	}
-	cosang := dir.Unit().Dot(a.Boresight.Unit())
+	cosang := dir.Dot(a.Boresight) / dist
 	cosang = math.Max(-1, math.Min(1, cosang))
 	thetaDeg := geom.Rad2Deg(math.Acos(cosang))
 	rolloff := 12 * (thetaDeg / a.HPBWDeg) * (thetaDeg / a.HPBWDeg)
@@ -65,9 +74,16 @@ func (a Antenna) PowerGainDBToward(p geom.Point) float64 {
 }
 
 // AmplitudeGainToward returns the linear amplitude gain in the direction
-// of p (sqrt of the linear power gain): 10^(G/20), computed as
-// e^(G·ln10/20), which is about five times cheaper than math.Pow and
-// within 4 ulps of it over a directional pattern's -14..6 dB range.
+// of p (sqrt of the linear power gain).
 func (a Antenna) AmplitudeGainToward(p geom.Point) float64 {
-	return math.Exp(a.PowerGainDBToward(p) * (math.Ln10 / 20))
+	return AmplitudeOfDB(a.PowerGainDBToward(p))
+}
+
+// AmplitudeOfDB converts a power gain in dB to a linear amplitude gain:
+// 10^(db/20), computed as e^(db·ln10/20), which is about five times
+// cheaper than math.Pow. It is within 4 ulps of Pow over a directional
+// pattern's -14..6 dB range, and within 7 over the -28..12 dB of a path
+// through two such antennas, which converts the sum of their gains once.
+func AmplitudeOfDB(db float64) float64 {
+	return math.Exp(db * (math.Ln10 / 20))
 }

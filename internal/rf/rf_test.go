@@ -104,6 +104,35 @@ func TestAntennaPattern(t *testing.T) {
 	}
 }
 
+// TestPowerGainDBAlong checks the kernel form of the pattern, given a
+// direction and its length, against PowerGainDBToward and against the
+// pattern's closed form.
+func TestPowerGainDBAlong(t *testing.T) {
+	dir := NewDirectional(geom.Point{X: 1, Y: -2}, geom.Vec{X: 0, Y: 3})
+	edge := geom.Vec{X: math.Tan(geom.Deg2Rad(35)) * 4, Y: 4}
+	for _, c := range []struct {
+		name string
+		a    Antenna
+		to   geom.Vec // target relative to the antenna
+		want float64
+	}{
+		{"boresight", dir, geom.Vec{X: 0, Y: 7}, 6},
+		{"beam edge", dir, edge, 6 - 3},
+		{"behind (clamped)", dir, geom.Vec{X: 0.5, Y: -6}, 6 - 20},
+		{"zero distance", dir, geom.Vec{}, 6},
+		{"omni", NewOmni(geom.Point{X: 3}), geom.Vec{X: -2, Y: -1}, 0},
+	} {
+		got := c.a.PowerGainDBAlong(c.to, c.to.Len())
+		toward := c.a.PowerGainDBToward(c.a.Pos.Add(c.to))
+		if math.Abs(got-toward) > 1e-12 {
+			t.Errorf("%s: PowerGainDBAlong %v, PowerGainDBToward %v", c.name, got, toward)
+		}
+		if math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: gain %v dB, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestOmniAntenna(t *testing.T) {
 	a := NewOmni(geom.Point{})
 	for _, p := range []geom.Point{{X: 1}, {X: -1}, {Y: -3}, {X: 2, Y: 2}} {

@@ -66,12 +66,17 @@ const maxTrackBodyBytes = 8 << 10
 // larger value would overflow into a negative Request.Deadline.
 const maxDeadlineMs = float64(math.MaxInt64 / int64(time.Millisecond))
 
+// DefaultMaxDurationS is the per-request capture cap, in seconds, of a
+// server whose Config leaves MaxDurationS zero.
+const DefaultMaxDurationS = 10
+
 // Config assembles a Server.
 type Config struct {
 	// Pool routes requests to per-tenant engines and owns each tenant's
 	// device registry. Required.
 	Pool *pool.Router
-	// MaxDurationS caps per-request capture length in seconds (0 = none).
+	// MaxDurationS caps per-request capture length in seconds; 0 means
+	// DefaultMaxDurationS. Every server has a cap.
 	MaxDurationS float64
 	// RequestTimeout bounds one request's handler time; 0 disables it.
 	// Expired requests answer 504 "timeout" (or a terminal NDJSON error
@@ -126,6 +131,12 @@ func New(cfg Config) (*Server, error) {
 	router := cfg.Pool
 	if router == nil {
 		return nil, errors.New("serve: Config.Pool is required")
+	}
+	if cfg.MaxDurationS == 0 {
+		cfg.MaxDurationS = DefaultMaxDurationS
+	}
+	if !(cfg.MaxDurationS > 0) || math.IsInf(cfg.MaxDurationS, 1) {
+		return nil, fmt.Errorf("serve: Config.MaxDurationS %g is not a finite positive cap", cfg.MaxDurationS)
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -307,7 +318,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("duration_s must be positive, got %g", req.DurationS))
 		return
 	}
-	if s.cfg.MaxDurationS > 0 && req.DurationS > s.cfg.MaxDurationS {
+	if req.DurationS > s.cfg.MaxDurationS {
 		s.writeError(w, endpoint, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("duration_s %g exceeds the server cap %g", req.DurationS, s.cfg.MaxDurationS))
 		return

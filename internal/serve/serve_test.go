@@ -576,3 +576,33 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("New with every field but the pool succeeded")
 	}
 }
+
+// TestDefaultCaptureCap pins the cap of a server whose Config sets none:
+// an 11 s track answers 400 bad_request, a 2 s one answers 200, and
+// /v1/devices reports the 10 s default. A negative, NaN or infinite cap
+// is refused.
+func TestDefaultCaptureCap(t *testing.T) {
+	dev := newWalkerDevice(t, 47, 0, 0, false)
+	router, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
+	ctx := context.Background()
+	_, err := client.Track(ctx, TrackRequest{Device: "dev0", DurationS: 11})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("11 s track: error %v, want 400 %s", err, CodeBadRequest)
+	}
+	if _, err := client.Track(ctx, TrackRequest{Device: "dev0", DurationS: 2}); err != nil {
+		t.Fatalf("2 s track: %v", err)
+	}
+	devs, err := client.Devices(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if devs.MaxDurationS != 10 {
+		t.Fatalf("/v1/devices reports a cap of %g s, want 10", devs.MaxDurationS)
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Pool: router, MaxDurationS: bad}); err == nil {
+			t.Fatalf("New with MaxDurationS %g succeeded", bad)
+		}
+	}
+}

@@ -171,7 +171,7 @@ type DevicesResponse struct {
 	Tenant string `json:"tenant"`
 	// Devices lists the registered device names, sorted.
 	Devices []string `json:"devices"`
-	// MaxDurationS is the server's per-request capture cap (0 = none).
+	// MaxDurationS is the server's per-request capture cap.
 	MaxDurationS float64 `json:"max_duration_s,omitempty"`
 }
 

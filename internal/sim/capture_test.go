@@ -92,35 +92,134 @@ func TestMovingChannelsMatchDirectSum(t *testing.T) {
 	t.Logf("worst deviation %.2g of the sample's largest channel magnitude", worst)
 }
 
+// TestCaptureFanOutIdentity checks that the synthesis fan-out width never
+// changes a sample. For reads of 1 to 1,250 samples, on either side of
+// the two-block threshold, a one-shot Capture, chunked Reads, a
+// StreamCapture and a CaptureRaw on a fresh device of each width must
+// equal, bit for bit, the same call on a fresh width-1 device.
+func TestCaptureFanOutIdentity(t *testing.T) {
+	const (
+		seed   = 23
+		startT = 0.4
+	)
+	sc := NewScene(SceneConfig{Seed: seed})
+	for i := 0; i < 2; i++ {
+		if _, err := sc.AddWalker(startT + 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	device := func(workers int) *Device {
+		d, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{Seed: seed, SynthWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	res, err := nulling.Run(device(1), nulling.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := []struct {
+		name    string
+		capture func(d *Device, n int) ([][]complex128, error)
+	}{
+		{"Capture", func(d *Device, n int) ([][]complex128, error) {
+			return d.Capture(res.P, d.Cal.BoostDB, startT, n)
+		}},
+		{"Read", func(d *Device, n int) ([][]complex128, error) {
+			s, err := d.StartCapture(res.P, d.Cal.BoostDB, startT, n)
+			if err != nil {
+				return nil, err
+			}
+			out := make([][]complex128, d.NumSubcarriers())
+			for c := 0; s.Remaining() > 0; c++ {
+				// Chunks on both sides of the two-block threshold.
+				chunk, err := s.Read(min([]int{1, 31, 32, 100}[c%4], s.Remaining()))
+				if err != nil {
+					return nil, err
+				}
+				for k := range out {
+					out[k] = append(out[k], chunk[k]...)
+				}
+			}
+			return out, nil
+		}},
+		{"StreamCapture", func(d *Device, n int) ([][]complex128, error) {
+			out := make([][]complex128, d.NumSubcarriers())
+			err := d.StreamCapture(res.P, d.Cal.BoostDB, startT, n, 40, func(chunk [][]complex128) error {
+				for k := range out {
+					out[k] = append(out[k], chunk[k]...)
+				}
+				return nil
+			})
+			return out, err
+		}},
+		{"CaptureRaw", func(d *Device, n int) ([][]complex128, error) {
+			return d.CaptureRaw(startT, n)
+		}},
+	}
+	for _, n := range []int{1, 25, 31, 32, 100, 1250} {
+		for _, f := range forms {
+			want, err := f.capture(device(1), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 3, 8} {
+				got, err := f.capture(device(w), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range want {
+					for i := range want[k] {
+						if math.Float64bits(real(got[k][i])) != math.Float64bits(real(want[k][i])) ||
+							math.Float64bits(imag(got[k][i])) != math.Float64bits(imag(want[k][i])) {
+							t.Fatalf("%s of %d samples, width %d: subcarrier %d sample %d is %v, width 1 gives %v",
+								f.name, n, w, k, i, got[k][i], want[k][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkCapture times tracking-capture synthesis: 1,250 nulled
 // samples (4 s) on 16 subcarriers with 1, 2 and 3 walkers, reported per
-// sample.
+// sample. Each walker count runs at the default synthesis width (one
+// worker per CPU: the wall time a capture takes) and at workers=1 (the
+// kernel's single-core cost).
 func BenchmarkCapture(b *testing.B) {
 	const n = 1250
 	for walkers := 1; walkers <= 3; walkers++ {
-		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
-			sc := NewScene(SceneConfig{Seed: 5})
-			for i := 0; i < walkers; i++ {
-				if _, err := sc.AddWalker(n * DefaultCalibration().SampleT); err != nil {
+		for _, workers := range []int{0, 1} {
+			name := fmt.Sprintf("walkers=%d", walkers)
+			if workers == 1 {
+				name += "/workers=1"
+			}
+			b.Run(name, func(b *testing.B) {
+				sc := NewScene(SceneConfig{Seed: 5})
+				for i := 0; i < walkers; i++ {
+					if _, err := sc.AddWalker(n * DefaultCalibration().SampleT); err != nil {
+						b.Fatal(err)
+					}
+				}
+				d, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{Seed: 5, SynthWorkers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			d, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{Seed: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := nulling.Run(d, nulling.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Capture(res.P, d.Cal.BoostDB, 0, n); err != nil {
+				res, err := nulling.Run(d, nulling.DefaultConfig())
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/sample")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.Capture(res.P, d.Cal.BoostDB, 0, n); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/sample")
+			})
+		}
 	}
 }

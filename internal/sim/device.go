@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"wivi/internal/geom"
 	"wivi/internal/rf"
@@ -44,6 +46,9 @@ type Device struct {
 	stage1Gain float64
 	// oscPhase is the oscillator phase-noise state (OU process).
 	oscPhase float64
+	// synthWorkers bounds the fan-out of a capture read's synthesis pass
+	// (DeviceConfig.SynthWorkers).
+	synthWorkers int
 }
 
 // DeviceConfig positions the device.
@@ -65,6 +70,11 @@ type DeviceConfig struct {
 	RxOffset float64
 	// Seed drives the device's noise stream.
 	Seed int64
+	// SynthWorkers bounds how many goroutines share the channel synthesis
+	// of one capture read, each taking a contiguous block of samples
+	// (DESIGN §2). 0 means GOMAXPROCS; 1 keeps synthesis on the calling
+	// goroutine. The width never changes a sample.
+	SynthWorkers int
 }
 
 // NewDevice builds a device in front of the scene's wall.
@@ -106,6 +116,10 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	}
 	d.adc = adc
 	d.tx = sdr.Transmitter{MaxAmp: cal.TxMaxAmp}
+	d.synthWorkers = cfg.SynthWorkers
+	if d.synthWorkers <= 0 {
+		d.synthWorkers = runtime.GOMAXPROCS(0)
+	}
 	d.lambda0 = rf.Wavelength(cal.CenterHz)
 	for k := 0; k < cal.NumSubcarriers; k++ {
 		// Center the simulated bins across the band.
@@ -225,16 +239,25 @@ func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64) {
 // transmit antenna to the receiver: amp/(d1·d2) times both antenna
 // gains (the radar equation of rf.ScatterPath at the center
 // wavelength), scaled per subcarrier by λk/λ0. The receive leg is
-// evaluated once for both antennas.
+// evaluated once for both antennas. Each antenna's distance also
+// normalizes its direction for the pattern (rf.Antenna.PowerGainDBAlong),
+// and each path converts its summed dB gain to amplitude once.
 //
 //wivi:hotpath
 func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64) {
-	d2 := math.Max(d.Rx.Pos.Dist(at), rf.MinRange)
-	rx := d.Rx.AmplitudeGainToward(at) * amp / d2
-	d1 := math.Max(d.Tx1.Pos.Dist(at), rf.MinRange)
-	d.addPathInto(h1, d.Tx1.AmplitudeGainToward(at)*rx/d1, d1+d2)
-	d1 = math.Max(d.Tx2.Pos.Dist(at), rf.MinRange)
-	d.addPathInto(h2, d.Tx2.AmplitudeGainToward(at)*rx/d1, d1+d2)
+	dir := at.Sub(d.Rx.Pos)
+	dist := dir.Len()
+	rxDB := d.Rx.PowerGainDBAlong(dir, dist)
+	d2 := math.Max(dist, rf.MinRange)
+	amp /= d2
+	dir = at.Sub(d.Tx1.Pos)
+	dist = dir.Len()
+	d1 := math.Max(dist, rf.MinRange)
+	d.addPathInto(h1, rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
+	dir = at.Sub(d.Tx2.Pos)
+	dist = dir.Len()
+	d1 = math.Max(dist, rf.MinRange)
+	d.addPathInto(h2, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
 }
 
 // addPathInto adds a path of the given length, whose amplitude at the
@@ -502,8 +525,8 @@ type CaptureSession struct {
 	start float64
 	next  int
 	total int
-	// h1, h2 hold the per-sample channel of each transmit antenna,
-	// reused across samples and Reads.
+	// h1, h2 hold the per-sample channel of each transmit antenna for
+	// synthesis on the calling goroutine, reused across samples and Reads.
 	h1, h2 []complex128
 }
 
@@ -549,6 +572,13 @@ func (s *CaptureSession) Read(n int) ([][]complex128, error) {
 // readInto synthesizes the next n samples into out (per-subcarrier rows
 // of length n) — the shared kernel behind Read and StreamCapture, so
 // buffered and allocating reads produce bit-identical sample streams.
+//
+// It runs two passes (DESIGN §2). The synthesis pass is pure: it leaves
+// each sample's noiseless residual h1 + p·h2 in out, fanned out over
+// sample blocks. The radio pass then measures those residuals in sample
+// order, so the noise stream and the oscillator phase advance exactly as
+// they would if each sample were synthesized and measured in turn, and
+// the output does not depend on the fan-out width.
 func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: chunk length %d", n)
@@ -556,32 +586,77 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 	if n > s.Remaining() {
 		return fmt.Errorf("sim: reading %d samples with %d remaining", n, s.Remaining())
 	}
+	s.synthesize(out, n)
 	d := s.d
-	for i := 0; i < n; i++ {
-		t := s.start + float64(s.next+i)*d.Cal.SampleT
-		d.channelsAtInto(s.h1, s.h2, t)
-		h1, h2 := s.h1, s.h2
-		if s.gain == 0 {
-			peak := 0.0
-			for k := range h1 {
-				if a := cAbs((h1[k] + s.p[k]*h2[k]) * s.amp); a > peak {
-					peak = a
-				}
+	if s.gain == 0 {
+		peak := 0.0
+		for _, row := range out {
+			if a := cAbs(row[0] * s.amp); a > peak {
+				peak = a
 			}
-			if peak <= 0 {
-				peak = 1e-15
-			}
-			// Leave 16x headroom for humans approaching the device.
-			s.gain = d.capGain(d.Cal.ADCFullScale / (16 * peak))
 		}
+		if peak <= 0 {
+			peak = 1e-15
+		}
+		// Leave 16x headroom for humans approaching the device.
+		s.gain = d.capGain(d.Cal.ADCFullScale / (16 * peak))
+	}
+	for i := 0; i < n; i++ {
 		jitter := d.phaseJitter()
-		for k := range h1 {
-			y, _ := d.captureEstimate((h1[k]+s.p[k]*h2[k])*s.amp, jitter, s.gain, d.Cal.TrackAverages)
-			out[k][i] = y / s.amp
+		for _, row := range out {
+			y, _ := d.captureEstimate(row[i]*s.amp, jitter, s.gain, d.Cal.TrackAverages)
+			row[i] = y / s.amp
 		}
 	}
 	s.next += n
 	return nil
+}
+
+// minSynthBlock is the fewest samples one synthesis worker takes. A read
+// shorter than two blocks, such as the 25-sample stream hop, synthesizes
+// on the calling goroutine.
+const minSynthBlock = 16
+
+// synthesize is a read's synthesis pass over its n samples. It splits
+// them into up to synthWorkers contiguous blocks of at least
+// minSynthBlock samples, each with its own channel scratch; the calling
+// goroutine takes the first block.
+func (s *CaptureSession) synthesize(out [][]complex128, n int) {
+	blocks := min(s.d.synthWorkers, n/minSynthBlock)
+	if blocks < 2 {
+		s.synthBlock(out, 0, n, s.h1, s.h2)
+		return
+	}
+	nsub := len(s.h1)
+	scratch := make([]complex128, 2*nsub*(blocks-1))
+	var wg sync.WaitGroup
+	for b := 1; b < blocks; b++ {
+		h := scratch[2*nsub*(b-1) : 2*nsub*b]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.synthBlock(out, b*n/blocks, (b+1)*n/blocks, h[:nsub], h[nsub:])
+		}()
+	}
+	s.synthBlock(out, 0, n/blocks, s.h1, s.h2)
+	wg.Wait()
+}
+
+// synthBlock writes the noiseless residual h1 + p·h2 of the read's
+// samples [lo, hi) into out[k][lo:hi], using h1 and h2 as scratch. It
+// reads only what a capture never changes (geometry, static sums,
+// wavelength tables, the scene's pure trajectories), so blocks run
+// concurrently.
+//
+//wivi:hotpath
+func (s *CaptureSession) synthBlock(out [][]complex128, lo, hi int, h1, h2 []complex128) {
+	d := s.d
+	for i := lo; i < hi; i++ {
+		d.channelsAtInto(h1, h2, s.start+float64(s.next+i)*d.Cal.SampleT)
+		for k := range h1 {
+			out[k][i] = h1[k] + s.p[k]*h2[k]
+		}
+	}
 }
 
 // CaptureRaw records n tracking samples of the un-nulled channel: only
@@ -590,25 +665,17 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 // and moving-target returns ride on the few remaining LSBs. This is the
 // operating regime of narrowband Doppler systems without nulling
 // (§2.1 [30, 31]); internal/baseline builds its Doppler detector on it.
+//
+// It is a capture session like Capture's, with antenna 2 silent (p = 0,
+// so each residual h1 + 0·h2 is exactly h1), no boost and the gain fixed
+// in advance.
 func (d *Device) CaptureRaw(startT float64, n int) ([][]complex128, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: capture length %d", n)
+	s, err := d.StartCapture(make([]complex128, len(d.lambdas)), 0, startT, n)
+	if err != nil {
+		return nil, err
 	}
-	gain := d.ensureStage1Gain()
-	out := make([][]complex128, len(d.lambdas))
-	for k := range out {
-		out[k] = make([]complex128, n)
-	}
-	for i := 0; i < n; i++ {
-		t := startT + float64(i)*d.Cal.SampleT
-		h1, _ := d.channelsAt(t)
-		jitter := d.phaseJitter()
-		for k := range h1 {
-			y, _ := d.captureEstimate(h1[k]*complex(d.Cal.TxRefAmp, 0), jitter, gain, d.Cal.TrackAverages)
-			out[k][i] = y / complex(d.Cal.TxRefAmp, 0)
-		}
-	}
-	return out, nil
+	s.gain = d.ensureStage1Gain()
+	return s.Read(n)
 }
 
 func cAbs(x complex128) float64 { return math.Hypot(real(x), imag(x)) }

@@ -193,10 +193,12 @@ type DeviceOptions struct {
 	StandoffMeters float64
 	// Seed drives the device's noise; defaults to the scene seed.
 	Seed int64
-	// FrameWorkers bounds the per-capture ISAR frame fan-out; 0 means
-	// one per CPU, 1 disables it (fully sequential imaging). The worker
-	// count never affects the output image, only the scheduling — see
-	// internal/isar's stage decomposition.
+	// FrameWorkers bounds the per-capture fan-out: the ISAR frames of a
+	// capture, and the channel synthesis of each capture read, which is
+	// split into contiguous sample blocks. 0 means one per CPU, 1
+	// disables both (fully sequential capture and imaging). The worker
+	// count never affects the samples or the image, only the scheduling —
+	// see internal/isar's stage decomposition and DESIGN §2.
 	FrameWorkers int
 	// StreamChunkSamples is the capture chunk granularity for
 	// TrackStream, in samples; 0 uses the ISAR hop (one potential frame
@@ -231,8 +233,9 @@ func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 		seed = scene.seed
 	}
 	fe, err := sim.NewDevice(scene.inner, sim.DefaultCalibration(), sim.DeviceConfig{
-		Standoff: opts.StandoffMeters,
-		Seed:     seed,
+		Standoff:     opts.StandoffMeters,
+		Seed:         seed,
+		SynthWorkers: opts.FrameWorkers,
 	})
 	if err != nil {
 		return nil, err
