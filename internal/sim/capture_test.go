@@ -71,7 +71,7 @@ func TestMovingChannelsMatchDirectSum(t *testing.T) {
 		h2 := make([]complex128, d.NumSubcarriers())
 		for i := 0; i < samples; i++ {
 			ts := float64(i) * d.Cal.SampleT
-			d.movingChannelsInto(h1, h2, ts)
+			d.movingChannelsInto(h1, h2, ts, d.partAmps(nil))
 			for ant, got := range [][]complex128{h1, h2} {
 				want := directMovingChannel(d, d.txAntenna(ant+1), ts)
 				scale := 0.0

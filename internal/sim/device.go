@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"wivi/internal/geom"
@@ -209,30 +210,50 @@ const sideWallReflectivity = 0.35
 // movingChannelsInto writes the per-subcarrier channel contribution of
 // all humans at time t for transmit antennas 1 and 2 into h1 and h2
 // (length NumSubcarriers, zeroed here): the direct through-wall return
-// of every body part plus its two side-wall bounce images. It is the
-// tracking capture's per-sample kernel, run in one pass for both
-// antennas: each part's position, and each scatter point's receive
-// distance and receive gain, are computed once and shared by the two
-// transmit paths (DESIGN §2).
+// of every body part plus its two side-wall bounce images. amps holds
+// each part's amplitude factor (partAmps). It is the tracking capture's
+// per-sample kernel, run in one pass for both antennas: each part's
+// position, and each scatter point's receive distance and receive gain,
+// are computed once and shared by the two transmit paths (DESIGN §2).
 //
 //wivi:hotpath
-func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64) {
+func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, amps []float64) {
 	clear(h1)
 	clear(h2)
-	wallAmp := d.scene.TwoWayWallAmp()
 	east := d.scene.Room.Max.X
 	west := d.scene.Room.Min.X
+	i := 0
 	for _, h := range d.scene.Humans {
 		for _, part := range h.Parts {
 			pos := part.Traj.At(t)
-			// sqrt(rcs/4π)·λ0/4π: the radar-equation factor both
-			// antennas' paths to this part share (rf.ScatterPath).
-			rcsAmp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi)
-			d.addScatterInto(h1, h2, pos, rcsAmp*wallAmp)
-			d.addScatterInto(h1, h2, geom.Point{X: 2*east - pos.X, Y: pos.Y}, rcsAmp*wallAmp*sideWallReflectivity)
-			d.addScatterInto(h1, h2, geom.Point{X: 2*west - pos.X, Y: pos.Y}, rcsAmp*wallAmp*sideWallReflectivity)
+			amp := amps[i]
+			i++
+			d.addScatterInto(h1, h2, pos, amp)
+			d.addScatterInto(h1, h2, geom.Point{X: 2*east - pos.X, Y: pos.Y}, amp*sideWallReflectivity)
+			d.addScatterInto(h1, h2, geom.Point{X: 2*west - pos.X, Y: pos.Y}, amp*sideWallReflectivity)
 		}
 	}
+}
+
+// partAmps appends to dst, for every body part of every human in scene
+// order, the amplitude factor the part's paths from both antennas share:
+// the radar-equation factor sqrt(rcs/4π)·λ0/4π (rf.ScatterPath) times the
+// two-way wall transmission. Neither changes within a read, so a read
+// computes the table once and the kernel looks each factor up.
+func (d *Device) partAmps(dst []float64) []float64 {
+	n := 0
+	for _, h := range d.scene.Humans {
+		n += len(h.Parts)
+	}
+	dst = slices.Grow(dst, n)
+	wallAmp := d.scene.TwoWayWallAmp()
+	for _, h := range d.scene.Humans {
+		for _, part := range h.Parts {
+			rcsAmp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi)
+			dst = append(dst, rcsAmp*wallAmp)
+		}
+	}
+	return dst
 }
 
 // addScatterInto adds one point scatterer's bistatic path from each
@@ -248,39 +269,60 @@ func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64)
 	dir := at.Sub(d.Rx.Pos)
 	dist := dir.Len()
 	rxDB := d.Rx.PowerGainDBAlong(dir, dist)
-	d2 := math.Max(dist, rf.MinRange)
+	d2 := atLeastMinRange(dist)
 	amp /= d2
 	dir = at.Sub(d.Tx1.Pos)
 	dist = dir.Len()
-	d1 := math.Max(dist, rf.MinRange)
-	d.addPathInto(h1, rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
+	d1 := atLeastMinRange(dist)
+	amp1 := rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir, dist)+rxDB) * amp / d1
+	len1 := d1 + d2
 	dir = at.Sub(d.Tx2.Pos)
 	dist = dir.Len()
-	d1 = math.Max(dist, rf.MinRange)
-	d.addPathInto(h2, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
+	d1 = atLeastMinRange(dist)
+	d.addPathPairInto(h1, h2, amp1, len1, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
 }
 
-// addPathInto adds a path of the given length, whose amplitude at the
-// center wavelength is amp, to every subcarrier of out. The simulated
-// bins are evenly spaced in frequency, so the path's phase
-// -2π·length/λk steps by the same δ = -2π·length·Δf/c from bin to bin:
-// the channel is amp·(λk/λ0)·e^{jφ0}·(e^{jδ})^k, two Sincos calls and a
-// complex multiply per bin instead of one Sincos per bin. Each step of
-// the recursion rounds by ~ε, so bin k is within ~k·ε of the direct
+// atLeastMinRange clamps a distance to rf.MinRange. It equals
+// math.Max(dist, rf.MinRange) for every input, NaN included, but as a
+// comparison it inlines where math.Max is a call.
+func atLeastMinRange(dist float64) float64 {
+	if dist < rf.MinRange {
+		return rf.MinRange
+	}
+	return dist
+}
+
+// addPathPairInto adds one path from each transmit antenna, with
+// center-wavelength amplitudes amp1 and amp2 and lengths len1 and len2,
+// to every subcarrier of h1 and h2. The simulated bins are evenly spaced
+// in frequency, so a path's phase -2π·length/λk steps by the same
+// δ = -2π·length·Δf/c from bin to bin: the channel is
+// amp·(λk/λ0)·e^{jφ0}·(e^{jδ})^k, two Sincos calls and a complex
+// multiply per bin instead of one Sincos per bin. The two paths' phasor
+// recurrences are independent, so one loop advances both. Each step of
+// a recursion rounds by ~ε, so bin k is within ~k·ε of the direct
 // e^{-j2π·length/λk}, far below the ADC's resolution (DESIGN §2).
 //
 //wivi:hotpath
-func (d *Device) addPathInto(out []complex128, amp, length float64) {
-	s, c := math.Sincos(-2 * math.Pi * length / d.lambdas[0])
-	z := complex(amp*c, amp*s)
-	s, c = math.Sincos(-2 * math.Pi * length * d.binStep)
-	step := complex(c, s)
+func (d *Device) addPathPairInto(h1, h2 []complex128, amp1, len1, amp2, len2 float64) {
+	s, c := math.Sincos(-2 * math.Pi * len1 / d.lambdas[0])
+	z1 := complex(amp1*c, amp1*s)
+	s, c = math.Sincos(-2 * math.Pi * len1 * d.binStep)
+	step1 := complex(c, s)
+	s, c = math.Sincos(-2 * math.Pi * len2 / d.lambdas[0])
+	z2 := complex(amp2*c, amp2*s)
+	s, c = math.Sincos(-2 * math.Pi * len2 * d.binStep)
+	step2 := complex(c, s)
 	r := d.ampRatio
-	out = out[:len(r)]
-	out[0] += complex(r[0]*real(z), r[0]*imag(z))
+	h1 = h1[:len(r)]
+	h2 = h2[:len(r)]
+	h1[0] += complex(r[0]*real(z1), r[0]*imag(z1))
+	h2[0] += complex(r[0]*real(z2), r[0]*imag(z2))
 	for k := 1; k < len(r); k++ {
-		z *= step
-		out[k] += complex(r[k]*real(z), r[k]*imag(z))
+		z1 *= step1
+		z2 *= step2
+		h1[k] += complex(r[k]*real(z1), r[k]*imag(z1))
+		h2[k] += complex(r[k]*real(z2), r[k]*imag(z2))
 	}
 }
 
@@ -289,14 +331,16 @@ func (d *Device) addPathInto(out []complex128, amp, length float64) {
 func (d *Device) channelsAt(t float64) (h1, h2 []complex128) {
 	h1 = make([]complex128, len(d.lambdas))
 	h2 = make([]complex128, len(d.lambdas))
-	d.channelsAtInto(h1, h2, t)
+	var amps [16]float64 // room for five walkers' parts without a heap table
+	d.channelsAtInto(h1, h2, t, d.partAmps(amps[:0]))
 	return h1, h2
 }
 
-// channelsAtInto is channelsAt computing into h1 and h2: the moving
-// channels plus each antenna's static sum.
-func (d *Device) channelsAtInto(h1, h2 []complex128, t float64) {
-	d.movingChannelsInto(h1, h2, t)
+// channelsAtInto is channelsAt computing into h1 and h2, given the
+// parts' amplitude factors: the moving channels plus each antenna's
+// static sum.
+func (d *Device) channelsAtInto(h1, h2 []complex128, t float64, amps []float64) {
+	d.movingChannelsInto(h1, h2, t, amps)
 	for k := range h1 {
 		h1[k] += d.static[0][k]
 		h2[k] += d.static[1][k]
@@ -528,6 +572,9 @@ type CaptureSession struct {
 	// h1, h2 hold the per-sample channel of each transmit antenna for
 	// synthesis on the calling goroutine, reused across samples and Reads.
 	h1, h2 []complex128
+	// amps is the read's part amplitude table (Device.partAmps), reused
+	// across Reads.
+	amps []float64
 }
 
 // StartCapture opens a chunked capture of total samples starting at
@@ -541,10 +588,11 @@ func (d *Device) StartCapture(p []complex128, boostDB float64, startT float64, t
 		return nil, fmt.Errorf("sim: capture length %d", total)
 	}
 	amp, _ := d.tx.Output(complex(d.Cal.TxRefAmp*math.Pow(10, boostDB/20), 0))
+	nsub := len(d.lambdas)
+	h := make([]complex128, 2*nsub)
 	return &CaptureSession{
 		d: d, p: p, amp: amp, start: startT, total: total,
-		h1: make([]complex128, len(d.lambdas)),
-		h2: make([]complex128, len(d.lambdas)),
+		h1: h[:nsub:nsub], h2: h[nsub:],
 	}, nil
 }
 
@@ -586,8 +634,9 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 	if n > s.Remaining() {
 		return fmt.Errorf("sim: reading %d samples with %d remaining", n, s.Remaining())
 	}
-	s.synthesize(out, n)
 	d := s.d
+	s.amps = d.partAmps(s.amps[:0])
+	s.synthesize(out, n)
 	if s.gain == 0 {
 		peak := 0.0
 		for _, row := range out {
@@ -652,7 +701,7 @@ func (s *CaptureSession) synthesize(out [][]complex128, n int) {
 func (s *CaptureSession) synthBlock(out [][]complex128, lo, hi int, h1, h2 []complex128) {
 	d := s.d
 	for i := lo; i < hi; i++ {
-		d.channelsAtInto(h1, h2, s.start+float64(s.next+i)*d.Cal.SampleT)
+		d.channelsAtInto(h1, h2, s.start+float64(s.next+i)*d.Cal.SampleT, s.amps)
 		for k := range h1 {
 			out[k][i] = h1[k] + s.p[k]*h2[k]
 		}
