@@ -64,7 +64,11 @@ func (a Antenna) PowerGainDBAlong(dir geom.Vec, dist float64) float64 {
 		return a.GainDBi
 	}
 	cosang := dir.Dot(a.Boresight) / dist
-	cosang = math.Max(-1, math.Min(1, cosang))
+	if cosang > 1 {
+		cosang = 1
+	} else if cosang < -1 {
+		cosang = -1
+	}
 	thetaDeg := geom.Rad2Deg(math.Acos(cosang))
 	rolloff := 12 * (thetaDeg / a.HPBWDeg) * (thetaDeg / a.HPBWDeg)
 	if rolloff > a.FrontToBackDB {
