@@ -12,12 +12,14 @@ import (
 // front-to-back ratio:
 //
 //	G(theta) dB = GainDBi - min(12 * (theta/HPBW)^2, FrontToBackDB)
+//
+// where theta is the angle between the direction of interest and
+// Boresight.
 type Antenna struct {
 	// Pos is the antenna location in the scene plane.
 	Pos geom.Point
-	// Boresight is the pointing direction. PowerGainDBToward accepts any
-	// length; PowerGainDBAlong needs unit length, which the constructors
-	// give.
+	// Boresight is the pointing direction. Only its direction matters:
+	// the pattern is the same for any non-zero length.
 	Boresight geom.Vec
 	// GainDBi is the peak gain in dBi.
 	GainDBi float64
@@ -49,27 +51,23 @@ func NewOmni(pos geom.Point) Antenna {
 // PowerGainDBToward returns the pattern gain in dB in the direction of
 // point p.
 func (a Antenna) PowerGainDBToward(p geom.Point) float64 {
-	dir := p.Sub(a.Pos)
-	a.Boresight = a.Boresight.Unit() // a copy: the receiver is a value
-	return a.PowerGainDBAlong(dir, dir.Len())
+	return a.PowerGainDBAlong(p.Sub(a.Pos))
 }
 
-// PowerGainDBAlong is the kernel form of PowerGainDBToward: the pattern
-// gain in dB along dir, whose length dist the caller has already
-// computed. A path's own length normalizes its direction, so the
-// pattern takes no square root. Boresight must be unit length; dist 0
-// is the antenna's own position, where the gain is GainDBi.
-func (a Antenna) PowerGainDBAlong(dir geom.Vec, dist float64) float64 {
-	if dist == 0 || a.HPBWDeg >= 360 {
+// PowerGainDBAlong returns the pattern gain in dB along dir, a vector of
+// any length: PowerGainDBToward without the point. The angle from the
+// boresight is θ = atan2(|dir × b|, dir · b), which is the same for any
+// positive scaling of dir or of the boresight, so neither vector is
+// normalized and the pattern takes no square root. The zero vector, the
+// antenna's own position, gets the peak gain GainDBi.
+func (a Antenna) PowerGainDBAlong(dir geom.Vec) float64 {
+	// A zero dir against a boresight with both components negative has
+	// dir · b = -0, where atan2 reads π: the check keeps θ = 0 there.
+	if a.HPBWDeg >= 360 || dir == (geom.Vec{}) {
 		return a.GainDBi
 	}
-	cosang := dir.Dot(a.Boresight) / dist
-	if cosang > 1 {
-		cosang = 1
-	} else if cosang < -1 {
-		cosang = -1
-	}
-	thetaDeg := geom.Rad2Deg(math.Acos(cosang))
+	theta := math.Atan2(math.Abs(dir.Cross(a.Boresight)), dir.Dot(a.Boresight))
+	thetaDeg := geom.Rad2Deg(theta)
 	rolloff := 12 * (thetaDeg / a.HPBWDeg) * (thetaDeg / a.HPBWDeg)
 	if rolloff > a.FrontToBackDB {
 		rolloff = a.FrontToBackDB

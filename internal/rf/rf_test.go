@@ -104,12 +104,20 @@ func TestAntennaPattern(t *testing.T) {
 	}
 }
 
-// TestPowerGainDBAlong checks the kernel form of the pattern, given a
-// direction and its length, against PowerGainDBToward and against the
-// pattern's closed form.
+// TestPowerGainDBAlong checks the pattern's direction form against
+// PowerGainDBToward and against the closed form
+// GainDBi - min(12·(θ/HPBW)², FrontToBackDB), for constructed antennas
+// and for a literal one whose boresight is not unit length.
 func TestPowerGainDBAlong(t *testing.T) {
+	closed := func(thetaDeg float64) float64 {
+		return 6 - math.Min(12*(thetaDeg/70)*(thetaDeg/70), 20)
+	}
 	dir := NewDirectional(geom.Point{X: 1, Y: -2}, geom.Vec{X: 0, Y: 3})
-	edge := geom.Vec{X: math.Tan(geom.Deg2Rad(35)) * 4, Y: 4}
+	long := Antenna{Pos: geom.Point{X: -1, Y: 4}, Boresight: geom.Vec{X: 0, Y: 3}, GainDBi: 6, HPBWDeg: 70, FrontToBackDB: 20}
+	up := geom.Vec{X: 0, Y: 1}
+	tilt := geom.Deg2Rad(30)
+	tilted := NewDirectional(geom.Point{X: 2, Y: 1}, up.Rotate(tilt))
+	edge := up.Rotate(geom.Deg2Rad(35)).Scale(4)
 	for _, c := range []struct {
 		name string
 		a    Antenna
@@ -121,14 +129,51 @@ func TestPowerGainDBAlong(t *testing.T) {
 		{"behind (clamped)", dir, geom.Vec{X: 0.5, Y: -6}, 6 - 20},
 		{"zero distance", dir, geom.Vec{}, 6},
 		{"omni", NewOmni(geom.Point{X: 3}), geom.Vec{X: -2, Y: -1}, 0},
+		{"long boresight", long, geom.Vec{X: 0, Y: 0.2}, 6},
+		{"long boresight, beam edge", long, edge, 6 - 3},
+		{"long boresight, 50 deg", long, up.Rotate(geom.Deg2Rad(-50)).Scale(9), closed(50)},
+		{"long boresight, zero distance", long, geom.Vec{}, 6},
+		{"tilted boresight", tilted, up.Rotate(tilt).Scale(3), 6},
+		{"tilted, beam edge", tilted, up.Rotate(tilt - geom.Deg2Rad(35)).Scale(2), 6 - 3},
+		{"tilted, 60 deg", tilted, up.Rotate(tilt + geom.Deg2Rad(60)).Scale(5), closed(60)},
+		{"tilted, behind", tilted, up.Rotate(tilt + math.Pi).Scale(5), 6 - 20},
+		{"third-quadrant boresight, zero distance", NewDirectional(geom.Point{}, geom.Vec{X: -1, Y: -1}), geom.Vec{}, 6},
 	} {
-		got := c.a.PowerGainDBAlong(c.to, c.to.Len())
-		toward := c.a.PowerGainDBToward(c.a.Pos.Add(c.to))
-		if math.Abs(got-toward) > 1e-12 {
+		got := c.a.PowerGainDBAlong(c.to)
+		if toward := c.a.PowerGainDBToward(c.a.Pos.Add(c.to)); math.Abs(got-toward) > 1e-12 {
 			t.Errorf("%s: PowerGainDBAlong %v, PowerGainDBToward %v", c.name, got, toward)
 		}
 		if math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s: gain %v dB, want %v", c.name, got, c.want)
+		}
+		// The angle form is scale-invariant in dir: a target a thousand
+		// times nearer or farther along the same direction has the same
+		// gain.
+		for _, k := range []float64{1e-3, 1e3} {
+			if g := c.a.PowerGainDBAlong(c.to.Scale(k)); math.Abs(g-got) > 1e-12 {
+				t.Errorf("%s: gain %v dB at %g x the distance, %v at 1 x", c.name, g, k, got)
+			}
+		}
+	}
+
+	// The pattern is symmetric about the boresight.
+	for _, a := range []Antenna{dir, long, tilted} {
+		for _, deg := range []float64{5, 35, 80, 150, 179} {
+			phi := geom.Deg2Rad(deg)
+			left := a.PowerGainDBAlong(a.Boresight.Rotate(phi))
+			right := a.PowerGainDBAlong(a.Boresight.Rotate(-phi))
+			if math.Abs(left-right) > 1e-12 || math.Abs(left-closed(deg)) > 1e-12 {
+				t.Errorf("boresight %v, %v deg: gain %v dB left, %v right, want %v", a.Boresight, deg, left, right, closed(deg))
+			}
+		}
+	}
+
+	// PowerGainDBToward is exactly PowerGainDBAlong of the offset.
+	for _, a := range []Antenna{dir, long, tilted} {
+		for _, p := range []geom.Point{{X: 3, Y: 7}, {X: -4.5, Y: 0.3}, {X: 1, Y: -8}, a.Pos} {
+			if got, want := a.PowerGainDBToward(p), a.PowerGainDBAlong(p.Sub(a.Pos)); got != want {
+				t.Errorf("boresight %v toward %v: PowerGainDBToward %v, PowerGainDBAlong %v", a.Boresight, p, got, want)
+			}
 		}
 	}
 }

@@ -260,27 +260,28 @@ func (d *Device) partAmps(dst []float64) []float64 {
 // transmit antenna to the receiver: amp/(d1·d2) times both antenna
 // gains (the radar equation of rf.ScatterPath at the center
 // wavelength), scaled per subcarrier by λk/λ0. The receive leg is
-// evaluated once for both antennas. Each antenna's distance also
-// normalizes its direction for the pattern (rf.Antenna.PowerGainDBAlong),
-// and each path converts its summed dB gain to amplitude once.
+// evaluated once for both antennas, and each path converts its summed
+// dB gain to amplitude once.
 //
 //wivi:hotpath
 func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64) {
 	dir := at.Sub(d.Rx.Pos)
-	dist := dir.Len()
-	rxDB := d.Rx.PowerGainDBAlong(dir, dist)
-	d2 := atLeastMinRange(dist)
+	rxDB := d.Rx.PowerGainDBAlong(dir)
+	d2 := atLeastMinRange(length(dir))
 	amp /= d2
 	dir = at.Sub(d.Tx1.Pos)
-	dist = dir.Len()
-	d1 := atLeastMinRange(dist)
-	amp1 := rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir, dist)+rxDB) * amp / d1
+	d1 := atLeastMinRange(length(dir))
+	amp1 := rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir)+rxDB) * amp / d1
 	len1 := d1 + d2
 	dir = at.Sub(d.Tx2.Pos)
-	dist = dir.Len()
-	d1 = atLeastMinRange(dist)
-	d.addPathPairInto(h1, h2, amp1, len1, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir, dist)+rxDB)*amp/d1, d1+d2)
+	d1 = atLeastMinRange(length(dir))
+	d.addPathPairInto(h1, h2, amp1, len1, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir)+rxDB)*amp/d1, d1+d2)
 }
+
+// length is |v| as math.Sqrt(x²+y²). Scene distances are metres, far
+// from the overflow and underflow that math.Hypot's scaling guards
+// against, and the plain form is about a third of Hypot's cost.
+func length(v geom.Vec) float64 { return math.Sqrt(v.X*v.X + v.Y*v.Y) }
 
 // atLeastMinRange clamps a distance to rf.MinRange. It equals
 // math.Max(dist, rf.MinRange) for every input, NaN included, but as a
