@@ -260,12 +260,16 @@ func (d *Device) CaptureTrace(startT, duration float64) (*Trace, error) {
 var ErrShortCapture = errors.New("core: capture shorter than one analysis window")
 
 // samples converts a capture duration to its sample count; imaged
-// requests must also span one analysis window.
+// requests must also span one analysis window. The count floors
+// duration/SampleT, but with a millionth of a sample to spare: a duration
+// that is a whole number of samples often divides to just below it in
+// float64 (0.72/0.0032 = 224.99999999999997), and plain truncation would
+// drop that last sample and, on a frame boundary, the last frame.
 func (d *Device) samples(duration float64, imaged bool) (int, error) {
 	if duration <= 0 {
 		return 0, fmt.Errorf("core: non-positive capture duration %v", duration)
 	}
-	n := max(int(duration/d.fe.SampleT()), 1)
+	n := max(int(duration/d.fe.SampleT()+1e-6), 1)
 	if imaged && n < d.cfg.ISAR.Window {
 		return 0, fmt.Errorf("%w: %d samples < window %d", ErrShortCapture, n, d.cfg.ISAR.Window)
 	}

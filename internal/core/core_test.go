@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -363,5 +364,61 @@ func TestNullErrorPropagates(t *testing.T) {
 	}
 	if _, err := dev.CaptureTrace(0, 1); err == nil {
 		t.Fatal("auto-null error swallowed")
+	}
+}
+
+// TestFrameAlignedDurations pins the duration-to-samples conversion on
+// frame boundaries. For k = 0..199 a capture of (100 + 25k)·3.2 ms,
+// written to 4 decimals as a caller would write it, must record
+// 100 + 25k samples and image k + 1 frames, batch and streamed alike.
+// Truncating duration/SampleT lost the last frame on 42 of these (0.72 s
+// divides to 224.99999999999997 samples). A fractional duration still
+// floors: 8.7 s is 2,718.75 samples and captures 2,718.
+func TestFrameAlignedDurations(t *testing.T) {
+	fe, err := sim.NewDevice(sim.NewScene(sim.SceneConfig{Seed: 5}), sim.DefaultCalibration(), sim.DeviceConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window and hop set the frame count and keep the paper's
+	// values; a coarse angle grid and a small subarray keep 400 captures
+	// fast.
+	cfg := DefaultConfig(fe)
+	cfg.ISAR.Subarray = 8
+	cfg.ISAR.ThetaStepDeg = 15
+	dev, err := New(fe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := dev.samples(8.7, true); err != nil || n != 2718 {
+		t.Fatalf("8.7 s: %d samples (err %v), want 2718", n, err)
+	}
+	ctx := context.Background()
+	for k := 0; k < 200; k++ {
+		want := cfg.ISAR.Window + k*cfg.ISAR.Hop
+		dur, err := strconv.ParseFloat(strconv.FormatFloat(float64(want)*fe.SampleT(), 'f', 4, 64), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, tr, err := dev.TrackCtx(ctx, 0, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := dev.TrackStreamCtx(ctx, 0, dur, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simg, str, err := st.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []struct {
+			form  string
+			img   *isar.Image
+			trace *Trace
+		}{{"batch", img, tr}, {"streamed", simg, str}} {
+			if n, frames := got.trace.Samples(), len(got.img.Times); n != want || frames != k+1 {
+				t.Errorf("%s %v s: %d samples and %d frames, want %d and %d", got.form, dur, n, frames, want, k+1)
+			}
+		}
 	}
 }

@@ -137,6 +137,20 @@ func runGestureDistances(o Options, distances []float64, trialsPer int, wall rf.
 	return out, nil
 }
 
+// fig74Trials runs F7.4's gesture trials: 8 per distance at quick scale
+// and 16 at full, at 2, 5, 8 and 9 m (quick) or every metre from 1 to
+// 9 m. Quick scale needs 8 trials per distance: short-range trials
+// occasionally erase on pre-step sway (the amplitude-balance gate trades
+// those flips for erasures), and 4-trial accuracies quantize too
+// coarsely for the 85% near bound.
+func fig74Trials(o Options) ([]*distanceResult, error) {
+	distances := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if o.Quick {
+		distances = []float64{2, 5, 8, 9}
+	}
+	return runGestureDistances(o, distances, o.pick(8, 16), rf.HollowWall, "fig74")
+}
+
 // Fig74 regenerates Fig. 7-4: gesture decoding accuracy vs distance. The
 // shape criteria: high accuracy at short range, graceful degradation, a
 // cutoff by ~10 m, and zero bit flips (erasure-only errors).
@@ -147,16 +161,7 @@ func Fig74(o Options) *Report {
 		PaperClaim: "100% at <= 5 m, 93.75% at 6-7 m, 75% at 8 m, 0% at 9 m " +
 			"(3 dB SNR gate causes a sharp cutoff); errors are erasures, never flips",
 	}
-	distances := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if o.Quick {
-		distances = []float64{2, 5, 8, 9}
-	}
-	// Quick scale needs 8 trials per distance: short-range trials
-	// occasionally erase on pre-step sway (the amplitude-balance gate
-	// trades those flips for erasures), and 4-trial accuracies quantize
-	// too coarsely for the 85% near bound.
-	trials := o.pick(8, 16)
-	results, err := runGestureDistances(o, distances, trials, rf.HollowWall, "fig74")
+	results, err := fig74Trials(o)
 	if err != nil {
 		return r.fail(err)
 	}

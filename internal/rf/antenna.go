@@ -55,11 +55,11 @@ func (a Antenna) PowerGainDBToward(p geom.Point) float64 {
 }
 
 // PowerGainDBAlong returns the pattern gain in dB along dir, a vector of
-// any length: PowerGainDBToward without the point. The angle from the
-// boresight is θ = atan2(|dir × b|, dir · b), which is the same for any
-// positive scaling of dir or of the boresight, so neither vector is
-// normalized and the pattern takes no square root. The zero vector, the
-// antenna's own position, gets the peak gain GainDBi.
+// any length; PowerGainDBToward(p) is PowerGainDBAlong(p - Pos). The
+// angle from the boresight b is θ = atan2(|dir × b|, dir · b), which is
+// the same for any positive scaling of dir or of b, so neither vector is
+// normalized. The zero vector, the antenna's own position, gets the peak
+// gain GainDBi.
 func (a Antenna) PowerGainDBAlong(dir geom.Vec) float64 {
 	// A zero dir against a boresight with both components negative has
 	// dir · b = -0, where atan2 reads π: the check keeps θ = 0 there.

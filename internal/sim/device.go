@@ -31,7 +31,7 @@ type Device struct {
 	lambda0 float64   // center wavelength
 	// ampRatio[k] = lambdas[k]/lambda0 scales a path's center-wavelength
 	// amplitude to subcarrier k; binStep = Δf/c is the change of 1/λ
-	// from one subcarrier to the next (see addPathInto).
+	// from one subcarrier to the next (see addPathPairInto).
 	ampRatio []float64
 	binStep  float64
 	noise    *rng.Stream

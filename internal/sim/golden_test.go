@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,15 +12,19 @@ import (
 	"math/cmplx"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wivi/internal/nulling"
 	"wivi/internal/rf"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden capture fixture")
+var updateGolden = flag.Bool("update", false, "rewrite the simulator golden fixtures")
 
-const goldenPath = "testdata/golden_capture.json"
+const (
+	goldenPath      = "testdata/golden_capture.json"
+	goldenCodesPath = "testdata/golden_codes.sha256"
+)
 
 // Golden scene: a seeded room behind a 6" hollow wall with two walkers,
 // nulled with the default configuration, then a short capture taken
@@ -170,3 +177,75 @@ func pairs(xs []complex128) [][2]float64 {
 }
 
 func pairComplex(p [2]float64) complex128 { return complex(p[0], p[1]) }
+
+// TestGoldenCodes pins the simulator at the level of ADC codes: a
+// SHA-256 over the codes of ten seeded nulled captures of one to three
+// walkers, each read in chunks of 2,500, 100, 25 and 33 samples. Each
+// code is recovered from its sample as round(value·|amp|·gain/LSB) with
+// the session's own gain, so a kernel rewrite that moves the AGC gain
+// and the pre-ADC values by rounding passes, while a change to the
+// physics, the noise stream or the chunking flips codes. A code flips
+// on rounding alone only when its value lies within ~1e-10 LSB of a
+// rounding boundary (DESIGN §2), which is what keeps the digest stable
+// across Go versions and FMA platforms. Regenerate with
+// `go test ./internal/sim -run TestGoldenCodes -update` only after an
+// intentional change to the simulated physics.
+func TestGoldenCodes(t *testing.T) {
+	reads := []int{2500, 100, 25, 33}
+	total := 0
+	for _, n := range reads {
+		total += n
+	}
+	sum := sha256.New()
+	var code [8]byte
+	for seed := int64(1); seed <= 10; seed++ {
+		sc := NewScene(SceneConfig{Seed: seed, Wall: rf.HollowWall})
+		for i := 0; i < 1+int(seed%3); i++ {
+			if _, err := sc.AddWalker(goldenStartT + float64(total)*DefaultCalibration().SampleT + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nulling.Run(d, nulling.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := d.StartCapture(res.P, d.Cal.BoostDB, goldenStartT, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range reads {
+			rows, err := s.Read(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale := cmplx.Abs(s.amp) * s.gain / d.adc.LSB()
+			for _, row := range rows {
+				for _, v := range row {
+					for _, x := range [2]float64{real(v), imag(v)} {
+						binary.LittleEndian.PutUint64(code[:], uint64(int64(math.Round(x*scale))))
+						sum.Write(code[:])
+					}
+				}
+			}
+		}
+	}
+	got := hex.EncodeToString(sum.Sum(nil))
+	if *updateGolden {
+		if err := os.WriteFile(goldenCodesPath, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%s)", goldenCodesPath, got)
+		return
+	}
+	data, err := os.ReadFile(goldenCodesPath)
+	if err != nil {
+		t.Fatalf("missing fixture (run with -update to create): %v", err)
+	}
+	if want := strings.TrimSpace(string(data)); got != want {
+		t.Fatalf("ADC codes of the seeded captures hash to %s, want %s", got, want)
+	}
+}
