@@ -36,7 +36,7 @@ type Antenna struct {
 func NewDirectional(pos geom.Point, boresight geom.Vec) Antenna {
 	return Antenna{
 		Pos:           pos,
-		Boresight:     boresight.Unit(),
+		Boresight:     boresight,
 		GainDBi:       6,
 		HPBWDeg:       70,
 		FrontToBackDB: 20,

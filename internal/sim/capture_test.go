@@ -47,9 +47,10 @@ func directMovingChannel(d *Device, txa rf.Antenna, t float64) []complex128 {
 
 // TestMovingChannelsMatchDirectSum checks the moving-channel kernel
 // against the direct per-subcarrier sum on 3 seeds x 3 walkers x 1,000
-// samples, for both transmit antennas. The kernel's phasor recursion
-// and exp-form antenna gains reorder the rounding, so the bound is
-// relative: 1e-10 of the sample's largest channel magnitude.
+// samples, for both transmit antennas. The kernel's phasor recursion,
+// exp-form antenna gains and Sqrt distances (the reference uses Hypot)
+// reorder the rounding, so the bound is relative: 1e-10 of the sample's
+// largest channel magnitude.
 func TestMovingChannelsMatchDirectSum(t *testing.T) {
 	const (
 		samples = 1000

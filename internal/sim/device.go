@@ -280,12 +280,12 @@ func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64)
 
 // length is |v| as math.Sqrt(x²+y²). Scene distances are metres, far
 // from the overflow and underflow that math.Hypot's scaling guards
-// against, and the plain form is about a third of Hypot's cost.
+// against, and the plain form costs well under half as much.
 func length(v geom.Vec) float64 { return math.Sqrt(v.X*v.X + v.Y*v.Y) }
 
 // atLeastMinRange clamps a distance to rf.MinRange. It equals
-// math.Max(dist, rf.MinRange) for every input, NaN included, but as a
-// comparison it inlines where math.Max is a call.
+// math.Max(dist, rf.MinRange) for every input, NaN included, but it
+// inlines, where math.Max on amd64 calls an assembly routine.
 func atLeastMinRange(dist float64) float64 {
 	if dist < rf.MinRange {
 		return rf.MinRange
