@@ -4,8 +4,8 @@ package wivi
 // the paper's evaluation (plus the DESIGN.md ablations), each running the
 // corresponding experiment from internal/eval and failing if the shape
 // criterion breaks. Quick-scale options keep `go test -bench=.`
-// tractable; `cmd/wivi-bench` runs the same experiments at full paper
-// scale and generates EXPERIMENTS.md.
+// tractable; `make eval` runs the same experiments at full paper scale
+// (DESIGN §4 lists the catalog).
 
 import (
 	"context"

@@ -1,140 +1,65 @@
-// Command wivi-bench regenerates the paper's evaluation (§7), drives the
-// tracking engine and the HTTP tier under load, and gates every run on
-// the real-time SLOs. -mode selects one row of the mode table:
+// Command wivi-bench regenerates the paper's evaluation (§7): every
+// table and figure plus the DESIGN.md ablations (the catalog is DESIGN
+// §4), each printed with its paper claim, measured rows and a shape
+// verdict. -quick cuts the trial counts, -run picks one experiment by
+// ID (e.g. F7.4, in any case), -seed sets the base seed and -workers
+// how many experiments run at once. The narration goes to stdout and is
+// deterministic per seed apart from its final elapsed time; the exit
+// status is 1 when any experiment misses its paper shape.
 //
-//	eval     (the default) every table and figure of §7 plus the
-//	         DESIGN.md ablations, each printed with its paper claim,
-//	         measured rows and a shape verdict; -quick cuts the trial
-//	         counts and -run picks one experiment by ID (e.g. F7.4). The
-//	         narration is the source for EXPERIMENTS.md.
-//	batch    -batch one-walker scenes tracked sequentially, then through
-//	         one engine of -workers workers: scenes/s and the parallel
-//	         speedup, with the two result sets checked identical.
-//	stream   each of -batch scenes tracked by batch Track and by
-//	         TrackStream: time-to-first-frame, inter-frame gaps, frame-lag
-//	         percentiles, frames/s per core, whole-chain allocations per
-//	         frame and per-stage kernel time, with the streamed result
-//	         checked byte-identical to batch.
-//	mixed    -batch track, -batch gesture and -batch stream requests at
-//	         once against one engine: per-kind throughput, queue wait and
-//	         latency plus the engine's Stats(), with identity and exact
-//	         gesture decoding checked under mixing.
-//	paced    -batch concurrent streams on paced devices, whose samples
-//	         arrive at the radio's cadence: the real-time factor (unpaced
-//	         compute margin), time-to-first-frame and frame-lag
-//	         percentiles, the identity check, and a typed deadline
-//	         rejection.
-//	serve    the wivi-serve load generator: -batch batch plus -batch
-//	         stream requests over HTTP at -workers client concurrency,
-//	         against the daemon at -addr or an in-process one-tenant
-//	         server, after streaming two replica devices to prove wire
-//	         identity: requests/s, requests/s within the SLO (one capture
-//	         duration of wall clock) and wire latency percentiles.
-//	tenants  the noisy-neighbour suite: an in-process pool of tenants t0
-//	         and t1. t0 gets a tiny budget and paced devices and is
-//	         saturated until it answers typed 429 "tenant_saturated",
-//	         while t1's -batch requests must keep meeting their SLO.
-//	         Per-tenant figures and a tenant_isolation verdict; the
-//	         report's mode is "serve".
+//	wivi-bench                    # all 17 at full scale (make eval)
+//	wivi-bench -quick -run F5.2   # one experiment at quick scale
 //
-// Every run writes its "wivi-bench/2" report (internal/benchreport) to
-// stdout and its narration to stderr, then checks the report against
-// benchreport.Gate. The report goes out first, so a run that misses an
-// SLO still leaves its figures; the miss makes the exit status non-zero.
-//
-//	wivi-bench -quick -run F5.2                     # one experiment
-//	wivi-bench -mode stream -batch 4 -trackdur 2    # streaming latency
-//	wivi-bench -mode serve -addr http://127.0.0.1:8080
+// The system's performance is measured by the benchmark in bench/.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"maps"
 	"os"
 	"runtime"
-	"slices"
 	"strings"
 	"time"
 
-	"wivi/internal/benchreport"
 	"wivi/internal/eval"
 )
 
-// benchMode is one row of the mode table: the -batch a run uses when
-// none is given, and the run itself, which narrates to out.
-type benchMode struct {
-	batch int
-	run   func(out io.Writer, c config) (*benchreport.Report, error)
-}
-
-var modes = map[string]benchMode{
-	"eval":    {0, runEval},
-	"batch":   {4, runBatch},
-	"stream":  {4, runStream},
-	"mixed":   {2, runMixed},
-	"paced":   {2, runPaced},
-	"serve":   {4, runServe},
-	"tenants": {4, runTenants},
-}
-
 // config is one validated command line.
 type config struct {
-	mode     string
-	batch    int
-	trackDur float64
-	seed     int64
-	workers  int
-	addr     string
-	quick    bool
-	run      string
+	quick   bool
+	seed    int64
+	workers int
+	exps    []eval.Experiment // what -run selects, in catalog order
 }
 
-// parseArgs parses and validates the command line: every flag must
-// apply to the selected mode.
+// parseArgs parses and validates the command line. An unknown -run ID
+// is an error that names the valid ones.
 func parseArgs(args []string) (config, error) {
 	var c config
+	var run string
 	fs := flag.NewFlagSet("wivi-bench", flag.ContinueOnError)
-	fs.StringVar(&c.mode, "mode", "eval", "what to run: "+strings.Join(slices.Sorted(maps.Keys(modes)), ", "))
-	fs.IntVar(&c.batch, "batch", 0, "engine modes: scenes, requests or streams per run (0 = the mode's default)")
-	fs.Float64Var(&c.trackDur, "trackdur", 4, "engine modes: per-scene capture duration in seconds")
+	fs.BoolVar(&c.quick, "quick", false, "reduced trial counts")
+	fs.StringVar(&run, "run", "", "run only the experiment with this ID (e.g. F7.4)")
 	fs.Int64Var(&c.seed, "seed", 1, "base seed")
-	fs.IntVar(&c.workers, "workers", 0, "worker pool size, or client concurrency in serve mode (0 = one per CPU)")
-	fs.StringVar(&c.addr, "addr", "", "serve mode: wivi-serve base URL, e.g. http://127.0.0.1:8080 (empty starts an in-process server)")
-	fs.BoolVar(&c.quick, "quick", false, "eval mode: reduced trial counts")
-	fs.StringVar(&c.run, "run", "", "eval mode: run only the experiment with this ID (e.g. F7.4)")
+	fs.IntVar(&c.workers, "workers", 0, "experiments run at once (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
 	if fs.NArg() > 0 {
 		return c, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	m, ok := modes[c.mode]
-	if !ok {
-		return c, fmt.Errorf("unknown -mode %q", c.mode)
-	}
-	applies := map[string]bool{
-		"quick":    c.mode == "eval",
-		"run":      c.mode == "eval",
-		"batch":    c.mode != "eval",
-		"trackdur": c.mode != "eval",
-		"addr":     c.mode == "serve",
-	}
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if a, ok := applies[f.Name]; ok && !a && err == nil {
-			err = fmt.Errorf("-%s does not apply to -mode %s", f.Name, c.mode)
+	var ids []string
+	for _, e := range eval.Experiments() {
+		ids = append(ids, e.ID)
+		if run == "" || strings.EqualFold(e.ID, run) {
+			c.exps = append(c.exps, e)
 		}
-	})
-	if err != nil {
-		return c, err
 	}
-	if c.batch < 1 {
-		c.batch = m.batch
+	if len(c.exps) == 0 {
+		return c, fmt.Errorf("unknown -run %q; the experiment IDs are %s", run, strings.Join(ids, ", "))
 	}
 	if c.workers < 1 {
 		c.workers = runtime.GOMAXPROCS(0)
@@ -152,50 +77,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := modes[c.mode].run(os.Stderr, c)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		log.Fatalf("encoding bench report: %v", err)
-	}
-	if err := benchreport.Gate(rep); err != nil {
-		log.Fatal(err)
+	if n := runEval(os.Stdout, c); n > 0 {
+		log.Fatalf("%d of %d experiments missed their paper shape", n, len(c.exps))
 	}
 }
 
-// runEval runs the selected experiments; gate fails the run on any
-// shape mismatch.
+// runEval runs the selected experiments, narrating each report to out,
+// and returns the number of shape mismatches.
 //
-//wivi:wallclock benchmark harness measures real elapsed wall time by design
-func runEval(out io.Writer, c config) (*benchreport.Report, error) {
+//wivi:wallclock the narration reports the run's real elapsed wall time
+func runEval(out io.Writer, c config) int {
 	start := time.Now()
-	var selected []eval.Experiment
-	for _, e := range eval.Experiments() {
-		if c.run == "" || strings.EqualFold(e.ID, c.run) {
-			selected = append(selected, e)
-		}
-	}
-	rep := newBenchReport("eval", c.workers, 0, 0)
-	runExperiments(selected, eval.Options{Quick: c.quick, Seed: c.seed}, c.workers, func(r *eval.Report) {
+	failures := 0
+	runExperiments(c.exps, eval.Options{Quick: c.quick, Seed: c.seed}, c.workers, func(r *eval.Report) {
 		fmt.Fprintln(out, r)
 		if !r.Pass {
-			rep.Failures++
+			failures++
 		}
 	})
 	scale := "full"
 	if c.quick {
 		scale = "quick"
 	}
-	elapsed := time.Since(start)
 	fmt.Fprintf(out, "ran %d experiments (%s scale, seed %d, %d workers) in %.1fs; %d shape mismatches\n",
-		len(selected), scale, c.seed, c.workers, elapsed.Seconds(), rep.Failures)
-	rep.Experiments = len(selected)
-	rep.ElapsedS = elapsed.Seconds()
-	rep.Identity = rep.Failures == 0
-	return rep, nil
+		len(c.exps), scale, c.seed, c.workers, time.Since(start).Seconds(), failures)
+	return failures
 }
 
 // runExperiments executes the experiments over a bounded worker pool

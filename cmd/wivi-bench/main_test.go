@@ -3,46 +3,46 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"wivi/internal/eval"
 )
 
 // TestParseArgs serves every invocation the Makefile, CI and the docs
-// make, applies each mode's default -batch, and rejects a flag outside
-// the mode it applies to.
+// make, selects one experiment by its ID in any case, and rejects an
+// unknown ID (naming the valid ones), a flag the command does not have
+// and stray arguments.
 func TestParseArgs(t *testing.T) {
+	all := len(eval.Experiments())
 	for _, tc := range []struct {
-		args  string
-		mode  string
-		batch int
+		args string
+		exps int
 	}{
-		{"", "eval", 0},
-		{"-quick -run F5.2", "eval", 0},
-		{"-quick -workers 4", "eval", 0},
-		{"-mode batch -batch 8 -workers 8 -trackdur 2", "batch", 8},
-		{"-mode stream -batch 4 -trackdur 2", "stream", 4},
-		{"-mode mixed -trackdur 2", "mixed", 2},
-		{"-mode paced -batch 2 -trackdur 2", "paced", 2},
-		{"-mode serve -addr http://127.0.0.1:8080 -batch 2 -trackdur 1", "serve", 2},
-		{"-mode serve", "serve", 4},
-		{"-mode tenants -batch 2 -trackdur 1", "tenants", 2},
+		{"", all},
+		{"-quick -run F5.2", 1},
+		{"-quick -run f5.2", 1},
+		{"-quick -workers 4", all},
+		{"-seed 7 -workers 1", all},
 	} {
 		c, err := parseArgs(strings.Fields(tc.args))
 		if err != nil {
 			t.Errorf("%q: %v", tc.args, err)
 			continue
 		}
-		if c.mode != tc.mode || c.batch != tc.batch || c.workers < 1 {
-			t.Errorf("%q: mode %q batch %d workers %d, want mode %q batch %d and workers >= 1",
-				tc.args, c.mode, c.batch, c.workers, tc.mode, tc.batch)
+		if len(c.exps) != tc.exps || c.workers < 1 {
+			t.Errorf("%q: %d experiments, %d workers; want %d experiments and workers >= 1",
+				tc.args, len(c.exps), c.workers, tc.exps)
+		}
+		if tc.exps == 1 && c.exps[0].ID != "F5.2" {
+			t.Errorf("%q selected %s, want F5.2", tc.args, c.exps[0].ID)
 		}
 	}
+	if _, err := parseArgs([]string{"-run", "NOPE"}); err == nil || !strings.Contains(err.Error(), "F7.4") {
+		t.Errorf("-run NOPE: %v, want an error naming the experiment IDs", err)
+	}
 	for _, args := range []string{
-		"-mode nope",
-		"-mode stream -quick",
-		"-mode batch -run F5.2",
-		"-mode tenants -addr http://127.0.0.1:8080",
-		"-addr http://127.0.0.1:8080",
+		"-mode eval",
 		"-batch 8",
-		"-mode paced extra",
+		"-quick extra",
 		"-json",
 	} {
 		if _, err := parseArgs(strings.Fields(args)); err == nil {

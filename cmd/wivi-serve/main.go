@@ -83,10 +83,10 @@ func main() {
 	// Per-tenant device fleets: every tenant gets its own -devices
 	// walker-scene replicas, all identically seeded. Identical seeds are
 	// a feature, not laziness: a fresh same-seed device captures
-	// bit-identical data, so a client (wivi-bench -mode serve) can verify
-	// wire determinism per tenant by streaming two of that tenant's
-	// replicas and comparing spectra bitwise — the externally checkable
-	// form of the batch/stream identity invariant. The factory runs on a
+	// bit-identical data, so a client (`make smoke-serve`, with curl) can
+	// verify wire determinism per tenant by streaming two of that
+	// tenant's replicas and comparing their frames byte for byte — the
+	// externally checkable form of the batch/stream identity invariant. The factory runs on a
 	// tenant's first request (and again after an idle eviction), so
 	// provisioned-but-quiet tenants cost nothing.
 	walkDur := *maxDur + 1

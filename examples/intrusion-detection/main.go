@@ -39,8 +39,9 @@ func main() {
 
 	// --- Monitoring: unseen scenes (different furniture layouts and
 	// subjects), unknown occupancy. The thresholds transfer across scenes
-	// of the same footprint; see EXPERIMENTS.md T7.1 for why they do not
-	// transfer across room *sizes* in this simulator. ---
+	// of the same footprint; see DESIGN §5, "Table 7.1 room transfer",
+	// for why they do not transfer across room *sizes* in this
+	// simulator. ---
 	fmt.Println("\nmonitoring unseen rooms through the wall...")
 	for _, truth := range []int{0, 1, 2} {
 		scene := wivi.NewScene(wivi.SceneOptions{

@@ -141,33 +141,21 @@ func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool
 		Power:       make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 		Bartlett:    make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 	}
-	kernelStats.frames.Add(1)
-	start := kernelNow()
 	p.smoothedCorrelationInto(window, &sc.cov)
-	kernelStats.covNs.Add(kernelNow().Sub(start).Nanoseconds())
-	start = kernelNow()
 	p.bartlettSpectrumInto(&sc.cov, fr.Bartlett, sc.diag)
-	kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
 	if !music {
-		start = kernelNow()
-		err := p.beamformSpectrumInto(window, fr.Power)
-		kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
-		if err != nil {
+		if err := p.beamformSpectrumInto(window, fr.Power); err != nil {
 			return Frame{}, err
 		}
 		return fr, nil
 	}
-	start = kernelNow()
 	vals, err := sc.eig.Eigenvalues(&sc.cov)
 	if err != nil {
 		return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, err)
 	}
 	fr.SignalDim = p.estimateSignalDim(vals, sc.medBuf)
 	signal := sc.eig.LeadingEigenvectors(fr.SignalDim)
-	kernelStats.eigNs.Add(kernelNow().Sub(start).Nanoseconds())
-	start = kernelNow()
 	p.musicSpectrumComplementInto(signal, fr.Power)
-	kernelStats.specNs.Add(kernelNow().Sub(start).Nanoseconds())
 	return fr, nil
 }
 

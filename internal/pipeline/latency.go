@@ -77,18 +77,6 @@ func (r *LatencyRecorder) Snapshot() LatencyStats {
 	return s
 }
 
-// Percentile returns the nearest-rank p-th percentile of samples (zero
-// for an empty set) — the same estimator Stats() uses, exported so
-// bench tooling reports SLO figures with the identical math.
-func Percentile(samples []time.Duration, p int) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return nearestRank(sorted, p)
-}
-
 // nearestRank returns the nearest-rank p-th percentile of a sorted,
 // non-empty window.
 func nearestRank(sorted []time.Duration, p int) time.Duration {

@@ -1,7 +1,7 @@
 package serve
 
 // A minimal stdlib client for the wivi-serve API, shared by the wire
-// identity tests, wivi-bench's serve and tenants modes, and the
+// identity and noisy-neighbor tests, the benchmark in bench/, and the
 // examples. It decodes exactly what the server encodes (the wire.go
 // types), so a frame that crosses the wire and back carries the same
 // float64 bits the engine emitted.

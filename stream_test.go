@@ -68,6 +68,68 @@ func TestTrackStreamMatchesTrack(t *testing.T) {
 	}
 }
 
+// TestTrackStreamWholeChain streams four fresh one-walker devices for
+// 4 s each, every TrackStream drained to its Result, and bounds what the
+// whole chain costs per frame: heap allocations in (0, 64] (the
+// Mallocs delta across TrackStream, the drain and Result, nulling
+// included), and a mean first frame within half the mean stream time.
+// It measures about 8 allocations per frame and a first frame at about
+// a tenth of the stream, so both bounds hold with 5× margin, -race
+// included.
+func TestTrackStreamWholeChain(t *testing.T) {
+	const (
+		scenes         = 4
+		duration       = 4.0
+		allocsPerFrame = 64
+	)
+	var mallocs uint64
+	var frames int
+	var ttff, streamed time.Duration
+	for i := range scenes {
+		sc := NewScene(SceneOptions{Seed: int64(1 + i)})
+		if err := sc.AddWalker(duration + 1); err != nil {
+			t.Fatal(err)
+		}
+		dev, err := NewDevice(sc, DeviceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		ts, err := dev.TrackStream(context.Background(), duration)
+		if err != nil {
+			t.Fatalf("scene %d: %v", i, err)
+		}
+		n := 0
+		for range ts.Frames() {
+			if n == 0 {
+				ttff += time.Since(start)
+			}
+			n++
+		}
+		if _, err := ts.Result(); err != nil {
+			t.Fatalf("scene %d: %v", i, err)
+		}
+		streamed += time.Since(start)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if n == 0 || n != ts.TotalFrames() {
+			t.Fatalf("scene %d: streamed %d frames, TotalFrames %d", i, n, ts.TotalFrames())
+		}
+		frames += n
+	}
+	per := float64(mallocs) / float64(frames)
+	t.Logf("%d frames: %.1f allocations per frame, first frames at %.3f of the stream time",
+		frames, per, ttff.Seconds()/streamed.Seconds())
+	if per <= 0 || per > allocsPerFrame {
+		t.Errorf("whole chain allocates %.1f objects per frame, want (0, %d]", per, allocsPerFrame)
+	}
+	if ttff > streamed/2 {
+		t.Errorf("first frames took %v of %v streamed, want at most half", ttff, streamed)
+	}
+}
+
 // TestTrackStreamWhileBatchTracks interleaves a stream with batch Track
 // calls on other devices through the shared engine: both paths complete
 // and the stream result stays byte-identical.

@@ -54,24 +54,43 @@ func trackAll(ctx context.Context, eng *Engine, devices []*Device, duration floa
 // TestTrackManyMatchesSequential asserts that many scenes tracked
 // together on an explicit engine are byte-identical to per-scene
 // sequential Track, for several worker counts: parallelism must never
-// change the physics.
+// change the physics. A gesture request and a stream share each engine
+// with the tracks; the message must decode exactly and the streamed
+// image must match its own sequential Track.
 func TestTrackManyMatchesSequential(t *testing.T) {
+	const streamSeed = 8
+	ctx := context.Background()
 	seeds := []int64{3, 4, 5, 6, 7}
 	want := make([]*TrackingResult, len(seeds))
 	for i, seed := range seeds {
-		res, err := newTrackedDevice(t, seed).Track(context.Background(), trackDuration)
+		res, err := newTrackedDevice(t, seed).Track(ctx, trackDuration)
 		if err != nil {
 			t.Fatalf("sequential track of scene %d: %v", i, err)
 		}
 		want[i] = res
+	}
+	wantStream, err := newTrackedDevice(t, streamSeed).Track(ctx, trackDuration)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		devices := make([]*Device, len(seeds))
 		for i, seed := range seeds {
 			devices[i] = newTrackedDevice(t, seed)
 		}
-		eng := NewEngine(EngineOptions{Workers: workers, QueueDepth: len(devices)})
-		got, errs := trackAll(context.Background(), eng, devices, trackDuration)
+		eng := NewEngine(EngineOptions{Workers: workers, QueueDepth: len(devices) + 2})
+		gdev, gdur := newGestureDevice(t)
+		gh, err := eng.Submit(ctx, Request{Device: gdev, Duration: gdur, Mode: Gesture})
+		if err != nil {
+			t.Fatalf("workers=%d: gesture submit: %v", workers, err)
+		}
+		sh, err := eng.Submit(ctx, Request{Device: newTrackedDevice(t, streamSeed), Duration: trackDuration, Stream: true})
+		if err != nil {
+			t.Fatalf("workers=%d: stream submit: %v", workers, err)
+		}
+		got, errs := trackAll(ctx, eng, devices, trackDuration)
+		gres, gerr := gh.Wait(ctx)
+		sres, serr := sh.Wait(ctx)
 		eng.Close()
 		for i := range seeds {
 			if errs[i] != nil {
@@ -80,6 +99,18 @@ func TestTrackManyMatchesSequential(t *testing.T) {
 			if !got[i].Equal(want[i]) {
 				t.Fatalf("workers=%d: scene %d image differs from sequential Track", workers, i)
 			}
+		}
+		if gerr != nil {
+			t.Fatalf("workers=%d: gesture: %v", workers, gerr)
+		}
+		if gres.Message == nil || gres.Message.String() != "01" {
+			t.Fatalf("workers=%d: gesture decoded %v, want 01", workers, gres.Message)
+		}
+		if serr != nil {
+			t.Fatalf("workers=%d: stream: %v", workers, serr)
+		}
+		if !sres.Tracking.Equal(wantStream) {
+			t.Fatalf("workers=%d: streamed image differs from sequential Track", workers)
 		}
 	}
 }

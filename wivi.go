@@ -415,8 +415,8 @@ func (r *TrackingResult) NumFrames() int { return r.img.NumFrames() }
 // Equal reports whether two tracking results carry bit-identical
 // angle-time images (every spectrum value, frame time and per-frame
 // metadatum). The concurrent engine guarantees Equal results for the
-// same scene whatever the worker count; wivi-bench's batch mode checks
-// exactly this.
+// same scene whatever the worker count; TestTrackManyMatchesSequential
+// checks exactly this.
 func (r *TrackingResult) Equal(other *TrackingResult) bool {
 	if r == nil || other == nil {
 		return r == other
