@@ -21,6 +21,13 @@ type Eig struct {
 // not Hermitian within the verification tolerance.
 var ErrNotHermitian = errors.New("cmath: matrix is not Hermitian")
 
+// ErrNotFinite is returned by the eigensolvers when the input's Frobenius
+// norm is not finite: the matrix holds a NaN or an infinity, or entries
+// so large that the norm overflows. Such a matrix would pass the
+// Hermitian check, whose tolerance scales with the norm, and leave the
+// iteration spinning to its budget or returning NaN eigenvalues.
+var ErrNotFinite = errors.New("cmath: matrix norm is not finite")
+
 // ErrNoConvergence is returned when an eigensolver's iteration fails to
 // converge within its budget. This indicates a pathological input;
 // well-conditioned Hermitian matrices converge in a handful of Jacobi
@@ -49,7 +56,8 @@ const (
 // HermitianEig computes the full eigendecomposition of the Hermitian
 // matrix a using cyclic complex Jacobi rotations. The input is not
 // modified. Eigenvalues are returned in descending order with matching
-// eigenvector columns.
+// eigenvector columns; a matrix whose norm is not finite fails with
+// ErrNotFinite.
 //
 // It is the full-decomposition reference. The frame kernel runs the
 // subspace solver (EigWorkspace), whose tests check it against
@@ -62,6 +70,9 @@ func HermitianEig(a *Matrix) (*Eig, error) {
 	}
 	// Hermitian check with a tolerance scaled by the matrix magnitude.
 	scale := a.FrobeniusNorm()
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, ErrNotFinite
+	}
 	if scale == 0 {
 		// Zero matrix: all eigenvalues zero, identity eigenvectors.
 		return &Eig{Values: make([]float64, n), Vectors: Identity(n)}, nil
@@ -308,7 +319,8 @@ func NewEigWorkspace(n int) *EigWorkspace {
 // Eigenvalues returns every eigenvalue of the Hermitian matrix a in
 // descending order, and prepares LeadingEigenvectors for the same
 // matrix. The returned slice aliases the workspace and is valid until its
-// next use; a is not modified. The zero matrix has all-zero eigenvalues.
+// next use; a is not modified. The zero matrix has all-zero eigenvalues;
+// a matrix whose norm is not finite fails with ErrNotFinite.
 //
 //wivi:hotpath
 func (ws *EigWorkspace) Eigenvalues(a *Matrix) ([]float64, error) {
@@ -321,6 +333,9 @@ func (ws *EigWorkspace) Eigenvalues(a *Matrix) ([]float64, error) {
 		return nil, fmt.Errorf("cmath: eig workspace for %dx%d used on %dx%d matrix", n, n, a.Rows, a.Cols)
 	}
 	scale := a.FrobeniusNorm()
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, ErrNotFinite
+	}
 	ws.zero = scale == 0
 	if ws.zero {
 		clear(ws.vals)
@@ -472,6 +487,17 @@ func (ws *EigWorkspace) tridiagonalize() {
 // Wilkinson shifts (EISPACK tql1), destroying e. The matrix must have
 // unit norm: an off-diagonal below eps·‖T‖ counts as zero.
 //
+// The rotations take math.Sqrt(f*f + g*g) in place of math.Hypot, whose
+// scaling guards against overflow and underflow, because the unit norm
+// rules both out. QL keeps T orthogonally similar to itself, so every d,
+// e, f and g is O(1) and no square overflows; a step runs only while
+// e[l] > ε, so the shift's |g| stays below 1/ε and g*g + 1 is finite.
+// Nor can f*f + g*g underflow: the first rotation has f = e[m−1] > ε,
+// and a later f falls below ~1e-154 only when the rotation before it was
+// the identity to working precision, which leaves the non-negligible
+// coupling e[i+1] in g. A sum that did underflow to zero would take the
+// r == 0 split path below.
+//
 //wivi:hotpath
 func tridiagEigenvalues(d, e []float64) error {
 	n := len(d)
@@ -493,14 +519,14 @@ func tridiagEigenvalues(d, e []float64) error {
 				return ErrNoConvergence
 			}
 			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
+			r := math.Sqrt(g*g + 1)
 			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
 			s, c, p := 1.0, 1.0, 0.0
 			i := m - 1
 			for ; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
-				r = math.Hypot(f, g)
+				r = math.Sqrt(f*f + g*g)
 				e[i+1] = r
 				if r == 0 {
 					// Underflow: the block splits here; retry from l.

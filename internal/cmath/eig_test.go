@@ -1,6 +1,7 @@
 package cmath
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -436,4 +437,30 @@ func TestEigWorkspaceRejects(t *testing.T) {
 		}
 	}()
 	ws.LeadingEigenvectors(1)
+}
+
+// TestEigRejectsNonFinite: both solvers fail with ErrNotFinite on a NaN
+// or infinite entry and on entries whose norm overflows, rather than
+// returning NaN eigenvalues (Jacobi) or spinning QL to its iteration
+// budget (EigWorkspace).
+func TestEigRejectsNonFinite(t *testing.T) {
+	cases := map[string]func(m *Matrix){
+		"NaN":      func(m *Matrix) { m.Set(2, 2, complex(math.NaN(), 0)) },
+		"+Inf":     func(m *Matrix) { m.Set(2, 2, complex(math.Inf(1), 0)) },
+		"-Inf":     func(m *Matrix) { m.Set(0, 0, complex(math.Inf(-1), 0)) },
+		"overflow": func(m *Matrix) { m.Set(0, 1, 1e160); m.Set(1, 0, 1e160) },
+	}
+	for name, spoil := range cases {
+		m := NewMatrix(3, 3)
+		for i := 0; i < 3; i++ {
+			m.Set(i, i, complex(float64(i+1), 0))
+		}
+		spoil(m)
+		if _, err := HermitianEig(m); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: HermitianEig err = %v, want ErrNotFinite", name, err)
+		}
+		if _, err := NewEigWorkspace(3).Eigenvalues(m); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: EigWorkspace err = %v, want ErrNotFinite", name, err)
+		}
+	}
 }

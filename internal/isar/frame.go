@@ -91,8 +91,9 @@ func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Fr
 }
 
 // frameScratch bundles every reusable buffer of the frame kernel: the
-// window copy, the covariance, the Bartlett diagonal sums, the
-// eigensolver workspace and the median sort scratch. One scratch serves
+// window copy, the covariance, the diagonal sums (R's for Bartlett, then
+// the signal projector's for MUSIC), the eigensolver workspace and the
+// median sort scratch. One scratch serves
 // one goroutine at a time; Processor pools them, so a steady-state frame
 // allocates only its emitted Power and Bartlett slices.
 type frameScratch struct {
@@ -155,7 +156,7 @@ func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool
 	}
 	fr.SignalDim = p.estimateSignalDim(vals, sc.medBuf)
 	signal := sc.eig.LeadingEigenvectors(fr.SignalDim)
-	p.musicSpectrumComplementInto(signal, fr.Power)
+	p.musicSpectrumComplementInto(signal, fr.Power, sc.diag)
 	return fr, nil
 }
 

@@ -2,13 +2,19 @@ package isar
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wivi/internal/cmath"
+	"wivi/internal/nulling"
+	"wivi/internal/ofdm"
 	"wivi/internal/rng"
+	"wivi/internal/sim"
 )
 
 // directCorrelation is the smoothed correlation as the plain mean of
@@ -110,9 +116,28 @@ func TestImageFramesMatchProcessFrame(t *testing.T) {
 	}
 }
 
+// dotComplementSpectrum is the complement-form MUSIC pseudospectrum by
+// per-angle dot products, 1 / (n − Σ_k |eᴴu_k|²) normalized to min 1:
+// the direct form musicSpectrumComplementInto's diagonal sums replace,
+// kept here as its reference.
+func dotComplementSpectrum(p *Processor, signal []cmath.Vector) []float64 {
+	n := float64(p.cfg.Subarray)
+	out := make([]float64, len(p.steerSub))
+	for ti, steer := range p.steerSub {
+		var sig float64
+		for _, u := range signal {
+			d := steer.Dot(u)
+			sig += real(d)*real(d) + imag(d)*imag(d)
+		}
+		out[ti] = 1 / math.Max(n-sig, 1e-18)
+	}
+	normalizeMin1(out)
+	return out
+}
+
 // referenceFrame computes one frame from the reference implementations:
 // the covariance as the direct sum, the full Jacobi eigendecomposition
-// (cmath.HermitianEig), and the complement-form pseudospectrum from its
+// (cmath.HermitianEig), and the dot-product complement spectrum from its
 // leading SignalDim columns.
 func referenceFrame(t *testing.T, p *Processor, window []complex128) (power, bartlett []float64, dim int) {
 	t.Helper()
@@ -122,9 +147,7 @@ func referenceFrame(t *testing.T, p *Processor, window []complex128) (power, bar
 		t.Fatal(err)
 	}
 	dim = p.EstimateSignalDim(eig.Values)
-	power = make([]float64, len(p.thetasDeg))
-	p.musicSpectrumComplementInto(eig.EigenvectorColumns(dim), power)
-	return power, p.BartlettSpectrum(r), dim
+	return dotComplementSpectrum(p, eig.EigenvectorColumns(dim)), p.BartlettSpectrum(r), dim
 }
 
 // TestImageCloseToFromScratchChain bounds the production image against
@@ -173,24 +196,185 @@ func TestImageCloseToFromScratchChain(t *testing.T) {
 	t.Logf("worst relative drift: Power %.2g, Bartlett %.2g", worstP, worstB)
 }
 
-// BenchmarkProcessFrame times the frame kernel at prototype geometry
-// with a pooled workspace, as the batch and stream chains run it (run
-// with -benchmem: 2 allocs/op, the emitted spectra).
-func BenchmarkProcessFrame(b *testing.B) {
-	cfg := DefaultConfig()
+// quadFormC is the constant of TestQuadFormMatchesDirectSums' bound;
+// the worst case measured is 0.33.
+const quadFormC = 1
+
+// randHermitian returns a seeded random n x n Hermitian matrix.
+func randHermitian(r *rng.Stream, n int) *cmath.Matrix {
+	m := cmath.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, complex(r.Norm(), 0))
+		for j := i + 1; j < n; j++ {
+			v := complex(r.Norm(), r.Norm())
+			m.Set(i, j, v)
+			m.Set(j, i, cmplx.Conj(v))
+		}
+	}
+	return m
+}
+
+// randOrthonormal returns k random orthonormal vectors of length n:
+// complex Gaussian vectors, each orthogonalised twice against the ones
+// before it by modified Gram–Schmidt.
+func randOrthonormal(r *rng.Stream, n, k int) []cmath.Vector {
+	us := make([]cmath.Vector, k)
+	for j := range us {
+		u := cmath.Vector(r.ComplexGaussianVec(n, 1))
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range us[:j] {
+				d := q.Dot(u)
+				for i := range u {
+					u[i] -= d * q[i]
+				}
+			}
+		}
+		us[j] = u.Normalize()
+	}
+	return us
+}
+
+// TestQuadFormMatchesDirectSums checks both spectrum kernels' diagonal-sum
+// forms against the direct sums at every grid angle e, at n ∈ {3, 8, 32}:
+// eᴴRe for seeded random Hermitian R (from the sums Bartlett leaves in
+// its scratch), and Σ_k |eᴴu_k|² for random orthonormal sets of
+// k ≤ min(5, n) vectors (from the projector sums MUSIC leaves there).
+// With ‖e‖² = n, |eᴴMe| is at most n·‖M‖_F, and the gate is c·n·ε on
+// that scale:
+//
+//	|form − direct| ≤ c·n·ε · n·‖M‖_F,  c = quadFormC,
+//
+// where ‖P‖_F = √k for the projector of k orthonormal vectors.
+func TestQuadFormMatchesDirectSums(t *testing.T) {
+	const eps = 0x1p-52
+	r := rng.New(20)
+	worst := map[string]float64{}
+	for _, n := range []int{3, 8, 32} {
+		cfg := DefaultConfig()
+		cfg.Subarray, cfg.MaxSources = n, 2
+		p, err := NewProcessor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := make(cmath.Vector, n)
+		got := make([]float64, len(p.thetasDeg))
+		check := func(kind, name string, norm float64, direct func(e cmath.Vector) float64) {
+			p.quadFormInto(c, got)
+			for ti, e := range p.steerSub {
+				units := math.Abs(got[ti]-direct(e)) / (float64(n) * norm) / (float64(n) * eps)
+				worst[kind] = math.Max(worst[kind], units)
+				if units > quadFormC {
+					t.Fatalf("%s %s at %g°: form %g, direct %g (%.3g·n·ε·n‖M‖_F > %g)",
+						kind, name, p.thetasDeg[ti], got[ti], direct(e), units, float64(quadFormC))
+				}
+			}
+		}
+		for trial := 0; trial < 5; trial++ {
+			m := randHermitian(r, n)
+			p.bartlettSpectrumInto(m, got, c) // leaves R's diagonal sums in c
+			check("R", fmt.Sprintf("n=%d #%d", n, trial), m.FrobeniusNorm(), func(e cmath.Vector) float64 {
+				return real(e.Dot(m.MulVec(e)))
+			})
+		}
+		for k := 1; k <= min(5, n); k++ {
+			us := randOrthonormal(r, n, k)
+			p.musicSpectrumComplementInto(us, got, c) // leaves P's diagonal sums in c
+			check("P", fmt.Sprintf("n=%d k=%d", n, k), math.Sqrt(float64(k)), func(e cmath.Vector) float64 {
+				var s float64
+				for _, u := range us {
+					d := e.Dot(u)
+					s += real(d)*real(d) + imag(d)*imag(d)
+				}
+				return s
+			})
+		}
+	}
+	t.Logf("worst error in units of n·ε·n‖M‖_F (bound c = %g): %v", float64(quadFormC), worst)
+}
+
+// TestComputeImageRejectsNonFiniteSample: a NaN or infinite sample fails
+// the first frame whose window holds it with cmath.ErrNotFinite, and the
+// error names the frame by its first sample.
+func TestComputeImageRejectsNonFiniteSample(t *testing.T) {
+	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	h := goldenChannel(cfg, cfg.Window+1024*cfg.Hop)
-	specs := p.FrameSpecs(len(h))
-	sc := p.newFrameScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := specs[i%len(specs)]
-		if _, err := p.processFrame(h[spec.Start:spec.Start+cfg.Window], spec, true, sc); err != nil {
-			b.Fatal(err)
+	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
+		h := goldenChannel(cfg, 256)
+		h[100] = bad // first in the window of the frame at sample 48
+		_, err := p.ComputeImage(h)
+		if !errors.Is(err, cmath.ErrNotFinite) || !strings.Contains(err.Error(), "frame at sample 48") {
+			t.Fatalf("sample %v: err = %v, want ErrNotFinite at the frame at sample 48", bad, err)
 		}
+	}
+}
+
+// simChannel returns the combined channel of a seeded, nulled 4 s
+// capture of two walkers, with the isar config of its radio: the data
+// the product's frame kernel sees.
+func simChannel(tb testing.TB) ([]complex128, Config) {
+	tb.Helper()
+	sc := sim.NewScene(sim.SceneConfig{Seed: 9})
+	for k := 0; k < 2; k++ {
+		if _, err := sc.AddWalker(4); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d, err := sim.NewDevice(sc, sim.DefaultCalibration(), sim.DeviceConfig{Seed: 9})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ncfg := nulling.DefaultConfig()
+	res, err := nulling.Run(d, ncfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Lambda, cfg.SampleT = d.Wavelength(), d.SampleT()
+	perSub, err := d.Capture(res.P, ncfg.BoostDB, 0, int(4/cfg.SampleT))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := ofdm.AverageSubcarriers(perSub)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h, cfg
+}
+
+// BenchmarkProcessFrame times the frame kernel at prototype geometry
+// with a pooled workspace, as the batch and stream chains run it (run
+// with -benchmem: 2 allocs/op, the emitted spectra), on two inputs:
+// golden, the noise-free two-tone golden channel, whose covariance has
+// about 3 nonzero eigenvalues, so QL finishes almost at once; and sim,
+// every window of a seeded, nulled 2-walker sim capture, whose noisy
+// covariances cost QL its full iteration count.
+func BenchmarkProcessFrame(b *testing.B) {
+	cfg := DefaultConfig()
+	golden := goldenChannel(cfg, cfg.Window+1024*cfg.Hop)
+	simH, simCfg := simChannel(b)
+	for _, in := range []struct {
+		name string
+		cfg  Config
+		h    []complex128
+	}{{"golden", cfg, golden}, {"sim", simCfg, simH}} {
+		b.Run(in.name, func(b *testing.B) {
+			p, err := NewProcessor(in.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs := p.FrameSpecs(len(in.h))
+			sc := p.newFrameScratch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spec := specs[i%len(specs)]
+				if _, err := p.processFrame(in.h[spec.Start:spec.Start+in.cfg.Window], spec, true, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -334,36 +334,48 @@ func (p *Processor) musicSpectrumInto(noise []cmath.Vector, out []float64) {
 }
 
 // musicSpectrumComplementInto evaluates the same MUSIC pseudospectrum as
-// musicSpectrumInto from the signal side of the eigenbasis. The
+// musicSpectrumInto from the signal side of the eigenbasis, with the
+// signal projector's diagonal sums landing in tmp (length Subarray). The
 // eigenvectors form a unitary basis, so for a unit-modulus steering
 // vector of length n the projections satisfy
 //
 //	sum_all |steer^H u_k|^2 = |steer|^2 = n,
 //
 // and the noise-projection denominator of Eq. 5.3 equals
-// n - sum_{k < signalDim} |steer^H u_k|^2. With signalDim capped at
-// MaxSources (5) against n-signalDim noise vectors (27 at the prototype
-// subarray size), the complement form does ~5x fewer dot products per
-// angle — and the eigensolver need only compute those signalDim vectors
-// (cmath.EigWorkspace.LeadingEigenvectors). It is numerically equivalent
-// to — not bit-identical with — the noise-sum form: the identity holds
-// exactly in real arithmetic, and in floats the signal vectors are
-// orthonormal to ~n*eps, so the two denominators agree to ~n*eps
-// absolute. Near a sharp peak the denominator is small and the
+// n - sum_{k < signalDim} |steer^H u_k|^2 = n - steer^H P steer, with the
+// projector P = sum_k u_k u_k^H. With signalDim capped at MaxSources (5)
+// against n-signalDim noise vectors (27 at the prototype subarray size),
+// the eigensolver need only compute the signal vectors
+// (cmath.EigWorkspace.LeadingEigenvectors). One pass over them sums P's
+// superdiagonals, c_d = sum_k sum_i u_k[i] conj(u_k[i+d]), without
+// forming P (~2.6k complex multiply-adds at k = 5, n = 32), and
+// quadFormInto reads every angle's projection from the sums, where k dot
+// products per angle cost ~29k over the grid. It is numerically
+// equivalent to — not bit-identical with — the noise-sum form: the
+// identity holds exactly in real arithmetic, and in floats the signal
+// vectors are orthonormal to ~n*eps, so the two denominators agree to
+// ~n*eps absolute. Near a sharp peak the denominator is small and the
 // subtraction cancels, which amplifies that to a larger relative error
 // (TestImageCloseToFromScratchChain), still far below the 1e-6 golden
 // tolerance. The 1e-18 clamp absorbs any tiny negative complement when a
 // steering vector lies entirely in the signal subspace.
 //
 //wivi:hotpath
-func (p *Processor) musicSpectrumComplementInto(signal []cmath.Vector, out []float64) {
-	n := float64(p.cfg.Subarray)
-	for ti, steer := range p.steerSub {
-		var sig float64
-		for _, u := range signal {
-			d := steer.Dot(u)
-			sig += real(d)*real(d) + imag(d)*imag(d)
+func (p *Processor) musicSpectrumComplementInto(signal []cmath.Vector, out []float64, tmp cmath.Vector) {
+	clear(tmp)
+	for _, u := range signal {
+		for d := range tmp {
+			v := u[d:]
+			var s complex128
+			for i, x := range u[:len(v)] {
+				s += x * cmplx.Conj(v[i])
+			}
+			tmp[d] += s
 		}
+	}
+	p.quadFormInto(tmp, out)
+	n := float64(p.cfg.Subarray)
+	for ti, sig := range out {
 		denom := n - sig
 		if denom < 1e-18 {
 			denom = 1e-18
@@ -386,23 +398,10 @@ func (p *Processor) BartlettSpectrum(r *cmath.Matrix) []float64 {
 
 // bartlettSpectrumInto is BartlettSpectrum computing into out — the
 // allocation-free kernel both spectrum entry points share, with the
-// diagonal sums of R landing in tmp (length Subarray).
-//
-// The quadratic form collapses along diagonals: with the geometric
-// steering vector steer_i = e^{i phi i},
-//
-//	e^H R e = sum_{i,j} R_ij e^{i phi (j-i)} = sum_d c_d e^{i phi d},
-//
-// where c_d sums the d-th superdiagonal of R, and Hermitian symmetry
-// folds the subdiagonals in as c_{-d} = conj(c_d). The diagonal sums are
-// angle-independent, so one O(n^2) pass shared by all angles replaces an
-// O(n^2) matrix-vector product per angle; each angle then costs O(n),
-// with e^{i phi d} read straight from the precomputed steering table (the
-// d-th element is exactly e^{i phi d}). The rewrite is exact in real
-// arithmetic — R need not be Toeplitz, only Hermitian — and in floats
-// only the summation order changes (~1e-14 relative, far below the 1e-6
-// golden tolerance). The result is real by symmetry; the <0 clamp guards
-// rounding at angles where the true power is ~0, as before.
+// diagonal sums of R landing in tmp (length Subarray): one O(n^2) pass,
+// from which quadFormInto reads every angle's e^H R e. The result is
+// real by symmetry; the <0 clamp guards rounding at angles where the
+// true power is ~0.
 //
 //wivi:hotpath
 func (p *Processor) bartlettSpectrumInto(r *cmath.Matrix, out []float64, tmp cmath.Vector) {
@@ -414,18 +413,45 @@ func (p *Processor) bartlettSpectrumInto(r *cmath.Matrix, out []float64, tmp cma
 		}
 		tmp[d] = s
 	}
+	p.quadFormInto(tmp, out)
 	inv := 1 / float64(n)
-	for ti, steer := range p.steerSub {
-		acc := real(tmp[0])
-		for d := 1; d < n; d++ {
-			cd, ph := tmp[d], steer[d]
-			acc += 2 * (real(cd)*real(ph) - imag(cd)*imag(ph))
-		}
+	for ti, acc := range out {
 		v := acc * inv
 		if v < 0 {
 			v = 0
 		}
 		out[ti] = v
+	}
+}
+
+// quadFormInto evaluates the quadratic form e^H M e of a Hermitian matrix
+// M at every grid angle from M's diagonal sums c (c[d] sums the d-th
+// superdiagonal, length Subarray).
+//
+// The form collapses along diagonals: with the geometric steering vector
+// steer_i = e^{i phi i},
+//
+//	e^H M e = sum_{i,j} M_ij e^{i phi (j-i)} = sum_d c_d e^{i phi d},
+//
+// and Hermitian symmetry folds the subdiagonals in as c_{-d} = conj(c_d),
+// so e^H M e = c_0 + 2·Re sum_{d>=1} c_d e^{i phi d}. The diagonal sums
+// are angle-independent, so one O(n^2) pass shared by all angles replaces
+// an O(n^2) matrix-vector product per angle; each angle then costs O(n),
+// with e^{i phi d} read straight from the precomputed steering table (the
+// d-th element is exactly e^{i phi d}). The rewrite is exact in real
+// arithmetic — M need not be Toeplitz, only Hermitian — and in floats
+// only the summation order changes (TestQuadFormMatchesDirectSums).
+//
+//wivi:hotpath
+func (p *Processor) quadFormInto(c cmath.Vector, out []float64) {
+	n := p.cfg.Subarray
+	for ti, steer := range p.steerSub {
+		acc := real(c[0])
+		for d := 1; d < n; d++ {
+			cd, ph := c[d], steer[d]
+			acc += 2 * (real(cd)*real(ph) - imag(cd)*imag(ph))
+		}
+		out[ti] = acc
 	}
 }
 

@@ -27,6 +27,7 @@ var requiredHotpath = map[string][]string{
 		"processFrame", "smoothedCorrelationInto", "estimateSignalDim",
 		"musicSpectrumInto", "musicSpectrumComplementInto",
 		"bartlettSpectrumInto", "beamformSpectrumInto",
+		"quadFormInto",
 	},
 	"wivi/internal/cmath": {
 		"Eigenvalues", "LeadingEigenvectors", "tridiagonalize",

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/cmplx"
 )
 
 // Magic identifies trace files.
@@ -49,7 +50,9 @@ var (
 	ErrCorrupt    = errors.New("trace: corrupt header")
 )
 
-// Validate reports structural problems with the record.
+// Validate reports structural problems with the record and names any
+// sample that is not finite, so that a bad trace fails where it is read
+// rather than in the imaging chain.
 func (r *Record) Validate() error {
 	if r.SampleT <= 0 || math.IsNaN(r.SampleT) || math.IsInf(r.SampleT, 0) {
 		return fmt.Errorf("trace: invalid sample period %v", r.SampleT)
@@ -67,6 +70,11 @@ func (r *Record) Validate() error {
 	for k, sub := range r.PerSub {
 		if len(sub) != n {
 			return fmt.Errorf("trace: subcarrier %d has %d samples, want %d", k, len(sub), n)
+		}
+		for i, c := range sub {
+			if cmplx.IsNaN(c) || cmplx.IsInf(c) {
+				return fmt.Errorf("trace: subcarrier %d sample %d is not finite: %v", k, i, c)
+			}
 		}
 	}
 	return nil

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +86,8 @@ func TestValidate(t *testing.T) {
 		{SampleT: 1, Lambda: 1},
 		{SampleT: 1, Lambda: 1, PerSub: [][]complex128{{}}},
 		{SampleT: 1, Lambda: 1, PerSub: [][]complex128{{1}, {1, 2}}},
+		{SampleT: 1, Lambda: 1, PerSub: [][]complex128{{1, 2}, {3, complex(math.NaN(), 0)}}},
+		{SampleT: 1, Lambda: 1, PerSub: [][]complex128{{complex(0, math.Inf(1))}}},
 	}
 	for i, r := range cases {
 		if err := r.Validate(); err == nil {
@@ -143,5 +148,28 @@ func TestReadTruncated(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, io.EOF) && err == nil {
 		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestReadRejectsNonFiniteSample: a trace file carrying a NaN or an
+// infinite sample fails to read, naming the sample, instead of reaching
+// the imaging chain.
+func TestReadRejectsNonFiniteSample(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		r := sampleRecord(5, 3, 40)
+		var buf bytes.Buffer
+		if err := Write(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		// The samples follow the 32-byte header, 16 bytes each,
+		// subcarrier-major: overwrite the imaginary part of sample 17
+		// of subcarrier 2.
+		off := 32 + (2*40+17)*16 + 8
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(bad))
+		_, err := Read(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), "subcarrier 2 sample 17") {
+			t.Fatalf("%v sample: err = %v, want it named as subcarrier 2 sample 17", bad, err)
+		}
 	}
 }
