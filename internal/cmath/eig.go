@@ -25,7 +25,7 @@ var ErrNotHermitian = errors.New("cmath: matrix is not Hermitian")
 // norm is not finite: the matrix holds a NaN or an infinity, or entries
 // so large that the norm overflows. Such a matrix would pass the
 // Hermitian check, whose tolerance scales with the norm, and leave the
-// iteration spinning to its budget or returning NaN eigenvalues.
+// iteration spinning to its budget or returning meaningless eigenvalues.
 var ErrNotFinite = errors.New("cmath: matrix norm is not finite")
 
 // ErrNoConvergence is returned when an eigensolver's iteration fails to

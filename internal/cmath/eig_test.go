@@ -441,8 +441,8 @@ func TestEigWorkspaceRejects(t *testing.T) {
 
 // TestEigRejectsNonFinite: both solvers fail with ErrNotFinite on a NaN
 // or infinite entry and on entries whose norm overflows, rather than
-// returning NaN eigenvalues (Jacobi) or spinning QL to its iteration
-// budget (EigWorkspace).
+// returning meaningless eigenvalues or spinning QL to its iteration
+// budget.
 func TestEigRejectsNonFinite(t *testing.T) {
 	cases := map[string]func(m *Matrix){
 		"NaN":      func(m *Matrix) { m.Set(2, 2, complex(math.NaN(), 0)) },

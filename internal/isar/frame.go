@@ -93,9 +93,9 @@ func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Fr
 // frameScratch bundles every reusable buffer of the frame kernel: the
 // window copy, the covariance, the diagonal sums (R's for Bartlett, then
 // the signal projector's for MUSIC), the eigensolver workspace and the
-// median sort scratch. One scratch serves
-// one goroutine at a time; Processor pools them, so a steady-state frame
-// allocates only its emitted Power and Bartlett slices.
+// median sort scratch. One scratch serves one goroutine at a time;
+// Processor pools them, so a steady-state frame allocates only its
+// emitted Power and Bartlett slices.
 type frameScratch struct {
 	// win receives the window copy the Streamer hands to a worker, so the
 	// producer's sample buffer can be trimmed while the frame is in
