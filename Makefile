@@ -113,6 +113,8 @@ eval:
 # frames/s, the paced chain's per-frame lag (wall-clock bound), and —
 # with -benchmem — allocs/op (BenchmarkProcessFrame times the frame
 # kernel, whose pooled workspace keeps it at the two emitted spectra;
+# BenchmarkComputeImage times a batch image through the frame scheduler
+# for one frame and for a 4 s capture of 47, inline and fanned out;
 # BenchmarkHermitianEig runs cold Jacobi and the frame kernel's
 # tridiagonal eigensolver side by side on the same sim covariances;
 # BenchmarkFFT compares the planned and plan-per-call transforms;
@@ -120,7 +122,7 @@ eval:
 # fanned out over the CPUs and, as workers=1, on one core).
 bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
-	go test -run '^$$' -bench 'BenchmarkProcessFrame' -benchtime 20x -benchmem ./internal/isar
+	go test -run '^$$' -bench 'Benchmark(ProcessFrame|ComputeImage)' -benchtime 20x -benchmem ./internal/isar
 	go test -run '^$$' -bench 'BenchmarkCapture' -benchtime 20x -benchmem ./internal/sim
 	go test -run '^$$' -bench 'BenchmarkHermitianEig' -benchmem ./internal/cmath
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp

@@ -150,18 +150,13 @@ func replayLive(path string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	streamer := proc.NewStreamer(isar.StreamConfig{})
-	done := make(chan struct{})
+	const width = 72
+	fmt.Println(eval.LiveAxisHeader(width))
 	frames := 0
-	go func() {
-		defer close(done)
-		const width = 72
-		fmt.Println(eval.LiveAxisHeader(width))
-		for fr := range streamer.Frames() {
-			fmt.Println(eval.LiveFrameLine(fr.Time, fr.Power, width))
-			frames++
-		}
-	}()
+	streamer := proc.NewStreamer(isar.StreamConfig{}, func(fr isar.Frame) {
+		fmt.Println(eval.LiveFrameLine(fr.Time, fr.Power, width))
+		frames++
+	})
 	err = core.EmitChunks(rec.PerSub, cfg.Hop, func(sub [][]complex128) error {
 		combined, err := ofdm.AverageSubcarriers(sub)
 		if err != nil {
@@ -169,10 +164,8 @@ func replayLive(path string) {
 		}
 		return streamer.Append(context.Background(), combined)
 	})
-	streamer.CloseInput()
-	<-done
-	if err == nil {
-		err = streamer.Err()
+	if cerr := streamer.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		log.Fatal(err)

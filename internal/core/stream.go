@@ -117,9 +117,9 @@ type Stream struct {
 	// arrival[i] is the clock instant frame i's window closed — when its
 	// last sample was delivered by the front end (its real arrival time
 	// under pacing, the synthesis time otherwise). Written by the capture
-	// goroutine strictly before frame i is scheduled and read by the
-	// collector strictly after frame i is emitted, so the frame channel's
-	// happens-before edge orders every access.
+	// goroutine strictly before frame i is claimed and read by the
+	// streamer's emit strictly after, both ordered by the streamer's
+	// mutex.
 	arrival []time.Time
 
 	mu     sync.Mutex
@@ -189,13 +189,23 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 		doneCh:      make(chan struct{}),
 	}
 	s.arrival = make([]time.Time, s.totalFrames)
-	streamer := d.proc.NewStreamer(isar.StreamConfig{Workers: d.cfg.FrameWorkers})
+	// emit buffers each frame (Next never blocks the capture) with its
+	// lag: how long after its window's last sample arrived the frame
+	// emerged. The streamer emits in index order, so lags stays
+	// frame-aligned.
+	streamer := d.proc.NewStreamer(isar.StreamConfig{Workers: d.cfg.FrameWorkers}, func(fr isar.Frame) {
+		lag := s.clock.Now().Sub(s.arrival[fr.Spec.Index])
+		s.mu.Lock()
+		s.frames = append(s.frames, fr)
+		s.lags = append(s.lags, lag)
+		s.signalLocked()
+		s.mu.Unlock()
+	})
 
 	var (
-		perSub     [][]complex128
-		combined   []complex128
-		nullRes    *nulling.Result
-		captureErr error
+		perSub   [][]complex128
+		combined []complex128
+		nullRes  *nulling.Result
 	)
 	// The capture loop: serialize on the radio, then read, combine and
 	// hand samples to the streamer chunk by chunk.
@@ -239,8 +249,8 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 			}
 			ready := combined[old:]
 			// Stamp the arrival of every window this chunk closed BEFORE
-			// scheduling the frames: Append may process a frame inline, and
-			// the collector reads arrival[i] as soon as frame i emerges.
+			// appending: Append may process a frame inline, and the
+			// streamer's emit reads arrival[i] as soon as frame i emerges.
 			now := s.clock.Now()
 			for closed < s.totalFrames && closed*hop+window <= len(combined) {
 				s.arrival[closed] = now
@@ -253,27 +263,12 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 		}
 		return ctx.Err()
 	}
+	// The capture goroutine finalizes the stream once the streamer has
+	// emitted its last frame.
 	go func() {
-		captureErr = capture()
-		streamer.CloseInput()
-	}()
-	// The collector buffers emitted frames (Next never blocks the
-	// capture) and finalizes the stream when the frame channel closes.
-	go func() {
-		for fr := range streamer.Frames() {
-			// Frame lag: the wall-clock cost of streaming — how long after
-			// its window's last sample arrived this frame emerged. The
-			// streamer emits in index order, so lags stays frame-aligned.
-			lag := s.clock.Now().Sub(s.arrival[fr.Spec.Index])
-			s.mu.Lock()
-			s.frames = append(s.frames, fr)
-			s.lags = append(s.lags, lag)
-			s.signalLocked()
-			s.mu.Unlock()
-		}
-		err := captureErr // CloseInput ordering makes this write visible
-		if err == nil {
-			err = streamer.Err()
+		err := capture()
+		if cerr := streamer.Close(); err == nil {
+			err = cerr
 		}
 		s.mu.Lock()
 		s.err = err

@@ -4,11 +4,11 @@ package isar
 // from analysis frames that are mutually independent: frame f reads only
 // its own window h[start : start+Window] and the processor's immutable
 // steering tables, and the frame kernel keeps no state from one frame to
-// the next. That independence is what the concurrent engine
-// (internal/pipeline) exploits — frames fan out over a bounded pool of
-// goroutines and fan back in by index, so the assembled image is
-// byte-identical to the sequential chain regardless of worker count,
-// scheduling, or whether the frames were computed in a batch or streamed.
+// the next. That independence is what the frame scheduler (Streamer,
+// stream.go) exploits — frames fan out over a bounded set of goroutines
+// and are emitted by index, so the assembled image is byte-identical to
+// the sequential chain regardless of worker count, scheduling, or whether
+// the capture was appended in one chunk (a batch image) or streamed.
 //
 // The stages are:
 //
@@ -21,22 +21,11 @@ package isar
 // frames concurrently on the same Processor.
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"math"
 
 	"wivi/internal/cmath"
 )
-
-// frameTokens caps the process-wide number of *extra* frame workers so
-// nested parallelism (a scene-level engine fanning out captures, each
-// capture fanning out frames) cannot oversubscribe the machine: every
-// capture always progresses on its calling goroutine, and borrows
-// additional workers only while global CPU budget remains. The worker
-// count never affects the output — frames fan in by index — so the cap
-// is purely a scheduling concern.
-var frameTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // FrameSpec identifies one analysis frame of a capture: its position in
 // the image and the first sample of its window.
@@ -78,8 +67,8 @@ type Frame struct {
 
 // ProcessFrame runs the frame kernel over one window of the capture h
 // with a freshly allocated workspace: the allocating form of the kernel
-// the batch and stream chains run with pooled workspaces, so it returns
-// the identical Frame. It is safe for concurrent use: h is only read,
+// the Streamer runs with pooled workspaces, so it returns the identical
+// Frame. It is safe for concurrent use: h is only read,
 // and the processor's steering tables are immutable after NewProcessor.
 func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Frame, error) {
 	w := p.cfg.Window
@@ -97,8 +86,8 @@ func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Fr
 // Processor pools them, so a steady-state frame allocates only its
 // emitted Power and Bartlett slices.
 type frameScratch struct {
-	// win receives the window copy the Streamer hands to a worker, so the
-	// producer's sample buffer can be trimmed while the frame is in
+	// win receives the window copy the Streamer claims for a frame, so
+	// the producer's sample buffer can be trimmed while the frame is in
 	// flight.
 	win    []complex128
 	cov    cmath.Matrix
@@ -134,10 +123,17 @@ func (p *Processor) putScratch(sc *frameScratch) { p.scratch.Put(sc) }
 //
 //wivi:hotpath
 func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool, sc *frameScratch) (Frame, error) {
+	// motionPower sums every sample of the window, so a NaN or infinite
+	// sample shows in it. Checking it here serves both modes: beamform
+	// never reaches the eigensolver's own finiteness check.
+	mp := motionPower(window)
+	if math.IsNaN(mp) || math.IsInf(mp, 0) {
+		return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, cmath.ErrNotFinite)
+	}
 	fr := Frame{
 		Spec:        spec,
 		Time:        (float64(spec.Start) + float64(p.cfg.Window)/2) * p.cfg.SampleT,
-		MotionPower: motionPower(window),
+		MotionPower: mp,
 		SignalDim:   1,
 		Power:       make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 		Bartlett:    make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
@@ -161,8 +157,8 @@ func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool
 }
 
 // AssembleImage folds processed frames (already in index order) into an
-// Image — the final stage of both the batch chain and the Streamer, so a
-// streamed capture assembles into the identical Image.
+// Image — the final stage of a batch image and of a streamed capture
+// alike, so both assemble into the identical Image.
 func (p *Processor) AssembleImage(frames []Frame) *Image {
 	img := &Image{
 		ThetaDeg:    p.thetasDeg,
@@ -180,113 +176,4 @@ func (p *Processor) AssembleImage(frames []Frame) *Image {
 		img.SignalDim[i] = fr.SignalDim
 	}
 	return img
-}
-
-// computeFrames runs the frame kernel over every spec, fanning out over
-// up to `workers` goroutines. Frames are independent (see the top of
-// this file), so workers take specs from a shared cursor and each result
-// lands in its spec's index slot: the frame order — and therefore the
-// assembled image — is deterministic for any worker count. The first
-// error (or a context cancellation) stops the remaining work.
-func (p *Processor) computeFrames(ctx context.Context, h []complex128, specs []FrameSpec, music bool, workers int) ([]Frame, error) {
-	frames := make([]Frame, len(specs))
-	if len(specs) == 0 {
-		return frames, nil
-	}
-	win := p.cfg.Window
-	runSpec := func(i int, sc *frameScratch) error {
-		spec := specs[i]
-		if spec.Start < 0 || spec.Start+win > len(h) {
-			return fmt.Errorf("isar: frame window [%d, %d) outside capture of %d samples",
-				spec.Start, spec.Start+win, len(h))
-		}
-		fr, err := p.processFrame(h[spec.Start:spec.Start+win], spec, music, sc)
-		if err != nil {
-			return err
-		}
-		frames[spec.Index] = fr
-		return nil
-	}
-
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		sc := p.getScratch()
-		defer p.putScratch(sc)
-		for i := range specs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := runSpec(i, sc); err != nil {
-				return nil, err
-			}
-		}
-		return frames, nil
-	}
-
-	// Fan-out: workers pull spec indices from a shared cursor; fan-in is
-	// positional, so scheduling never reorders frames. The calling
-	// goroutine always works; extra workers spawn only up to the global
-	// frameTokens budget. Each worker checks out one scratch for its
-	// whole run.
-	var (
-		wg       sync.WaitGroup
-		next     int
-		nextMu   sync.Mutex
-		firstErr error
-		errOnce  sync.Once
-	)
-	stop, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	take := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		i := next
-		next++
-		return i
-	}
-	work := func() {
-		sc := p.getScratch()
-		defer p.putScratch(sc)
-		for {
-			if stop.Err() != nil {
-				return
-			}
-			i := take()
-			if i >= len(specs) {
-				return
-			}
-			if err := runSpec(i, sc); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}
-	for w := 1; w < workers; w++ {
-		select {
-		case frameTokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-frameTokens }()
-				work()
-			}()
-		default:
-			// Machine already saturated by other captures; run narrower.
-		}
-	}
-	work()
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return frames, nil
 }

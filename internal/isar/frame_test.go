@@ -1,7 +1,6 @@
 package isar
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -88,7 +87,8 @@ func TestHankelCovarianceMatchesDirectSum(t *testing.T) {
 }
 
 // TestImageFramesMatchProcessFrame: the pooled-workspace frames of the
-// batch chain (fanned out over several workers) are bit-identical to
+// frame scheduler (the whole capture in one Append, fanned out over
+// several workers, as a batch image runs it) are bit-identical to
 // ProcessFrame, the kernel's allocating form, in both MUSIC and beamform
 // mode — one kernel, whatever workspace it runs in.
 func TestImageFramesMatchProcessFrame(t *testing.T) {
@@ -100,7 +100,7 @@ func TestImageFramesMatchProcessFrame(t *testing.T) {
 	h := goldenChannel(cfg, 400)
 	specs := p.FrameSpecs(len(h))
 	for _, music := range []bool{true, false} {
-		frames, err := p.computeFrames(context.Background(), h, specs, music, 4)
+		frames, err := streamFrames(t, p, h, len(h), 4, !music)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,19 +294,26 @@ func TestQuadFormMatchesDirectSums(t *testing.T) {
 
 // TestComputeImageRejectsNonFiniteSample: a NaN or infinite sample fails
 // the first frame whose window holds it with cmath.ErrNotFinite, and the
-// error names the frame by its first sample.
+// error names the frame by its first sample, in MUSIC and in beamform
+// mode (which never reaches the eigensolver).
 func TestComputeImageRejectsNonFiniteSample(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	modes := []struct {
+		name    string
+		compute func([]complex128) (*Image, error)
+	}{{"music", p.ComputeImage}, {"beamform", p.ComputeBeamformImage}}
 	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
 		h := goldenChannel(cfg, 256)
 		h[100] = bad // first in the window of the frame at sample 48
-		_, err := p.ComputeImage(h)
-		if !errors.Is(err, cmath.ErrNotFinite) || !strings.Contains(err.Error(), "frame at sample 48") {
-			t.Fatalf("sample %v: err = %v, want ErrNotFinite at the frame at sample 48", bad, err)
+		for _, m := range modes {
+			_, err := m.compute(h)
+			if !errors.Is(err, cmath.ErrNotFinite) || !strings.Contains(err.Error(), "frame at sample 48") {
+				t.Fatalf("%s, sample %v: err = %v, want ErrNotFinite at the frame at sample 48", m.name, bad, err)
+			}
 		}
 	}
 }

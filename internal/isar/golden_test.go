@@ -3,12 +3,14 @@ package isar
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"math"
 	"math/cmplx"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -197,6 +199,56 @@ func TestComputeImageCtxCanceled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		if _, err := p.ComputeImageCtx(ctx, goldenChannel(cfg, 256), workers); err != context.Canceled {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)th call on: a cancellation that lands at a fixed claim partway
+// through an image.
+type cancelAfter struct {
+	context.Context
+	mu       sync.Mutex
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestComputeImageCtxCanceledMidway: a batch image is one Append, so the
+// check at each claim is what stops it partway. With Err failing from
+// its 4th call on, at most 3 of the capture's 29 frames may be claimed
+// or emitted, and the image fails with context.Canceled.
+func TestComputeImageCtxCanceledMidway(t *testing.T) {
+	cfg := goldenConfig()
+	p, err := NewProcessor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := goldenChannel(cfg, 512)
+	for _, workers := range []int{1, 4} {
+		emitted := 0
+		s := p.NewStreamer(StreamConfig{Workers: workers}, func(Frame) { emitted++ })
+		ctx := &cancelAfter{Context: context.Background(), n: 3}
+		if err := s.Append(ctx, h); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Append = %v, want context.Canceled", workers, err)
+		}
+		if err := s.Close(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Close = %v, want context.Canceled", workers, err)
+		}
+		if s.next > 3 || emitted > 3 {
+			t.Fatalf("workers=%d: %d frames claimed and %d emitted, want at most 3", workers, s.next, emitted)
+		}
+		ctx = &cancelAfter{Context: context.Background(), n: 3}
+		if _, err := p.ComputeImageCtx(ctx, h, workers); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: ComputeImageCtx = %v, want context.Canceled", workers, err)
 		}
 	}
 }

@@ -88,9 +88,10 @@ func (p *Processor) ComputeImage(h []complex128) (*Image, error) {
 }
 
 // ComputeImageCtx is ComputeImage with context cancellation and per-frame
-// fan-out over up to `workers` goroutines. The frames are independent
-// stages (see frame.go) assembled by index, so the result is identical to
-// ComputeImage for every worker count; workers <= 1 runs sequentially.
+// fan-out over up to `workers` goroutines. The capture is one Append on a
+// Streamer, which emits the independent frames (see frame.go) by index,
+// so the result is identical to ComputeImage for every worker count;
+// workers <= 1 runs sequentially.
 func (p *Processor) ComputeImageCtx(ctx context.Context, h []complex128, workers int) (*Image, error) {
 	return p.computeImage(ctx, h, true, workers)
 }
@@ -113,9 +114,16 @@ func (p *Processor) computeImage(ctx context.Context, h []complex128, music bool
 	if len(h) < w {
 		return nil, fmt.Errorf("isar: %d samples < window %d", len(h), w)
 	}
-	specs := p.FrameSpecs(len(h))
-	frames, err := p.computeFrames(ctx, h, specs, music, workers)
-	if err != nil {
+	// A batch image is the whole capture appended to the frame scheduler
+	// at once, with no more workers than frames: a one-frame image runs
+	// inline.
+	n := (len(h)-w)/p.cfg.Hop + 1
+	frames := make([]Frame, 0, n)
+	s := p.NewStreamer(StreamConfig{Workers: min(workers, n), Beamform: !music}, func(fr Frame) {
+		frames = append(frames, fr)
+	})
+	_ = s.Append(ctx, h) // its error is the stream's first error, which Close returns
+	if err := s.Close(); err != nil {
 		return nil, err
 	}
 	return p.AssembleImage(frames), nil

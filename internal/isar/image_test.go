@@ -1,12 +1,13 @@
 package isar
 
 import (
+	"context"
+	"fmt"
 	"math"
-	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"wivi/internal/cmath"
-	"wivi/internal/rng"
 )
 
 // addVec element-wise adds b into a (lengths must match).
@@ -248,22 +249,28 @@ func TestImageDeterminism(t *testing.T) {
 	}
 }
 
+// BenchmarkComputeImage times a batch image through the frame scheduler
+// as the benchmark's workloads drive it, on a seeded, nulled 2-walker sim
+// capture: one frame (serve_short's 0.32 s tracks) and the whole 4 s
+// capture, 47 frames (track_batch's tracks), each inline (workers=1) and
+// fanned out over GOMAXPROCS. Run with -count >= 10 and compare medians.
 func BenchmarkComputeImage(b *testing.B) {
-	cfg := DefaultConfig()
+	h, cfg := simChannel(b)
 	p, err := NewProcessor(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := rng.New(1)
-	n := cfg.Window + 10*cfg.Hop
-	h := make([]complex128, n)
-	for i := range h {
-		h[i] = cmplx.Rect(1, 2*math.Pi*0.01*float64(i)) + s.ComplexGaussian(0.01)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ComputeImage(h); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{cfg.Window, len(h)} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			name := fmt.Sprintf("frames=%d/workers=%d", (n-cfg.Window)/cfg.Hop+1, workers)
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := p.ComputeImageCtx(context.Background(), h[:n], workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

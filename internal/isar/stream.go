@@ -1,243 +1,224 @@
 package isar
 
-// Streaming form of the stage decomposition in frame.go: instead of
-// slicing a complete capture into FrameSpecs and fanning them out, a
-// Streamer consumes the channel stream incrementally and schedules each
-// frame the moment its window closes, while later windows are still
-// filling. Each frame runs the same stateless kernel the batch chain runs
-// (processFrame) on a copy of its own window, so the frame sequence (and
-// any image assembled from it) is bit-identical to the batch chain for
-// every worker count and every input chunking.
+// The frame scheduler. A Streamer consumes the channel stream
+// incrementally and runs the frame kernel (processFrame) on each window
+// the moment it closes, while later windows are still filling; a batch
+// image (computeImage) is the same Streamer fed the whole capture in one
+// Append. Each frame runs on its own copy of its window and reaches the
+// emit callback in index order, so the frame sequence (and any image
+// assembled from it) is bit-identical for every worker count and every
+// input chunking, batch or stream.
 //
-// The sample buffer is bounded: each scheduled frame takes its own copy
-// of its window at dispatch, so Append can trim every sample older than
-// the earliest unscheduled window. A stream that runs for a week retains
-// O(Window + chunk) samples, not the whole capture history.
+// Scheduling is claim, then hand off. Append claims each closed window in
+// turn under the Streamer's mutex (checking ctx, copying the window into
+// pooled scratch and advancing next), then hands it to a borrowed
+// goroutine if a local worker slot and a process-wide frameTokens token
+// are both free, or else runs it inline. A goroutine that finishes a
+// frame claims the next closed window before it stops, so a capture
+// appended at once costs one goroutine per slot, not one per frame, while
+// a stream chunk that closes one window still hands it off and returns.
+//
+// The sample buffer is bounded: every closed window is claimed, and so
+// copied, before Append returns, so the next Append can trim every sample
+// older than the earliest unclaimed window. A stream that runs for a week
+// retains O(Window + chunk) samples, not the whole capture history.
 
 import (
 	"context"
-	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 )
+
+// frameTokens caps the process-wide number of *extra* frame workers so
+// nested parallelism (a scene-level engine fanning out captures, each
+// capture fanning out frames) cannot oversubscribe the machine: every
+// Streamer always progresses on its appending goroutine, and borrows
+// additional workers only while global CPU budget remains. The worker
+// count never affects the output — frames are emitted by index — so the
+// cap is purely a scheduling concern.
+var frameTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // StreamConfig parameterizes a Streamer.
 type StreamConfig struct {
-	// Workers bounds the per-stream frame fan-out, mirroring the workers
-	// argument of ComputeImageCtx: the appending goroutine always makes
-	// progress, and up to Workers-1 extra goroutines are borrowed from the
-	// process-wide frameTokens budget. Values <= 1 process every frame
-	// inline on the Append call. The worker count never affects the
-	// emitted frames, only the scheduling.
+	// Workers bounds the frame fan-out, mirroring the workers argument of
+	// ComputeImageCtx: the appending goroutine always makes progress, and
+	// up to Workers-1 extra goroutines are borrowed from the process-wide
+	// frameTokens budget. Values <= 1 process every frame inline on the
+	// Append call. The worker count never affects the emitted frames,
+	// only the scheduling.
 	Workers int
 	// Beamform selects the plain Eq. 5.1 beamformer stage instead of
 	// smoothed MUSIC, mirroring ComputeBeamformImageCtx.
 	Beamform bool
 }
 
-// Streamer incrementally turns a channel sample stream into ordered
-// Frames. Usage:
+// Streamer incrementally turns a channel sample stream into Frames and
+// hands them to its emit callback in index order. Usage:
 //
-//	s := p.NewStreamer(StreamConfig{Workers: 4})
-//	go consume(s.Frames())          // receives frames in index order
+//	s := p.NewStreamer(StreamConfig{Workers: 4}, func(fr Frame) { ... })
 //	for each chunk {
 //	    if err := s.Append(ctx, chunk); err != nil { break }
 //	}
-//	s.CloseInput()                  // Frames() closes once all are out
-//	err := s.Err()                  // first frame error, if any
+//	err := s.Close() // waits for in-flight frames; first error, if any
 //
-// Append must be called from a single goroutine (the capture loop); the
-// Frames channel must be drained, or the pipeline stalls by design
-// (backpressure toward the producer).
+// Append must be called from a single goroutine (the capture loop). emit
+// runs under the Streamer's mutex, on whichever goroutine completed the
+// frame, so it must not block or call back into the Streamer.
 type Streamer struct {
 	p     *Processor
 	music bool
+	emit  func(Frame)
 
-	// Producer-side state, touched only by the Append goroutine. h holds
-	// the not-yet-consumed tail of the sample stream; base is the
-	// absolute sample index of h[0] (it grows as the consumed prefix is
-	// trimmed).
-	h    []complex128
-	base int
-
-	// next is the next frame index to schedule. Written only by the
-	// Append goroutine; atomic so Scheduled is safe from any goroutine.
-	next atomic.Int64
-
-	// extra holds local slots for borrowed worker goroutines.
+	// extra holds local slots for borrowed worker goroutines; nil when
+	// Workers <= 1, which makes every frame run inline.
 	extra chan struct{}
 	wg    sync.WaitGroup
 
-	results chan Frame
-	out     chan Frame
-
-	errOnce sync.Once
-	errMu   sync.Mutex
-	err     error
-	failed  chan struct{}
+	mu sync.Mutex
+	// h holds the not-yet-claimed tail of the sample stream; base is the
+	// absolute sample index of h[0] (it grows as the claimed prefix is
+	// trimmed).
+	h    []complex128
+	base int
+	// next is the next frame index to claim, emitted the next to emit.
+	next, emitted int
+	// pending holds frames completed ahead of emitted, by index.
+	pending  map[int]Frame
+	firstErr error
 }
 
-// NewStreamer builds a Streamer over the processor's window geometry.
-func (p *Processor) NewStreamer(cfg StreamConfig) *Streamer {
-	extra := cfg.Workers - 1
-	if extra < 0 {
-		extra = 0
+// NewStreamer builds a Streamer over the processor's window geometry that
+// hands each frame to emit, in index order.
+func (p *Processor) NewStreamer(cfg StreamConfig, emit func(Frame)) *Streamer {
+	s := &Streamer{p: p, music: !cfg.Beamform, emit: emit}
+	if cfg.Workers > 1 {
+		s.extra = make(chan struct{}, cfg.Workers-1)
 	}
-	s := &Streamer{
-		p:       p,
-		music:   !cfg.Beamform,
-		extra:   make(chan struct{}, extra),
-		results: make(chan Frame, 1),
-		out:     make(chan Frame),
-		failed:  make(chan struct{}),
-	}
-	go s.collect()
 	return s
 }
 
-// collect reorders completed frames by index and emits them in order.
-func (s *Streamer) collect() {
-	pending := make(map[int]Frame)
-	emit := 0
-	for fr := range s.results {
-		pending[fr.Spec.Index] = fr
-		for {
-			next, ok := pending[emit]
-			if !ok {
-				break
-			}
-			delete(pending, emit)
-			s.out <- next
-			emit++
-		}
-	}
-	close(s.out)
-}
-
-// Frames returns the ordered frame channel. It closes after CloseInput
-// once every scheduled frame has been emitted, or early after a frame
-// error (check Err).
-func (s *Streamer) Frames() <-chan Frame { return s.out }
-
-// Err returns the first frame-processing error, if any.
-func (s *Streamer) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
-
-func (s *Streamer) fail(err error) {
-	s.errOnce.Do(func() {
-		s.errMu.Lock()
-		s.err = err
-		s.errMu.Unlock()
-		close(s.failed)
-	})
-}
-
-// Append extends the channel stream with samples and schedules every
-// frame whose window just closed. It returns the stream's first error
-// (frame failure or context cancellation); after an error the stream is
-// dead and CloseInput should follow.
+// Append extends the channel stream with samples and claims every window
+// they closed, running each frame inline or on a borrowed goroutine. It
+// returns the stream's first error (a frame failure, or ctx's error at a
+// claim); after an error the stream is dead and Close should follow.
 func (s *Streamer) Append(ctx context.Context, samples []complex128) error {
-	if err := ctx.Err(); err != nil {
-		s.fail(err)
-		return err
-	}
-	if err := s.Err(); err != nil {
-		return err
-	}
-	w := s.p.cfg.Window
-	hop := s.p.cfg.Hop
-	// Trim the consumed prefix before growing: samples before the
-	// earliest unscheduled window (frame `next`, absolute start
-	// next*hop) can never be read again — every in-flight frame works on
-	// its own window copy — so the retained buffer stays O(Window +
-	// chunk) for any stream length. The compaction reuses h's backing
-	// array; no worker reads h.
-	if keep := int(s.next.Load())*hop - s.base; keep > 0 {
-		if keep > len(s.h) {
-			keep = len(s.h)
-		}
-		n := copy(s.h, s.h[keep:])
-		s.h = s.h[:n]
+	s.mu.Lock()
+	// Trim the claimed prefix before growing: samples before the earliest
+	// unclaimed window (frame next, absolute start next*Hop) can never be
+	// read again, because every claimed frame works on its own window
+	// copy. The compaction reuses h's backing array.
+	if keep := min(s.next*s.p.cfg.Hop-s.base, len(s.h)); keep > 0 {
+		s.h = s.h[:copy(s.h, s.h[keep:])]
 		s.base += keep
 	}
 	s.h = append(s.h, samples...)
+	s.mu.Unlock()
+
+	sc := s.p.getScratch()
 	for {
-		next := int(s.next.Load())
-		start := next * hop
-		if start+w > s.base+len(s.h) {
+		spec, ok := s.claim(ctx, sc)
+		if !ok {
 			break
 		}
-		s.next.Store(int64(next + 1))
-		s.dispatch(FrameSpec{Index: next, Start: start})
-		if err := s.Err(); err != nil {
-			return err
+		if !s.borrow() {
+			s.run(sc, spec)
+			continue
 		}
+		s.wg.Add(1)
+		go s.work(ctx, sc, spec)
+		sc = s.p.getScratch()
 	}
-	return nil
+	s.p.putScratch(sc)
+	return s.err()
 }
 
-// Scheduled returns how many frames have been scheduled so far. Safe to
-// call from any goroutine.
-func (s *Streamer) Scheduled() int { return int(s.next.Load()) }
+// Close marks the end of the sample stream: it waits for every in-flight
+// frame and returns the stream's first error. Append must not be called
+// afterwards.
+func (s *Streamer) Close() error {
+	s.wg.Wait()
+	return s.err()
+}
 
-// Retained returns the current length of the internal sample buffer —
-// exposed so tests can assert the bounded-memory contract.
-func (s *Streamer) Retained() int { return len(s.h) }
+func (s *Streamer) err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.firstErr
+}
 
-// dispatch copies one frame's window into pooled scratch and runs the
-// frame kernel on it — on a borrowed goroutine when both a local slot and
-// a global frame token are free, else inline — the same always-progress
-// policy as computeFrames. The window copy is what lets Append trim s.h
-// while the frame is still in flight.
-func (s *Streamer) dispatch(spec FrameSpec) {
-	w := s.p.cfg.Window
-	rel := spec.Start - s.base
-	sc := s.p.getScratch()
-	copy(sc.win, s.h[rel:rel+w])
+// claim takes the next closed window for sc: under the mutex it checks
+// ctx, copies the window into sc.win and advances next. ok is false when
+// no unclaimed window has closed or the stream has failed; a canceled ctx
+// fails the stream.
+func (s *Streamer) claim(ctx context.Context, sc *frameScratch) (spec FrameSpec, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := s.next * s.p.cfg.Hop
+	if s.firstErr != nil || start+s.p.cfg.Window > s.base+len(s.h) {
+		return FrameSpec{}, false
+	}
+	if err := ctx.Err(); err != nil {
+		s.firstErr = err
+		return FrameSpec{}, false
+	}
+	copy(sc.win, s.h[start-s.base:])
+	spec = FrameSpec{Index: s.next, Start: start}
+	s.next++
+	return spec, true
+}
+
+// borrow takes a local worker slot and a process-wide frame token, both
+// or neither.
+func (s *Streamer) borrow() bool {
 	select {
 	case s.extra <- struct{}{}:
-		select {
-		case frameTokens <- struct{}{}:
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer func() { <-frameTokens; <-s.extra }()
-				s.runFrame(sc, spec)
-			}()
-			return
-		default:
-			<-s.extra
-		}
 	default:
-	}
-	s.runFrame(sc, spec)
-}
-
-// runFrame runs the frame kernel on a dispatched frame's window copy and
-// returns the scratch to the processor's pool.
-func (s *Streamer) runFrame(sc *frameScratch, spec FrameSpec) {
-	fr, err := s.p.processFrame(sc.win, spec, s.music, sc)
-	s.p.putScratch(sc)
-	if err != nil {
-		s.fail(fmt.Errorf("isar: streaming frame %d: %w", spec.Index, err))
-		return
+		return false
 	}
 	select {
-	case s.results <- fr:
-	case <-s.failed:
-		// A sibling frame failed; the collector may already be gone.
+	case frameTokens <- struct{}{}:
+		return true
+	default:
+		<-s.extra
+		return false
 	}
 }
 
-// CloseInput marks the end of the sample stream. Once in-flight frames
-// finish, the results funnel closes and Frames drains then closes.
-// Append must not be called afterwards.
-func (s *Streamer) CloseInput() {
-	go func() {
-		s.wg.Wait()
-		close(s.results)
-	}()
+// work is a borrowed goroutine: it runs the frame handed to it, then
+// every window it can claim, and returns its scratch, token and slot.
+func (s *Streamer) work(ctx context.Context, sc *frameScratch, spec FrameSpec) {
+	for ok := true; ok; spec, ok = s.claim(ctx, sc) {
+		s.run(sc, spec)
+	}
+	s.p.putScratch(sc)
+	<-frameTokens
+	<-s.extra
+	s.wg.Done()
+}
+
+// run runs the frame kernel on a claimed window, then files the frame and
+// emits every frame that is now next in index order. Nothing is emitted
+// after the stream has failed.
+func (s *Streamer) run(sc *frameScratch, spec FrameSpec) {
+	fr, err := s.p.processFrame(sc.win, spec, s.music, sc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.firstErr != nil:
+		return
+	case err != nil:
+		s.firstErr = err
+		return
+	case spec.Index != s.emitted:
+		if s.pending == nil {
+			s.pending = make(map[int]Frame)
+		}
+		s.pending[spec.Index] = fr
+		return
+	}
+	for ok := true; ok; fr, ok = s.pending[s.emitted] {
+		delete(s.pending, s.emitted)
+		s.emit(fr)
+		s.emitted++
+	}
 }

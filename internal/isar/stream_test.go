@@ -3,43 +3,41 @@ package isar
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 )
 
-// streamImage runs the Streamer over h in chunks and assembles the
-// emitted frames into an image.
-func streamImage(t *testing.T, p *Processor, h []complex128, chunk, workers int, beamform bool) (*Image, error) {
+// streamFrames runs the Streamer over h in chunks and returns the frames
+// it emitted, checking that they arrive in index order.
+func streamFrames(t *testing.T, p *Processor, h []complex128, chunk, workers int, beamform bool) ([]Frame, error) {
 	t.Helper()
-	s := p.NewStreamer(StreamConfig{Workers: workers, Beamform: beamform})
 	var frames []Frame
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for fr := range s.Frames() {
-			frames = append(frames, fr)
-		}
-	}()
-	var appendErr error
-	for off := 0; off < len(h) && appendErr == nil; off += chunk {
-		end := off + chunk
-		if end > len(h) {
-			end = len(h)
-		}
-		appendErr = s.Append(context.Background(), h[off:end])
+	s := p.NewStreamer(StreamConfig{Workers: workers, Beamform: beamform}, func(fr Frame) {
+		frames = append(frames, fr)
+	})
+	var err error
+	for off := 0; off < len(h) && err == nil; off += chunk {
+		err = s.Append(context.Background(), h[off:min(off+chunk, len(h))])
 	}
-	s.CloseInput()
-	<-done
-	if appendErr != nil {
-		return nil, appendErr
+	if cerr := s.Close(); cerr != err {
+		t.Fatalf("Close = %v, want Append's error %v", cerr, err)
 	}
-	if err := s.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, fr := range frames {
 		if fr.Spec.Index != i {
 			t.Fatalf("frame %d emitted at position %d: ordering broken", fr.Spec.Index, i)
 		}
+	}
+	return frames, nil
+}
+
+// streamImage assembles streamFrames' frames into an image.
+func streamImage(t *testing.T, p *Processor, h []complex128, chunk, workers int, beamform bool) (*Image, error) {
+	t.Helper()
+	frames, err := streamFrames(t, p, h, chunk, workers, beamform)
+	if err != nil {
+		return nil, err
 	}
 	return p.AssembleImage(frames), nil
 }
@@ -84,8 +82,8 @@ func TestStreamerMatchesBatch(t *testing.T) {
 }
 
 // TestStreamerEmitsBeforeInputCloses verifies actual streaming: frames
-// whose windows closed are observable while later samples have not been
-// appended yet.
+// whose windows closed are emitted while later samples have not been
+// appended yet, and every claimed frame is emitted by Close.
 func TestStreamerEmitsBeforeInputCloses(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
@@ -93,39 +91,27 @@ func TestStreamerEmitsBeforeInputCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := goldenChannel(cfg, 256)
-	s := p.NewStreamer(StreamConfig{Workers: 1})
-	// One window exactly: frame 0 must arrive with no further input.
+	var frames []Frame
+	s := p.NewStreamer(StreamConfig{Workers: 1}, func(fr Frame) { frames = append(frames, fr) })
+	// One window exactly: with Workers 1 the frame runs inline, so frame 0
+	// is out by the time Append returns, with no further input.
 	if err := s.Append(context.Background(), h[:cfg.Window]); err != nil {
 		t.Fatal(err)
 	}
-	fr, open := <-s.Frames()
-	if !open {
-		t.Fatal("frame channel closed early")
+	if len(frames) != 1 || frames[0].Spec.Index != 0 {
+		t.Fatalf("after one window: emitted %d frames, want frame 0 alone", len(frames))
 	}
-	if fr.Spec.Index != 0 {
-		t.Fatalf("first frame index %d", fr.Spec.Index)
-	}
-	// Drain concurrently from here on: with Workers 1 the frames process
-	// inline on Append, and an undrained Frames channel backpressures the
-	// producer by design.
-	counted := make(chan int)
-	go func() {
-		count := 1
-		for range s.Frames() {
-			count++
-		}
-		counted <- count
-	}()
 	if err := s.Append(context.Background(), h[cfg.Window:]); err != nil {
 		t.Fatal(err)
 	}
-	s.CloseInput()
-	count := <-counted
-	if want := len(p.FrameSpecs(256)); count != want {
-		t.Fatalf("emitted %d frames, want %d", count, want)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if s.Scheduled() != count {
-		t.Fatalf("scheduled %d != emitted %d", s.Scheduled(), count)
+	if want := len(p.FrameSpecs(256)); len(frames) != want {
+		t.Fatalf("emitted %d frames, want %d", len(frames), want)
+	}
+	if s.next != len(frames) {
+		t.Fatalf("claimed %d != emitted %d", s.next, len(frames))
 	}
 }
 
@@ -135,16 +121,16 @@ func TestStreamerShortCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.NewStreamer(StreamConfig{})
+	emitted := 0
+	s := p.NewStreamer(StreamConfig{}, func(Frame) { emitted++ })
 	if err := s.Append(context.Background(), goldenChannel(cfg, cfg.Window-1)); err != nil {
 		t.Fatal(err)
 	}
-	s.CloseInput()
-	if _, open := <-s.Frames(); open {
-		t.Fatal("short capture emitted a frame")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if s.Err() != nil {
-		t.Fatal(s.Err())
+	if emitted != 0 {
+		t.Fatal("short capture emitted a frame")
 	}
 }
 
@@ -154,13 +140,7 @@ func TestStreamerCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.NewStreamer(StreamConfig{Workers: 4})
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for range s.Frames() {
-		}
-	}()
+	s := p.NewStreamer(StreamConfig{Workers: 4}, func(Frame) {})
 	ctx, cancel := context.WithCancel(context.Background())
 	h := goldenChannel(cfg, 256)
 	if err := s.Append(ctx, h[:128]); err != nil {
@@ -170,17 +150,16 @@ func TestStreamerCanceled(t *testing.T) {
 	if err := s.Append(ctx, h[128:]); err != context.Canceled {
 		t.Fatalf("Append after cancel = %v, want context.Canceled", err)
 	}
-	s.CloseInput()
-	<-drained
-	if s.Err() != context.Canceled {
-		t.Fatalf("Err = %v, want context.Canceled", s.Err())
+	if err := s.Close(); err != context.Canceled {
+		t.Fatalf("Close = %v, want context.Canceled", err)
 	}
 }
 
 // TestStreamerBoundedBuffer is the unbounded-growth regression test: a
 // long synthetic stream must retain O(Window + chunk) samples, never the
-// capture history. Before the fix, Retained() grew linearly with the
-// stream (internal/isar/stream.go kept every appended sample).
+// capture history. Before the fix, the Streamer's sample buffer grew
+// linearly with the stream (internal/isar/stream.go kept every appended
+// sample).
 func TestStreamerBoundedBuffer(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
@@ -190,96 +169,32 @@ func TestStreamerBoundedBuffer(t *testing.T) {
 	const total = 50000
 	chunk := cfg.Hop + 3 // deliberately misaligned with the hop
 	h := goldenChannel(cfg, total)
-	s := p.NewStreamer(StreamConfig{Workers: 2})
-	drained := make(chan int)
-	go func() {
-		n := 0
-		for range s.Frames() {
-			n++
-		}
-		drained <- n
-	}()
+	frames := 0
+	s := p.NewStreamer(StreamConfig{Workers: 2}, func(Frame) { frames++ })
 	bound := cfg.Window + chunk
 	for off := 0; off < total; off += chunk {
-		end := off + chunk
-		if end > total {
-			end = total
-		}
+		end := min(off+chunk, total)
 		if err := s.Append(context.Background(), h[off:end]); err != nil {
 			t.Fatal(err)
 		}
-		if r := s.Retained(); r > bound {
+		// Only Append, on this goroutine, writes s.h.
+		if r := len(s.h); r > bound {
 			t.Fatalf("after %d samples: retained %d > bound %d (Window+chunk)", end, r, bound)
 		}
 	}
-	s.CloseInput()
-	frames := <-drained
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if want := len(p.FrameSpecs(total)); frames != want {
 		t.Fatalf("trimmed stream emitted %d frames, want %d", frames, want)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScheduledConcurrent exercises the Scheduled data race fixed in
-// this revision: a monitor goroutine polls Scheduled while the producer
-// appends. Run under -race this fails on the old unsynchronized read of
-// s.next; it also checks monotonicity of the observed counts.
-func TestScheduledConcurrent(t *testing.T) {
-	cfg := goldenConfig()
-	p, err := NewProcessor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := goldenChannel(cfg, 2048)
-	s := p.NewStreamer(StreamConfig{Workers: 2})
-	go func() {
-		for range s.Frames() {
-		}
-	}()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		last := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			n := s.Scheduled()
-			if n < last {
-				t.Errorf("Scheduled went backwards: %d after %d", n, last)
-				return
-			}
-			last = n
-		}
-	}()
-	for off := 0; off < len(h); off += cfg.Hop {
-		end := off + cfg.Hop
-		if end > len(h) {
-			end = len(h)
-		}
-		if err := s.Append(context.Background(), h[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	s.CloseInput()
-	if want := len(p.FrameSpecs(len(h))); s.Scheduled() != want {
-		t.Fatalf("scheduled %d frames, want %d", s.Scheduled(), want)
 	}
 }
 
 // TestStreamerSteadyStateAllocs gates the allocation-free hot path: once
 // the pools are warm, appending one hop of samples (= one frame,
 // processed inline) allocates only the emitted Frame's Power and
-// Bartlett slices plus channel/collector noise — single digits, versus
-// ~340 per frame before the kernel pooled its scratch.
+// Bartlett slices — versus ~340 per frame before the kernel pooled its
+// scratch.
 func TestStreamerSteadyStateAllocs(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
@@ -288,41 +203,34 @@ func TestStreamerSteadyStateAllocs(t *testing.T) {
 	}
 	const warmFrames = 64
 	h := goldenChannel(cfg, cfg.Window+10000*cfg.Hop)
-	s := p.NewStreamer(StreamConfig{}) // inline: allocs attribute deterministically
-	frames := make(chan Frame, 4)
-	go func() {
-		for fr := range s.Frames() {
-			frames <- fr
-		}
-		close(frames)
-	}()
+	emitted := 0
+	s := p.NewStreamer(StreamConfig{}, func(Frame) { emitted++ }) // inline: allocs attribute deterministically
 	off := 0
-	// feed appends exactly one hop — which closes exactly one window once
-	// primed — and consumes the one frame it emits, keeping the pipeline
-	// in lockstep.
-	feed := func(n, emitted int) {
+	// feed appends n samples, which must close exactly one window: the
+	// frame runs inline and is emitted before Append returns.
+	feed := func(n int) {
+		before := emitted
 		if err := s.Append(context.Background(), h[off:off+n]); err != nil {
 			t.Fatal(err)
 		}
 		off += n
-		for i := 0; i < emitted; i++ {
-			<-frames
+		if emitted != before+1 {
+			t.Fatalf("append of %d samples emitted %d frames, want 1", n, emitted-before)
 		}
 	}
-	// Warm pools, channels and the reorder map one frame at a time.
-	feed(cfg.Window, 1)
+	// Warm the pools and the sample buffer one frame at a time.
+	feed(cfg.Window)
 	for i := 0; i < warmFrames; i++ {
-		feed(cfg.Hop, 1)
+		feed(cfg.Hop)
 	}
-	avg := testing.AllocsPerRun(200, func() { feed(cfg.Hop, 1) })
-	s.CloseInput()
-	for range frames {
-	}
-	if err := s.Err(); err != nil {
+	avg := testing.AllocsPerRun(200, func() { feed(cfg.Hop) })
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// 2 irreducible (Power, Bartlett) + slack for channel-send and map
-	// internals. The unpooled chain measured ~340 allocs/frame.
+	// 2 irreducible (Power, Bartlett), measured 2.00; the slack is for
+	// the race detector, whose sync.Pool drops a share of Puts, so a run
+	// under -race also refills the frame scratch now and then. The
+	// unpooled chain measured ~340 allocs/frame.
 	if avg > 8 {
 		t.Fatalf("steady-state stream allocates %.1f per frame, want <= 8", avg)
 	}
