@@ -116,7 +116,9 @@ eval:
 # BenchmarkComputeImage times a batch image through the frame scheduler
 # for one frame and for a 4 s capture of 47, inline and fanned out;
 # BenchmarkHermitianEig runs cold Jacobi and the frame kernel's
-# tridiagonal eigensolver side by side on the same sim covariances;
+# tridiagonal eigensolver side by side on the same sim covariances, and
+# BenchmarkEigStages times that solver's reduction, eigenvalues and
+# k = 5 vectors apart;
 # BenchmarkFFT compares the planned and plan-per-call transforms;
 # BenchmarkCapture times capture synthesis per sample for 1-3 walkers,
 # fanned out over the CPUs and, as workers=1, on one core).
@@ -124,5 +126,5 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
 	go test -run '^$$' -bench 'Benchmark(ProcessFrame|ComputeImage)' -benchtime 20x -benchmem ./internal/isar
 	go test -run '^$$' -bench 'BenchmarkCapture' -benchtime 20x -benchmem ./internal/sim
-	go test -run '^$$' -bench 'BenchmarkHermitianEig' -benchmem ./internal/cmath
+	go test -run '^$$' -bench 'Benchmark(HermitianEig|EigStages)' -benchmem ./internal/cmath
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp

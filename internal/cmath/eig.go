@@ -131,17 +131,20 @@ func HermitianEig(a *Matrix) (*Eig, error) {
 
 // forceHermitian replaces w with (w + wᴴ)/2 element by element: real
 // diagonal, conjugate-paired off-diagonals. Idempotent, and exact on an
-// already-Hermitian matrix.
+// already-Hermitian matrix. Each component is halved by ×0.5, which is
+// exact: dividing by the complex 2 gives the same values (up to the sign
+// of a zero) at the cost of a runtime complex division per pair.
 //
 //wivi:hotpath
 func forceHermitian(w *Matrix) {
-	n := w.Rows
+	n, a := w.Rows, w.Data
 	for i := 0; i < n; i++ {
-		w.Set(i, i, complex(real(w.At(i, i)), 0))
+		a[i*n+i] = complex(real(a[i*n+i]), 0)
 		for j := i + 1; j < n; j++ {
-			avg := (w.At(i, j) + cmplx.Conj(w.At(j, i))) / 2
-			w.Set(i, j, avg)
-			w.Set(j, i, cmplx.Conj(avg))
+			x, y := a[i*n+j], a[j*n+i]
+			re, im := (real(x)+real(y))*0.5, (imag(x)-imag(y))*0.5
+			a[i*n+j] = complex(re, im)
+			a[j*n+i] = complex(re, -im)
 		}
 	}
 }
@@ -273,10 +276,12 @@ type EigWorkspace struct {
 	tmp []complex128
 	// d and e are T's diagonal and off-diagonal (e[k] couples k and k+1).
 	d, e []float64
-	// qd holds T's eigenvalues sorted descending (qe is QL's scratch);
-	// vals is qd in the input's units, the slice Eigenvalues returns.
+	// qd holds T's eigenvalues sorted descending (qe holds e squared for
+	// QL, which destroys it); vals is qd in the input's units, the slice
+	// Eigenvalues returns.
 	qd, qe, vals []float64
-	// dl, dd, du, du2 and swap hold the pivoted LU factors of T − λI.
+	// dl, dd, du, du2 and swap hold the pivoted LU factors of T − λI, with
+	// U's diagonal stored as its reciprocals in dd.
 	dl, dd, du, du2 []float64
 	swap            []bool
 	// z holds T's eigenvectors, row j for eigenvalue j; vecs are the
@@ -354,7 +359,9 @@ func (ws *EigWorkspace) Eigenvalues(a *Matrix) ([]float64, error) {
 	forceHermitian(&ws.a)
 	ws.tridiagonalize()
 	copy(ws.qd, ws.d)
-	copy(ws.qe, ws.e)
+	for i, x := range ws.e {
+		ws.qe[i] = x * x
+	}
 	if err := tridiagEigenvalues(ws.qd, ws.qe); err != nil {
 		return nil, err
 	}
@@ -401,10 +408,9 @@ func (ws *EigWorkspace) LeadingEigenvectors(k int) []Vector {
 		if j > 0 && ws.qd[j-1]-ws.qd[j] > clusterGap {
 			start = j
 		}
-		z := ws.z[j*n : (j+1)*n]
-		ws.inverseIteration(ws.qd[j], uint64(j), z, ws.z[start*n:j*n])
-		ws.backTransform(z, out[j])
+		ws.inverseIteration(ws.qd[j], uint64(j), ws.z[j*n:(j+1)*n], ws.z[start*n:j*n])
 	}
+	ws.backTransform(out)
 	return out
 }
 
@@ -416,6 +422,10 @@ func (ws *EigWorkspace) LeadingEigenvectors(k int) []Vector {
 // phase scaling that turns a Hermitian tridiagonal into a real one is
 // folded into the reflectors. v (v[0] = 1) is stored in row k, columns
 // k+1..n-1, which the reduction no longer reads.
+//
+// The reduction reads and writes only the upper triangle (zhetd2's
+// UPLO = 'U' storage, in row-major form): the lower triangle of the
+// working copy is never read, so it is not kept up to date.
 //
 //wivi:hotpath
 func (ws *EigWorkspace) tridiagonalize() {
@@ -449,18 +459,27 @@ func (ws *EigWorkspace) tridiagonalize() {
 
 		// Two-sided update of the trailing block B = A[k+1:, k+1:]:
 		// H_kᴴ·B·H_k = B − v·wᴴ − w·vᴴ with p = τ·B·v and
-		// w = p − ½·τ·(pᴴ·v)·v. Only the upper triangle is computed; the
-		// lower is its conjugate mirror, so B stays exactly Hermitian.
+		// w = p − ½·τ·(pᴴ·v)·v. B·v is a Hermitian product over the upper
+		// triangle (zhemv): row i's entries right of the diagonal serve
+		// both y[i] (as B[i][j]) and y[j] (as B[j][i] = conj(B[i][j])).
 		m := len(v)
 		w := ws.tmp[:m]
-		var pv complex128
+		clear(w)
 		for i := 0; i < m; i++ {
-			bi := a[(k+1+i)*n+k+1 : (k+2+i)*n]
-			var acc complex128
-			for j, bij := range bi {
-				acc += bij * v[j]
+			bi := a[(k+1+i)*n+k+1+i : (k+2+i)*n]
+			vi := v[i]
+			acc := complex(real(bi[0])*real(vi), real(bi[0])*imag(vi))
+			bu, vu, wu := bi[1:], v[i+1:], w[i+1:]
+			vu, wu = vu[:len(bu)], wu[:len(bu)]
+			for j, b := range bu {
+				acc += b * vu[j]
+				wu[j] += cmplx.Conj(b) * vi
 			}
-			w[i] = tau * acc
+			w[i] += acc
+		}
+		var pv complex128
+		for i, y := range w {
+			w[i] = tau * y
 			pv += cmplx.Conj(w[i]) * v[i]
 		}
 		c := -0.5 * tau * pv
@@ -468,13 +487,13 @@ func (ws *EigWorkspace) tridiagonalize() {
 			w[i] += c * v[i]
 		}
 		for i := 0; i < m; i++ {
-			bi := a[(k+1+i)*n+k+1 : (k+2+i)*n]
+			bi := a[(k+1+i)*n+k+1+i : (k+2+i)*n]
 			vi, wi := v[i], w[i]
-			bi[i] = complex(real(bi[i])-2*real(vi*cmplx.Conj(wi)), 0)
-			for j := i + 1; j < m; j++ {
-				x := bi[j] - vi*cmplx.Conj(w[j]) - wi*cmplx.Conj(v[j])
-				bi[j] = x
-				a[(k+1+j)*n+k+1+i] = cmplx.Conj(x)
+			bi[0] = complex(real(bi[0])-2*real(vi*cmplx.Conj(wi)), 0)
+			bu, vu, wu := bi[1:], v[i+1:], w[i+1:]
+			vu, wu = vu[:len(bu)], wu[:len(bu)]
+			for j := range bu {
+				bu[j] = bu[j] - vi*cmplx.Conj(wu[j]) - wi*cmplx.Conj(vu[j])
 			}
 		}
 	}
@@ -482,33 +501,38 @@ func (ws *EigWorkspace) tridiagonalize() {
 }
 
 // tridiagEigenvalues overwrites d with the eigenvalues (unordered) of the
-// symmetric tridiagonal matrix with diagonal d and off-diagonal e (e[i]
-// couples i and i+1; e[n-1] is scratch) by implicit-shift QL with
-// Wilkinson shifts (EISPACK tql1), destroying e. The matrix must have
-// unit norm: an off-diagonal below eps·‖T‖ counts as zero.
+// symmetric tridiagonal matrix with diagonal d and squared off-diagonal
+// e2 (e2[i] = e[i]² for the coupling of i and i+1; e2[n-1] is scratch),
+// destroying e2. It is root-free QL (Pal, Walker and Kahan; LAPACK
+// dsterf): the eigenvalues depend on the couplings only through their
+// squares, and the rotations of implicit-shift QL with Wilkinson shifts
+// can be carried through in c², s² and e², which takes two square roots
+// per QL step (for the shift) and none per rotation. The matrix must
+// have unit norm: a coupling counts as zero when it is small next to its
+// two diagonal entries or below eps·‖T‖ (the test on e squared), and
+// qlMaxIter bounds the steps spent on one eigenvalue.
 //
-// The rotations take math.Sqrt(f*f + g*g) in place of math.Hypot, whose
-// scaling guards against overflow and underflow, because the unit norm
-// rules both out. QL keeps T orthogonally similar to itself, so every d,
-// e, f and g is O(1) and no square overflows; a step runs only while
-// e[l] > ε, so the shift's |g| stays below 1/ε and g*g + 1 is finite.
-// Nor can f*f + g*g underflow: the first rotation has f = e[m−1] > ε,
-// and a later f falls below ~1e-154 only when the rotation before it was
-// the identity to working precision, which leaves the non-negligible
-// coupling e[i+1] in g. A sum that did underflow to zero would take the
-// r == 0 split path below.
+// Unit norm also rules out overflow and harmful underflow. QL keeps T
+// orthogonally similar to itself, so every d, e² and γ stays O(1), and a
+// step runs only while its leading coupling exceeds eps, which keeps
+// the shift's |g| below 1/eps and g*g + 1 finite. Within a step, every
+// e2[i] it reads exceeds eps² > 0, so r = p + e2[i] never vanishes; p
+// can underflow to zero (making c zero), and then the next p is taken
+// from the previous c as dsterf does.
 //
 //wivi:hotpath
-func tridiagEigenvalues(d, e []float64) error {
+func tridiagEigenvalues(d, e2 []float64) error {
 	n := len(d)
-	e[n-1] = 0
+	e2[n-1] = 0
 	for l := 0; l < n; l++ {
 		for iter := 0; ; iter++ {
 			// Find the first negligible coupling at or after l: small next
-			// to its two diagonal entries, or below eps·‖T‖.
+			// to its two diagonal entries, or below eps·‖T‖ (both tests
+			// squared).
 			m := l
 			for ; m < n-1; m++ {
-				if ae := math.Abs(e[m]); ae <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) || ae <= eps {
+				t := math.Abs(d[m]) + math.Abs(d[m+1])
+				if x := e2[m]; x <= eps*eps*t*t || x <= eps*eps {
 					break
 				}
 			}
@@ -518,36 +542,34 @@ func tridiagEigenvalues(d, e []float64) error {
 			if iter == qlMaxIter {
 				return ErrNoConvergence
 			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Sqrt(g*g + 1)
-			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
-			s, c, p := 1.0, 1.0, 0.0
-			i := m - 1
-			for ; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = math.Sqrt(f*f + g*g)
-				e[i+1] = r
-				if r == 0 {
-					// Underflow: the block splits here; retry from l.
-					d[i+1] -= p
-					e[m] = 0
-					break
+			// Wilkinson shift from the leading 2×2 block.
+			rte := math.Sqrt(e2[l])
+			g := (d[l+1] - d[l]) / (2 * rte)
+			sigma := d[l] - rte/(g+math.Copysign(math.Sqrt(g*g+1), g))
+			// The rotations, bottom up. s starts at 0, so the first one
+			// writes e2[m] = 0: the coupling found negligible is dropped.
+			c, s := 1.0, 0.0
+			gamma := d[m] - sigma
+			p := gamma * gamma
+			for i := m - 1; i >= l; i-- {
+				bb := e2[i]
+				r := p + bb
+				e2[i+1] = s * r
+				oldc := c
+				c = p / r
+				s = bb / r
+				oldgam := gamma
+				alpha := d[i]
+				gamma = c*(alpha-sigma) - s*oldgam
+				d[i+1] = oldgam + (alpha - gamma)
+				if c != 0 {
+					p = gamma * gamma / c
+				} else {
+					p = oldc * bb
 				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
 			}
-			if r == 0 && i >= l {
-				continue
-			}
-			d[l] -= p
-			e[l] = g
-			e[m] = 0
+			e2[l] = s * p
+			d[l] = sigma + gamma
 		}
 	}
 	return nil
@@ -603,11 +625,13 @@ func normalize(z []float64) {
 }
 
 // factorShifted LU-factors T − lam·I with partial pivoting (LAPACK
-// dgttrf): unit lower multipliers in dl, U's diagonal and two
-// superdiagonals in dd, du and du2, and swap[i] marks an interchange of
-// rows i and i+1. Inverse iteration factors an almost singular matrix by
-// design, so pivots below eps·‖T‖ are lifted to ±eps (LAPACK dlagts's
-// perturbation), which keeps every solve finite.
+// dgttrf): unit lower multipliers in dl, U's two superdiagonals in du and
+// du2 and the reciprocals of its diagonal in dd, and swap[i] marks an
+// interchange of rows i and i+1. Inverse iteration factors an almost
+// singular matrix by design, so pivots below eps·‖T‖ are lifted to ±eps
+// (LAPACK dlagts's perturbation), which keeps every solve finite. Storing
+// reciprocal pivots costs n divisions once per eigenvalue and spares
+// solveShifted n divisions per solve.
 //
 //wivi:hotpath
 func (ws *EigWorkspace) factorShifted(lam float64) {
@@ -640,13 +664,14 @@ func (ws *EigWorkspace) factorShifted(lam float64) {
 	}
 	for i, v := range dd {
 		if math.Abs(v) < eps {
-			dd[i] = math.Copysign(eps, v)
+			v = math.Copysign(eps, v)
 		}
+		dd[i] = 1 / v
 	}
 }
 
 // solveShifted overwrites b with (T − lam·I)⁻¹·b from factorShifted's
-// factors (LAPACK dgtts2).
+// factors (LAPACK dgtts2, multiplying by the reciprocal pivots).
 //
 //wivi:hotpath
 func (ws *EigWorkspace) solveShifted(b []float64) {
@@ -659,23 +684,29 @@ func (ws *EigWorkspace) solveShifted(b []float64) {
 			b[i+1] -= dl[i] * b[i]
 		}
 	}
-	b[n-1] /= dd[n-1]
+	b[n-1] *= dd[n-1]
 	if n > 1 {
-		b[n-2] = (b[n-2] - du[n-2]*b[n-1]) / dd[n-2]
+		b[n-2] = (b[n-2] - du[n-2]*b[n-1]) * dd[n-2]
 	}
 	for i := n - 3; i >= 0; i-- {
-		b[i] = (b[i] - du[i]*b[i+1] - du2[i]*b[i+2]) / dd[i]
+		b[i] = (b[i] - du[i]*b[i+1] - du2[i]*b[i+2]) * dd[i]
 	}
 }
 
-// backTransform maps an eigenvector z of T to the eigenvector y = Q·z of
-// the input, applying the reflectors innermost first.
+// backTransform maps the eigenvectors z_j of T in the first len(out) rows
+// of ws.z to the eigenvectors out[j] = Q·z_j of the input. Each reflector,
+// innermost first, is applied to every vector before the next, two
+// vectors at a time, so one pass over the reflector's vector serves two
+// dot products and two updates. Each vector sees the same operations in
+// the same order as it would alone.
 //
 //wivi:hotpath
-func (ws *EigWorkspace) backTransform(z []float64, y Vector) {
+func (ws *EigWorkspace) backTransform(out []Vector) {
 	n, a := ws.n, ws.a.Data
-	for i, zi := range z {
-		y[i] = complex(zi, 0)
+	for j, y := range out {
+		for i, zi := range ws.z[j*n : (j+1)*n] {
+			y[i] = complex(zi, 0)
+		}
 	}
 	for k := n - 2; k >= 0; k-- {
 		tau := ws.tau[k]
@@ -683,14 +714,34 @@ func (ws *EigWorkspace) backTransform(z []float64, y Vector) {
 			continue
 		}
 		v := a[k*n+k+1 : (k+1)*n]
-		yk := y[k+1:]
-		var s complex128
-		for j, vj := range v {
-			s += cmplx.Conj(vj) * yk[j]
+		j := 0
+		for ; j+1 < len(out); j += 2 {
+			y0, y1 := out[j][k+1:], out[j+1][k+1:]
+			y0, y1 = y0[:len(v)], y1[:len(v)]
+			var s0, s1 complex128
+			for i, vi := range v {
+				cv := cmplx.Conj(vi)
+				s0 += cv * y0[i]
+				s1 += cv * y1[i]
+			}
+			s0 *= tau
+			s1 *= tau
+			for i, vi := range v {
+				y0[i] -= s0 * vi
+				y1[i] -= s1 * vi
+			}
 		}
-		s *= tau
-		for j, vj := range v {
-			yk[j] -= s * vj
+		if j < len(out) {
+			y := out[j][k+1:]
+			y = y[:len(v)]
+			var s complex128
+			for i, vi := range v {
+				s += cmplx.Conj(vi) * y[i]
+			}
+			s *= tau
+			for i, vi := range v {
+				y[i] -= s * vi
+			}
 		}
 	}
 }

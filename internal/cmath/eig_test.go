@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -239,8 +240,11 @@ type eigCase struct {
 }
 
 // eigCases are the subspace solver's property-test inputs: random
-// Hermitian matrices at n in {3, 8, 32}, and at the prototype subarray
-// size 32 the spectra the frame kernel meets or must survive.
+// Hermitian matrices at n in {3, 8, 32}; at the prototype subarray size
+// 32 the spectra the frame kernel meets or must survive; and the real
+// tridiagonals that stress root-free QL's deflation and its squared
+// couplings. A real tridiagonal passes the reduction unchanged (every
+// H_k = I), so QL sees the input's own entries at unit norm.
 func eigCases(t *testing.T) []eigCase {
 	r := rng.New(12)
 	var cases []eigCase
@@ -271,7 +275,78 @@ func eigCases(t *testing.T) []eigCase {
 	}
 	rank1 := NewMatrix(32, 32)
 	rank1.AddOuter(v, v)
-	return append(cases, eigCase{"rank-1", rank1})
+	cases = append(cases, eigCase{"rank-1", rank1})
+	// Tridiagonals: already diagonal; split in two by a zero coupling;
+	// an exactly repeated eigenvalue (equal blocks between zero
+	// couplings) and Wilkinson's W21+, whose leading pairs agree to
+	// ~1e-14; and graded over 12 decades, largest entries first and
+	// last, with couplings at half the geometric mean of their
+	// neighbours (at the full mean the Jacobi reference is the less
+	// accurate side: TestRootFreeQLGradedOrientation).
+	const n = 32
+	randoms := func(k int) []float64 {
+		x := make([]float64, k)
+		for i := range x {
+			x[i] = r.Norm()
+		}
+		return x
+	}
+	split := randoms(n - 1)
+	split[n/2] = 0
+	var blockD, blockE []float64
+	for b := 0; b < n/4; b++ {
+		blockD = append(blockD, 2, 1, 3, 2)
+		blockE = append(blockE, 1, 0.5, 0.25, 0)
+	}
+	wilkD, wilkE := make([]float64, 21), make([]float64, 20)
+	for i := range wilkD {
+		wilkD[i] = math.Abs(float64(i - 10))
+	}
+	for i := range wilkE {
+		wilkE[i] = 1
+	}
+	down, up := graded(0.5)
+	return append(cases,
+		eigCase{"tridiagonal-diagonal", tridiagonal(randoms(n), make([]float64, n-1))},
+		eigCase{"tridiagonal-split", tridiagonal(randoms(n), split)},
+		eigCase{"tridiagonal-repeated-blocks", tridiagonal(blockD, blockE[:n-1])},
+		eigCase{"tridiagonal-wilkinson-21", tridiagonal(wilkD, wilkE)},
+		eigCase{"tridiagonal-graded-down", down},
+		eigCase{"tridiagonal-graded-up", up})
+}
+
+// tridiagonal returns the real symmetric tridiagonal matrix with diagonal
+// d and couplings e (e[i] couples i and i+1) as a Hermitian Matrix.
+func tridiagonal(d, e []float64) *Matrix {
+	n := len(d)
+	m := NewMatrix(n, n)
+	for i, x := range d {
+		m.Set(i, i, complex(x, 0))
+	}
+	for i, x := range e {
+		m.Set(i, i+1, complex(x, 0))
+		m.Set(i+1, i, complex(x, 0))
+	}
+	return m
+}
+
+// graded returns the 32×32 tridiagonal with diagonal 10^(−12·i/31) and
+// couplings f times the geometric mean of their two diagonal neighbours,
+// largest entries first, and its reversal J·T·J, which has the same
+// eigenvalues.
+func graded(f float64) (down, up *Matrix) {
+	const n = 32
+	d, e := make([]float64, n), make([]float64, n-1)
+	for i := range d {
+		d[i] = math.Pow(10, -12*float64(i)/(n-1))
+	}
+	for i := range e {
+		e[i] = f * math.Pow(10, -12*(float64(i)+0.5)/(n-1))
+	}
+	down = tridiagonal(d, e)
+	slices.Reverse(d)
+	slices.Reverse(e)
+	return down, tridiagonal(d, e)
 }
 
 // residualNorm returns ‖a·v − lam·v‖.
@@ -463,4 +538,96 @@ func TestEigRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: EigWorkspace err = %v, want ErrNotFinite", name, err)
 		}
 	}
+}
+
+// TestRootFreeQLGradedOrientation holds root-free QL to itself where the
+// Jacobi reference gives way: a tridiagonal graded over 12 decades with
+// couplings at the full geometric mean of their diagonal neighbours,
+// which makes every leading 2×2 minor singular. Jacobi stops once the
+// off-diagonal norm is below 1e-12·‖T‖, and with the large entries last
+// it never rotates the top couplings, which leaves its smallest
+// eigenvalues 5.3·n·ε·‖T‖_F off. QL's eigenvalues of T and of its
+// reversal must agree within TestEigWorkspaceProperties' bound (measured
+// 0.04·n·ε).
+func TestRootFreeQLGradedOrientation(t *testing.T) {
+	down, up := graded(1)
+	var vals [2][]float64
+	for i, a := range []*Matrix{down, up} {
+		v, err := NewEigWorkspace(a.Rows).Eigenvalues(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i] = slices.Clone(v)
+	}
+	n, norm := float64(down.Rows), down.FrobeniusNorm()
+	worst := 0.0
+	for i := range vals[0] {
+		d := math.Abs(vals[0][i]-vals[1][i]) / norm / (n * eps)
+		worst = math.Max(worst, d)
+		if d > eigPropC {
+			t.Errorf("eigenvalue %d: %g largest-first, %g largest-last (%.3g·n·ε·‖T‖_F apart > %d)", i, vals[0][i], vals[1][i], d, eigPropC)
+		}
+	}
+	t.Logf("worst disagreement %.3g·n·ε·‖T‖_F (bound c = %d)", worst, eigPropC)
+}
+
+// BenchmarkEigStages times the frame solver's three stages apart, on one
+// seeded 32×32 random Hermitian matrix:
+//
+//   - reduction: the Householder reduction to a real tridiagonal
+//     (tridiagonalize), each op starting from a copy of the scaled input;
+//   - eigenvalues: root-free QL on that tridiagonal (tridiagEigenvalues),
+//     each op starting from a copy of its diagonal and squared couplings;
+//   - vectors: the k = 5 leading eigenvectors (LeadingEigenvectors:
+//     inverse iteration and the back-transform).
+//
+// Together they are EigWorkspace's whole cost but for the input checks,
+// the scaling and the sort. Run with -count >= 10 and compare medians.
+func BenchmarkEigStages(b *testing.B) {
+	const n, k = 32, 5
+	a := randHermitian(rng.New(22), n)
+	ws := NewEigWorkspace(n)
+	// prepare decomposes a afresh, so that every stage starts from the
+	// state Eigenvalues leaves, and returns the scaled input the
+	// reduction starts from.
+	prepare := func(b *testing.B) []complex128 {
+		b.Helper()
+		if _, err := ws.Eigenvalues(a); err != nil {
+			b.Fatal(err)
+		}
+		inv := 1 / a.FrobeniusNorm()
+		scaled := make([]complex128, n*n)
+		for i, x := range a.Data {
+			scaled[i] = complex(real(x)*inv, imag(x)*inv)
+		}
+		return scaled
+	}
+	b.Run("reduction", func(b *testing.B) {
+		scaled := prepare(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			copy(ws.a.Data, scaled)
+			ws.tridiagonalize()
+		}
+	})
+	b.Run("eigenvalues", func(b *testing.B) {
+		prepare(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			copy(ws.qd, ws.d)
+			for i, x := range ws.e {
+				ws.qe[i] = x * x
+			}
+			if err := tridiagEigenvalues(ws.qd, ws.qe); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("vectors", func(b *testing.B) {
+		prepare(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			ws.LeadingEigenvectors(k)
+		}
+	})
 }

@@ -131,10 +131,15 @@ func TestTrackStreamValidation(t *testing.T) {
 }
 
 // TestTrackStreamCanceled cancels mid-capture: the stream must finish
-// promptly with context.Canceled and the device must stay usable.
+// promptly with context.Canceled and the device must stay usable. The
+// front end holds the capture after the first frame's window until the
+// test has canceled, so the cancel always lands mid-capture: unheld, the
+// whole 2 s capture can finish before it does.
 func TestTrackStreamCanceled(t *testing.T) {
 	dev := newWalkerDevice(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dev.fe = holdAfterWindow{dev.fe.(StreamFrontEnd), ctx, dev.cfg.ISAR.Window}
 	st, err := dev.TrackStreamCtx(ctx, 0, 2.0, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +166,29 @@ func TestTrackStreamCanceled(t *testing.T) {
 	if _, _, err := dev.TrackCtx(context.Background(), 0, 0.5); err != nil {
 		t.Fatalf("device unusable after canceled stream: %v", err)
 	}
+}
+
+// holdAfterWindow is a front end whose streamed capture, once it has
+// delivered window samples, holds every later chunk until ctx is done.
+type holdAfterWindow struct {
+	StreamFrontEnd
+	ctx    context.Context
+	window int
+}
+
+func (f holdAfterWindow) StreamCapture(p []complex128, boostDB, startT float64, total, chunk int, emit func([][]complex128) error) error {
+	delivered := 0
+	return f.StreamFrontEnd.StreamCapture(p, boostDB, startT, total, chunk, func(sub [][]complex128) error {
+		if delivered >= f.window {
+			<-f.ctx.Done()
+		}
+		n := 0
+		for _, s := range sub {
+			n = max(n, len(s))
+		}
+		delivered += n
+		return emit(sub)
+	})
 }
 
 // TestBatchAdapterStream runs the stream over a front end hidden behind

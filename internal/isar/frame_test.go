@@ -197,7 +197,7 @@ func TestImageCloseToFromScratchChain(t *testing.T) {
 }
 
 // quadFormC is the constant of TestQuadFormMatchesDirectSums' bound;
-// the worst case measured is 0.33.
+// the worst case measured is 0.38.
 const quadFormC = 1
 
 // randHermitian returns a seeded random n x n Hermitian matrix.
@@ -235,12 +235,15 @@ func randOrthonormal(r *rng.Stream, n, k int) []cmath.Vector {
 }
 
 // TestQuadFormMatchesDirectSums checks both spectrum kernels' diagonal-sum
-// forms against the direct sums at every grid angle e, at n ∈ {3, 8, 32}:
-// eᴴRe for seeded random Hermitian R (from the sums Bartlett leaves in
-// its scratch), and Σ_k |eᴴu_k|² for random orthonormal sets of
-// k ≤ min(5, n) vectors (from the projector sums MUSIC leaves there).
-// With ‖e‖² = n, |eᴴMe| is at most n·‖M‖_F, and the gate is c·n·ε on
-// that scale:
+// forms against the direct sums at every grid angle e, at n ∈ {3, 8, 32}
+// and at grid steps 1 and 0.7: eᴴRe for seeded random Hermitian R (from
+// the sums Bartlett leaves in its scratch), and Σ_k |eᴴu_k|² for random
+// orthonormal sets of k ≤ min(5, n) vectors (from the projector sums
+// MUSIC leaves there). The form reads each ±θ pair in one pass over the
+// negative half of the steering table; the direct sums take e from
+// SteeringVector at each angle, so the mirrored half is checked against
+// vectors it was not built from. With ‖e‖² = n, |eᴴMe| is at most
+// n·‖M‖_F, and the gate is c·n·ε on that scale:
 //
 //	|form − direct| ≤ c·n·ε · n·‖M‖_F,  c = quadFormC,
 //
@@ -249,9 +252,13 @@ func TestQuadFormMatchesDirectSums(t *testing.T) {
 	const eps = 0x1p-52
 	r := rng.New(20)
 	worst := map[string]float64{}
-	for _, n := range []int{3, 8, 32} {
+	for _, grid := range []struct {
+		n    int
+		step float64
+	}{{3, 1}, {8, 1}, {32, 1}, {3, 0.7}, {8, 0.7}, {32, 0.7}} {
+		n := grid.n
 		cfg := DefaultConfig()
-		cfg.Subarray, cfg.MaxSources = n, 2
+		cfg.Subarray, cfg.MaxSources, cfg.ThetaStepDeg = n, 2, grid.step
 		p, err := NewProcessor(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -260,26 +267,27 @@ func TestQuadFormMatchesDirectSums(t *testing.T) {
 		got := make([]float64, len(p.thetasDeg))
 		check := func(kind, name string, norm float64, direct func(e cmath.Vector) float64) {
 			p.quadFormInto(c, got)
-			for ti, e := range p.steerSub {
+			for ti, th := range p.thetasDeg {
+				e := SteeringVector(n, cfg.Lambda, cfg.Delta(), th*math.Pi/180)
 				units := math.Abs(got[ti]-direct(e)) / (float64(n) * norm) / (float64(n) * eps)
 				worst[kind] = math.Max(worst[kind], units)
 				if units > quadFormC {
 					t.Fatalf("%s %s at %g°: form %g, direct %g (%.3g·n·ε·n‖M‖_F > %g)",
-						kind, name, p.thetasDeg[ti], got[ti], direct(e), units, float64(quadFormC))
+						kind, name, th, got[ti], direct(e), units, float64(quadFormC))
 				}
 			}
 		}
 		for trial := 0; trial < 5; trial++ {
 			m := randHermitian(r, n)
 			p.bartlettSpectrumInto(m, got, c) // leaves R's diagonal sums in c
-			check("R", fmt.Sprintf("n=%d #%d", n, trial), m.FrobeniusNorm(), func(e cmath.Vector) float64 {
+			check("R", fmt.Sprintf("n=%d step=%g #%d", n, grid.step, trial), m.FrobeniusNorm(), func(e cmath.Vector) float64 {
 				return real(e.Dot(m.MulVec(e)))
 			})
 		}
 		for k := 1; k <= min(5, n); k++ {
 			us := randOrthonormal(r, n, k)
 			p.musicSpectrumComplementInto(us, got, c) // leaves P's diagonal sums in c
-			check("P", fmt.Sprintf("n=%d k=%d", n, k), math.Sqrt(float64(k)), func(e cmath.Vector) float64 {
+			check("P", fmt.Sprintf("n=%d step=%g k=%d", n, grid.step, k), math.Sqrt(float64(k)), func(e cmath.Vector) float64 {
 				var s float64
 				for _, u := range us {
 					d := e.Dot(u)

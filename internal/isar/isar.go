@@ -53,6 +53,8 @@ type Config struct {
 	// Hop is the window hop between consecutive frames, in samples.
 	Hop int
 	// ThetaStepDeg is the angle grid resolution over [-90, 90] degrees.
+	// The grid is symmetric about 0: a step that does not divide 90
+	// stops at the last whole step inside ±90.
 	ThetaStepDeg float64
 	// MaxSources caps the estimated signal-subspace dimension (the DC
 	// counts as one source).
@@ -175,10 +177,18 @@ func NewProcessor(cfg Config) (*Processor, error) {
 
 // newProcessor builds the angle grid, the steering tables and the
 // scratch pool for a validated config.
+//
+// The grid is mirror-symmetric by construction: θ_i = (i − h)·step for
+// i = 0…2h, with h the number of whole steps in 90°, so θ_{2h−i} = −θ_i
+// exactly. For a step that divides 90 it runs from −90 to 90 inclusive.
+// The subarray steering vector of −θ is the conjugate of θ's, and the
+// table's negative half is built as exactly that, which quadFormInto
+// relies on to read each ±θ pair in one pass.
 func newProcessor(cfg Config) *Processor {
-	var thetas []float64
-	for th := -90.0; th <= 90.0+1e-9; th += cfg.ThetaStepDeg {
-		thetas = append(thetas, th)
+	h := int(math.Floor(90/cfg.ThetaStepDeg + 1e-9))
+	thetas := make([]float64, 2*h+1)
+	for i := range thetas {
+		thetas[i] = float64(i-h) * cfg.ThetaStepDeg
 	}
 	p := &Processor{cfg: cfg, thetasDeg: thetas}
 	p.scratch.New = func() any { return p.newFrameScratch() }
@@ -186,8 +196,13 @@ func newProcessor(cfg Config) *Processor {
 	p.steerWin = make([]cmath.Vector, len(thetas))
 	for i, th := range thetas {
 		rad := th * math.Pi / 180
-		p.steerSub[i] = SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), rad)
+		if i >= h {
+			p.steerSub[i] = SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), rad)
+		}
 		p.steerWin[i] = SteeringVector(cfg.Window, cfg.Lambda, cfg.Delta(), rad)
+	}
+	for i := 0; i < h; i++ {
+		p.steerSub[i] = p.steerSub[2*h-i].Conj()
 	}
 	return p
 }
@@ -365,12 +380,20 @@ func (p *Processor) musicSpectrumComplementInto(signal []cmath.Vector, out []flo
 	clear(tmp)
 	for _, u := range signal {
 		for d := range tmp {
+			// Two accumulators, over even and odd i, halve the dependency
+			// chain of the sum.
 			v := u[d:]
-			var s complex128
-			for i, x := range u[:len(v)] {
-				s += x * cmplx.Conj(v[i])
+			x := u[:len(v)]
+			var s0, s1 complex128
+			i := 0
+			for ; i+1 < len(v); i += 2 {
+				s0 += x[i] * cmplx.Conj(v[i])
+				s1 += x[i+1] * cmplx.Conj(v[i+1])
 			}
-			tmp[d] += s
+			if i < len(v) {
+				s0 += x[i] * cmplx.Conj(v[i])
+			}
+			tmp[d] += s0 + s1
 		}
 	}
 	p.quadFormInto(tmp, out)
@@ -442,16 +465,25 @@ func (p *Processor) bartlettSpectrumInto(r *cmath.Matrix, out []float64, tmp cma
 // arithmetic — M need not be Toeplitz, only Hermitian — and in floats
 // only the summation order changes (TestQuadFormMatchesDirectSums).
 //
+// The grid is mirror-symmetric and the steering vector of −θ is the
+// conjugate of θ's (newProcessor), so one pass over the first half of the
+// table serves both angles of each ±θ pair: with A = sum_d Re c_d·Re e_d
+// and B = sum_d Im c_d·Im e_d over θ's vector, θ reads c_0 + 2·(A − B)
+// and −θ reads c_0 + 2·(A + B).
+//
 //wivi:hotpath
 func (p *Processor) quadFormInto(c cmath.Vector, out []float64) {
-	n := p.cfg.Subarray
-	for ti, steer := range p.steerSub {
-		acc := real(c[0])
-		for d := 1; d < n; d++ {
-			cd, ph := c[d], steer[d]
-			acc += 2 * (real(cd)*real(ph) - imag(cd)*imag(ph))
+	last := len(p.steerSub) - 1
+	c0, c := real(c[0]), c[1:]
+	for ti, steer := range p.steerSub[:last/2+1] {
+		steer := steer[1 : len(c)+1]
+		var a, b float64
+		for d, cd := range c {
+			a += real(cd) * real(steer[d])
+			b += imag(cd) * imag(steer[d])
 		}
-		out[ti] = acc
+		out[ti] = c0 + 2*(a-b)
+		out[last-ti] = c0 + 2*(a+b)
 	}
 }
 

@@ -3,6 +3,7 @@ package isar
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,5 +282,55 @@ func TestNormalizeMin1Contract(t *testing.T) {
 	normalizeMin1(x)
 	if x[0] != 1 || x[1] != 1 || x[2] != 2 {
 		t.Errorf("normalizeMin1([4 0 8]) = %v, want [1 1 2]", x)
+	}
+}
+
+// TestThetaGridMirrorSymmetric checks the grid that quadFormInto's paired
+// evaluation reads, at steps 1, 2, 0.7 and 45: the grid is θ_i = (i − h)·step
+// with h whole steps in 90°, so θ_{N−1−i} = −θ_i; steerSub[N−1−i] is
+// conj(steerSub[i]) bit for bit; and every subarray steering vector, the
+// mirrored half included, is SteeringVector at its angle. At steps 1 and
+// 2, the only ones the product and the eval use, Thetas() is exactly the
+// grid the processor built by accumulating the step from −90.
+func TestThetaGridMirrorSymmetric(t *testing.T) {
+	for _, step := range []float64{1, 2, 0.7, 45} {
+		cfg := DefaultConfig()
+		cfg.ThetaStepDeg = step
+		p, err := NewProcessor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := p.Thetas()
+		h := int(math.Floor(90/step + 1e-9))
+		if len(th) != 2*h+1 || len(p.steerSub) != len(th) {
+			t.Fatalf("step %g: %d angles and %d steering vectors, want %d", step, len(th), len(p.steerSub), 2*h+1)
+		}
+		last := len(th) - 1
+		for i := range th {
+			if th[i] != float64(i-h)*step || th[last-i] != -th[i] {
+				t.Fatalf("step %g: θ[%d] = %v, θ[%d] = %v: grid not (i−h)·step, or not mirror-symmetric", step, i, th[i], last-i, th[last-i])
+			}
+			for d, x := range p.steerSub[i] {
+				if m := p.steerSub[last-i][d]; m != cmplx.Conj(x) {
+					t.Fatalf("step %g: steerSub[%d][%d] = %v, not the conjugate of steerSub[%d][%d] = %v", step, last-i, d, m, i, d, x)
+				}
+			}
+			want := SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), th[i]*math.Pi/180)
+			for d, x := range p.steerSub[i] {
+				if cmplx.Abs(x-want[d]) > 1e-15 {
+					t.Fatalf("step %g: steerSub[%d][%d] = %v, SteeringVector gives %v", step, i, d, x, want[d])
+				}
+			}
+		}
+		if step != 1 && step != 2 {
+			continue
+		}
+		var acc []float64
+		for x := -90.0; x <= 90.0+1e-9; x += step {
+			acc = append(acc, x)
+		}
+		if !slices.Equal(th, acc) {
+			t.Fatalf("step %g: Thetas() = %v, want the accumulated grid %v", step, th, acc)
+		}
 	}
 }

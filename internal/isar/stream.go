@@ -18,10 +18,14 @@ package isar
 // appended at once costs one goroutine per slot, not one per frame, while
 // a stream chunk that closes one window still hands it off and returns.
 //
-// The sample buffer is bounded: every closed window is claimed, and so
-// copied, before Append returns, so the next Append can trim every sample
-// older than the earliest unclaimed window. A stream that runs for a week
-// retains O(Window + chunk) samples, not the whole capture history.
+// The sample buffer is bounded and holds only what no claim has read
+// yet. Append claims windows straight from the chunk it was handed (a
+// window that began in an earlier chunk takes its head from the buffer),
+// and every closed window is claimed, and so copied, before Append
+// returns. So Append keeps only the samples from the earliest unclaimed
+// window on, which has not closed: fewer than Window of them, however
+// long the stream. A batch image, one Append of the whole capture, never
+// copies the capture.
 
 import (
 	"context"
@@ -75,11 +79,13 @@ type Streamer struct {
 	wg    sync.WaitGroup
 
 	mu sync.Mutex
-	// h holds the not-yet-claimed tail of the sample stream; base is the
-	// absolute sample index of h[0] (it grows as the claimed prefix is
-	// trimmed).
+	// h holds the unclaimed tail of the samples earlier Appends delivered,
+	// and base is the absolute sample index of h[0]. in is the chunk the
+	// running Append was handed, which continues h; it is nil between
+	// Appends.
 	h    []complex128
 	base int
+	in   []complex128
 	// next is the next frame index to claim, emitted the next to emit.
 	next, emitted int
 	// pending holds frames completed ahead of emitted, by index.
@@ -103,15 +109,7 @@ func (p *Processor) NewStreamer(cfg StreamConfig, emit func(Frame)) *Streamer {
 // claim); after an error the stream is dead and Close should follow.
 func (s *Streamer) Append(ctx context.Context, samples []complex128) error {
 	s.mu.Lock()
-	// Trim the claimed prefix before growing: samples before the earliest
-	// unclaimed window (frame next, absolute start next*Hop) can never be
-	// read again, because every claimed frame works on its own window
-	// copy. The compaction reuses h's backing array.
-	if keep := min(s.next*s.p.cfg.Hop-s.base, len(s.h)); keep > 0 {
-		s.h = s.h[:copy(s.h, s.h[keep:])]
-		s.base += keep
-	}
-	s.h = append(s.h, samples...)
+	s.in = samples
 	s.mu.Unlock()
 
 	sc := s.p.getScratch()
@@ -129,6 +127,7 @@ func (s *Streamer) Append(ctx context.Context, samples []complex128) error {
 		sc = s.p.getScratch()
 	}
 	s.p.putScratch(sc)
+	s.keepUnclaimed()
 	return s.err()
 }
 
@@ -146,22 +145,47 @@ func (s *Streamer) err() error {
 	return s.firstErr
 }
 
+// keepUnclaimed ends an Append: it keeps the samples from the earliest
+// unclaimed window (frame next, absolute start next*Hop) to the end of
+// the chunk, and drops the rest, which no claim can read again because
+// every claimed frame works on its own window copy. By now every closed
+// window has been claimed, or the stream has failed and claims nothing
+// more, so no claim reads the chunk after Append returns. The compaction
+// reuses h's backing array.
+func (s *Streamer) keepUnclaimed() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end := s.base + len(s.h) + len(s.in)
+	from := min(s.next*s.p.cfg.Hop, end)
+	if off := from - s.base; off < len(s.h) {
+		s.h = append(s.h[:copy(s.h, s.h[off:])], s.in...)
+	} else {
+		s.h = append(s.h[:0], s.in[off-len(s.h):]...)
+	}
+	s.base, s.in = from, nil
+}
+
 // claim takes the next closed window for sc: under the mutex it checks
-// ctx, copies the window into sc.win and advances next. ok is false when
-// no unclaimed window has closed or the stream has failed; a canceled ctx
-// fails the stream.
+// ctx, copies the window into sc.win from the kept samples and the chunk
+// that continues them, and advances next. ok is false when no unclaimed
+// window has closed or the stream has failed; a canceled ctx fails the
+// stream.
 func (s *Streamer) claim(ctx context.Context, sc *frameScratch) (spec FrameSpec, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := s.next * s.p.cfg.Hop
-	if s.firstErr != nil || start+s.p.cfg.Window > s.base+len(s.h) {
+	if s.firstErr != nil || start+s.p.cfg.Window > s.base+len(s.h)+len(s.in) {
 		return FrameSpec{}, false
 	}
 	if err := ctx.Err(); err != nil {
 		s.firstErr = err
 		return FrameSpec{}, false
 	}
-	copy(sc.win, s.h[start-s.base:])
+	if off := start - s.base; off < len(s.h) {
+		copy(sc.win[copy(sc.win, s.h[off:]):], s.in)
+	} else {
+		copy(sc.win, s.in[off-len(s.h):])
+	}
 	spec = FrameSpec{Index: s.next, Start: start}
 	s.next++
 	return spec, true
