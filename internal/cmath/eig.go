@@ -36,7 +36,6 @@ var ErrNoConvergence = errors.New("cmath: eigendecomposition did not converge")
 
 const (
 	jacobiMaxSweeps = 64
-	jacobiTol       = 1e-12
 
 	// eps is the float64 unit roundoff, 2^-52.
 	eps = 0x1p-52
@@ -59,10 +58,23 @@ const (
 // eigenvector columns; a matrix whose norm is not finite fails with
 // ErrNotFinite.
 //
+// A sweep rotates a pair (p, q) only while its coupling is not
+// negligible against its own diagonal pair,
+//
+//	|a_pq| > ε·sqrt(|a_pp·a_qq|) + ε²·‖A‖_F,
+//
+// and the iteration stops after a sweep that rotates nothing. The
+// relative test keeps rotating the couplings of small diagonal entries,
+// so small eigenvalues come out accurate to rounding relative to their
+// own size, not only to ‖A‖_F (Demmel & Veselić's criterion; an
+// absolute stop at a fraction of ‖A‖_F leaves them unrotated). The tiny
+// absolute floor ends the sweeps over an exactly singular block, whose
+// couplings would otherwise shrink towards underflow.
+//
 // It is the full-decomposition reference. The frame kernel runs the
 // subspace solver (EigWorkspace), whose tests check it against
-// HermitianEig; the smoothing ablation and the benchmark's eig yardstick
-// call HermitianEig directly.
+// HermitianEig; the benchmark's eig yardstick calls HermitianEig
+// directly.
 func HermitianEig(a *Matrix) (*Eig, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -84,20 +96,22 @@ func HermitianEig(a *Matrix) (*Eig, error) {
 	w := a.Clone()
 	forceHermitian(w)
 	v := Identity(n)
-	tol := jacobiTol * scale
+	floor := eps * eps * scale
 	converged := false
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
-		if w.offDiagNorm() <= tol {
-			converged = true
-			break
-		}
+	for sweep := 0; sweep < jacobiMaxSweeps && !converged; sweep++ {
+		converged = true
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
+				app, aqq := real(w.At(p, p)), real(w.At(q, q))
+				if cmplx.Abs(w.At(p, q)) <= eps*math.Sqrt(math.Abs(app*aqq))+floor {
+					continue
+				}
 				jacobiRotate(w, v, p, q)
+				converged = false
 			}
 		}
 	}
-	if !converged && w.offDiagNorm() > tol*1e3 {
+	if !converged {
 		return nil, ErrNoConvergence
 	}
 
@@ -221,34 +235,6 @@ func (e *Eig) EigenvectorColumns(k int) []Vector {
 		out[j] = e.Vectors.Col(j)
 	}
 	return out
-}
-
-// NoiseSubspace returns the eigenvector columns with index >= signalDim,
-// i.e. the noise-space basis used by MUSIC. It panics if signalDim is out
-// of range.
-func (e *Eig) NoiseSubspace(signalDim int) []Vector {
-	n := len(e.Values)
-	k := n - signalDim
-	return e.NoiseSubspaceInto(signalDim, make([]Vector, 0, k), make(Vector, n*k))
-}
-
-// NoiseSubspaceInto is NoiseSubspace copying the basis vectors into buf
-// (length >= n*(n-signalDim)) and appending them to dst[:0]: no
-// allocation when the caller's buffers are large enough. The returned
-// vectors alias buf and are valid until its next reuse.
-//
-//wivi:hotpath
-func (e *Eig) NoiseSubspaceInto(signalDim int, dst []Vector, buf Vector) []Vector {
-	n := len(e.Values)
-	dst = dst[:0]
-	for j := signalDim; j < n; j++ {
-		col := buf[(j-signalDim)*n : (j-signalDim+1)*n]
-		for r := 0; r < n; r++ {
-			col[r] = e.Vectors.At(r, j)
-		}
-		dst = append(dst, col)
-	}
-	return dst
 }
 
 // EigWorkspace is the frame kernel's eigensolver: every eigenvalue of a

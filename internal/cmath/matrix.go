@@ -35,20 +35,10 @@ func (m *Matrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 
-// Add adds v to element (i, j).
-func (m *Matrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Row returns row i as a vector view copy.
-func (m *Matrix) Row(i int) Vector {
-	out := make(Vector, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
 	return out
 }
 
@@ -148,18 +138,6 @@ func (m *Matrix) ScaleInPlace(a complex128) *Matrix {
 	return m
 }
 
-// AddInPlace adds b to m element-wise in place and returns m.
-// It panics on dimension mismatch.
-func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("cmath: AddInPlace dims %dx%d + %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-	return m
-}
-
 // IsHermitian reports whether m is Hermitian within tolerance tol.
 func (m *Matrix) IsHermitian(tol float64) bool {
 	if m.Rows != m.Cols {
@@ -184,22 +162,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	for _, x := range m.Data {
 		re, im := real(x), imag(x)
 		s += re*re + im*im
-	}
-	return math.Sqrt(s)
-}
-
-// offDiagNorm returns the Frobenius norm of the strictly off-diagonal part.
-func (m *Matrix) offDiagNorm() float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			x := m.At(i, j)
-			re, im := real(x), imag(x)
-			s += re*re + im*im
-		}
 	}
 	return math.Sqrt(s)
 }

@@ -45,29 +45,6 @@ func TestVectorNormalize(t *testing.T) {
 	}
 }
 
-func TestVectorAddScaledSubMean(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{1, 1, 1}
-	v.AddScaled(2, w)
-	want := Vector{3, 4, 5}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("AddScaled = %v, want %v", v, want)
-		}
-	}
-	d := v.Sub(w)
-	if d[0] != 2 || d[1] != 3 || d[2] != 4 {
-		t.Fatalf("Sub = %v", d)
-	}
-	if m := d.Mean(); m != 3 {
-		t.Fatalf("Mean = %v, want 3", m)
-	}
-	var empty Vector
-	if empty.Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
-	}
-}
-
 func TestMatrixMulIdentity(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 0, complex(1, 1))

@@ -1,7 +1,8 @@
 // Package cmath provides complex-valued vector and matrix primitives for
-// the Wi-Vi signal-processing chain: dense complex matrices, Hermitian
-// eigendecomposition (Jacobi), and the handful of BLAS-like operations
-// that the MUSIC algorithm and the MIMO nulling math require.
+// the Wi-Vi signal-processing chain: dense complex matrices, the frame
+// kernel's Hermitian eigensolver (EigWorkspace) with its cyclic-Jacobi
+// reference (HermitianEig), and the handful of BLAS-like operations that
+// the MUSIC algorithm and the MIMO nulling math require.
 //
 // Everything is implemented from scratch on top of the standard library;
 // the package has no external dependencies.
@@ -15,16 +16,6 @@ import (
 
 // Vector is a dense complex vector.
 type Vector []complex128
-
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
 
 // Dot returns the standard inner product conj(v)·w.
 // It panics if the lengths differ.
@@ -69,42 +60,6 @@ func (v Vector) Scale(a complex128) Vector {
 	return v
 }
 
-// AddScaled adds a*w to v in place (v += a*w) and returns v.
-// It panics if the lengths differ.
-func (v Vector) AddScaled(a complex128, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("cmath: AddScaled length mismatch %d != %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-	return v
-}
-
-// Sub returns v - w as a new vector. It panics if the lengths differ.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("cmath: Sub length mismatch %d != %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of the elements of v (0 for empty v).
-func (v Vector) Mean() complex128 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s complex128
-	for _, x := range v {
-		s += x
-	}
-	return s / complex(float64(len(v)), 0)
-}
-
 // Normalize scales v in place to unit norm and returns v.
 // A zero vector is returned unchanged.
 func (v Vector) Normalize() Vector {
@@ -126,15 +81,4 @@ func (v Vector) Conj() Vector {
 		out[i] = cmplx.Conj(x)
 	}
 	return out
-}
-
-// MaxAbs returns the maximum element magnitude of v (0 for empty v).
-func (v Vector) MaxAbs() float64 {
-	var m float64
-	for _, x := range v {
-		if a := cmplx.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

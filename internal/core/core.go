@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -239,8 +240,7 @@ func (d *Device) nullLocked() (*nulling.Result, error) {
 }
 
 // NullingResult returns the most recent nulling result (nil before
-// Null). The result is read-shared, never mutated; Clone it before
-// editing.
+// Null). The result is read-shared and must not be modified.
 func (d *Device) NullingResult() *nulling.Result {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -264,8 +264,13 @@ var ErrShortCapture = errors.New("core: capture shorter than one analysis window
 // duration/SampleT, but with a millionth of a sample to spare: a duration
 // that is a whole number of samples often divides to just below it in
 // float64 (0.72/0.0032 = 224.99999999999997), and plain truncation would
-// drop that last sample and, on a frame boundary, the last frame.
+// drop that last sample and, on a frame boundary, the last frame. A NaN
+// or infinite duration is refused first: it passes the sign check, and
+// converting it to an int gives no meaningful count.
 func (d *Device) samples(duration float64, imaged bool) (int, error) {
+	if math.IsNaN(duration) || math.IsInf(duration, 0) {
+		return 0, fmt.Errorf("core: capture duration %v is not finite", duration)
+	}
 	if duration <= 0 {
 		return 0, fmt.Errorf("core: non-positive capture duration %v", duration)
 	}
@@ -346,12 +351,6 @@ func (d *Device) ImageCtx(ctx context.Context, tr *Trace) (*isar.Image, error) {
 	return d.proc.ComputeImageCtx(ctx, tr.Combined, d.cfg.FrameWorkers)
 }
 
-// BeamformImage runs the plain Eq. 5.1 beamformer over a trace (the
-// MUSIC ablation).
-func (d *Device) BeamformImage(tr *Trace) (*isar.Image, error) {
-	return d.proc.ComputeBeamformImageCtx(context.Background(), tr.Combined, d.cfg.FrameWorkers)
-}
-
 // Track captures duration seconds and returns the angle-time image plus
 // the underlying trace.
 func (d *Device) Track(startT, duration float64) (*isar.Image, *Trace, error) {
@@ -412,12 +411,6 @@ func (d *Device) finishObservation(mode Mode, img *isar.Image, tr *Trace) (*Obse
 // (detect.MeanLineVariance; see its doc for the relation to Eq. 5.4/5.5).
 func (d *Device) SpatialVariance(img *isar.Image) float64 {
 	return detect.MeanLineVariance(img, d.fe.NoiseFloor(), d.cfg.Gesture.GuardAngleDeg)
-}
-
-// CountHumans classifies an image's spatial variance with a trained
-// classifier.
-func (d *Device) CountHumans(img *isar.Image, c *detect.Classifier) int {
-	return c.Classify(d.SpatialVariance(img))
 }
 
 // DecodeGestures runs the §6.2 decoding chain over an image.

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -317,32 +319,32 @@ func TestCountHumansWithClassifier(t *testing.T) {
 		MotionPower: []float64{1},
 		SignalDim:   []int{1},
 	}
-	got := dev.CountHumans(img, c)
+	got := c.Classify(dev.SpatialVariance(img))
 	if got < 0 || got > 2 {
 		t.Fatalf("count = %d", got)
 	}
 }
 
-func TestBeamformImageAblation(t *testing.T) {
-	dev, _ := newSimDevice(t, 11, func(sc *sim.Scene) {
-		if _, err := sc.AddWalker(4); err != nil {
-			t.Fatal(err)
+// TestNonFiniteDurationRejected: a NaN or infinite duration passes the
+// sign check and converts to no meaningful sample count, so every
+// capture entry point refuses it by value, before nulling or capturing,
+// and not as a short capture.
+func TestNonFiniteDurationRejected(t *testing.T) {
+	dev, _ := newSimDevice(t, 4, nil)
+	ctx := context.Background()
+	for _, dur := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err1 := dev.CaptureTraceCtx(ctx, 0, dur)
+		_, _, err2 := dev.TrackCtx(ctx, 0, dur)
+		_, err3 := dev.Observe(ctx, TrackRequest{Duration: dur})
+		_, err4 := dev.ObserveStream(ctx, TrackRequest{Duration: dur})
+		for i, err := range []error{err1, err2, err3, err4} {
+			if err == nil || errors.Is(err, ErrShortCapture) || !strings.Contains(err.Error(), fmt.Sprint(dur)) {
+				t.Errorf("duration %v, entry point %d: err = %v, want an error naming the duration", dur, i+1, err)
+			}
 		}
-	})
-	tr, err := dev.CaptureTrace(0, 2)
-	if err != nil {
-		t.Fatal(err)
 	}
-	mu, err := dev.Image(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := dev.BeamformImage(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mu.NumFrames() != bf.NumFrames() {
-		t.Fatal("frame count mismatch between MUSIC and beamforming")
+	if dev.NullingResult() != nil {
+		t.Fatal("a rejected duration nulled the device")
 	}
 }
 

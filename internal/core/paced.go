@@ -40,9 +40,6 @@ func NewPacedFrontEnd(fe FrontEnd, clock Clock) *PacedFrontEnd {
 	return &PacedFrontEnd{inner: fe, clock: clock}
 }
 
-// Inner returns the wrapped front end.
-func (p *PacedFrontEnd) Inner() FrontEnd { return p.inner }
-
 // Clock returns the clock pacing this front end.
 func (p *PacedFrontEnd) Clock() Clock { return p.clock }
 

@@ -335,23 +335,6 @@ func (m *ConfusionMatrix) RowPercent(i int) []float64 {
 	return out
 }
 
-// Accuracy returns the overall fraction of correct classifications.
-func (m *ConfusionMatrix) Accuracy() float64 {
-	var correct, total int
-	for i := range m.Counts {
-		for j, c := range m.Counts[i] {
-			total += c
-			if i == j {
-				correct += c
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // Diagonal returns the per-class accuracy percentages (the diagonal of
 // Table 7.1: 100%, 100%, 85%, 90% in the paper).
 func (m *ConfusionMatrix) Diagonal() []float64 {

@@ -1,7 +1,7 @@
 // Package dsp implements the signal-processing primitives used throughout
-// the Wi-Vi pipeline: FFT/IFFT, window functions, convolution and matched
-// filtering, peak detection, and the descriptive statistics used by the
-// evaluation harness (CDFs, percentiles, dB conversions).
+// the Wi-Vi pipeline: FFT/IFFT, convolution and matched filtering, peak
+// detection, and the descriptive statistics used by the evaluation
+// harness (CDFs, percentiles, dB conversions).
 //
 // All routines are deterministic, allocation-conscious and stdlib-only.
 package dsp
@@ -11,31 +11,29 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
 )
 
 // FFT returns the discrete Fourier transform of x as a new slice.
 // Any length is supported: powers of two use an iterative radix-2
 // Cooley-Tukey kernel; other lengths fall back to Bluestein's algorithm.
-//
-// Twiddle factors and Bluestein convolution kernels are planned once per
-// size and memoized process-wide (see planFor), so repeated transforms of
-// one size — the OFDM symbol loop, spectrum sweeps — pay no per-call
-// trigonometry. FFTInto is the allocation-free form.
+// Each call computes its own twiddle factors: the only callers are
+// per-call spectra and convolutions, not a per-symbol loop. FFTInto is
+// the buffered form.
 func FFT(x []complex128) []complex128 {
 	return FFTInto(make([]complex128, len(x)), x)
 }
 
 // IFFT returns the inverse discrete Fourier transform of x (normalized by
-// 1/N) as a new slice. IFFTInto is the allocation-free form.
+// 1/N) as a new slice. IFFTInto is the buffered form.
 func IFFT(x []complex128) []complex128 {
 	return IFFTInto(make([]complex128, len(x)), x)
 }
 
-// FFTInto computes the DFT of x into dst: no allocation once the size's
-// plan exists (the first transform of a given length builds it). dst and
-// x must share one length; dst may be x itself for an in-place transform,
-// but the two must not partially overlap. Returns dst.
+// FFTInto computes the DFT of x into dst: no allocation for a
+// power-of-two length, while a Bluestein length allocates one buffer per
+// call. dst and x must share one length; dst may be x itself for an
+// in-place transform, but the two must not partially overlap. Returns
+// dst.
 //
 //wivi:hotpath
 func FFTInto(dst, x []complex128) []complex128 {
@@ -77,69 +75,15 @@ func fftInPlace(x []complex128, inverse bool) {
 	}
 }
 
-// radix2Plan caches the stage-packed twiddle factors of one radix-2 size,
-// forward and inverse. The tables are built with the exact multiplicative
-// recurrence (w *= wStep per butterfly) the kernel previously ran inline,
-// so planned transforms are bit-identical to unplanned ones — the
-// batch/stream identity invariants and golden fixtures see no change.
-type radix2Plan struct {
-	fwd, inv []complex128
-}
-
-// plan caches live for the process lifetime, keyed by transform size.
-// The working set is tiny — the pipeline uses a handful of sizes (the
-// OFDM symbol, spectrum windows, Bluestein pads) and a size-n table is
-// n-1 complex values. sync.Map: built once, read from every goroutine.
-var (
-	radix2Plans    sync.Map // int -> *radix2Plan
-	bluesteinPlans sync.Map // int -> *bluesteinPlan
-)
-
-func radix2PlanFor(n int) *radix2Plan {
-	if p, ok := radix2Plans.Load(n); ok {
-		return p.(*radix2Plan)
-	}
-	p := &radix2Plan{fwd: buildTwiddles(n, false), inv: buildTwiddles(n, true)}
-	actual, _ := radix2Plans.LoadOrStore(n, p)
-	return actual.(*radix2Plan)
-}
-
-// buildTwiddles packs the per-stage butterfly twiddles of a size-n
-// radix-2 transform: half(size) values per stage for size = 2, 4, ..., n,
-// n-1 values total, generated by the same w *= wStep recurrence the
-// unplanned kernel used (not cmplx.Rect per index, which would round
-// differently and break bit-identity with the historical output).
-func buildTwiddles(n int, inverse bool) []complex128 {
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	tw := make([]complex128, 0, n-1)
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wStep := cmplx.Rect(1, step)
-		w := complex(1, 0)
-		for k := 0; k < half; k++ {
-			tw = append(tw, w)
-			w *= wStep
-		}
-	}
-	return tw
-}
-
-// radix2 is an iterative in-place radix-2 Cooley-Tukey FFT using the
-// size's cached twiddle plan. n must be a power of two >= 2. No
-// normalization is applied.
+// radix2 is an iterative in-place radix-2 Cooley-Tukey FFT. n must be a
+// power of two >= 2. No normalization is applied. Each stage steps its
+// twiddle factor by the multiplicative recurrence w *= wStep, not
+// cmplx.Rect per index, which would round differently and move every
+// figure computed from a transform.
 //
 //wivi:hotpath
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
-	plan := radix2PlanFor(n) //wivi:alloc plan built once per size and memoized
-	tw := plan.fwd
-	if inverse {
-		tw = plan.inv
-	}
 	// Bit-reversal permutation.
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
@@ -148,107 +92,64 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	off := 0
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * tw[off+k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-		off += half
-	}
-}
-
-// bluesteinPlan caches everything size-invariant about an arbitrary-length
-// DFT via the chirp-z transform: the chirp sequences, the forward FFT of
-// the convolution kernel b (previously recomputed every call), and a pool
-// of padded scratch buffers so planned calls allocate nothing.
-type bluesteinPlan struct {
-	n, m           int
-	chirpF, chirpI []complex128 // e^{sign·iπk²/n}, forward/inverse sign
-	bfftF, bfftI   []complex128 // radix-2 FFT of the padded conj-chirp kernel
-	scratch        sync.Pool    // *[]complex128 of length m
-}
-
-func bluesteinPlanFor(n int) *bluesteinPlan {
-	if p, ok := bluesteinPlans.Load(n); ok {
-		return p.(*bluesteinPlan)
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	p := &bluesteinPlan{n: n, m: m}
-	p.chirpF, p.bfftF = buildBluestein(n, m, false)
-	p.chirpI, p.bfftI = buildBluestein(n, m, true)
-	p.scratch.New = func() any {
-		s := make([]complex128, m)
-		return &s
-	}
-	actual, _ := bluesteinPlans.LoadOrStore(n, p)
-	return actual.(*bluesteinPlan)
-}
-
-// buildBluestein computes the chirp and the FFT of the padded conjugate
-// chirp kernel for one (n, direction) — the per-call preamble of the old
-// unplanned kernel, hoisted verbatim so results stay bit-identical.
-func buildBluestein(n, m int, inverse bool) (chirp, bfft []complex128) {
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	// Chirp: chirp[k] = exp(sign * i*pi*k^2/n).
-	chirp = make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// Use int64 mod 2n to avoid float blowup for large k.
-		kk := (int64(k) * int64(k)) % (2 * int64(n))
-		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wStep := cmplx.Rect(1, step)
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wStep
+			}
+		}
 	}
-	bfft = make([]complex128, m)
-	for k := 0; k < n; k++ {
-		bfft[k] = cmplx.Conj(chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		bfft[m-k] = cmplx.Conj(chirp[k])
-	}
-	radix2(bfft, false)
-	return chirp, bfft
 }
 
 // bluestein computes an arbitrary-length DFT as a convolution using
-// zero-padded power-of-two FFTs (chirp-z transform), drawing the chirp,
-// the kernel FFT and the padded scratch from the size's plan.
+// zero-padded power-of-two FFTs (the chirp-z transform).
 //
 //wivi:hotpath
 func bluestein(x []complex128, inverse bool) {
 	n := len(x)
-	p := bluesteinPlanFor(n) //wivi:alloc plan built once per size and memoized
-	chirp, bfft := p.chirpF, p.bfftF
+	sign := -1.0
 	if inverse {
-		chirp, bfft = p.chirpI, p.bfftI
+		sign = 1.0
 	}
-	sp := p.scratch.Get().(*[]complex128)
-	a := *sp
+	// The chirp and the two zero-padded operands of the convolution.
+	m := NextPow2(2*n - 1)
+	buf := make([]complex128, n+2*m) //wivi:alloc a Bluestein length serves only one-off spectra, so nothing repeats a size worth keeping buffers for
+	chirp, a, b := buf[:n], buf[n:n+m], buf[n+m:]
+	// chirp[k] = exp(sign * i*pi*k^2/n), with k^2 taken mod 2n in int64
+	// so large k cannot blow up the float argument.
+	for k := 0; k < n; k++ {
+		kk := (int64(k) * int64(k)) % (2 * int64(n))
+		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+	}
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * chirp[k]
+		b[k] = cmplx.Conj(chirp[k])
 	}
-	for k := n; k < p.m; k++ {
-		a[k] = 0
+	for k := 1; k < n; k++ {
+		b[m-k] = cmplx.Conj(chirp[k])
 	}
 	radix2(a, false)
+	radix2(b, false)
 	for i := range a {
-		a[i] *= bfft[i]
+		a[i] *= b[i]
 	}
 	radix2(a, true)
-	invM := complex(1/float64(p.m), 0)
+	invM := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * invM * chirp[k]
 	}
-	p.scratch.Put(sp)
 }
 
 // FFTShift rotates the spectrum so the zero-frequency bin is centered,
@@ -285,8 +186,8 @@ func PowerSpectrum(x []complex128) []float64 {
 }
 
 // PowerSpectrumInto computes |FFT(x)|^2 into dst with the transform
-// landing in scratch: no allocation. All three slices must share one
-// length; scratch may be x itself, which is then overwritten by its own
+// landing in scratch (allocating only a Bluestein length's buffers). All
+// three slices must share one length; scratch may be x itself, which is then overwritten by its own
 // spectrum — the natural shape for callers that already hold a private
 // copy. Returns dst.
 //

@@ -154,13 +154,12 @@ func TestPowerSpectrumTone(t *testing.T) {
 	}
 }
 
-// --- Unplanned reference kernels -------------------------------------
+// --- Reference kernels -------------------------------------------------
 //
-// Verbatim copies of the pre-plan-cache FFT kernels. The planned kernels
-// must stay bit-identical to these: the twiddle tables are built with the
-// same recurrence the reference runs inline, and the Bluestein kernel FFT
-// is the same transform hoisted out of the call. Any divergence would
-// silently move every golden fixture and break batch/stream identity.
+// The FFT kernels as the golden fixtures were generated with, with their
+// own bit-reversal helpers. The production kernels must stay bit-identical
+// to these: any divergence would silently move every golden fixture and
+// every figure computed from a transform.
 
 func fftRef(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
@@ -277,10 +276,10 @@ func bitsReverse64(v uint64) uint64 {
 	return out
 }
 
-// TestFFTPlannedBitIdenticalToReference is the plan cache's core
-// contract: for power-of-two and Bluestein sizes alike, forward and
-// inverse, the planned kernels reproduce the unplanned reference bit for
-// bit, so caching changes no downstream output.
+// TestFFTPlannedBitIdenticalToReference: for power-of-two and Bluestein
+// sizes alike, forward and inverse, the production kernels reproduce the
+// reference bit for bit, so a kernel rewrite changes no downstream
+// output.
 func TestFFTPlannedBitIdenticalToReference(t *testing.T) {
 	r := rng.New(5)
 	for _, n := range []int{1, 2, 3, 4, 7, 16, 64, 100, 128, 331, 1000} {
@@ -288,8 +287,7 @@ func TestFFTPlannedBitIdenticalToReference(t *testing.T) {
 		for i := range x {
 			x[i] = complex(r.Norm(), r.Norm())
 		}
-		// Run each planned transform twice: the first call builds the
-		// plan, the second exercises the cached path. Both must match.
+		// Run each transform twice: a repeated call must match too.
 		for pass := 0; pass < 2; pass++ {
 			fwd, wantFwd := FFT(x), fftRef(x)
 			inv, wantInv := IFFT(x), ifftRef(x)
@@ -343,29 +341,26 @@ func TestFFTIntoMatchesFFT(t *testing.T) {
 	FFTInto(make([]complex128, 3), make([]complex128, 4))
 }
 
-// TestFFTIntoNoAllocs: once a size's plan exists, the buffered transforms
-// allocate nothing — the whole point of the plan cache for the per-symbol
-// OFDM loop.
+// TestFFTIntoNoAllocs: a power-of-two transform computes its twiddles on
+// the fly, so the buffered transforms allocate nothing.
 func TestFFTIntoNoAllocs(t *testing.T) {
-	for _, n := range []int{64, 100} { // radix-2 and Bluestein paths
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(float64(i), 1)
-		}
-		dst := make([]complex128, n)
-		FFTInto(dst, x) // build the plan
-		if avg := testing.AllocsPerRun(100, func() { FFTInto(dst, x) }); avg != 0 {
-			t.Errorf("n=%d: planned FFTInto allocates %.1f per op, want 0", n, avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() { IFFTInto(dst, x) }); avg != 0 {
-			t.Errorf("n=%d: planned IFFTInto allocates %.1f per op, want 0", n, avg)
-		}
+	const n = 64
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(float64(i), 1)
+	}
+	dst := make([]complex128, n)
+	if avg := testing.AllocsPerRun(100, func() { FFTInto(dst, x) }); avg != 0 {
+		t.Errorf("n=%d: FFTInto allocates %.1f per op, want 0", n, avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { IFFTInto(dst, x) }); avg != 0 {
+		t.Errorf("n=%d: IFFTInto allocates %.1f per op, want 0", n, avg)
 	}
 }
 
-// TestFFTConcurrent hammers one size from many goroutines (run under
-// -race): the plan cache must be safe to build and read concurrently, and
-// the pooled Bluestein scratch must never be shared between two calls.
+// TestFFTConcurrent runs one size from many goroutines (run under
+// -race): concurrent transforms share no state, on the radix-2 and the
+// Bluestein path alike.
 func TestFFTConcurrent(t *testing.T) {
 	for _, n := range []int{64, 100} {
 		x := make([]complex128, n)
@@ -402,8 +397,8 @@ func TestFFTConcurrent(t *testing.T) {
 	}
 }
 
-// TestPowerSpectrumInto: the buffered form matches PowerSpectrum, allows
-// scratch to alias x, and is allocation-free once planned.
+// TestPowerSpectrumInto: the buffered form matches PowerSpectrum and
+// allows scratch to alias x.
 func TestPowerSpectrumInto(t *testing.T) {
 	r := rng.New(8)
 	n := 48
@@ -427,9 +422,6 @@ func TestPowerSpectrumInto(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("aliased bin %d: %v, want %v", i, dst[i], want[i])
 		}
-	}
-	if avg := testing.AllocsPerRun(50, func() { PowerSpectrumInto(dst, x, scratch) }); avg != 0 {
-		t.Errorf("PowerSpectrumInto allocates %.1f per op, want 0", avg)
 	}
 }
 
@@ -464,39 +456,6 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FFT(x)
-	}
-}
-
-// BenchmarkFFT compares the planned kernels against the unplanned
-// reference (per-call twiddle recurrence, per-call Bluestein kernel FFT)
-// on the two code paths. "planned" uses FFTInto, the shape the OFDM
-// symbol loop and spectrum stages run.
-func BenchmarkFFT(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		n    int
-	}{{"radix2-64", 64}, {"radix2-1024", 1024}, {"bluestein-100", 100}, {"bluestein-1000", 1000}} {
-		r := rng.New(1)
-		x := make([]complex128, bc.n)
-		for i := range x {
-			x[i] = complex(r.Norm(), r.Norm())
-		}
-		dst := make([]complex128, bc.n)
-		b.Run("planned/"+bc.name, func(b *testing.B) {
-			FFTInto(dst, x)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FFTInto(dst, x)
-			}
-		})
-		b.Run("unplanned/"+bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(dst, x)
-				fftInPlaceRef(dst, false)
-			}
-		})
 	}
 }
 

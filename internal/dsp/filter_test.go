@@ -196,29 +196,3 @@ func TestAverageBlocksComplex(t *testing.T) {
 		t.Fatal("blockSize 1 should copy")
 	}
 }
-
-func TestWindows(t *testing.T) {
-	for name, fn := range map[string]WindowFunc{
-		"hann": Hann, "hamming": Hamming, "blackman": Blackman, "rect": Rectangular,
-	} {
-		w := fn(33)
-		if len(w) != 33 {
-			t.Fatalf("%s: wrong length", name)
-		}
-		for i, v := range w {
-			if v < -1e-12 || v > 1+1e-12 {
-				t.Fatalf("%s[%d] = %v out of [0,1]", name, i, v)
-			}
-		}
-		// Symmetric windows.
-		for i := 0; i < len(w)/2; i++ {
-			if math.Abs(w[i]-w[len(w)-1-i]) > 1e-12 {
-				t.Fatalf("%s not symmetric at %d", name, i)
-			}
-		}
-		one := fn(1)
-		if len(one) != 1 || one[0] != 1 {
-			t.Fatalf("%s(1) = %v", name, one)
-		}
-	}
-}

@@ -107,20 +107,6 @@ func DB(powerRatio float64) float64 {
 	return 10 * math.Log10(powerRatio)
 }
 
-// AmpDB converts a linear amplitude ratio to decibels (20 log10).
-func AmpDB(ampRatio float64) float64 {
-	if ampRatio <= 0 {
-		return -300
-	}
-	return 20 * math.Log10(ampRatio)
-}
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// AmpFromDB converts decibels to a linear amplitude ratio.
-func AmpFromDB(db float64) float64 { return math.Pow(10, db/20) }
-
 // CDF is an empirical cumulative distribution function over a sample set.
 type CDF struct {
 	sorted []float64
@@ -180,35 +166,6 @@ func (c *CDF) Points() (xs, ps []float64) {
 		ps[i] = float64(i+1) / n
 	}
 	return xs, ps
-}
-
-// Histogram counts samples into nbins equal-width bins over [min, max].
-// Returns the bin edges (nbins+1 values) and counts (nbins values).
-func Histogram(x []float64, nbins int) (edges []float64, counts []int) {
-	if nbins <= 0 || len(x) == 0 {
-		return nil, nil
-	}
-	min, max := MinMax(x)
-	if min == max {
-		max = min + 1
-	}
-	edges = make([]float64, nbins+1)
-	width := (max - min) / float64(nbins)
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, v := range x {
-		bin := int((v - min) / width)
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		if bin < 0 {
-			bin = 0
-		}
-		counts[bin]++
-	}
-	return edges, counts
 }
 
 // Argmax returns the index of the maximum element of x (-1 for empty).

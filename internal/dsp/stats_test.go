@@ -50,23 +50,8 @@ func TestDBConversions(t *testing.T) {
 	if d := DB(100); math.Abs(d-20) > 1e-12 {
 		t.Fatalf("DB(100) = %v", d)
 	}
-	if d := AmpDB(10); math.Abs(d-20) > 1e-12 {
-		t.Fatalf("AmpDB(10) = %v", d)
-	}
 	if d := DB(0); d != -300 {
 		t.Fatalf("DB(0) = %v, want -300 clamp", d)
-	}
-	if d := AmpDB(-1); d != -300 {
-		t.Fatalf("AmpDB(-1) = %v, want -300 clamp", d)
-	}
-	// Round trips.
-	for _, db := range []float64{-30, -3, 0, 3, 12, 42} {
-		if got := DB(FromDB(db)); math.Abs(got-db) > 1e-9 {
-			t.Fatalf("DB(FromDB(%v)) = %v", db, got)
-		}
-		if got := AmpDB(AmpFromDB(db)); math.Abs(got-db) > 1e-9 {
-			t.Fatalf("AmpDB(AmpFromDB(%v)) = %v", db, got)
-		}
 	}
 }
 
@@ -135,29 +120,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	x := []float64{0, 0.1, 0.5, 0.9, 1.0}
-	edges, counts := Histogram(x, 2)
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatalf("Histogram shape: %d edges, %d counts", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(x) {
-		t.Fatalf("Histogram total = %d, want %d", total, len(x))
-	}
-	if e, c := Histogram(nil, 3); e != nil || c != nil {
-		t.Fatal("empty histogram should be nil")
-	}
-	// Constant input must not divide by zero.
-	_, cc := Histogram([]float64{2, 2, 2}, 2)
-	if cc[0]+cc[1] != 3 {
-		t.Fatal("constant histogram lost samples")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"wivi/internal/baseline"
-	"wivi/internal/cmath"
 	"wivi/internal/dsp"
 	"wivi/internal/isar"
 	"wivi/internal/nulling"
@@ -183,16 +182,11 @@ func AblationSmoothing(o Options) *Report {
 		phase2 := 2 * math.Pi * 2 * -0.5 * cfg.SampleT * float64(i) / cfg.Lambda
 		h[i] = complexFromPolar(1, phase1) + complexFromPolar(1, phase2) + s.ComplexGaussian(1e-6)
 	}
-	rMat, err := proc.SmoothedCorrelation(h)
+	fr, err := proc.ProcessFrame(h, isar.FrameSpec{})
 	if err != nil {
 		return r.fail(err)
 	}
-	eig, err := cmath.HermitianEig(rMat)
-	if err != nil {
-		return r.fail(err)
-	}
-	dim := proc.EstimateSignalDim(eig.Values)
-	music := proc.MUSICSpectrum(eig.NoiseSubspace(dim))
+	music := fr.Power
 	bf, err := proc.BeamformSpectrum(h)
 	if err != nil {
 		return r.fail(err)

@@ -122,15 +122,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// All runs every experiment in DESIGN.md order.
-func All(o Options) []*Report {
-	var out []*Report
-	for _, e := range Experiments() {
-		out = append(out, e.Run(o))
-	}
-	return out
-}
-
 // seedFor derives a deterministic experiment seed.
 func seedFor(o Options, label string, trial int) int64 {
 	s := rng.DeriveSeed(o.Seed, label)

@@ -62,9 +62,6 @@ func (v Vec) Unit() Vec {
 	return Vec{v.X / l, v.Y / l}
 }
 
-// Angle returns the angle of v in radians measured from the +x axis.
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
 // Rotate returns v rotated by theta radians counter-clockwise.
 func (v Vec) Rotate(theta float64) Vec {
 	c, s := math.Cos(theta), math.Sin(theta)

@@ -49,9 +49,6 @@ func TestVecRotate(t *testing.T) {
 	if math.Abs(r.X) > 1e-12 || math.Abs(r.Y-1) > 1e-12 {
 		t.Fatalf("Rotate = %v", r)
 	}
-	if a := r.Angle(); math.Abs(a-math.Pi/2) > 1e-12 {
-		t.Fatalf("Angle = %v", a)
-	}
 }
 
 // TestRotatePreservesLength is a property test.

@@ -3,7 +3,7 @@ package isar
 // Stage decomposition of the ISAR chain. The angle-time image is built
 // from analysis frames that are mutually independent: frame f reads only
 // its own window h[start : start+Window] and the processor's immutable
-// steering tables, and the frame kernel keeps no state from one frame to
+// steering table, and the frame kernel keeps no state from one frame to
 // the next. That independence is what the frame scheduler (Streamer,
 // stream.go) exploits — frames fan out over a bounded set of goroutines
 // and are emitted by index, so the assembled image is byte-identical to
@@ -22,7 +22,6 @@ package isar
 
 import (
 	"fmt"
-	"math"
 
 	"wivi/internal/cmath"
 )
@@ -69,14 +68,14 @@ type Frame struct {
 // with a freshly allocated workspace: the allocating form of the kernel
 // the Streamer runs with pooled workspaces, so it returns the identical
 // Frame. It is safe for concurrent use: h is only read,
-// and the processor's steering tables are immutable after NewProcessor.
-func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec, music bool) (Frame, error) {
+// and the processor's steering table is immutable after NewProcessor.
+func (p *Processor) ProcessFrame(h []complex128, spec FrameSpec) (Frame, error) {
 	w := p.cfg.Window
 	if spec.Start < 0 || spec.Start+w > len(h) {
 		return Frame{}, fmt.Errorf("isar: frame window [%d, %d) outside capture of %d samples",
 			spec.Start, spec.Start+w, len(h))
 	}
-	return p.processFrame(h[spec.Start:spec.Start+w], spec, music, p.newFrameScratch())
+	return p.processFrame(h[spec.Start:spec.Start+w], spec, p.newFrameScratch())
 }
 
 // frameScratch bundles every reusable buffer of the frame kernel: the
@@ -113,39 +112,26 @@ func (p *Processor) putScratch(sc *frameScratch) { p.scratch.Put(sc) }
 
 // processFrame is the frame kernel: one window of exactly Window samples
 // to one Frame. It computes the smoothed covariance (Hankel recursion),
-// the Bartlett spectrum, and either the smoothed-MUSIC pseudospectrum
-// (music = true, Eq. 5.3: every eigenvalue, then eigenvectors for only
-// the estimated signal subspace) or the plain Eq. 5.1 beamformer, plus
-// the motion-power metadata. Every temporary comes from sc, and the
+// the Bartlett spectrum, every eigenvalue, eigenvectors for only the
+// estimated signal subspace, and from them the smoothed-MUSIC
+// pseudospectrum (Eq. 5.3), plus the motion-power metadata. A NaN or
+// infinite sample reaches the covariance, whose norm the eigensolver
+// refuses with cmath.ErrNotFinite. Every temporary comes from sc, and the
 // result depends only on the window and spec, never on what sc held
 // before; the only allocations are the emitted Frame's Power and Bartlett
 // slices.
 //
 //wivi:hotpath
-func (p *Processor) processFrame(window []complex128, spec FrameSpec, music bool, sc *frameScratch) (Frame, error) {
-	// motionPower sums every sample of the window, so a NaN or infinite
-	// sample shows in it. Checking it here serves both modes: beamform
-	// never reaches the eigensolver's own finiteness check.
-	mp := motionPower(window)
-	if math.IsNaN(mp) || math.IsInf(mp, 0) {
-		return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, cmath.ErrNotFinite)
-	}
+func (p *Processor) processFrame(window []complex128, spec FrameSpec, sc *frameScratch) (Frame, error) {
 	fr := Frame{
 		Spec:        spec,
 		Time:        (float64(spec.Start) + float64(p.cfg.Window)/2) * p.cfg.SampleT,
-		MotionPower: mp,
-		SignalDim:   1,
+		MotionPower: motionPower(window),
 		Power:       make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 		Bartlett:    make([]float64, len(p.thetasDeg)), //wivi:alloc emitted Frame owns its Power/Bartlett slices
 	}
 	p.smoothedCorrelationInto(window, &sc.cov)
 	p.bartlettSpectrumInto(&sc.cov, fr.Bartlett, sc.diag)
-	if !music {
-		if err := p.beamformSpectrumInto(window, fr.Power); err != nil {
-			return Frame{}, err
-		}
-		return fr, nil
-	}
 	vals, err := sc.eig.Eigenvalues(&sc.cov)
 	if err != nil {
 		return Frame{}, fmt.Errorf("isar: frame at sample %d: %w", spec.Start, err)

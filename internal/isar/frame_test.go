@@ -89,8 +89,8 @@ func TestHankelCovarianceMatchesDirectSum(t *testing.T) {
 // TestImageFramesMatchProcessFrame: the pooled-workspace frames of the
 // frame scheduler (the whole capture in one Append, fanned out over
 // several workers, as a batch image runs it) are bit-identical to
-// ProcessFrame, the kernel's allocating form, in both MUSIC and beamform
-// mode — one kernel, whatever workspace it runs in.
+// ProcessFrame, the kernel's allocating form — one kernel, whatever
+// workspace it runs in.
 func TestImageFramesMatchProcessFrame(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
@@ -98,20 +98,17 @@ func TestImageFramesMatchProcessFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := goldenChannel(cfg, 400)
-	specs := p.FrameSpecs(len(h))
-	for _, music := range []bool{true, false} {
-		frames, err := streamFrames(t, p, h, len(h), 4, !music)
+	frames, err := streamFrames(t, p, h, len(h), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range p.FrameSpecs(len(h)) {
+		want, err := p.ProcessFrame(h, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range specs {
-			want, err := p.ProcessFrame(h, spec, music)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(frames[spec.Index], want) {
-				t.Fatalf("music=%v frame %d differs from ProcessFrame", music, spec.Index)
-			}
+		if !reflect.DeepEqual(frames[spec.Index], want) {
+			t.Fatalf("frame %d differs from ProcessFrame", spec.Index)
 		}
 	}
 }
@@ -302,26 +299,19 @@ func TestQuadFormMatchesDirectSums(t *testing.T) {
 
 // TestComputeImageRejectsNonFiniteSample: a NaN or infinite sample fails
 // the first frame whose window holds it with cmath.ErrNotFinite, and the
-// error names the frame by its first sample, in MUSIC and in beamform
-// mode (which never reaches the eigensolver).
+// error names the frame by its first sample.
 func TestComputeImageRejectsNonFiniteSample(t *testing.T) {
 	cfg := goldenConfig()
 	p, err := NewProcessor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []struct {
-		name    string
-		compute func([]complex128) (*Image, error)
-	}{{"music", p.ComputeImage}, {"beamform", p.ComputeBeamformImage}}
 	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
 		h := goldenChannel(cfg, 256)
 		h[100] = bad // first in the window of the frame at sample 48
-		for _, m := range modes {
-			_, err := m.compute(h)
-			if !errors.Is(err, cmath.ErrNotFinite) || !strings.Contains(err.Error(), "frame at sample 48") {
-				t.Fatalf("%s, sample %v: err = %v, want ErrNotFinite at the frame at sample 48", m.name, bad, err)
-			}
+		_, err := p.ComputeImage(h)
+		if !errors.Is(err, cmath.ErrNotFinite) || !strings.Contains(err.Error(), "frame at sample 48") {
+			t.Fatalf("sample %v: err = %v, want ErrNotFinite at the frame at sample 48", bad, err)
 		}
 	}
 }
@@ -386,7 +376,7 @@ func BenchmarkProcessFrame(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				spec := specs[i%len(specs)]
-				if _, err := p.processFrame(in.h[spec.Start:spec.Start+in.cfg.Window], spec, true, sc); err != nil {
+				if _, err := p.processFrame(in.h[spec.Start:spec.Start+in.cfg.Window], spec, sc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -84,7 +84,7 @@ func (im *Image) DominantAngles(f, k int, excludeDeg float64) []float64 {
 // ComputeImage runs the smoothed-MUSIC chain (§5.2) over the channel time
 // series h and returns the angle-time image.
 func (p *Processor) ComputeImage(h []complex128) (*Image, error) {
-	return p.computeImage(context.Background(), h, true, 1)
+	return p.ComputeImageCtx(context.Background(), h, 1)
 }
 
 // ComputeImageCtx is ComputeImage with context cancellation and per-frame
@@ -93,23 +93,6 @@ func (p *Processor) ComputeImage(h []complex128) (*Image, error) {
 // so the result is identical to ComputeImage for every worker count;
 // workers <= 1 runs sequentially.
 func (p *Processor) ComputeImageCtx(ctx context.Context, h []complex128, workers int) (*Image, error) {
-	return p.computeImage(ctx, h, true, workers)
-}
-
-// ComputeBeamformImage runs plain Eq. 5.1 beamforming over h — the
-// ablation baseline for smoothed MUSIC (§5.2 notes MUSIC's sharper peaks
-// and §7's figures are all produced with smoothed MUSIC).
-func (p *Processor) ComputeBeamformImage(h []complex128) (*Image, error) {
-	return p.computeImage(context.Background(), h, false, 1)
-}
-
-// ComputeBeamformImageCtx is ComputeBeamformImage with cancellation and
-// per-frame fan-out, mirroring ComputeImageCtx.
-func (p *Processor) ComputeBeamformImageCtx(ctx context.Context, h []complex128, workers int) (*Image, error) {
-	return p.computeImage(ctx, h, false, workers)
-}
-
-func (p *Processor) computeImage(ctx context.Context, h []complex128, music bool, workers int) (*Image, error) {
 	w := p.cfg.Window
 	if len(h) < w {
 		return nil, fmt.Errorf("isar: %d samples < window %d", len(h), w)
@@ -119,7 +102,7 @@ func (p *Processor) computeImage(ctx context.Context, h []complex128, music bool
 	// inline.
 	n := (len(h)-w)/p.cfg.Hop + 1
 	frames := make([]Frame, 0, n)
-	s := p.NewStreamer(StreamConfig{Workers: min(workers, n), Beamform: !music}, func(fr Frame) {
+	s := p.NewStreamer(StreamConfig{Workers: min(workers, n)}, func(fr Frame) {
 		frames = append(frames, fr)
 	})
 	_ = s.Append(ctx, h) // its error is the stream's first error, which Close returns

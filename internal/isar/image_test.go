@@ -6,8 +6,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"wivi/internal/cmath"
 )
 
 // addVec element-wise adds b into a (lengths must match).
@@ -165,19 +163,12 @@ func TestSmoothingDecorrelatesCoherentSources(t *testing.T) {
 	h2 := synthTarget(n, cfg, -0.5, 1, 0, 0, 14)
 	addVec(h, h2)
 
-	// Smoothed spectrum.
-	r, _ := p.SmoothedCorrelation(h)
-	eigS, err := cmath.HermitianEig(r)
+	// The smoothed spectrum must resolve both angles.
+	fr, err := p.ProcessFrame(h, FrameSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := p.EstimateSignalDim(eigS.Values)
-	smoothed := p.MUSICSpectrum(eigS.NoiseSubspace(dim))
-
-	// The smoothed spectrum must resolve both angles.
-	img := &Image{ThetaDeg: p.Thetas(), Power: [][]float64{smoothed},
-		Times: []float64{0}, MotionPower: []float64{1}, SignalDim: []int{dim}}
-	angles := img.DominantAngles(0, 3, 5)
+	angles := p.AssembleImage([]Frame{fr}).DominantAngles(0, 3, 5)
 	var pos, neg bool
 	for _, a := range angles {
 		if a > 30 {

@@ -5,14 +5,13 @@
 // Consecutive channel samples h[n..n+w] are grouped into overlapping
 // windows and treated as an emulated antenna array with element spacing
 // Delta = 2 v T (twice the one-way motion per sample, accounting for the
-// round trip; §5.1). Two estimators of the angle-power function are
-// provided:
-//
-//   - Beamform: the standard antenna-array sum of Eq. 5.1,
-//     A[theta, n] = sum_i h[n+i] conj(e_theta(i)).
-//   - Smoothed MUSIC (Eq. 5.3): spatial smoothing over subarrays
-//     decorrelates the superimposed reflections of multiple humans, then
-//     the MUSIC pseudospectrum sharpens the angular peaks.
+// round trip; §5.1). The image is the smoothed-MUSIC estimate of the
+// angle-power function (Eq. 5.3): spatial smoothing over subarrays
+// decorrelates the superimposed reflections of multiple humans, then the
+// MUSIC pseudospectrum sharpens the angular peaks. The plain
+// antenna-array sum of Eq. 5.1, A[theta, n] = sum_i h[n+i]
+// conj(e_theta(i)), is kept as a one-window baseline (BeamformSpectrum)
+// for the ablations.
 //
 // Sign convention: theta is positive when the human moves toward the
 // device and negative when moving away, matching the paper. With the
@@ -138,28 +137,25 @@ func SteeringVector(n int, lambda, delta, thetaRad float64) cmath.Vector {
 	return v
 }
 
-// Processor precomputes the angle grid and steering vectors for a config.
-// It holds only those immutable tables and a pool of frame scratch
-// buffers, so one Processor serves any number of devices and goroutines
-// at once; NewProcessor hands out one shared Processor per Config.
+// Processor precomputes the angle grid and subarray steering vectors for
+// a config. It holds only those immutable tables and a pool of frame
+// scratch buffers, so one Processor serves any number of devices and
+// goroutines at once; NewProcessor hands out one shared Processor per
+// Config.
 type Processor struct {
 	cfg       Config
 	thetasDeg []float64
-	// steerSub[t] is the steering vector on the subarray (for MUSIC).
+	// steerSub[t] is the steering vector on the subarray.
 	steerSub []cmath.Vector
-	// steerWin[t] is the steering vector on the full window (for
-	// beamforming).
-	steerWin []cmath.Vector
 	// scratch pools the per-goroutine frame workspaces (see frame.go).
 	scratch sync.Pool
 }
 
 // processors caches one Processor per distinct Config for the life of
-// the process, as dsp caches its FFT plans: every device of one geometry
-// shares the same steering tables (~380 KB at prototype geometry) and
-// the same scratch pool instead of building its own. Only configs that pass
-// Validate are stored, and Validate rejects NaN, so every key can be
-// found again.
+// the process: every device of one geometry shares the same steering
+// table (~93 KB at prototype geometry) and the same scratch pool instead
+// of building its own. Only configs that pass Validate are stored, and
+// Validate rejects NaN, so every key can be found again.
 var processors sync.Map // Config -> *Processor
 
 // NewProcessor validates cfg and returns the processor for it, built on
@@ -175,7 +171,7 @@ func NewProcessor(cfg Config) (*Processor, error) {
 	return actual.(*Processor), nil
 }
 
-// newProcessor builds the angle grid, the steering tables and the
+// newProcessor builds the angle grid, the steering table and the
 // scratch pool for a validated config.
 //
 // The grid is mirror-symmetric by construction: θ_i = (i − h)·step for
@@ -193,13 +189,8 @@ func newProcessor(cfg Config) *Processor {
 	p := &Processor{cfg: cfg, thetasDeg: thetas}
 	p.scratch.New = func() any { return p.newFrameScratch() }
 	p.steerSub = make([]cmath.Vector, len(thetas))
-	p.steerWin = make([]cmath.Vector, len(thetas))
-	for i, th := range thetas {
-		rad := th * math.Pi / 180
-		if i >= h {
-			p.steerSub[i] = SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), rad)
-		}
-		p.steerWin[i] = SteeringVector(cfg.Window, cfg.Lambda, cfg.Delta(), rad)
+	for i := h; i < len(thetas); i++ {
+		p.steerSub[i] = SteeringVector(cfg.Subarray, cfg.Lambda, cfg.Delta(), thetas[i]*math.Pi/180)
 	}
 	for i := 0; i < h; i++ {
 		p.steerSub[i] = p.steerSub[2*h-i].Conj()
@@ -316,43 +307,12 @@ func (p *Processor) estimateSignalDim(values, medBuf []float64) int {
 	return dim
 }
 
-// MUSICSpectrum evaluates the MUSIC pseudospectrum (Eq. 5.3) for the
-// given noise-subspace basis on the processor's angle grid. The result is
-// normalized so its minimum is 1.
-func (p *Processor) MUSICSpectrum(noise []cmath.Vector) []float64 {
-	out := make([]float64, len(p.thetasDeg))
-	p.musicSpectrumInto(noise, out)
-	return out
-}
-
-// musicSpectrumInto is MUSICSpectrum computing into out (length must be
-// the angle-grid size). It is the direct noise-basis form of Eq. 5.3 —
-// kept as the readable reference; the frame kernel evaluates the same
-// pseudospectrum through musicSpectrumComplementInto.
-//
-//wivi:hotpath
-func (p *Processor) musicSpectrumInto(noise []cmath.Vector, out []float64) {
-	for ti, steer := range p.steerSub {
-		var denom float64
-		for _, u := range noise {
-			// |steer^H u|^2 — the projection of the steering vector on
-			// one noise eigenvector.
-			d := steer.Dot(u)
-			denom += real(d)*real(d) + imag(d)*imag(d)
-		}
-		if denom < 1e-18 {
-			denom = 1e-18
-		}
-		out[ti] = 1 / denom
-	}
-	normalizeMin1(out)
-}
-
-// musicSpectrumComplementInto evaluates the same MUSIC pseudospectrum as
-// musicSpectrumInto from the signal side of the eigenbasis, with the
-// signal projector's diagonal sums landing in tmp (length Subarray). The
-// eigenvectors form a unitary basis, so for a unit-modulus steering
-// vector of length n the projections satisfy
+// musicSpectrumComplementInto evaluates the MUSIC pseudospectrum of
+// Eq. 5.3, 1 / sum_{noise} |steer^H u|^2 normalized so its minimum is 1,
+// from the signal side of the eigenbasis, with the signal projector's
+// diagonal sums landing in tmp (length Subarray). The eigenvectors form
+// a unitary basis, so for a unit-modulus steering vector of length n the
+// projections satisfy
 //
 //	sum_all |steer^H u_k|^2 = |steer|^2 = n,
 //
@@ -366,10 +326,10 @@ func (p *Processor) musicSpectrumInto(noise []cmath.Vector, out []float64) {
 // forming P (~2.6k complex multiply-adds at k = 5, n = 32), and
 // quadFormInto reads every angle's projection from the sums, where k dot
 // products per angle cost ~29k over the grid. It is numerically
-// equivalent to — not bit-identical with — the noise-sum form: the
-// identity holds exactly in real arithmetic, and in floats the signal
-// vectors are orthonormal to ~n*eps, so the two denominators agree to
-// ~n*eps absolute. Near a sharp peak the denominator is small and the
+// equivalent to — not bit-identical with — the noise-sum form of Eq. 5.3:
+// the identity holds exactly in real arithmetic, and in floats the
+// signal vectors are orthonormal to ~n*eps, so the two denominators agree
+// to ~n*eps absolute. Near a sharp peak the denominator is small and the
 // subtraction cancels, which amplifies that to a larger relative error
 // (TestImageCloseToFromScratchChain), still far below the 1e-6 golden
 // tolerance. The 1e-18 clamp absorbs any tiny negative complement when a
@@ -488,31 +448,26 @@ func (p *Processor) quadFormInto(c cmath.Vector, out []float64) {
 }
 
 // BeamformSpectrum evaluates |A[theta]|^2 of Eq. 5.1 for one window on
-// the processor's angle grid, normalized so its minimum is 1.
+// the processor's angle grid, normalized so its minimum is 1: the plain
+// beamformer the ablations compare smoothed MUSIC against. It builds the
+// window's steering vectors per call, so the processor keeps no table
+// for it.
 func (p *Processor) BeamformSpectrum(window []complex128) ([]float64, error) {
+	w := p.cfg.Window
+	if len(window) < w {
+		return nil, fmt.Errorf("isar: window of %d samples shorter than Window %d", len(window), w)
+	}
 	out := make([]float64, len(p.thetasDeg))
-	if err := p.beamformSpectrumInto(window, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// beamformSpectrumInto is BeamformSpectrum computing into out.
-//
-//wivi:hotpath
-func (p *Processor) beamformSpectrumInto(window []complex128, out []float64) error {
-	if len(window) < p.cfg.Window {
-		return fmt.Errorf("isar: window of %d samples shorter than Window %d", len(window), p.cfg.Window)
-	}
-	for ti, steer := range p.steerWin {
+	for ti, th := range p.thetasDeg {
+		steer := SteeringVector(w, p.cfg.Lambda, p.cfg.Delta(), th*math.Pi/180)
 		var acc complex128
-		for i := 0; i < p.cfg.Window; i++ {
+		for i := 0; i < w; i++ {
 			acc += window[i] * cmplx.Conj(steer[i])
 		}
 		out[ti] = real(acc)*real(acc) + imag(acc)*imag(acc)
 	}
 	normalizeMin1(out)
-	return nil
+	return out, nil
 }
 
 // normalizeMin1 scales the nonnegative spectrum x so its minimum is

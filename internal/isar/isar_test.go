@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"wivi/internal/cmath"
 	"wivi/internal/dsp"
 	"wivi/internal/rng"
 )
@@ -138,16 +137,11 @@ func TestMUSICSharperThanBeamforming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.SmoothedCorrelation(h)
+	fr, err := p.ProcessFrame(h, FrameSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eig, err := cmath.HermitianEig(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := p.EstimateSignalDim(eig.Values)
-	mu := p.MUSICSpectrum(eig.NoiseSubspace(dim))
+	mu := fr.Power
 	// Peak position agreement.
 	thBF := peakTheta(bf, p.Thetas())
 	thMU := peakTheta(mu, p.Thetas())
@@ -170,8 +164,8 @@ func maxOf(x []float64) float64 {
 
 // TestEstimateSignalDimClampOrder pins the clamp ordering fix: the >= 1
 // floor must be applied after the MaxSources and n-2 caps, so degenerate
-// geometries yield 1 (the DC) rather than 0 and a full-space
-// NoiseSubspace(0).
+// geometries yield 1 (the DC) rather than 0 and an empty signal
+// subspace.
 func TestEstimateSignalDimClampOrder(t *testing.T) {
 	p, err := NewProcessor(DefaultConfig())
 	if err != nil {

@@ -3,8 +3,8 @@ package isar
 // The frame scheduler. A Streamer consumes the channel stream
 // incrementally and runs the frame kernel (processFrame) on each window
 // the moment it closes, while later windows are still filling; a batch
-// image (computeImage) is the same Streamer fed the whole capture in one
-// Append. Each frame runs on its own copy of its window and reaches the
+// image (ComputeImageCtx) is the same Streamer fed the whole capture in
+// one Append. Each frame runs on its own copy of its window and reaches the
 // emit callback in index order, so the frame sequence (and any image
 // assembled from it) is bit-identical for every worker count and every
 // input chunking, batch or stream.
@@ -51,9 +51,6 @@ type StreamConfig struct {
 	// Append call. The worker count never affects the emitted frames,
 	// only the scheduling.
 	Workers int
-	// Beamform selects the plain Eq. 5.1 beamformer stage instead of
-	// smoothed MUSIC, mirroring ComputeBeamformImageCtx.
-	Beamform bool
 }
 
 // Streamer incrementally turns a channel sample stream into Frames and
@@ -69,9 +66,8 @@ type StreamConfig struct {
 // runs under the Streamer's mutex, on whichever goroutine completed the
 // frame, so it must not block or call back into the Streamer.
 type Streamer struct {
-	p     *Processor
-	music bool
-	emit  func(Frame)
+	p    *Processor
+	emit func(Frame)
 
 	// extra holds local slots for borrowed worker goroutines; nil when
 	// Workers <= 1, which makes every frame run inline.
@@ -96,7 +92,7 @@ type Streamer struct {
 // NewStreamer builds a Streamer over the processor's window geometry that
 // hands each frame to emit, in index order.
 func (p *Processor) NewStreamer(cfg StreamConfig, emit func(Frame)) *Streamer {
-	s := &Streamer{p: p, music: !cfg.Beamform, emit: emit}
+	s := &Streamer{p: p, emit: emit}
 	if cfg.Workers > 1 {
 		s.extra = make(chan struct{}, cfg.Workers-1)
 	}
@@ -224,7 +220,7 @@ func (s *Streamer) work(ctx context.Context, sc *frameScratch, spec FrameSpec) {
 // emits every frame that is now next in index order. Nothing is emitted
 // after the stream has failed.
 func (s *Streamer) run(sc *frameScratch, spec FrameSpec) {
-	fr, err := s.p.processFrame(sc.win, spec, s.music, sc)
+	fr, err := s.p.processFrame(sc.win, spec, sc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {

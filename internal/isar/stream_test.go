@@ -8,10 +8,10 @@ import (
 
 // streamFrames runs the Streamer over h in chunks and returns the frames
 // it emitted, checking that they arrive in index order.
-func streamFrames(t *testing.T, p *Processor, h []complex128, chunk, workers int, beamform bool) ([]Frame, error) {
+func streamFrames(t *testing.T, p *Processor, h []complex128, chunk, workers int) ([]Frame, error) {
 	t.Helper()
 	var frames []Frame
-	s := p.NewStreamer(StreamConfig{Workers: workers, Beamform: beamform}, func(fr Frame) {
+	s := p.NewStreamer(StreamConfig{Workers: workers}, func(fr Frame) {
 		frames = append(frames, fr)
 	})
 	var err error
@@ -33,9 +33,9 @@ func streamFrames(t *testing.T, p *Processor, h []complex128, chunk, workers int
 }
 
 // streamImage assembles streamFrames' frames into an image.
-func streamImage(t *testing.T, p *Processor, h []complex128, chunk, workers int, beamform bool) (*Image, error) {
+func streamImage(t *testing.T, p *Processor, h []complex128, chunk, workers int) (*Image, error) {
 	t.Helper()
-	frames, err := streamFrames(t, p, h, chunk, workers, beamform)
+	frames, err := streamFrames(t, p, h, chunk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func TestStreamerMatchesBatch(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 16, 17, 64, 512} {
 		for _, workers := range []int{1, 4} {
-			got, err := streamImage(t, p, h, chunk, workers, false)
+			got, err := streamImage(t, p, h, chunk, workers)
 			if err != nil {
 				t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
 			}
@@ -66,18 +66,6 @@ func TestStreamerMatchesBatch(t *testing.T) {
 				t.Fatalf("chunk=%d workers=%d: streamed image differs from batch", chunk, workers)
 			}
 		}
-	}
-	// The beamform stage streams through the same path.
-	wantBF, err := p.ComputeBeamformImage(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBF, err := streamImage(t, p, h, 32, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotBF, wantBF) {
-		t.Fatal("streamed beamform image differs from batch")
 	}
 }
 

@@ -3,13 +3,13 @@
 // XxxInto (or XxxAppend) taking caller-owned storage, the convenience form
 // must be a thin delegator — allocate the destination, call the sibling,
 // return. Logic duplicated between the two forms is how they drift apart;
-// the frame-kernel and planned-FFT work made the Into forms the single
-// source of truth, and this analyzer keeps it that way.
+// the frame-kernel and FFT work made the Into forms the single source of
+// truth, and this analyzer keeps it that way.
 //
 // Detection is name-based and same-package: an exported function/method Xxx
 // pairs with a sibling whose lowercased name equals lower(Xxx)+"into" or
 // lower(Xxx)+"append" on the same receiver base type. The case-insensitive
-// match covers unexported siblings (MUSICSpectrum / musicSpectrumInto).
+// match covers unexported siblings (BartlettSpectrum / bartlettSpectrumInto).
 //
 // "Thin delegator" means, syntactically:
 //

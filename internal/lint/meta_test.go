@@ -18,15 +18,14 @@ import (
 
 // requiredHotpath is the per-frame kernel surface that must stay under
 // hotpathalloc checking: the frame kernel with its Hankel covariance,
-// the subspace eigensolver, the spectrum kernels, the planned-FFT execute
-// paths, and the Into/Append primitives they call. Grown deliberately, never pruned
+// the subspace eigensolver, the spectrum kernels, the FFT kernels, and
+// the Into/Append primitives they call. Grown deliberately, never pruned
 // casually — removing a name here means arguing the function left the hot
 // path.
 var requiredHotpath = map[string][]string{
 	"wivi/internal/isar": {
 		"processFrame", "smoothedCorrelationInto", "estimateSignalDim",
-		"musicSpectrumInto", "musicSpectrumComplementInto",
-		"bartlettSpectrumInto", "beamformSpectrumInto",
+		"musicSpectrumComplementInto", "bartlettSpectrumInto",
 		"quadFormInto",
 	},
 	"wivi/internal/cmath": {
@@ -34,7 +33,7 @@ var requiredHotpath = map[string][]string{
 		"tridiagEigenvalues", "inverseIteration", "normalize",
 		"factorShifted", "solveShifted", "backTransform",
 		"forceHermitian", "jacobiRotate",
-		"NoiseSubspaceInto", "MulVecInto", "AddOuter", "Dot",
+		"MulVecInto", "AddOuter", "Dot",
 	},
 	"wivi/internal/dsp": {
 		"FFTInto", "IFFTInto", "fftInPlace", "radix2", "bluestein",

@@ -65,8 +65,7 @@ func DefaultConfig() Config {
 
 // Result reports the outcome of the nulling procedure. Run never writes
 // to a Result after returning it, so a Result is safe for concurrent
-// readers as long as no caller mutates it; use Clone to take a private
-// mutable copy.
+// readers as long as no caller mutates it.
 type Result struct {
 	// P is the final per-subcarrier precoding vector for antenna 2.
 	P []complex128
@@ -87,24 +86,6 @@ type Result struct {
 	PreNullRMS float64
 	// BoostDB echoes the applied power boost.
 	BoostDB float64
-}
-
-// Clone returns a deep copy of the result. Run never mutates a Result
-// after returning it, so concurrent readers (e.g. parallel captures
-// replaying the precoding) may share one Result; Clone is for callers
-// that want to mutate or retain a snapshot across a re-null without
-// holding the device lock.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.P = append([]complex128(nil), r.P...)
-	c.H1 = append([]complex128(nil), r.H1...)
-	c.H2 = append([]complex128(nil), r.H2...)
-	c.Residual = append([]complex128(nil), r.Residual...)
-	c.History = append([]float64(nil), r.History...)
-	return &c
 }
 
 // AchievedNullingDB returns the reduction in static-path power achieved

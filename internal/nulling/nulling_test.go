@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"reflect"
 	"testing"
 
 	"wivi/internal/rng"
@@ -242,31 +241,5 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	}
 	if c.MaxIterations < 1 {
 		t.Fatal("default must allow iterative nulling")
-	}
-}
-
-func TestResultClone(t *testing.T) {
-	if (*Result)(nil).Clone() != nil {
-		t.Fatal("nil Clone should stay nil")
-	}
-	orig := &Result{
-		P:          []complex128{1, 2},
-		H1:         []complex128{3, 4},
-		H2:         []complex128{5, 6},
-		Residual:   []complex128{7, 8},
-		History:    []float64{9, 10},
-		Iterations: 3,
-		PreNullRMS: 11,
-		BoostDB:    12,
-	}
-	c := orig.Clone()
-	if !reflect.DeepEqual(c, orig) {
-		t.Fatal("clone differs from original")
-	}
-	// Every slice field must be independent storage: mutating the clone
-	// cannot leak into a Result shared with concurrent captures.
-	c.P[0], c.H1[0], c.H2[0], c.Residual[0], c.History[0] = -1, -1, -1, -1, -1
-	if orig.P[0] != 1 || orig.H1[0] != 3 || orig.H2[0] != 5 || orig.Residual[0] != 7 || orig.History[0] != 9 {
-		t.Fatal("clone shares storage with the original")
 	}
 }

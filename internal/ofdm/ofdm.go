@@ -66,8 +66,9 @@ func Modulate(freq []complex128) ([]complex128, error) {
 
 // ModulateInto is Modulate writing the SymbolLen-sample waveform into
 // dst, which must not alias freq. The IFFT lands directly in the symbol
-// body and the cyclic prefix is copied from its tail, so a planned
-// transform makes the whole synthesis allocation-free. Returns dst.
+// body and the cyclic prefix is copied from its tail, and the 64-point
+// transform is radix-2, so the whole synthesis is allocation-free.
+// Returns dst.
 //
 //wivi:hotpath
 func ModulateInto(dst, freq []complex128) ([]complex128, error) {

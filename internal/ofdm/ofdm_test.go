@@ -85,8 +85,8 @@ func TestModulateValidatesLength(t *testing.T) {
 }
 
 // TestModulateIntoMatchesModulate: the buffered forms are the delegation
-// targets of Modulate/Demodulate, so they must agree bit for bit — and,
-// once the FFT plans exist, allocate nothing per symbol.
+// targets of Modulate/Demodulate, so they must agree bit for bit — and
+// allocate nothing per symbol, the 64-point transform being radix-2.
 func TestModulateIntoMatchesModulate(t *testing.T) {
 	p := NewPreamble(3)
 	want, err := Modulate(p.Freq)
@@ -116,7 +116,7 @@ func TestModulateIntoMatchesModulate(t *testing.T) {
 		}
 	}
 	if avg := testing.AllocsPerRun(100, func() { ModulateInto(td, p.Freq); DemodulateInto(rx, td) }); avg != 0 {
-		t.Errorf("planned symbol round trip allocates %.1f per op, want 0", avg)
+		t.Errorf("symbol round trip allocates %.1f per op, want 0", avg)
 	}
 }
 

@@ -95,6 +95,3 @@ func (s *Stream) LogNormalDB(stdDB float64) float64 {
 
 // Shuffle permutes the n elements addressed by swap uniformly at random.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// Perm returns a uniform random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }

@@ -124,14 +124,6 @@ func TestGaussianMoments(t *testing.T) {
 
 func TestPermAndShuffle(t *testing.T) {
 	s := New(3)
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
 	xs := []int{1, 2, 3, 4, 5}
 	sum := 0
 	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })

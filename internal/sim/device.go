@@ -135,9 +135,6 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	return d, nil
 }
 
-// Scene returns the scene the device observes.
-func (d *Device) Scene() *Scene { return d.scene }
-
 // Pos returns the device reference position (the receive antenna).
 func (d *Device) Pos() geom.Point { return d.Rx.Pos }
 
@@ -418,7 +415,10 @@ func (d *Device) captureEstimate(signal, jitter complex128, gain float64, avg in
 	}
 	n := d.noise.ComplexGaussian(d.Cal.NoisePower / float64(avg))
 	q, clipped := d.adc.Quantize(complex(gain, 0) * (signal*jitter + n))
-	return q / complex(gain, 0), clipped
+	// gain is real: dividing each component by it gives the complex
+	// division's values (up to the sign of a zero) without its runtime
+	// call per sample and subcarrier.
+	return complex(real(q)/gain, imag(q)/gain), clipped
 }
 
 // MeasureSingle implements nulling.Sounder: transmit the preamble on one
@@ -651,11 +651,14 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 		// Leave 16x headroom for humans approaching the device.
 		s.gain = d.capGain(d.Cal.ADCFullScale / (16 * peak))
 	}
+	// The transmit amplitude is real (StartCapture), so the estimate is
+	// referred back to it by dividing each component.
+	amp := real(s.amp)
 	for i := 0; i < n; i++ {
 		jitter := d.phaseJitter()
 		for _, row := range out {
 			y, _ := d.captureEstimate(row[i]*s.amp, jitter, s.gain, d.Cal.TrackAverages)
-			row[i] = y / s.amp
+			row[i] = complex(real(y)/amp, imag(y)/amp)
 		}
 	}
 	s.next += n

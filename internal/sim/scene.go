@@ -229,11 +229,3 @@ func (sc *Scene) TwoWayWallAmp() float64 {
 	}
 	return rf.TwoWayTransmission(sc.Wall)
 }
-
-// OneWayWallAmp returns the one-way amplitude transmission factor.
-func (sc *Scene) OneWayWallAmp() float64 {
-	if !sc.HasWall() {
-		return 1
-	}
-	return sc.Wall.TransmissionAmp()
-}

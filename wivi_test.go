@@ -2,6 +2,7 @@ package wivi
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,34 @@ func TestSceneBuilders(t *testing.T) {
 func TestNewDeviceValidation(t *testing.T) {
 	if _, err := NewDevice(nil, DeviceOptions{}); err == nil {
 		t.Fatal("nil scene accepted")
+	}
+}
+
+// TestTrackRejectsNonFiniteDuration: the public entry points refuse a
+// NaN or infinite duration by value, not as a capture shorter than one
+// window.
+func TestTrackRejectsNonFiniteDuration(t *testing.T) {
+	d, err := NewDevice(NewScene(SceneOptions{Seed: 5}), DeviceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, dur := range []float64{math.NaN(), math.Inf(1)} {
+		_, err1 := d.Track(ctx, dur)
+		_, err2 := d.DecodeMessage(ctx, dur)
+		var err3 error
+		if ts, err := d.TrackStream(ctx, dur); err != nil {
+			err3 = err
+		} else {
+			for range ts.Frames() {
+			}
+			err3 = ts.Err()
+		}
+		for i, err := range []error{err1, err2, err3} {
+			if err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("duration %v, entry point %d: err = %v, want a non-finite duration error", dur, i+1, err)
+			}
+		}
 	}
 }
 
