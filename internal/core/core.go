@@ -326,7 +326,8 @@ func (d *Device) captureTrace(ctx context.Context, startT float64, n int) (*Trac
 	// alignment: batch and streamed captures must run the identical
 	// combining math for the stream/batch byte-identity guarantee to
 	// hold (see ofdm.AverageSubcarriers for why alignment is skipped).
-	combined, err := ofdm.AverageSubcarriers(perSub)
+	// The output is sized once for the capture, as the stream path does.
+	combined, err := ofdm.AverageSubcarriersAppend(make([]complex128, 0, n), perSub)
 	if err != nil {
 		return nil, fmt.Errorf("core: combining subcarriers: %w", err)
 	}

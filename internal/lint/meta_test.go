@@ -18,8 +18,10 @@ import (
 
 // requiredHotpath is the per-frame kernel surface that must stay under
 // hotpathalloc checking: the frame kernel with its Hankel covariance,
-// the subspace eigensolver, the spectrum kernels, the FFT kernels, and
-// the Into/Append primitives they call. Grown deliberately, never pruned
+// the subspace eigensolver, the spectrum kernels, the FFT kernels, the
+// Into/Append primitives they call, and capture synthesis (the
+// per-sample channel kernel, its per-block loop and the antenna
+// pattern it evaluates for every path). Grown deliberately, never pruned
 // casually — removing a name here means arguing the function left the hot
 // path.
 var requiredHotpath = map[string][]string{
@@ -41,6 +43,12 @@ var requiredHotpath = map[string][]string{
 	},
 	"wivi/internal/ofdm": {
 		"ModulateInto", "DemodulateInto", "AverageSubcarriersAppend",
+	},
+	"wivi/internal/sim": {
+		"movingChannelsInto", "synthBlock",
+	},
+	"wivi/internal/rf": {
+		"GainDBAlong",
 	},
 }
 

@@ -55,24 +55,70 @@ func (a Antenna) PowerGainDBToward(p geom.Point) float64 {
 }
 
 // PowerGainDBAlong returns the pattern gain in dB along dir, a vector of
-// any length; PowerGainDBToward(p) is PowerGainDBAlong(p - Pos). The
-// angle from the boresight b is θ = atan2(|dir × b|, dir · b), which is
-// the same for any positive scaling of dir or of b, so neither vector is
-// normalized. The zero vector, the antenna's own position, gets the peak
-// gain GainDBi.
+// any length; PowerGainDBToward(p) is PowerGainDBAlong(p - Pos). It is
+// the antenna's Pattern evaluated along dir.
 func (a Antenna) PowerGainDBAlong(dir geom.Vec) float64 {
+	return a.Pattern().GainDBAlong(dir)
+}
+
+// Pattern is an antenna's gain pattern with its per-antenna constants
+// folded: the gain along a direction at angle θ (radians) from the
+// boresight is GainDBi - min(rolloff·θ², FrontToBackDB), where
+// rolloff = 12·(180/(π·HPBWDeg))² takes the degree conversion and the
+// beamwidth scaling of the Antenna formula as one coefficient. The
+// capture kernel keeps one Pattern per antenna and evaluates it for
+// every path, so no division by a constant is left per call.
+type Pattern struct {
+	boresight   geom.Vec
+	gainDBi     float64
+	rolloff     float64
+	frontToBack float64
+	omni        bool
+}
+
+// Pattern returns the antenna's pattern form.
+func (a Antenna) Pattern() Pattern {
+	perRad := 180 / (math.Pi * a.HPBWDeg)
+	return Pattern{
+		boresight:   a.Boresight,
+		gainDBi:     a.GainDBi,
+		rolloff:     12 * perRad * perRad,
+		frontToBack: a.FrontToBackDB,
+		omni:        a.HPBWDeg >= 360,
+	}
+}
+
+// GainDBAlong returns the pattern gain in dB along dir, a vector of any
+// length. The angle from the boresight b is θ = atan2(|dir × b|, dir · b)
+// (patternAngle), which is the same for any positive scaling of dir or
+// of b, so neither vector is normalized. The zero vector, the antenna's
+// own position, gets the peak gain GainDBi.
+//
+//wivi:hotpath
+func (p Pattern) GainDBAlong(dir geom.Vec) float64 {
 	// A zero dir against a boresight with both components negative has
 	// dir · b = -0, where atan2 reads π: the check keeps θ = 0 there.
-	if a.HPBWDeg >= 360 || dir == (geom.Vec{}) {
-		return a.GainDBi
+	if p.omni || dir == (geom.Vec{}) {
+		return p.gainDBi
 	}
-	theta := math.Atan2(math.Abs(dir.Cross(a.Boresight)), dir.Dot(a.Boresight))
-	thetaDeg := geom.Rad2Deg(theta)
-	rolloff := 12 * (thetaDeg / a.HPBWDeg) * (thetaDeg / a.HPBWDeg)
-	if rolloff > a.FrontToBackDB {
-		rolloff = a.FrontToBackDB
+	theta := patternAngle(math.Abs(dir.Cross(p.boresight)), dir.Dot(p.boresight))
+	rolloff := p.rolloff * theta * theta
+	if rolloff > p.frontToBack {
+		rolloff = p.frontToBack
 	}
-	return a.GainDBi - rolloff
+	return p.gainDBi - rolloff
+}
+
+// patternAngle returns math.Atan2(cross, dot) for finite arguments. On
+// the front half-plane, dot > 0, Atan2 computes exactly Atan(cross/dot),
+// so calling Atan there gives the same bits without Atan2's
+// special-case tests. Every moving scatter point the capture kernel
+// traces lies behind the wall, in front of all three antennas.
+func patternAngle(cross, dot float64) float64 {
+	if dot > 0 {
+		return math.Atan(cross / dot)
+	}
+	return math.Atan2(cross, dot)
 }
 
 // AmplitudeGainToward returns the linear amplitude gain in the direction

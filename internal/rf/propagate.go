@@ -50,16 +50,6 @@ func (p Path) Channel(lambda float64) complex128 {
 	return cmplx.Rect(p.Amp, phase)
 }
 
-// SumChannels accumulates the channel coefficients of all paths at the
-// given wavelength.
-func SumChannels(paths []Path, lambda float64) complex128 {
-	var h complex128
-	for _, p := range paths {
-		h += p.Channel(lambda)
-	}
-	return h
-}
-
 // DirectPath returns the line-of-sight path between a transmit and a
 // receive antenna: Friis spreading with both antenna patterns applied.
 // extraAmp multiplies the amplitude (e.g. obstruction transmission).
@@ -113,11 +103,4 @@ func ScatterPath(tx, rx Antenna, at geom.Point, lambda, rcs, extraAmp float64) P
 func TwoWayTransmission(m Material) float64 {
 	a := m.TransmissionAmp()
 	return a * a
-}
-
-// FreeSpacePathLossDB returns the Friis free-space path loss in dB at
-// distance d and wavelength lambda (isotropic antennas).
-func FreeSpacePathLossDB(d, lambda float64) float64 {
-	d = math.Max(d, MinRange)
-	return 20 * math.Log10(4*math.Pi*d/lambda)
 }

@@ -2,10 +2,10 @@ package rf
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"wivi/internal/geom"
+	"wivi/internal/rng"
 )
 
 func TestTable41MatchesPaper(t *testing.T) {
@@ -178,6 +178,69 @@ func TestPowerGainDBAlong(t *testing.T) {
 	}
 }
 
+// TestPatternAngleMatchesAtan2 checks the pattern form's angle against
+// math.Atan2 bit for bit: patternAngle calls Atan(cross/dot) on the front
+// half-plane and Atan2 elsewhere, so the pattern reads the same θ as
+// Atan2 would. The table takes (|dir × b|, dir · b) from directions
+// about a directional, a tilted and an omni antenna: on the boresight,
+// oblique, grazing, perpendicular (dot = 0 exactly for the upright
+// antenna), behind, and the zero vector (dot = +0, and -0 against a
+// third-quadrant boresight). Each
+// case's gain must also equal the closed form evaluated at the Atan2
+// angle. A seeded sweep then covers both signs of cross and dot over
+// twelve decades of magnitude.
+func TestPatternAngleMatchesAtan2(t *testing.T) {
+	up := geom.Vec{X: 0, Y: 1}
+	dir := NewDirectional(geom.Point{X: 1, Y: -2}, up)
+	tilted := NewDirectional(geom.Point{X: 2, Y: 1}, up.Rotate(geom.Deg2Rad(30)))
+	third := NewDirectional(geom.Point{}, geom.Vec{X: -1, Y: -1})
+	omni := NewOmni(geom.Point{X: 3})
+	for _, c := range []struct {
+		name string
+		a    Antenna
+		to   geom.Vec
+	}{
+		{"boresight", dir, geom.Vec{X: 0, Y: 4}},
+		{"oblique", dir, geom.Vec{X: 2.5, Y: 0.7}},
+		{"grazing", dir, geom.Vec{X: -1e6, Y: 1e-9}},
+		{"dot = 0", dir, geom.Vec{X: -2}},
+		{"behind", dir, geom.Vec{X: 0.3, Y: -4}},
+		{"straight behind", dir, geom.Vec{Y: -1}},
+		{"zero vector", dir, geom.Vec{}},
+		{"tilted, front", tilted, geom.Vec{X: 1, Y: 3}},
+		{"tilted, perpendicular", tilted, up.Rotate(geom.Deg2Rad(120))},
+		{"tilted, behind", tilted, geom.Vec{X: -1, Y: -3}},
+		{"third-quadrant boresight, front", third, geom.Vec{X: -2, Y: -0.5}},
+		{"third-quadrant boresight, zero vector (dot = -0)", third, geom.Vec{}},
+		{"omni, front", omni, geom.Vec{X: 0.5, Y: 2}},
+		{"omni, behind", omni, geom.Vec{X: -0.5, Y: -2}},
+		{"omni, zero vector", omni, geom.Vec{}},
+	} {
+		cross, dot := math.Abs(c.to.Cross(c.a.Boresight)), c.to.Dot(c.a.Boresight)
+		theta := math.Atan2(cross, dot)
+		if got := patternAngle(cross, dot); math.Float64bits(got) != math.Float64bits(theta) {
+			t.Errorf("%s: angle of (%v, %v) is %v, Atan2 gives %v", c.name, cross, dot, got, theta)
+		}
+		want := c.a.GainDBi
+		if c.a.HPBWDeg < 360 && c.to != (geom.Vec{}) {
+			deg := geom.Rad2Deg(theta)
+			want -= math.Min(12*(deg/c.a.HPBWDeg)*(deg/c.a.HPBWDeg), c.a.FrontToBackDB)
+		}
+		if got := c.a.PowerGainDBAlong(c.to); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: gain %v dB, closed form at the Atan2 angle %v", c.name, got, want)
+		}
+	}
+
+	s := rng.New(7)
+	for i := 0; i < 100000; i++ {
+		cross := math.Copysign(math.Pow(10, s.Uniform(-6, 6)), s.Float64()-0.5)
+		dot := math.Copysign(math.Pow(10, s.Uniform(-6, 6)), s.Float64()-0.5)
+		if got, want := patternAngle(cross, dot), math.Atan2(cross, dot); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("angle of (%v, %v) is %v, Atan2 gives %v", cross, dot, got, want)
+		}
+	}
+}
+
 func TestOmniAntenna(t *testing.T) {
 	a := NewOmni(geom.Point{})
 	for _, p := range []geom.Point{{X: 1}, {X: -1}, {Y: -3}, {X: 2, Y: 2}} {
@@ -199,16 +262,6 @@ func TestPathChannelPhase(t *testing.T) {
 	hq := q.Channel(lambda)
 	if math.Abs(real(hq)+1) > 1e-9 {
 		t.Fatalf("half-wavelength channel = %v, want -1", hq)
-	}
-}
-
-func TestSumChannelsLinearity(t *testing.T) {
-	lambda := 0.125
-	paths := []Path{{Length: 1, Amp: 1}, {Length: 2, Amp: 0.5}}
-	got := SumChannels(paths, lambda)
-	want := paths[0].Channel(lambda) + paths[1].Channel(lambda)
-	if cmplx.Abs(got-want) > 1e-12 {
-		t.Fatalf("SumChannels = %v, want %v", got, want)
 	}
 }
 
@@ -269,20 +322,6 @@ func TestMirrorPathGeometry(t *testing.T) {
 	want := 2 * math.Sqrt2
 	if math.Abs(p.Length-want) > 1e-9 {
 		t.Fatalf("mirror path length = %v, want %v", p.Length, want)
-	}
-}
-
-func TestFreeSpacePathLossDB(t *testing.T) {
-	lambda := Wavelength(ISMCenterHz)
-	// Doubling distance adds ~6 dB.
-	l1 := FreeSpacePathLossDB(5, lambda)
-	l2 := FreeSpacePathLossDB(10, lambda)
-	if math.Abs((l2-l1)-6.02) > 0.1 {
-		t.Fatalf("doubling distance added %v dB, want ~6", l2-l1)
-	}
-	// Near-field clamp keeps the loss finite.
-	if l := FreeSpacePathLossDB(0, lambda); math.IsInf(l, -1) || math.IsNaN(l) {
-		t.Fatal("near-field loss not clamped")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sdr models the software-radio front end of the Wi-Vi prototype
 // (USRP N210 with SBX daughterboards, §7.1): a transmitter with a limited
-// linear range, a receiver with thermal noise and adjustable gain, and an
-// N-bit ADC whose saturation is the root cause of the "flash effect".
+// linear range and an N-bit ADC whose saturation is the root cause of the
+// "flash effect". The receive gain and thermal noise ahead of the ADC are
+// applied by internal/sim's measurements.
 //
 // Amplitudes are tracked in normalized linear units; the calibration in
 // internal/sim maps them onto the paper's operating point (20 mW linear
@@ -12,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-
-	"wivi/internal/rng"
 )
 
 // ADC is an N-bit quantizer with saturation. Real and imaginary parts are
@@ -43,45 +42,38 @@ func (a ADC) LSB() float64 {
 	return a.FullScale / float64(int64(1)<<(a.Bits-1))
 }
 
-// DynamicRangeDB returns the quantization dynamic range (6.02 dB/bit).
-func (a ADC) DynamicRangeDB() float64 { return 6.02 * float64(a.Bits) }
-
-// Quantize digitizes one complex sample. The second return reports
-// whether either rail saturated.
-func (a ADC) Quantize(x complex128) (complex128, bool) {
-	re, clipRe := a.quantizeRail(real(x))
-	im, clipIm := a.quantizeRail(imag(x))
-	return complex(re, im), clipRe || clipIm
+// Coder is the ADC's rail quantizer with its constants hoisted: the
+// reciprocal of the LSB and the code range. A measurement builds one and
+// codes every rail through it, so no division is left per rail; it is
+// the one place a code is rounded and clamped.
+type Coder struct {
+	invLSB  float64
+	maxCode float64
 }
 
-func (a ADC) quantizeRail(v float64) (float64, bool) {
-	lsb := a.LSB()
-	maxCode := float64(int64(1)<<(a.Bits-1)) - 1
-	code := math.Round(v / lsb)
-	clipped := false
-	if code > maxCode {
-		code = maxCode
-		clipped = true
-	} else if code < -maxCode-1 {
-		code = -maxCode - 1
-		clipped = true
+// Coder returns the ADC's rail quantizer.
+func (a ADC) Coder() Coder {
+	return Coder{
+		invLSB:  1 / a.LSB(),
+		maxCode: float64(int64(1)<<(a.Bits-1)) - 1,
 	}
-	return code * lsb, clipped
 }
 
-// QuantizeVec digitizes a block of samples, returning the digitized block
-// and the number of saturated samples.
-func (a ADC) QuantizeVec(x []complex128) ([]complex128, int) {
-	out := make([]complex128, len(x))
-	clipped := 0
-	for i, v := range x {
-		q, c := a.Quantize(v)
-		out[i] = q
-		if c {
-			clipped++
-		}
+// Code returns the ADC code of a rail value v, v/LSB rounded half away
+// from zero and clamped to [-2^(Bits-1), 2^(Bits-1) - 1], and whether it
+// clamped. It multiplies by 1/LSB, which equals dividing by the LSB
+// whenever the LSB is a power of two, as at the default calibration. The
+// code is a whole number held in a float64; code·LSB is the digitized
+// value.
+func (c Coder) Code(v float64) (float64, bool) {
+	code := math.Round(v * c.invLSB)
+	if code > c.maxCode {
+		return c.maxCode, true
 	}
-	return out, clipped
+	if code < -c.maxCode-1 {
+		return -c.maxCode - 1, true
+	}
+	return code, false
 }
 
 // Transmitter models the USRP transmit chain: output amplitude is linear
@@ -101,55 +93,4 @@ func (t Transmitter) Output(x complex128) (complex128, bool) {
 	}
 	scale := complex(t.MaxAmp/m, 0)
 	return x * scale, true
-}
-
-// Receiver models the receive chain: a gain stage, additive complex
-// Gaussian thermal noise, and the ADC.
-type Receiver struct {
-	// GainDB is the receive amplifier gain applied before the ADC. After
-	// nulling, Wi-Vi raises this gain without saturating (§4.1.2 fn).
-	GainDB float64
-	// NoisePower is the thermal noise power (variance of the complex
-	// noise) referred to the receiver input.
-	NoisePower float64
-	// ADC digitizes the amplified signal.
-	ADC ADC
-}
-
-// Capture amplifies the incoming complex amplitude, adds noise and
-// digitizes. It returns the digitized sample and whether the ADC clipped.
-func (r Receiver) Capture(signal complex128, noise *rng.Stream) (complex128, bool) {
-	g := complex(math.Pow(10, r.GainDB/20), 0)
-	n := noise.ComplexGaussian(r.NoisePower)
-	return r.ADC.Quantize(g * (signal + n))
-}
-
-// CaptureAveraged captures m independent looks at the same signal and
-// averages them, modeling preamble repetition during channel estimation.
-// It returns the averaged digitized value, normalized back to the
-// receiver input (gain removed), plus the fraction of looks that clipped.
-func (r Receiver) CaptureAveraged(signal complex128, m int, noise *rng.Stream) (complex128, float64) {
-	if m < 1 {
-		m = 1
-	}
-	var acc complex128
-	clipped := 0
-	for i := 0; i < m; i++ {
-		y, c := r.Capture(signal, noise)
-		acc += y
-		if c {
-			clipped++
-		}
-	}
-	g := complex(math.Pow(10, r.GainDB/20), 0)
-	return acc / (complex(float64(m), 0) * g), float64(clipped) / float64(m)
-}
-
-// InputSNRdB returns the SNR of a signal with the given power at the
-// receiver input.
-func (r Receiver) InputSNRdB(signalPower float64) float64 {
-	if signalPower <= 0 || r.NoisePower <= 0 {
-		return -300
-	}
-	return 10 * math.Log10(signalPower/r.NoisePower)
 }

@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"testing"
 	"testing/quick"
-
-	"wivi/internal/rng"
 )
 
 func TestNewADCValidation(t *testing.T) {
@@ -26,69 +24,57 @@ func TestADCQuantizeExact(t *testing.T) {
 	if a.LSB() != 1 {
 		t.Fatalf("LSB = %v", a.LSB())
 	}
-	q, clip := a.Quantize(complex(3.4, -2.6))
-	if clip {
-		t.Fatal("unexpected clip")
-	}
-	if real(q) != 3 || imag(q) != -3 {
-		t.Fatalf("Quantize = %v", q)
+	c := a.Coder()
+	for _, x := range []struct{ v, code float64 }{{3.4, 3}, {-2.6, -3}, {0.5, 1}, {-0.49, 0}} {
+		code, clip := c.Code(x.v)
+		if clip {
+			t.Fatalf("Code(%v) clipped", x.v)
+		}
+		if code != x.code {
+			t.Fatalf("Code(%v) = %v, want %v", x.v, code, x.code)
+		}
 	}
 }
 
 func TestADCSaturation(t *testing.T) {
 	a, _ := NewADC(4, 8)
-	q, clip := a.Quantize(complex(100, 0))
+	c := a.Coder()
+	code, clip := c.Code(100)
 	if !clip {
 		t.Fatal("saturation not reported")
 	}
-	if real(q) != 7 { // max code 2^{3}-1 = 7 at LSB 1
-		t.Fatalf("clipped value %v, want 7", real(q))
+	if code != 7 { // max code 2^{3}-1 = 7
+		t.Fatalf("clipped code %v, want 7", code)
 	}
-	qn, clipN := a.Quantize(complex(-100, 0))
-	if !clipN || real(qn) != -8 {
-		t.Fatalf("negative clip %v (clip=%v), want -8", real(qn), clipN)
+	code, clip = c.Code(-100)
+	if !clip || code != -8 {
+		t.Fatalf("negative clip %v (clip=%v), want -8", code, clip)
+	}
+	if code, clip := c.Code(7.4); clip || code != 7 {
+		t.Fatalf("Code(7.4) = %v (clip=%v), want 7 unclipped", code, clip)
 	}
 }
 
-// TestADCQuantizationErrorBound: within the linear range, the error is at
-// most LSB/2 per rail.
+// TestADCQuantizationErrorBound: within the linear range, the digitized
+// value code·LSB is within LSB/2 of the input.
 func TestADCQuantizationErrorBound(t *testing.T) {
 	a, _ := NewADC(10, 1)
+	c := a.Coder()
 	half := a.LSB() / 2
-	f := func(re, im float64) bool {
+	f := func(v float64) bool {
 		// Map arbitrary floats into the linear range.
-		re = math.Mod(re, 0.9)
-		im = math.Mod(im, 0.9)
-		if math.IsNaN(re) || math.IsNaN(im) {
+		v = math.Mod(v, 0.9)
+		if math.IsNaN(v) {
 			return true
 		}
-		q, clip := a.Quantize(complex(re, im))
+		code, clip := c.Code(v)
 		if clip {
 			return false
 		}
-		return math.Abs(real(q)-re) <= half+1e-12 && math.Abs(imag(q)-im) <= half+1e-12
+		return math.Abs(code*a.LSB()-v) <= half+1e-12
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestADCDynamicRange(t *testing.T) {
-	a, _ := NewADC(12, 1)
-	if dr := a.DynamicRangeDB(); math.Abs(dr-72.24) > 0.1 {
-		t.Fatalf("dynamic range = %v dB", dr)
-	}
-}
-
-func TestQuantizeVecCounts(t *testing.T) {
-	a, _ := NewADC(4, 1)
-	in := []complex128{0, complex(0.5, 0), complex(10, 0), complex(0, -10)}
-	out, clipped := a.QuantizeVec(in)
-	if len(out) != len(in) {
-		t.Fatal("length mismatch")
-	}
-	if clipped != 2 {
-		t.Fatalf("clipped = %d, want 2", clipped)
 	}
 }
 
@@ -111,74 +97,5 @@ func TestTransmitterLinearRange(t *testing.T) {
 	}
 	if z, c := tx.Output(0); c || z != 0 {
 		t.Fatal("zero output mishandled")
-	}
-}
-
-func TestReceiverCaptureStatistics(t *testing.T) {
-	adc, _ := NewADC(14, 10)
-	r := Receiver{GainDB: 0, NoisePower: 0.01, ADC: adc}
-	noise := rng.New(1)
-	const n = 5000
-	var acc complex128
-	for i := 0; i < n; i++ {
-		y, clip := r.Capture(complex(1, 0), noise)
-		if clip {
-			t.Fatal("unexpected clipping")
-		}
-		acc += y
-	}
-	mean := acc / n
-	if cmplx.Abs(mean-1) > 0.02 {
-		t.Fatalf("captured mean = %v, want ~1", mean)
-	}
-}
-
-func TestReceiverGainSaturatesADC(t *testing.T) {
-	// The flash-effect mechanism: a strong static signal saturates the ADC
-	// once the gain is raised; after nulling the same gain is safe.
-	adc, _ := NewADC(12, 1)
-	r := Receiver{GainDB: 30, NoisePower: 1e-10, ADC: adc}
-	noise := rng.New(2)
-	_, clip := r.Capture(complex(0.5, 0), noise) // 0.5 * 31.6 >> 1
-	if !clip {
-		t.Fatal("strong signal with high gain must saturate")
-	}
-	_, clip = r.Capture(complex(1e-5, 0), noise) // nulled residual: fine
-	if clip {
-		t.Fatal("weak signal should not saturate")
-	}
-}
-
-func TestCaptureAveragedReducesNoise(t *testing.T) {
-	adc, _ := NewADC(14, 10)
-	r := Receiver{GainDB: 0, NoisePower: 0.1, ADC: adc}
-	varOf := func(m int, seed int64) float64 {
-		noise := rng.New(seed)
-		const trials = 400
-		var sum, sq float64
-		for i := 0; i < trials; i++ {
-			y, _ := r.CaptureAveraged(0, m, noise)
-			v := real(y)
-			sum += v
-			sq += v * v
-		}
-		mean := sum / trials
-		return sq/trials - mean*mean
-	}
-	v1 := varOf(1, 3)
-	v16 := varOf(16, 4)
-	if v16 >= v1/8 {
-		t.Fatalf("averaging 16 looks reduced variance only %vx", v1/v16)
-	}
-}
-
-func TestInputSNRdB(t *testing.T) {
-	adc, _ := NewADC(12, 1)
-	r := Receiver{NoisePower: 0.01, ADC: adc}
-	if snr := r.InputSNRdB(1); math.Abs(snr-20) > 1e-9 {
-		t.Fatalf("SNR = %v, want 20", snr)
-	}
-	if snr := r.InputSNRdB(0); snr != -300 {
-		t.Fatalf("zero-signal SNR = %v", snr)
 	}
 }

@@ -30,13 +30,19 @@ type Device struct {
 	lambdas []float64 // per-subcarrier wavelengths
 	lambda0 float64   // center wavelength
 	// ampRatio[k] = lambdas[k]/lambda0 scales a path's center-wavelength
-	// amplitude to subcarrier k; binStep = Δf/c is the change of 1/λ
-	// from one subcarrier to the next (see addPathPairInto).
-	ampRatio []float64
-	binStep  float64
-	noise    *rng.Stream
-	adc      sdr.ADC
-	tx       sdr.Transmitter
+	// amplitude to subcarrier k. invLambda = 1/lambdas[0] and binStep =
+	// Δf/c, the change of 1/λ from one subcarrier to the next, give a
+	// path's phase at every bin (see movingChannelsInto).
+	ampRatio  []float64
+	invLambda float64
+	binStep   float64
+	// txPat and rxPat are the antennas' pattern forms, fixed at
+	// construction like the static sums.
+	txPat [2]rf.Pattern
+	rxPat rf.Pattern
+	noise *rng.Stream
+	adc   sdr.ADC
+	tx    sdr.Transmitter
 
 	// static per-antenna, per-subcarrier channel sums (geometry frozen).
 	static [2][]complex128
@@ -129,7 +135,10 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 		d.lambdas = append(d.lambdas, rf.Wavelength(f))
 		d.ampRatio = append(d.ampRatio, d.lambdas[k]/d.lambda0)
 	}
+	d.invLambda = 1 / d.lambdas[0]
 	d.binStep = cal.BandwidthHz / float64(cal.NumSubcarriers) / rf.C
+	d.txPat = [2]rf.Pattern{d.Tx1.Pattern(), d.Tx2.Pattern()}
+	d.rxPat = d.Rx.Pattern()
 	d.static[0] = d.computeStatic(1)
 	d.static[1] = d.computeStatic(2)
 	return d, nil
@@ -204,75 +213,137 @@ func (d *Device) computeStatic(ant int) []complex128 {
 // trajectory" loci (§5.1 fn. 5) measure-zero in practice.
 const sideWallReflectivity = 0.35
 
-// movingChannelsInto writes the per-subcarrier channel contribution of
-// all humans at time t for transmit antennas 1 and 2 into h1 and h2
-// (length NumSubcarriers, zeroed here): the direct through-wall return
-// of every body part plus its two side-wall bounce images. amps holds
-// each part's amplitude factor (partAmps). It is the tracking capture's
-// per-sample kernel, run in one pass for both antennas: each part's
-// position, and each scatter point's receive distance and receive gain,
-// are computed once and shared by the two transmit paths (DESIGN §2).
-//
-//wivi:hotpath
-func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, amps []float64) {
-	clear(h1)
-	clear(h2)
-	east := d.scene.Room.Max.X
-	west := d.scene.Room.Min.X
-	i := 0
-	for _, h := range d.scene.Humans {
-		for _, part := range h.Parts {
-			pos := part.Traj.At(t)
-			amp := amps[i]
-			i++
-			d.addScatterInto(h1, h2, pos, amp)
-			d.addScatterInto(h1, h2, geom.Point{X: 2*east - pos.X, Y: pos.Y}, amp*sideWallReflectivity)
-			d.addScatterInto(h1, h2, geom.Point{X: 2*west - pos.X, Y: pos.Y}, amp*sideWallReflectivity)
-		}
-	}
+// scatterPath is one row of the moving-channel kernel's path table: a
+// scatter point, a body part or one of its two side-wall images, and
+// what each stage pass derives from it for the path from each transmit
+// antenna to the receiver.
+type scatterPath struct {
+	// amp is the part's amplitude factor (the radar-equation factor
+	// sqrt(rcs/4π)·λ0/4π times the two-way wall transmission), times
+	// sideWallReflectivity for an image. It is fixed for a read.
+	amp float64
+	// at is the scatter point at the sample's time.
+	at geom.Point
+	// dRx is the receive distance and dTx the distance from each
+	// transmit antenna, all clamped to rf.MinRange.
+	dRx float64
+	dTx [2]float64
+	// gain is each transmit path's summed pattern gain in dB, then its
+	// center-wavelength amplitude.
+	gain [2]float64
+	// z is each path's channel at bin 0 and step its phasor from one
+	// bin to the next.
+	z, step [2]complex128
 }
 
-// partAmps appends to dst, for every body part of every human in scene
-// order, the amplitude factor the part's paths from both antennas share:
-// the radar-equation factor sqrt(rcs/4π)·λ0/4π (rf.ScatterPath) times the
-// two-way wall transmission. Neither changes within a read, so a read
-// computes the table once and the kernel looks each factor up.
-func (d *Device) partAmps(dst []float64) []float64 {
+// scatterPaths appends to dst the path table of the scene: three rows
+// per body part of every human in scene order (the part, then its east
+// and west side-wall images), each with its amp set. The table is the
+// kernel's per-block scratch; a read builds it once, since neither the
+// parts nor their amplitudes change within a read.
+func (d *Device) scatterPaths(dst []scatterPath) []scatterPath {
 	n := 0
 	for _, h := range d.scene.Humans {
 		n += len(h.Parts)
 	}
-	dst = slices.Grow(dst, n)
+	dst = slices.Grow(dst, 3*n)
 	wallAmp := d.scene.TwoWayWallAmp()
 	for _, h := range d.scene.Humans {
 		for _, part := range h.Parts {
-			rcsAmp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi)
-			dst = append(dst, rcsAmp*wallAmp)
+			amp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi) * wallAmp
+			side := amp * sideWallReflectivity
+			dst = append(dst, scatterPath{amp: amp}, scatterPath{amp: side}, scatterPath{amp: side})
 		}
 	}
 	return dst
 }
 
-// addScatterInto adds one point scatterer's bistatic path from each
-// transmit antenna to the receiver: amp/(d1·d2) times both antenna
-// gains (the radar equation of rf.ScatterPath at the center
-// wavelength), scaled per subcarrier by λk/λ0. The receive leg is
-// evaluated once for both antennas, and each path converts its summed
-// dB gain to amplitude once.
+// movingChannelsInto writes the per-subcarrier channel contribution of
+// all humans at time t for transmit antennas 1 and 2 into h1 and h2
+// (length NumSubcarriers, zeroed here): the direct through-wall return
+// of every body part plus its two side-wall bounce images. Each scatter
+// point contributes one path per transmit antenna, amp/(dTx·dRx) times
+// both antenna gains (the radar equation of rf.ScatterPath at the
+// center wavelength), scaled per subcarrier by λk/λ0. paths is the
+// scene's path table (scatterPaths), which the kernel fills.
+//
+// It is the tracking capture's per-sample kernel, run as stage passes
+// over the table (DESIGN §2): gather the scatter points; their
+// distances and pattern gains, the receive leg shared by both transmit
+// paths; each path's dB-to-amplitude Exp; its phasors; then the
+// subcarrier sums. The simulated bins are evenly spaced in frequency,
+// so a path's phase -2π·length/λk steps by the same
+// δ = -2π·length·Δf/c from bin to bin, and its channel is
+// amp·e^{jφ0}·(e^{jδ})^k: four Sincos calls per scatter point, then a
+// complex multiply per bin. Each step rounds by ~ε, so bin k is within
+// ~k·ε of the direct e^{-j2π·length/λk}, far below the ADC's resolution.
+// The sums run in path order with both antennas in one loop, and λk/λ0
+// is applied once per bin at the end.
 //
 //wivi:hotpath
-func (d *Device) addScatterInto(h1, h2 []complex128, at geom.Point, amp float64) {
-	dir := at.Sub(d.Rx.Pos)
-	rxDB := d.Rx.PowerGainDBAlong(dir)
-	d2 := atLeastMinRange(length(dir))
-	amp /= d2
-	dir = at.Sub(d.Tx1.Pos)
-	d1 := atLeastMinRange(length(dir))
-	amp1 := rf.AmplitudeOfDB(d.Tx1.PowerGainDBAlong(dir)+rxDB) * amp / d1
-	len1 := d1 + d2
-	dir = at.Sub(d.Tx2.Pos)
-	d1 = atLeastMinRange(length(dir))
-	d.addPathPairInto(h1, h2, amp1, len1, rf.AmplitudeOfDB(d.Tx2.PowerGainDBAlong(dir)+rxDB)*amp/d1, d1+d2)
+func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, paths []scatterPath) {
+	east2, west2 := 2*d.scene.Room.Max.X, 2*d.scene.Room.Min.X
+	j := 0
+	for _, h := range d.scene.Humans {
+		for _, part := range h.Parts {
+			pos := part.Traj.At(t)
+			paths[j].at = pos
+			paths[j+1].at = geom.Point{X: east2 - pos.X, Y: pos.Y}
+			paths[j+2].at = geom.Point{X: west2 - pos.X, Y: pos.Y}
+			j += 3
+		}
+	}
+	paths = paths[:j]
+	for i := range paths {
+		p := &paths[i]
+		dir := p.at.Sub(d.Rx.Pos)
+		rxDB := d.rxPat.GainDBAlong(dir)
+		p.dRx = atLeastMinRange(length(dir))
+		dir = p.at.Sub(d.Tx1.Pos)
+		p.dTx[0] = atLeastMinRange(length(dir))
+		p.gain[0] = d.txPat[0].GainDBAlong(dir) + rxDB
+		dir = p.at.Sub(d.Tx2.Pos)
+		p.dTx[1] = atLeastMinRange(length(dir))
+		p.gain[1] = d.txPat[1].GainDBAlong(dir) + rxDB
+	}
+	for i := range paths {
+		p := &paths[i]
+		amp := p.amp / p.dRx
+		p.gain[0] = rf.AmplitudeOfDB(p.gain[0]) * amp / p.dTx[0]
+		p.gain[1] = rf.AmplitudeOfDB(p.gain[1]) * amp / p.dTx[1]
+	}
+	for i := range paths {
+		p := &paths[i]
+		for a := range p.z {
+			l := p.dTx[a] + p.dRx
+			s, c := math.Sincos(-2 * math.Pi * l * d.invLambda)
+			p.z[a] = complex(p.gain[a]*c, p.gain[a]*s)
+			s, c = math.Sincos(-2 * math.Pi * l * d.binStep)
+			p.step[a] = complex(c, s)
+		}
+	}
+	r := d.ampRatio
+	h1 = h1[:len(r)]
+	h2 = h2[:len(r)]
+	clear(h1)
+	clear(h2)
+	for i := range paths {
+		p := &paths[i]
+		z1, z2 := p.z[0], p.z[1]
+		step1, step2 := p.step[0], p.step[1]
+		h1[0] += z1
+		h2[0] += z2
+		for k := 1; k < len(r); k++ {
+			z1 *= step1
+			z2 *= step2
+			h1[k] += z1
+			h2[k] += z2
+		}
+	}
+	for k, rk := range r {
+		h1[k] = complex(rk*real(h1[k]), rk*imag(h1[k]))
+		h2[k] = complex(rk*real(h2[k]), rk*imag(h2[k]))
+	}
 }
 
 // length is |v| as math.Sqrt(x²+y²). Scene distances are metres, far
@@ -290,55 +361,20 @@ func atLeastMinRange(dist float64) float64 {
 	return dist
 }
 
-// addPathPairInto adds one path from each transmit antenna, with
-// center-wavelength amplitudes amp1 and amp2 and lengths len1 and len2,
-// to every subcarrier of h1 and h2. The simulated bins are evenly spaced
-// in frequency, so a path's phase -2π·length/λk steps by the same
-// δ = -2π·length·Δf/c from bin to bin: the channel is
-// amp·(λk/λ0)·e^{jφ0}·(e^{jδ})^k, two Sincos calls and a complex
-// multiply per bin instead of one Sincos per bin. The two paths' phasor
-// recurrences are independent, so one loop advances both. Each step of
-// a recursion rounds by ~ε, so bin k is within ~k·ε of the direct
-// e^{-j2π·length/λk}, far below the ADC's resolution (DESIGN §2).
-//
-//wivi:hotpath
-func (d *Device) addPathPairInto(h1, h2 []complex128, amp1, len1, amp2, len2 float64) {
-	s, c := math.Sincos(-2 * math.Pi * len1 / d.lambdas[0])
-	z1 := complex(amp1*c, amp1*s)
-	s, c = math.Sincos(-2 * math.Pi * len1 * d.binStep)
-	step1 := complex(c, s)
-	s, c = math.Sincos(-2 * math.Pi * len2 / d.lambdas[0])
-	z2 := complex(amp2*c, amp2*s)
-	s, c = math.Sincos(-2 * math.Pi * len2 * d.binStep)
-	step2 := complex(c, s)
-	r := d.ampRatio
-	h1 = h1[:len(r)]
-	h2 = h2[:len(r)]
-	h1[0] += complex(r[0]*real(z1), r[0]*imag(z1))
-	h2[0] += complex(r[0]*real(z2), r[0]*imag(z2))
-	for k := 1; k < len(r); k++ {
-		z1 *= step1
-		z2 *= step2
-		h1[k] += complex(r[k]*real(z1), r[k]*imag(z1))
-		h2[k] += complex(r[k]*real(z2), r[k]*imag(z2))
-	}
-}
-
 // channelsAt returns the full per-subcarrier channel of both transmit
 // antennas at time t.
 func (d *Device) channelsAt(t float64) (h1, h2 []complex128) {
 	h1 = make([]complex128, len(d.lambdas))
 	h2 = make([]complex128, len(d.lambdas))
-	var amps [16]float64 // room for five walkers' parts without a heap table
-	d.channelsAtInto(h1, h2, t, d.partAmps(amps[:0]))
+	d.channelsAtInto(h1, h2, t, d.scatterPaths(nil))
 	return h1, h2
 }
 
 // channelsAtInto is channelsAt computing into h1 and h2, given the
-// parts' amplitude factors: the moving channels plus each antenna's
-// static sum.
-func (d *Device) channelsAtInto(h1, h2 []complex128, t float64, amps []float64) {
-	d.movingChannelsInto(h1, h2, t, amps)
+// scene's path table: the moving channels plus each antenna's static
+// sum.
+func (d *Device) channelsAtInto(h1, h2 []complex128, t float64, paths []scatterPath) {
+	d.movingChannelsInto(h1, h2, t, paths)
 	for k := range h1 {
 		h1[k] += d.static[0][k]
 		h2[k] += d.static[1][k]
@@ -403,22 +439,54 @@ func (d *Device) phaseJitter() complex128 {
 	return complex(math.Cos(d.oscPhase), math.Sin(d.oscPhase))
 }
 
-// captureEstimate models one averaged, gained, quantized measurement of a
-// complex signal amplitude: the signal is rotated by the snapshot's
-// oscillator phase jitter, the averaged noise is drawn directly (the
-// average of `avg` i.i.d. complex Gaussian samples), then the ADC
-// quantizes the gained value. Returns the estimate referred to the
-// receiver input, plus the saturation flag.
-func (d *Device) captureEstimate(signal, jitter complex128, gain float64, avg int) (complex128, bool) {
-	if avg < 1 {
-		avg = 1
+// receiver is one measurement's receive chain with its per-value work
+// hoisted into constants: the receive gain, the noise's standard
+// deviation per rail after averaging, and the ADC's rail quantizer. A
+// measurement builds one and codes every value through it (code).
+type receiver struct {
+	gain  float64
+	std   float64
+	coder sdr.Coder
+}
+
+// receiver returns the receive chain of a measurement at the given
+// receive gain, averaging avg symbols per estimate.
+func (d *Device) receiver(gain float64, avg int) receiver {
+	avg = max(avg, 1)
+	return receiver{
+		gain: gain,
+		// The average of avg i.i.d. complex Gaussian samples of power
+		// NoisePower, drawn directly: its variance per rail is half of
+		// NoisePower/avg.
+		std:   math.Sqrt(d.Cal.NoisePower / float64(avg) / 2),
+		coder: d.adc.Coder(),
 	}
-	n := d.noise.ComplexGaussian(d.Cal.NoisePower / float64(avg))
-	q, clipped := d.adc.Quantize(complex(gain, 0) * (signal*jitter + n))
-	// gain is real: dividing each component by it gives the complex
-	// division's values (up to the sign of a zero) without its runtime
-	// call per sample and subcarrier.
-	return complex(real(q)/gain, imag(q)/gain), clipped
+}
+
+// code models one averaged, gained, quantized measurement of the
+// received value x, the channel times the transmit amplitude: x is
+// rotated by the snapshot's oscillator phase jitter, the averaged noise
+// is drawn (real rail first), and the ADC codes the gained value. It
+// returns the two rails' codes as one complex value, plus the saturation
+// flag.
+//
+//wivi:hotpath
+func (r *receiver) code(noise *rng.Stream, x, jitter complex128) (complex128, bool) {
+	x *= jitter
+	re, clipRe := r.coder.Code(r.gain * (real(x) + r.std*noise.Norm()))
+	im, clipIm := r.coder.Code(r.gain * (imag(x) + r.std*noise.Norm()))
+	return complex(re, im), clipRe || clipIm
+}
+
+// sound measures one sounding value x through rx and refers its codes
+// back to the receiver input per unit of transmit amplitude txAmp. A
+// sounding codes one value per subcarrier, so it divides by the gain and
+// the amplitude in turn rather than hoisting a scale as a capture read
+// does.
+func (d *Device) sound(rx *receiver, x, jitter complex128, txAmp float64) (complex128, bool) {
+	c, clipped := rx.code(d.noise, x, jitter)
+	lsb := d.adc.LSB()
+	return complex(real(c)*lsb/rx.gain/txAmp, imag(c)*lsb/rx.gain/txAmp), clipped
 }
 
 // MeasureSingle implements nulling.Sounder: transmit the preamble on one
@@ -434,13 +502,14 @@ func (d *Device) MeasureSingle(ant int) ([]complex128, error) {
 		h = h2
 	}
 	out := make([]complex128, len(h))
+	rx := d.receiver(gain, d.Cal.EstAverages)
 	jitter := d.phaseJitter()
 	for k := range h {
-		y, clipped := d.captureEstimate(h[k]*complex(d.Cal.TxRefAmp, 0), jitter, gain, d.Cal.EstAverages)
+		y, clipped := d.sound(&rx, h[k]*complex(d.Cal.TxRefAmp, 0), jitter, d.Cal.TxRefAmp)
 		if clipped {
 			return nil, fmt.Errorf("sim: ADC saturated during stage-1 sounding (subcarrier %d)", k)
 		}
-		out[k] = y / complex(d.Cal.TxRefAmp, 0)
+		out[k] = y
 	}
 	return out, nil
 }
@@ -466,13 +535,14 @@ func (d *Device) MeasureCombined(p []complex128, boostDB float64) ([]complex128,
 	}
 	gain := d.capGain(d.Cal.AGCTargetFrac * d.Cal.ADCFullScale / peak)
 	out := make([]complex128, len(h1))
+	rx := d.receiver(gain, d.Cal.EstAverages)
 	jitter := d.phaseJitter()
 	for k := range h1 {
-		y, clipped := d.captureEstimate((h1[k]+p[k]*h2[k])*amp, jitter, gain, d.Cal.EstAverages)
+		y, clipped := d.sound(&rx, (h1[k]+p[k]*h2[k])*amp, jitter, real(amp))
 		if clipped {
 			return nil, fmt.Errorf("sim: ADC saturated during combined sounding (subcarrier %d)", k)
 		}
-		out[k] = y / amp
+		out[k] = y
 	}
 	return out, nil
 }
@@ -490,13 +560,14 @@ func (d *Device) MeasureCombinedFixedGain(p []complex128, boostDB float64) ([]co
 	h1, h2 := d.channelsAt(d.nullTime)
 	out := make([]complex128, len(h1))
 	clipped := 0
+	rx := d.receiver(gain, d.Cal.EstAverages)
 	jitter := d.phaseJitter()
 	for k := range h1 {
-		y, c := d.captureEstimate((h1[k]+p[k]*h2[k])*amp, jitter, gain, d.Cal.EstAverages)
+		y, c := d.sound(&rx, (h1[k]+p[k]*h2[k])*amp, jitter, real(amp))
 		if c {
 			clipped++
 		}
-		out[k] = y / amp
+		out[k] = y
 	}
 	return out, float64(clipped) / float64(len(out)), nil
 }
@@ -532,11 +603,8 @@ func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, 
 	if err != nil {
 		return err
 	}
-	buf := make([][]complex128, len(d.lambdas))
+	buf := rows(len(d.lambdas), chunk)
 	views := make([][]complex128, len(d.lambdas))
-	for k := range buf {
-		buf[k] = make([]complex128, chunk)
-	}
 	for s.Remaining() > 0 {
 		c := chunk
 		if c > s.Remaining() {
@@ -545,7 +613,7 @@ func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, 
 		for k := range views {
 			views[k] = buf[k][:c]
 		}
-		if err := s.readInto(views, c); err != nil {
+		if _, err := s.readInto(views, c); err != nil {
 			return err
 		}
 		if err := emit(views); err != nil {
@@ -553,6 +621,18 @@ func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, 
 		}
 	}
 	return nil
+}
+
+// rows returns nsub rows of n samples cut from one backing array. Each
+// row's capacity ends where the next row begins, so an append to one row
+// reallocates it rather than writing into its neighbour.
+func rows(nsub, n int) [][]complex128 {
+	buf := make([]complex128, nsub*n)
+	out := make([][]complex128, nsub)
+	for k := range out {
+		out[k] = buf[k*n : (k+1)*n : (k+1)*n]
+	}
+	return out
 }
 
 // CaptureSession is an in-progress chunked tracking capture. The device's
@@ -570,12 +650,12 @@ type CaptureSession struct {
 	start float64
 	next  int
 	total int
-	// h1, h2 hold the per-sample channel of each transmit antenna for
-	// synthesis on the calling goroutine, reused across samples and Reads.
+	// h1, h2 and paths are the synthesis scratch of the calling
+	// goroutine: the per-sample channel of each transmit antenna and the
+	// scene's path table (Device.scatterPaths), reused across samples
+	// and Reads.
 	h1, h2 []complex128
-	// amps is the read's part amplitude table (Device.partAmps), reused
-	// across Reads.
-	amps []float64
+	paths  []scatterPath
 }
 
 // StartCapture opens a chunked capture of total samples starting at
@@ -602,25 +682,17 @@ func (s *CaptureSession) Remaining() int { return s.total - s.next }
 
 // Read synthesizes the next n samples of the capture, indexed
 // [subcarrier][sample]. It fails when asked for more samples than remain.
-// The returned buffers are the caller's to keep; the chunked streaming
-// path uses readInto with reused buffers instead.
+// The returned rows are the caller's to keep; the chunked streaming path
+// reads into reused buffers instead.
 func (s *CaptureSession) Read(n int) ([][]complex128, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: chunk length %d", n)
-	}
-	out := make([][]complex128, len(s.d.lambdas))
-	for k := range out {
-		out[k] = make([]complex128, n)
-	}
-	if err := s.readInto(out, n); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.readInto(nil, n)
 }
 
 // readInto synthesizes the next n samples into out (per-subcarrier rows
-// of length n) — the shared kernel behind Read and StreamCapture, so
-// buffered and allocating reads produce bit-identical sample streams.
+// of length n) and returns out; a nil out reads into new rows cut from
+// one backing array (rows). It is the shared kernel behind Read and
+// StreamCapture, so buffered and allocating reads produce bit-identical
+// sample streams.
 //
 // It runs two passes (DESIGN §2). The synthesis pass is pure: it leaves
 // each sample's noiseless residual h1 + p·h2 in out, fanned out over
@@ -628,15 +700,17 @@ func (s *CaptureSession) Read(n int) ([][]complex128, error) {
 // order, so the noise stream and the oscillator phase advance exactly as
 // they would if each sample were synthesized and measured in turn, and
 // the output does not depend on the fan-out width.
-func (s *CaptureSession) readInto(out [][]complex128, n int) error {
+func (s *CaptureSession) readInto(out [][]complex128, n int) ([][]complex128, error) {
 	if n <= 0 {
-		return fmt.Errorf("sim: chunk length %d", n)
+		return nil, fmt.Errorf("sim: chunk length %d", n)
 	}
 	if n > s.Remaining() {
-		return fmt.Errorf("sim: reading %d samples with %d remaining", n, s.Remaining())
+		return nil, fmt.Errorf("sim: reading %d samples with %d remaining", n, s.Remaining())
+	}
+	if out == nil {
+		out = rows(len(s.d.lambdas), n)
 	}
 	d := s.d
-	s.amps = d.partAmps(s.amps[:0])
 	s.synthesize(out, n)
 	if s.gain == 0 {
 		peak := 0.0
@@ -651,18 +725,22 @@ func (s *CaptureSession) readInto(out [][]complex128, n int) error {
 		// Leave 16x headroom for humans approaching the device.
 		s.gain = d.capGain(d.Cal.ADCFullScale / (16 * peak))
 	}
-	// The transmit amplitude is real (StartCapture), so the estimate is
-	// referred back to it by dividing each component.
+	// The transmit amplitude is real (StartCapture), so it scales each
+	// component of a residual, and one output scale, LSB/(gain·amp),
+	// refers each code back to the receiver input and the transmit
+	// amplitude.
 	amp := real(s.amp)
+	rx := d.receiver(s.gain, d.Cal.TrackAverages)
+	scale := d.adc.LSB() / (s.gain * amp)
 	for i := 0; i < n; i++ {
 		jitter := d.phaseJitter()
 		for _, row := range out {
-			y, _ := d.captureEstimate(row[i]*s.amp, jitter, s.gain, d.Cal.TrackAverages)
-			row[i] = complex(real(y)/amp, imag(y)/amp)
+			c, _ := rx.code(d.noise, complex(real(row[i])*amp, imag(row[i])*amp), jitter)
+			row[i] = complex(real(c)*scale, imag(c)*scale)
 		}
 	}
 	s.next += n
-	return nil
+	return out, nil
 }
 
 // minSynthBlock is the fewest samples one synthesis worker takes. A read
@@ -672,40 +750,44 @@ const minSynthBlock = 16
 
 // synthesize is a read's synthesis pass over its n samples. It splits
 // them into up to synthWorkers contiguous blocks of at least
-// minSynthBlock samples, each with its own channel scratch; the calling
-// goroutine takes the first block.
+// minSynthBlock samples, each with its own channel scratch and path
+// table; the calling goroutine takes the first block.
 func (s *CaptureSession) synthesize(out [][]complex128, n int) {
+	s.paths = s.d.scatterPaths(s.paths[:0])
 	blocks := min(s.d.synthWorkers, n/minSynthBlock)
 	if blocks < 2 {
-		s.synthBlock(out, 0, n, s.h1, s.h2)
+		s.synthBlock(out, 0, n, s.h1, s.h2, s.paths)
 		return
 	}
-	nsub := len(s.h1)
-	scratch := make([]complex128, 2*nsub*(blocks-1))
+	nsub, np := len(s.h1), len(s.paths)
+	hs := make([]complex128, 2*nsub*(blocks-1))
+	tables := make([]scatterPath, np*(blocks-1))
 	var wg sync.WaitGroup
 	for b := 1; b < blocks; b++ {
-		h := scratch[2*nsub*(b-1) : 2*nsub*b]
+		h := hs[2*nsub*(b-1) : 2*nsub*b]
+		paths := tables[np*(b-1) : np*b]
+		copy(paths, s.paths)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.synthBlock(out, b*n/blocks, (b+1)*n/blocks, h[:nsub], h[nsub:])
+			s.synthBlock(out, b*n/blocks, (b+1)*n/blocks, h[:nsub], h[nsub:], paths)
 		}()
 	}
-	s.synthBlock(out, 0, n/blocks, s.h1, s.h2)
+	s.synthBlock(out, 0, n/blocks, s.h1, s.h2, s.paths)
 	wg.Wait()
 }
 
 // synthBlock writes the noiseless residual h1 + p·h2 of the read's
-// samples [lo, hi) into out[k][lo:hi], using h1 and h2 as scratch. It
-// reads only what a capture never changes (geometry, static sums,
-// wavelength tables, the scene's pure trajectories), so blocks run
-// concurrently.
+// samples [lo, hi) into out[k][lo:hi], using h1, h2 and the path table
+// paths as its own scratch. It reads only what a capture never changes
+// (geometry, static sums, wavelength tables, the scene's pure
+// trajectories), so blocks run concurrently.
 //
 //wivi:hotpath
-func (s *CaptureSession) synthBlock(out [][]complex128, lo, hi int, h1, h2 []complex128) {
+func (s *CaptureSession) synthBlock(out [][]complex128, lo, hi int, h1, h2 []complex128, paths []scatterPath) {
 	d := s.d
 	for i := lo; i < hi; i++ {
-		d.channelsAtInto(h1, h2, s.start+float64(s.next+i)*d.Cal.SampleT, s.amps)
+		d.channelsAtInto(h1, h2, s.start+float64(s.next+i)*d.Cal.SampleT, paths)
 		for k := range h1 {
 			out[k][i] = h1[k] + s.p[k]*h2[k]
 		}
