@@ -50,6 +50,9 @@ const (
 	// closer than this into one cluster, whose inverse-iteration vectors
 	// are re-orthogonalised against each other (dstein's 1e-3·‖T‖).
 	clusterGap = 1e-3
+	// hermitianTol is how far, relative to its Frobenius norm, an input
+	// may be from Hermitian before the eigensolvers refuse it.
+	hermitianTol = 1e-9
 )
 
 // HermitianEig computes the full eigendecomposition of the Hermitian
@@ -89,7 +92,7 @@ func HermitianEig(a *Matrix) (*Eig, error) {
 		// Zero matrix: all eigenvalues zero, identity eigenvectors.
 		return &Eig{Values: make([]float64, n), Vectors: Identity(n)}, nil
 	}
-	if !a.IsHermitian(1e-9 * scale) {
+	if !a.IsHermitian(hermitianTol * scale) {
 		return nil, ErrNotHermitian
 	}
 
@@ -333,16 +336,32 @@ func (ws *EigWorkspace) Eigenvalues(a *Matrix) ([]float64, error) {
 		ws.ready = true
 		return ws.vals, nil
 	}
-	if !a.IsHermitian(1e-9 * scale) {
-		return nil, ErrNotHermitian
-	}
-	// At unit Frobenius norm every tolerance below is absolute: eps·‖T‖
-	// is eps.
+	// One pass over the upper triangle scales each entry and its mirror
+	// to unit Frobenius norm, where every tolerance below is absolute
+	// (eps·‖T‖ is eps), checks the pair Hermitian within hermitianTol,
+	// and writes its Hermitian part, as forceHermitian does, to the
+	// upper triangle only: the reduction never reads the lower one. The
+	// check squares the scaled difference, which is at most 2 in
+	// magnitude, so no over- or underflow can change its answer.
 	inv := 1 / scale
-	for i, x := range a.Data {
-		ws.a.Data[i] = complex(real(x)*inv, imag(x)*inv)
+	src, w := a.Data, ws.a.Data
+	for i := 0; i < n; i++ {
+		re, im := real(src[i*n+i])*inv, imag(src[i*n+i])*inv
+		if im*im > hermitianTol*hermitianTol {
+			return nil, ErrNotHermitian
+		}
+		w[i*n+i] = complex(re, 0)
+		for j := i + 1; j < n; j++ {
+			x, y := src[i*n+j], src[j*n+i]
+			xr, xi := real(x)*inv, imag(x)*inv
+			yr, yi := real(y)*inv, imag(y)*inv
+			dr, di := xr-yr, xi+yi
+			if dr*dr+di*di > hermitianTol*hermitianTol {
+				return nil, ErrNotHermitian
+			}
+			w[i*n+j] = complex((xr+yr)*0.5, (xi-yi)*0.5)
+		}
 	}
-	forceHermitian(&ws.a)
 	ws.tridiagonalize()
 	copy(ws.qd, ws.d)
 	for i, x := range ws.e {

@@ -115,10 +115,31 @@ func TestRenderHeatmap(t *testing.T) {
 	}
 }
 
+// TestRenderCDF checks the plot's header and where its top row, the
+// maximum's, puts the point. The second range is one where
+// (w−1)·(hi−lo)/(hi−lo) rounds to 48.99999999999999 at width 50, and
+// equal samples print their own maximum, not the widened range.
 func TestRenderCDF(t *testing.T) {
-	rows := RenderCDF("x", []float64{1, 2, 3, 4, 5}, 20, 5)
-	if len(rows) != 6 {
-		t.Fatalf("cdf rows = %d", len(rows))
+	for _, c := range []struct {
+		samples []float64
+		width   int
+		header  string
+		col     int
+	}{
+		{[]float64{1, 2, 3, 4, 5}, 20, "x (n=5, min=1, median=3, max=5)", 19},
+		{[]float64{15.297939608765478, 11.80799059133742}, 50, "x (n=2, min=11.8, median=11.8, max=15.3)", 49},
+		{[]float64{0, 0, 0}, 50, "x (n=3, min=0, median=0, max=0)", 0},
+	} {
+		rows := RenderCDF("x", c.samples, c.width, 5)
+		if len(rows) != 6 {
+			t.Fatalf("%v: cdf rows = %d", c.samples, len(rows))
+		}
+		if rows[0] != c.header {
+			t.Errorf("%v: header %q, want %q", c.samples, rows[0], c.header)
+		}
+		if col := strings.IndexByte(rows[1], '*') - len("1.00 |"); col != c.col {
+			t.Errorf("%v: top point in column %d, want %d (%q)", c.samples, col, c.col, rows[1])
+		}
 	}
 	if RenderCDF("x", nil, 20, 5) != nil {
 		t.Fatal("empty cdf should render nil")

@@ -139,14 +139,17 @@ func LiveFrameLine(timeSec float64, power []float64, width int) string {
 	return fmt.Sprintf("%5.1fs |%s|", timeSec, RenderSpectrumLine(db, width, 40))
 }
 
-// RenderCDF draws an empirical CDF as an ASCII step plot.
+// RenderCDF draws an empirical CDF as an ASCII step plot. The maximum
+// sample takes the last column, unless every sample is equal, when they
+// all take the first.
 func RenderCDF(name string, samples []float64, width, height int) []string {
 	if len(samples) == 0 || width < 2 || height < 2 {
 		return nil
 	}
 	cdf := dsp.NewCDF(samples)
 	xs, ps := cdf.Points()
-	lo, hi := xs[0], xs[len(xs)-1]
+	lo, top := xs[0], xs[len(xs)-1]
+	hi := top
 	if hi <= lo {
 		hi = lo + 1
 	}
@@ -154,14 +157,18 @@ func RenderCDF(name string, samples []float64, width, height int) []string {
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
-	for i := range xs {
-		c := int(float64(width-1) * (xs[i] - lo) / (hi - lo))
+	for i, x := range xs {
+		// (w−1)·(x−lo)/(hi−lo) can round to just under w−1 at x = hi.
+		c := width - 1
+		if x < hi {
+			c = int(float64(width-1) * (x - lo) / (hi - lo))
+		}
 		r := height - 1 - int(float64(height-1)*ps[i])
 		if c >= 0 && c < width && r >= 0 && r < height {
 			grid[r][c] = '*'
 		}
 	}
-	rows := []string{fmt.Sprintf("%s (n=%d, min=%.3g, median=%.3g, max=%.3g)", name, len(samples), lo, cdf.Median(), hi)}
+	rows := []string{fmt.Sprintf("%s (n=%d, min=%.3g, median=%.3g, max=%.3g)", name, len(samples), lo, cdf.Median(), top)}
 	for r, line := range grid {
 		frac := float64(height-1-r) / float64(height-1)
 		rows = append(rows, fmt.Sprintf("%4.2f |%s|", frac, string(line)))

@@ -20,10 +20,10 @@ import (
 // hotpathalloc checking: the frame kernel with its Hankel covariance,
 // the subspace eigensolver, the spectrum kernels, the FFT kernels, the
 // Into/Append primitives they call, and capture synthesis (the
-// per-sample channel kernel, its per-block loop and the antenna
-// pattern it evaluates for every path). Grown deliberately, never pruned
-// casually — removing a name here means arguing the function left the hot
-// path.
+// per-sample channel kernel, its per-block loop, its phasor and the
+// antenna pattern it evaluates for every path). Grown deliberately,
+// never pruned casually — removing a name here means arguing the
+// function left the hot path.
 var requiredHotpath = map[string][]string{
 	"wivi/internal/isar": {
 		"processFrame", "smoothedCorrelationInto", "estimateSignalDim",
@@ -45,7 +45,7 @@ var requiredHotpath = map[string][]string{
 		"ModulateInto", "DemodulateInto", "AverageSubcarriersAppend",
 	},
 	"wivi/internal/sim": {
-		"movingChannelsInto", "synthBlock",
+		"movingChannelsInto", "synthBlock", "phasor",
 	},
 	"wivi/internal/rf": {
 		"GainDBAlong",

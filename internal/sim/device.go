@@ -231,6 +231,9 @@ type scatterPath struct {
 	// gain is each transmit path's summed pattern gain in dB, then its
 	// center-wavelength amplitude.
 	gain [2]float64
+	// phase is each path's phase at bin 0 and delta its change from one
+	// bin to the next, both in turns.
+	phase, delta [2]float64
 	// z is each path's channel at bin 0 and step its phasor from one
 	// bin to the next.
 	z, step [2]complex128
@@ -270,15 +273,16 @@ func (d *Device) scatterPaths(dst []scatterPath) []scatterPath {
 // It is the tracking capture's per-sample kernel, run as stage passes
 // over the table (DESIGN §2): gather the scatter points; their
 // distances and pattern gains, the receive leg shared by both transmit
-// paths; each path's dB-to-amplitude Exp; its phasors; then the
-// subcarrier sums. The simulated bins are evenly spaced in frequency,
-// so a path's phase -2π·length/λk steps by the same
-// δ = -2π·length·Δf/c from bin to bin, and its channel is
-// amp·e^{jφ0}·(e^{jδ})^k: four Sincos calls per scatter point, then a
-// complex multiply per bin. Each step rounds by ~ε, so bin k is within
-// ~k·ε of the direct e^{-j2π·length/λk}, far below the ADC's resolution.
-// The sums run in path order with both antennas in one loop, and λk/λ0
-// is applied once per bin at the end.
+// paths; each path's dB-to-amplitude Exp; its phases; its phasors; then
+// the subcarrier sums. The simulated bins are evenly spaced in
+// frequency, so a path's phase of -length/λk turns steps by the same
+// δ = -length·Δf/c turns from bin to bin, and its channel is
+// amp·e^{j2πφ0}·(e^{j2πδ})^k: four phasor calls per scatter point, on
+// phases in turns that are products of the length and two kept
+// constants, then a complex multiply per bin. Each step rounds by ~ε,
+// so bin k is within ~k·ε of the direct e^{-j2π·length/λk}, far below
+// the ADC's resolution. The sums run in path order with both antennas
+// in one loop, and λk/λ0 is applied once per bin at the end.
 //
 //wivi:hotpath
 func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, paths []scatterPath) {
@@ -314,12 +318,18 @@ func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, paths []scat
 	}
 	for i := range paths {
 		p := &paths[i]
-		for a := range p.z {
+		for a := range p.phase {
 			l := p.dTx[a] + p.dRx
-			s, c := math.Sincos(-2 * math.Pi * l * d.invLambda)
-			p.z[a] = complex(p.gain[a]*c, p.gain[a]*s)
-			s, c = math.Sincos(-2 * math.Pi * l * d.binStep)
-			p.step[a] = complex(c, s)
+			p.phase[a] = -l * d.invLambda
+			p.delta[a] = -l * d.binStep
+		}
+	}
+	for i := range paths {
+		p := &paths[i]
+		for a := range p.z {
+			u := phasor(p.phase[a])
+			p.z[a] = complex(p.gain[a]*real(u), p.gain[a]*imag(u))
+			p.step[a] = phasor(p.delta[a])
 		}
 	}
 	r := d.ampRatio
@@ -344,6 +354,46 @@ func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, paths []scat
 		h1[k] = complex(rk*real(h1[k]), rk*imag(h1[k]))
 		h2[k] = complex(rk*real(h2[k]), rk*imag(h2[k]))
 	}
+}
+
+// phasor returns e^{j2π·t}, the unit phasor of a phase of t turns, for
+// |t| ≤ 2^48. It rounds 4|t| to the nearest integer n, ties to even, by
+// adding and subtracting 2^52, which is exact while 4|t| < 2^52 and
+// leaves n's low bits in the sum's mantissa. It evaluates math.Sincos's
+// own kernel polynomials at z = (4|t| − n)·π/2, which lies in
+// [−π/4, π/4], and turns the result by the quadrant n mod 4 with
+// integer bit operations: sine and cosine swap for odd n, and each
+// takes a sign flip. The sine then takes t's sign bit. Nothing branches
+// on t (math.Sincos's octant tests branch on what are effectively
+// random path phases), and a phase in turns needs no 2π multiply or
+// three-constant reduction. sin(−t) = −sin(t) and cos(−t) = cos(t) bit
+// for bit; each component is within 2ε of
+// math.Sincos(2π·(t − RoundToEven(t))), and exact at every quarter
+// turn. NaN or ±Inf gives NaN.
+//
+//wivi:hotpath
+func phasor(t float64) complex128 {
+	const (
+		shift = 1 << 52
+		sign  = 1 << 63
+		// math.Sincos's kernel polynomials (the Cephes sin and cos
+		// coefficients in math/sin.go) for |z| ≤ π/4.
+		s0, s1, s2 = 1.58962301576546568060e-10, -2.50507477628578072866e-8, 2.75573136213857245213e-6
+		s3, s4, s5 = -1.98412698295895385996e-4, 8.33333333332211858878e-3, -1.66666666666666307295e-1
+		c0, c1, c2 = -1.13585365213876817300e-11, 2.08757008419747316778e-9, -2.75573141792967388112e-7
+		c3, c4, c5 = 2.48015872888517045348e-5, -1.38888888888730564116e-3, 4.16666666666665929218e-2
+	)
+	q := 4 * math.Abs(t)
+	m := q + shift
+	n := math.Float64bits(m)
+	z := (q - (m - shift)) * (math.Pi / 2)
+	zz := z * z
+	s := math.Float64bits(z + z*zz*(((((s0*zz+s1)*zz+s2)*zz+s3)*zz+s4)*zz+s5))
+	c := math.Float64bits(1 - 0.5*zz + zz*zz*(((((c0*zz+c1)*zz+c2)*zz+c3)*zz+c4)*zz+c5))
+	swap := (s ^ c) & -(n & 1)
+	s ^= swap ^ (n&2)<<62 ^ math.Float64bits(t)&sign
+	c ^= swap ^ (n^n>>1)<<63
+	return complex(math.Float64frombits(c), math.Float64frombits(s))
 }
 
 // length is |v| as math.Sqrt(x²+y²). Scene distances are metres, far
@@ -436,7 +486,8 @@ func (d *Device) phaseJitter() complex128 {
 	}
 	step := d.Cal.PhaseNoiseStd * math.Sqrt(2*alpha)
 	d.oscPhase += -alpha*d.oscPhase + step*d.noise.Norm()
-	return complex(math.Cos(d.oscPhase), math.Sin(d.oscPhase))
+	s, c := math.Sincos(d.oscPhase)
+	return complex(c, s)
 }
 
 // receiver is one measurement's receive chain with its per-value work
