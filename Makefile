@@ -48,14 +48,15 @@ examples:
 test:
 	go test -race ./...
 
-# Short native-fuzzing passes over the two wire decoders: /v1/track body
+# Short native-fuzzing passes over the three decoders: /v1/track body
 # decoding and validation (FuzzTrackRequest stubs the pool, so no capture
-# runs) and the client's NDJSON stream decoder (FuzzClientStream). -fuzz
-# takes one target per run, hence the anchored patterns. CI runs this
-# target.
+# runs), the client's NDJSON stream decoder (FuzzClientStream) and the
+# trace file reader (FuzzRead). -fuzz takes one target per run, hence
+# the anchored patterns. CI runs this target.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzTrackRequest$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzClientStream$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
 
 # Service smoke (CI runs this target): start the wivi-serve daemon on a
 # random port with two identically seeded replica devices, stream each

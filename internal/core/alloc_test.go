@@ -42,7 +42,7 @@ func TestPacedStreamSteadyStateAllocs(t *testing.T) {
 	const duration = 2.0
 	frames := 0
 	run := func() {
-		st, err := dev.TrackStreamCtx(context.Background(), 0, duration, StreamOptions{})
+		st, err := dev.ObserveStream(context.Background(), TrackRequest{Duration: duration})
 		if err != nil {
 			t.Fatal(err)
 		}

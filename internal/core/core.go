@@ -29,7 +29,9 @@ import (
 )
 
 // FrontEnd abstracts the radio hardware the pipeline drives. It extends
-// the nulling sounder with tracking capture and radio metadata.
+// the nulling sounder with batch and chunked tracking capture and radio
+// metadata. The methods use only basic types, so implementations satisfy
+// it structurally without importing this package.
 type FrontEnd interface {
 	nulling.Sounder
 
@@ -37,6 +39,18 @@ type FrontEnd interface {
 	// with the given precoding and transmit boost; the result is indexed
 	// [subcarrier][sample].
 	Capture(p []complex128, boostDB float64, startT float64, n int) ([][]complex128, error)
+
+	// StreamCapture runs a chunked capture of total samples starting at
+	// startT with the given precoding and boost, delivering consecutive
+	// chunks of up to chunk samples (indexed [subcarrier][sample]) to
+	// emit as they are recorded. An emit error aborts the capture and is
+	// returned — the cancellation path. The concatenated chunks must be
+	// bit-identical to Capture(p, boostDB, startT, total).
+	//
+	// A chunk is valid only until emit returns: implementations may reuse
+	// the chunk buffers for the next chunk (internal/sim does), so emit
+	// must copy whatever it needs to retain.
+	StreamCapture(p []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error
 
 	// Wavelength returns the center carrier wavelength in meters.
 	Wavelength() float64
@@ -121,7 +135,7 @@ type Config struct {
 	// DefaultConfig uses GOMAXPROCS.
 	FrameWorkers int
 	// StreamChunk is the default capture chunk, in samples, for streamed
-	// tracking (TrackStreamCtx with StreamOptions.ChunkSamples == 0).
+	// requests (ObserveStream with TrackRequest.ChunkSamples == 0).
 	// Defaults to the ISAR hop: one potential new frame per chunk.
 	StreamChunk int
 	// Clock supplies wall-clock time for the per-frame lag accounting in
@@ -340,14 +354,10 @@ func (d *Device) captureTrace(ctx context.Context, startT float64, n int) (*Trac
 	}, nil
 }
 
-// Image runs the smoothed-MUSIC ISAR chain over a trace.
-func (d *Device) Image(tr *Trace) (*isar.Image, error) {
-	return d.ImageCtx(context.Background(), tr)
-}
-
-// ImageCtx is Image with cancellation; the frame stages fan out over the
-// configured FrameWorkers. Imaging is pure compute on the trace, so it
-// takes no device lock and may overlap other captures.
+// ImageCtx runs the smoothed-MUSIC ISAR chain over a trace; the frame
+// stages fan out over the configured FrameWorkers. Imaging is pure
+// compute on the trace, so it takes no device lock and may overlap other
+// captures.
 func (d *Device) ImageCtx(ctx context.Context, tr *Trace) (*isar.Image, error) {
 	return d.proc.ComputeImageCtx(ctx, tr.Combined, d.cfg.FrameWorkers)
 }

@@ -156,12 +156,12 @@ func TestObservePerRequestMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode() != ModeGesture {
-		t.Fatalf("stream mode %v", st.Mode())
-	}
 	sobs, err := st.Observation()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sobs.Mode != ModeGesture {
+		t.Fatalf("stream mode %v", sobs.Mode)
 	}
 	if !reflect.DeepEqual(sobs.Image, gest.Image) {
 		t.Fatal("streamed gesture observation image differs from batch Observe")
@@ -405,7 +405,7 @@ func TestFrameAlignedDurations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := dev.TrackStreamCtx(ctx, 0, dur, StreamOptions{})
+		st, err := dev.ObserveStream(ctx, TrackRequest{Duration: dur})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,9 @@ import (
 // PacedFrontEnd wraps a FrontEnd so capture samples are delivered at the
 // radio's real cadence: chunk k, whose last sample is the n_k-th of the
 // capture, is withheld until n_k*SampleT has elapsed on the injected
-// Clock since the capture began. Front ends with native chunked capture
-// (sim.Device) are paced chunk by chunk; batch-only front ends are
-// captured once and replayed on schedule. Nulling measurements are
-// control-plane operations and pass through unpaced.
+// Clock since the capture began, and a batch Capture returns only once
+// its whole span has elapsed. Nulling measurements are control-plane
+// operations and pass through unpaced.
 type PacedFrontEnd struct {
 	inner FrontEnd
 	clock Clock
@@ -94,12 +93,11 @@ func (p *PacedFrontEnd) CaptureCtx(ctx context.Context, pc []complex128, boostDB
 	return out, nil
 }
 
-// StreamCapture implements StreamFrontEnd: chunks are produced by the
-// wrapped front end (natively chunked when it streams, captured once and
-// sliced otherwise) and each is delivered only at the instant its last
-// sample "arrives" on the clock. Cancellation still flows through emit's
-// error return and therefore lands at chunk boundaries, exactly as in
-// the unpaced chain.
+// StreamCapture implements FrontEnd: the wrapped front end produces the
+// chunks, and each is delivered only at the instant its last sample
+// "arrives" on the clock. Cancellation still flows through emit's error
+// return and therefore lands at chunk boundaries, exactly as in the
+// unpaced chain.
 func (p *PacedFrontEnd) StreamCapture(pc []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error {
 	epoch := p.clock.Now()
 	sampleT := p.inner.SampleT()
@@ -112,7 +110,7 @@ func (p *PacedFrontEnd) StreamCapture(pc []complex128, boostDB float64, startT f
 		}
 		return emit(sub)
 	}
-	return streamCapture(p.inner, pc, boostDB, startT, total, chunk, pacedEmit)
+	return p.inner.StreamCapture(pc, boostDB, startT, total, chunk, pacedEmit)
 }
 
 // sampleSpan converts a sample count into its wall-clock span.

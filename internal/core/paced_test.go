@@ -16,8 +16,8 @@ import (
 	"wivi/internal/sim"
 )
 
-// Compile-time check: the pacing wrapper streams.
-var _ StreamFrontEnd = (*PacedFrontEnd)(nil)
+// Compile-time check: the pacing wrapper is a front end.
+var _ FrontEnd = (*PacedFrontEnd)(nil)
 
 // newPacedWalkerDevice builds a paced core device over a fresh walker
 // scene, sharing one auto-advance fake clock between pacing and lag
@@ -235,7 +235,7 @@ func TestPacedStreamIdentityOneWorker(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0), true)
 	pdev := newPacedWalkerDevice(t, 11, clk)
 	pdev.cfg.FrameWorkers = 1
-	st, err := pdev.TrackStreamCtx(context.Background(), 0, duration, StreamOptions{})
+	st, err := pdev.ObserveStream(context.Background(), TrackRequest{Duration: duration})
 	if err != nil {
 		t.Fatal(err)
 	}

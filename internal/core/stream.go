@@ -22,32 +22,9 @@ import (
 	"wivi/internal/ofdm"
 )
 
-// StreamFrontEnd is a FrontEnd whose radio can deliver a capture in
-// chunks as the samples arrive. internal/sim implements it natively;
-// batch-only front ends are adapted by streamCapture. The method uses
-// only basic types, so implementations satisfy it structurally without
-// importing this package.
-type StreamFrontEnd interface {
-	FrontEnd
-
-	// StreamCapture runs a chunked capture of total samples starting at
-	// startT with the given precoding and boost, delivering consecutive
-	// chunks of up to chunk samples (indexed [subcarrier][sample]) to
-	// emit as they are recorded. An emit error aborts the capture and is
-	// returned — the cancellation path. The concatenated chunks must be
-	// bit-identical to Capture(p, boostDB, startT, total).
-	//
-	// A chunk is valid only until emit returns: implementations may reuse
-	// the chunk buffers for the next chunk (internal/sim does), so emit
-	// must copy whatever it needs to retain.
-	StreamCapture(p []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error
-}
-
-// EmitChunks slices an already-recorded capture (a batch Capture result,
-// or a trace file's PerSub data) into consecutive chunks and feeds them
-// to emit — the batch-compatibility adapter behind streamCapture, and
-// the entry point for replaying recorded traces through the streaming
-// chain.
+// EmitChunks slices an already-recorded capture (a trace file's PerSub
+// data) into consecutive chunks and feeds them to emit: the entry point
+// for replaying recorded traces through the streaming chain.
 func EmitChunks(perSub [][]complex128, chunk int, emit func([][]complex128) error) error {
 	if chunk < 1 {
 		return fmt.Errorf("core: chunk length %d", chunk)
@@ -75,29 +52,6 @@ func EmitChunks(perSub [][]complex128, chunk int, emit func([][]complex128) erro
 	return nil
 }
 
-// streamCapture runs a chunked capture on fe, streaming natively when
-// the front end supports it and falling back to capture-then-slice
-// compatibility (identical samples, no latency benefit) otherwise.
-func streamCapture(fe FrontEnd, p []complex128, boostDB, startT float64, total, chunk int, emit func([][]complex128) error) error {
-	if sfe, ok := fe.(StreamFrontEnd); ok {
-		return sfe.StreamCapture(p, boostDB, startT, total, chunk, emit)
-	}
-	perSub, err := fe.Capture(p, boostDB, startT, total)
-	if err != nil {
-		return err
-	}
-	return EmitChunks(perSub, chunk, emit)
-}
-
-// StreamOptions configures a streamed capture.
-type StreamOptions struct {
-	// ChunkSamples is the capture chunk granularity in samples; the
-	// context is honored at chunk boundaries. 0 uses Config.StreamChunk
-	// (default: the ISAR hop). The chunk size never affects the emitted
-	// frames, only latency.
-	ChunkSamples int
-}
-
 // Stream is an in-progress streamed tracking capture. Frames arrive via
 // Next in index order while later windows are still filling; Result
 // blocks until the capture completes and assembles the identical
@@ -108,7 +62,6 @@ type StreamOptions struct {
 type Stream struct {
 	dev         *Device
 	mode        Mode
-	sampleT     float64
 	totalFrames int
 	thetas      []float64
 	clock       Clock
@@ -135,42 +88,27 @@ type Stream struct {
 	doneCh chan struct{}
 }
 
-// TrackStream nulls (if needed), then captures duration seconds
-// incrementally, emitting ISAR frames as their windows close.
-func (d *Device) TrackStream(duration float64, opts StreamOptions) (*Stream, error) {
-	return d.TrackStreamCtx(context.Background(), 0, duration, opts)
-}
-
-// TrackStreamCtx is the streaming form of TrackCtx. The capture holds
-// the device lock for its whole span (one radio is one stateful
-// instrument: interleaved captures would corrupt both sample streams),
-// reads the front end chunk by chunk, and honors ctx at chunk
-// granularity — a cancel aborts the capture at the next chunk boundary
-// and the Stream finishes with ctx's error. Frame processing fans out
-// over Config.FrameWorkers exactly like the batch path.
-func (d *Device) TrackStreamCtx(ctx context.Context, startT, duration float64, opts StreamOptions) (*Stream, error) {
-	return d.ObserveStream(ctx, TrackRequest{
-		Mode:         ModeTracking,
-		StartT:       startT,
-		Duration:     duration,
-		ChunkSamples: opts.ChunkSamples,
-	})
-}
-
 // ObserveStream is the streaming form of Observe: the same per-request
-// mode threading, with frames emitted while the capture runs. In
-// gesture mode the decode stage needs the full angle-time image, so it
-// runs at assembly time — Observation() returns the decoded message
-// alongside the image, byte-identical to what a batch Observe of the
-// same request would have produced.
+// mode threading, with frames emitted while the capture runs. The
+// capture holds the device lock for its whole span (one radio is one
+// stateful instrument: interleaved captures would corrupt both sample
+// streams), reads the front end in chunks of req.ChunkSamples (0 means
+// Config.StreamChunk; the chunk size never affects the emitted frames,
+// only latency), and honors ctx at chunk granularity — a cancel aborts
+// the capture at the next chunk boundary and the Stream finishes with
+// ctx's error. Frame processing fans out over Config.FrameWorkers
+// exactly like the batch path. In gesture mode the decode stage needs
+// the full angle-time image, so it runs at assembly time —
+// Observation() returns the decoded message alongside the image,
+// byte-identical to what a batch Observe of the same request would have
+// produced.
 func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, error) {
 	n, err := d.samples(req.Duration, true)
 	if err != nil {
 		return nil, err
 	}
 	startT := req.StartT
-	opts := StreamOptions{ChunkSamples: req.ChunkSamples}
-	chunk := opts.ChunkSamples
+	chunk := req.ChunkSamples
 	if chunk <= 0 {
 		chunk = d.cfg.StreamChunk
 	}
@@ -180,7 +118,6 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 	s := &Stream{
 		dev:         d,
 		mode:        req.Mode,
-		sampleT:     d.fe.SampleT(),
 		totalFrames: len(d.proc.FrameSpecs(n)),
 		thetas:      d.proc.Thetas(),
 		clock:       d.cfg.Clock,
@@ -258,7 +195,7 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 			}
 			return streamer.Append(ctx, ready)
 		}
-		if err := streamCapture(d.fe, d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n, chunk, emit); err != nil {
+		if err := d.fe.StreamCapture(d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n, chunk, emit); err != nil {
 			return err
 		}
 		return ctx.Err()
@@ -372,12 +309,6 @@ func (s *Stream) WindowDuration() time.Duration { return s.windowDur }
 // Thetas returns the angle grid (degrees) the frame spectra are sampled
 // on.
 func (s *Stream) Thetas() []float64 { return s.thetas }
-
-// SampleT returns the capture sample period in seconds.
-func (s *Stream) SampleT() float64 { return s.sampleT }
-
-// Mode returns the request mode the stream was started with.
-func (s *Stream) Mode() Mode { return s.mode }
 
 // Result blocks until the stream finishes and returns the assembled
 // angle-time image and trace — byte-identical to what a batch TrackCtx

@@ -9,8 +9,8 @@ import (
 	"wivi/internal/sim"
 )
 
-// Compile-time check: the physical simulation streams natively.
-var _ StreamFrontEnd = (*sim.Device)(nil)
+// Compile-time check: the physical simulation is a front end.
+var _ FrontEnd = (*sim.Device)(nil)
 
 func newWalkerDevice(t *testing.T, seed int64) *Device {
 	t.Helper()
@@ -36,7 +36,7 @@ func TestTrackStreamMatchesBatch(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			dev := newWalkerDevice(t, 7)
 			dev.cfg.FrameWorkers = workers
-			st, err := dev.TrackStreamCtx(context.Background(), 0, duration, StreamOptions{ChunkSamples: chunk})
+			st, err := dev.ObserveStream(context.Background(), TrackRequest{Duration: duration, ChunkSamples: chunk})
 			if err != nil {
 				t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
 			}
@@ -79,7 +79,7 @@ func TestTrackStreamMatchesBatch(t *testing.T) {
 // Result is even requested, while the capture holds the device lock.
 func TestTrackStreamFirstFrameEarly(t *testing.T) {
 	dev := newWalkerDevice(t, 8)
-	st, err := dev.TrackStreamCtx(context.Background(), 0, 2.0, StreamOptions{})
+	st, err := dev.ObserveStream(context.Background(), TrackRequest{Duration: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTrackStreamFirstFrameEarly(t *testing.T) {
 
 func TestTrackStreamValidation(t *testing.T) {
 	dev := newWalkerDevice(t, 9)
-	if _, err := dev.TrackStreamCtx(context.Background(), 0, -1, StreamOptions{}); err == nil {
+	if _, err := dev.ObserveStream(context.Background(), TrackRequest{Duration: -1}); err == nil {
 		t.Fatal("negative duration accepted")
 	}
 	// Shorter than one analysis window: no image either way, so batch
@@ -139,8 +139,8 @@ func TestTrackStreamCanceled(t *testing.T) {
 	dev := newWalkerDevice(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	dev.fe = holdAfterWindow{dev.fe.(StreamFrontEnd), ctx, dev.cfg.ISAR.Window}
-	st, err := dev.TrackStreamCtx(ctx, 0, 2.0, StreamOptions{})
+	dev.fe = holdAfterWindow{dev.fe, ctx, dev.cfg.ISAR.Window}
+	st, err := dev.ObserveStream(ctx, TrackRequest{Duration: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestTrackStreamCanceled(t *testing.T) {
 // holdAfterWindow is a front end whose streamed capture, once it has
 // delivered window samples, holds every later chunk until ctx is done.
 type holdAfterWindow struct {
-	StreamFrontEnd
+	FrontEnd
 	ctx    context.Context
 	window int
 }
 
 func (f holdAfterWindow) StreamCapture(p []complex128, boostDB, startT float64, total, chunk int, emit func([][]complex128) error) error {
 	delivered := 0
-	return f.StreamFrontEnd.StreamCapture(p, boostDB, startT, total, chunk, func(sub [][]complex128) error {
+	return f.FrontEnd.StreamCapture(p, boostDB, startT, total, chunk, func(sub [][]complex128) error {
 		if delivered >= f.window {
 			<-f.ctx.Done()
 		}
@@ -190,33 +190,6 @@ func (f holdAfterWindow) StreamCapture(p []complex128, boostDB, startT float64, 
 		return emit(sub)
 	})
 }
-
-// TestBatchAdapterStream runs the stream over a front end hidden behind
-// the batch-only FrontEnd interface, exercising the compatibility
-// adapter: identical output, just without the latency benefit.
-func TestBatchAdapterStream(t *testing.T) {
-	dev := newWalkerDevice(t, 11)
-	wantImg, _, err := dev.TrackCtx(context.Background(), 0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev2 := newWalkerDevice(t, 11)
-	dev2.fe = batchOnly{dev2.fe} // strip the StreamFrontEnd interface
-	st, err := dev2.TrackStreamCtx(context.Background(), 0, 1.0, StreamOptions{ChunkSamples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, _, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(img, wantImg) {
-		t.Fatal("batch-adapter streamed image differs from batch")
-	}
-}
-
-// batchOnly hides a front end's native streaming support.
-type batchOnly struct{ FrontEnd }
 
 // TestEmitChunks replays a recorded capture through the chunk adapter:
 // concatenated chunks must reproduce the recording, and an emit error

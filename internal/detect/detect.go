@@ -1,8 +1,10 @@
 // Package detect implements Wi-Vi's automatic detection of the number of
-// moving humans in a closed room (§5.2, §7.4): the spatial variance of
-// the smoothed-MUSIC angle-time image is computed per frame (Eq. 5.4 and
-// 5.5), averaged over the capture, and classified against thresholds
-// learned from a training set.
+// moving humans in a closed room (§5.2, §7.4): a spatial variance of the
+// smoothed-MUSIC angle-time image is computed per frame, averaged over
+// the capture, and classified against thresholds learned from a training
+// set. The per-frame statistic is the line-spread variance below, not
+// the literal Eq. 5.4/5.5 spectrum variance, whose self-referenced
+// normalization does not separate counts on this simulator (DESIGN §5).
 package detect
 
 import (
@@ -15,124 +17,6 @@ import (
 	"wivi/internal/isar"
 )
 
-// NoiseRef estimates the image's noise power reference from its quietest
-// moments: the Bartlett spectrum values of the lowest-motion-power decile
-// of frames (walkers pause; an empty room is all pauses). The dB weights
-// of Eq. 5.4/5.5 are taken relative to it. A trace-wide percentile would
-// instead rise with the number of movers and erase the count separation.
-func NoiseRef(img *isar.Image) float64 {
-	if len(img.Bartlett) == 0 {
-		return 1e-300
-	}
-	cut := dsp.Percentile(img.MotionPower, 10)
-	var quiet []float64
-	for f, frame := range img.Bartlett {
-		if img.MotionPower[f] <= cut {
-			quiet = append(quiet, frame...)
-		}
-	}
-	if len(quiet) == 0 {
-		quiet = img.Bartlett[0]
-	}
-	ref := dsp.Percentile(quiet, 25)
-	if ref <= 0 {
-		ref = 1e-300
-	}
-	return ref
-}
-
-// frameWeights returns the angular weights of Eq. 5.4/5.5 for one frame:
-// 10 log10 of the power-bearing Bartlett spectrum over the trace's noise
-// reference, clamped at zero. Power-bearing weights are essential: the
-// MUSIC pseudospectrum is scale-free per frame, so a variance computed
-// from it alone cannot tell one mover from three (their peak heights are
-// similar); the Bartlett spectrum grows with every additional mover's
-// reflected power. Images without a Bartlett layer (hand-built test
-// fixtures) fall back to median-subtracted pseudospectrum dB.
-func frameWeights(img *isar.Image, frame int, ref float64) []float64 {
-	if len(img.Bartlett) > frame && img.Bartlett[frame] != nil {
-		b := img.Bartlett[frame]
-		w := make([]float64, len(b))
-		for i, v := range b {
-			if v > ref {
-				w[i] = 10 * math.Log10(v/ref)
-			}
-		}
-		return w
-	}
-	db := img.PowerDB(frame)
-	med := dsp.Median(db)
-	w := make([]float64, len(db))
-	for i, v := range db {
-		if v > med {
-			w[i] = v - med
-		}
-	}
-	return w
-}
-
-// SpatialCentroid computes Eq. 5.4 for one frame:
-//
-//	C[n] = sum_theta theta * w[theta, n]
-//
-// with w the dB spectrum weights (see frameWeights), normalized by the
-// total weight so it is a proper centroid in degrees.
-func SpatialCentroid(img *isar.Image, frame int) float64 {
-	return spatialCentroidRef(img, frame, NoiseRef(img))
-}
-
-func spatialCentroidRef(img *isar.Image, frame int, ref float64) float64 {
-	w := frameWeights(img, frame, ref)
-	var num, den float64
-	for i, th := range img.ThetaDeg {
-		num += th * w[i]
-		den += w[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// SpatialVariance computes Eq. 5.5 for one frame:
-//
-//	VAR[n] = sum_theta theta^2 * w[theta, n]  -  C[n]^2
-//
-// with the centroid taken from SpatialCentroid and the same weights. At
-// any point in time, the larger the number of moving humans, the more
-// angles carry energy and the higher the variance (§5.2).
-func SpatialVariance(img *isar.Image, frame int) float64 {
-	return spatialVarianceRef(img, frame, NoiseRef(img))
-}
-
-func spatialVarianceRef(img *isar.Image, frame int, ref float64) float64 {
-	w := frameWeights(img, frame, ref)
-	c := spatialCentroidRef(img, frame, ref)
-	var sum float64
-	for i, th := range img.ThetaDeg {
-		d := th - c
-		sum += d * d * w[i]
-	}
-	return sum
-}
-
-// MeanSpatialVariance averages the per-frame spatial variance over the
-// whole capture; this is the single number used to classify a trial
-// (§5.2: "This variance is then averaged over the duration of the
-// experiment").
-func MeanSpatialVariance(img *isar.Image) float64 {
-	n := img.NumFrames()
-	if n == 0 {
-		return 0
-	}
-	ref := NoiseRef(img)
-	var s float64
-	for f := 0; f < n; f++ {
-		s += spatialVarianceRef(img, f, ref)
-	}
-	return s / float64(n)
-}
-
 // LineSpreadVariance is the counting statistic actually used by the
 // classifier: the spatial variance of the frame's resolved angle lines,
 // scaled by the frame's motion power in dB above the receiver noise
@@ -143,9 +27,9 @@ func MeanSpatialVariance(img *isar.Image) float64 {
 // where the lines are the frame's dominant non-DC angles and C their
 // centroid. It follows §5.2's reasoning — at any point in time, more
 // humans spread energy over more angles — but anchors the energy scale
-// to the absolute noise floor. The literal Eq. 5.4/5.5 statistic
-// (SpatialVariance above) is kept for reporting; on this simulator its
-// self-referenced normalization does not separate counts (see DESIGN.md).
+// to the absolute noise floor. It replaces the literal Eq. 5.4/5.5
+// statistic, whose self-referenced normalization does not separate counts
+// on this simulator (DESIGN §5).
 func LineSpreadVariance(img *isar.Image, frame int, noiseFloor, guardDeg float64) float64 {
 	if noiseFloor <= 0 {
 		noiseFloor = 1e-300

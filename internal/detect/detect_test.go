@@ -4,90 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"wivi/internal/isar"
 	"wivi/internal/rng"
 )
-
-// flatImage builds a one-frame image with the given pseudospectrum values
-// on a [-90, 90] 1-degree grid.
-func imageWithSpectra(spectra ...[]float64) *isar.Image {
-	thetas := make([]float64, 181)
-	for i := range thetas {
-		thetas[i] = float64(i - 90)
-	}
-	img := &isar.Image{ThetaDeg: thetas}
-	for f, s := range spectra {
-		if len(s) != len(thetas) {
-			panic("spectrum length")
-		}
-		img.Power = append(img.Power, s)
-		img.Times = append(img.Times, float64(f))
-		img.MotionPower = append(img.MotionPower, 1)
-		img.SignalDim = append(img.SignalDim, 1)
-	}
-	return img
-}
-
-// spectrumWithPeaks returns a flat (=1) spectrum with Gaussian bumps of
-// the given linear height at the given angles.
-func spectrumWithPeaks(height float64, widthDeg float64, angles ...float64) []float64 {
-	s := make([]float64, 181)
-	for i := range s {
-		s[i] = 1
-		th := float64(i - 90)
-		for _, a := range angles {
-			d := (th - a) / widthDeg
-			s[i] += (height - 1) * math.Exp(-d*d/2)
-		}
-	}
-	return s
-}
-
-func TestSpatialCentroidSymmetric(t *testing.T) {
-	img := imageWithSpectra(spectrumWithPeaks(100, 5, -40, 40))
-	c := SpatialCentroid(img, 0)
-	if math.Abs(c) > 1 {
-		t.Fatalf("symmetric spectrum centroid = %v, want ~0", c)
-	}
-}
-
-func TestSpatialCentroidSkewed(t *testing.T) {
-	img := imageWithSpectra(spectrumWithPeaks(100, 5, 60))
-	c := SpatialCentroid(img, 0)
-	if c < 2 {
-		t.Fatalf("skewed spectrum centroid = %v, want > 0", c)
-	}
-}
-
-func TestSpatialVarianceGrowsWithSpread(t *testing.T) {
-	// One human: single line near 0; more humans: lines spread over angle.
-	narrow := imageWithSpectra(spectrumWithPeaks(100, 5, 0))
-	one := imageWithSpectra(spectrumWithPeaks(100, 5, 0, 25))
-	three := imageWithSpectra(spectrumWithPeaks(100, 5, 0, -60, 30, 70))
-	vNarrow := MeanSpatialVariance(narrow)
-	vOne := MeanSpatialVariance(one)
-	vThree := MeanSpatialVariance(three)
-	if !(vNarrow < vOne && vOne < vThree) {
-		t.Fatalf("variance not increasing with spread: %v, %v, %v", vNarrow, vOne, vThree)
-	}
-}
-
-func TestSpatialVarianceScaleMatchesPaper(t *testing.T) {
-	// Fig. 7-3 plots variances "in tens of millions": multi-human images
-	// on a 1-degree grid must land within a few orders of that scale.
-	img := imageWithSpectra(spectrumWithPeaks(1000, 8, -50, 20, 65))
-	v := MeanSpatialVariance(img)
-	if v < 1e5 || v > 1e9 {
-		t.Fatalf("variance scale %v outside plausible range of Fig. 7-3", v)
-	}
-}
-
-func TestMeanSpatialVarianceEmptyImage(t *testing.T) {
-	img := &isar.Image{ThetaDeg: []float64{0}}
-	if v := MeanSpatialVariance(img); v != 0 {
-		t.Fatalf("empty image variance = %v", v)
-	}
-}
 
 func TestTrainSeparableClasses(t *testing.T) {
 	samples := map[int][]float64{

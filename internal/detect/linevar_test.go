@@ -81,43 +81,3 @@ func TestMeanLineVarianceEmpty(t *testing.T) {
 		t.Fatalf("empty image variance %v", v)
 	}
 }
-
-func TestNoiseRefQuietFrames(t *testing.T) {
-	// Two frames: one quiet, one loud; the ref must come from the quiet
-	// one.
-	quiet := lineImage(1e-4)
-	loud := lineImage(1, 40)
-	img := &isar.Image{
-		ThetaDeg:    quiet.ThetaDeg,
-		Power:       [][]float64{quiet.Power[0], loud.Power[0]},
-		Bartlett:    [][]float64{quiet.Bartlett[0], loud.Bartlett[0]},
-		Times:       []float64{0, 1},
-		MotionPower: []float64{1e-4, 1},
-		SignalDim:   []int{1, 2},
-	}
-	ref := NoiseRef(img)
-	loudOnly := NoiseRef(loud)
-	if ref >= loudOnly {
-		t.Fatalf("quiet-frame ref %v not below loud-only ref %v", ref, loudOnly)
-	}
-	// No Bartlett layer: degenerate but finite.
-	if r := NoiseRef(&isar.Image{ThetaDeg: []float64{0}}); r <= 0 {
-		t.Fatalf("empty ref %v", r)
-	}
-}
-
-func TestSpatialVarianceFallbackWithoutBartlett(t *testing.T) {
-	// Hand-built images without the Bartlett layer use the pseudospectrum
-	// fallback and must still behave monotonically with angular spread
-	// (a single line yields only its own width; two separated lines yield
-	// the spread between them).
-	img := lineImage(1, 30)
-	img.Bartlett = nil
-	one := SpatialVariance(img, 0)
-	img2 := lineImage(1, 60, -60)
-	img2.Bartlett = nil
-	spread := SpatialVariance(img2, 0)
-	if one <= 0 || spread <= one {
-		t.Fatalf("fallback variance not monotone: %v vs %v", one, spread)
-	}
-}

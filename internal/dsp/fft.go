@@ -1,5 +1,5 @@
 // Package dsp implements the signal-processing primitives used throughout
-// the Wi-Vi pipeline: FFT/IFFT, convolution and matched filtering, peak
+// the Wi-Vi pipeline: the FFT, convolution and matched filtering, peak
 // detection, and the descriptive statistics used by the evaluation
 // harness (CDFs, percentiles, dB conversions).
 //
@@ -23,12 +23,6 @@ func FFT(x []complex128) []complex128 {
 	return FFTInto(make([]complex128, len(x)), x)
 }
 
-// IFFT returns the inverse discrete Fourier transform of x (normalized by
-// 1/N) as a new slice. IFFTInto is the buffered form.
-func IFFT(x []complex128) []complex128 {
-	return IFFTInto(make([]complex128, len(x)), x)
-}
-
 // FFTInto computes the DFT of x into dst: no allocation for a
 // power-of-two length, while a Bluestein length allocates one buffer per
 // call. dst and x must share one length; dst may be x itself for an
@@ -39,44 +33,28 @@ func IFFT(x []complex128) []complex128 {
 func FFTInto(dst, x []complex128) []complex128 {
 	validateSameLen("FFTInto", len(dst), len(x))
 	copy(dst, x)
-	fftInPlace(dst, false)
+	fftInPlace(dst)
 	return dst
 }
 
-// IFFTInto is FFTInto for the inverse transform (1/N normalized).
+// fftInPlace computes the forward transform of x in place.
 //
 //wivi:hotpath
-func IFFTInto(dst, x []complex128) []complex128 {
-	validateSameLen("IFFTInto", len(dst), len(x))
-	copy(dst, x)
-	fftInPlace(dst, true)
-	return dst
-}
-
-// fftInPlace transforms x in place. If inverse is true the inverse
-// transform (including the 1/N normalization) is computed.
-//
-//wivi:hotpath
-func fftInPlace(x []complex128, inverse bool) {
+func fftInPlace(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
 	if n&(n-1) == 0 {
-		radix2(x, inverse)
+		radix2(x, false)
 	} else {
-		bluestein(x, inverse)
-	}
-	if inverse {
-		scale := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= scale
-		}
+		bluestein(x)
 	}
 }
 
 // radix2 is an iterative in-place radix-2 Cooley-Tukey FFT. n must be a
-// power of two >= 2. No normalization is applied. Each stage steps its
+// power of two >= 2. No normalization is applied; the inverse direction
+// serves the convolutions in bluestein and Convolve. Each stage steps its
 // twiddle factor by the multiplicative recurrence w *= wStep, not
 // cmplx.Rect per index, which would round differently and move every
 // figure computed from a transform.
@@ -113,25 +91,21 @@ func radix2(x []complex128, inverse bool) {
 	}
 }
 
-// bluestein computes an arbitrary-length DFT as a convolution using
-// zero-padded power-of-two FFTs (the chirp-z transform).
+// bluestein computes an arbitrary-length forward DFT as a convolution
+// using zero-padded power-of-two FFTs (the chirp-z transform).
 //
 //wivi:hotpath
-func bluestein(x []complex128, inverse bool) {
+func bluestein(x []complex128) {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	// The chirp and the two zero-padded operands of the convolution.
 	m := NextPow2(2*n - 1)
 	buf := make([]complex128, n+2*m) //wivi:alloc a Bluestein length serves only one-off spectra, so nothing repeats a size worth keeping buffers for
 	chirp, a, b := buf[:n], buf[n:n+m], buf[n+m:]
-	// chirp[k] = exp(sign * i*pi*k^2/n), with k^2 taken mod 2n in int64
-	// so large k cannot blow up the float argument.
+	// chirp[k] = exp(-i*pi*k^2/n), with k^2 taken mod 2n in int64 so
+	// large k cannot blow up the float argument.
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % (2 * int64(n))
-		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+		chirp[k] = cmplx.Rect(1, -math.Pi*float64(kk)/float64(n))
 	}
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * chirp[k]
@@ -150,25 +124,6 @@ func bluestein(x []complex128, inverse bool) {
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * invM * chirp[k]
 	}
-}
-
-// FFTShift rotates the spectrum so the zero-frequency bin is centered,
-// returning a new slice. FFTShiftInto is the allocation-free form.
-func FFTShift(x []complex128) []complex128 {
-	return FFTShiftInto(make([]complex128, len(x)), x)
-}
-
-// FFTShiftInto is FFTShift copying into dst, which must share x's length
-// and must not alias it (the rotation is not in-place). Returns dst.
-//
-//wivi:hotpath
-func FFTShiftInto(dst, x []complex128) []complex128 {
-	validateSameLen("FFTShiftInto", len(dst), len(x))
-	n := len(x)
-	half := (n + 1) / 2
-	copy(dst, x[half:])
-	copy(dst[n-half:], x[:half])
-	return dst
 }
 
 // NextPow2 returns the smallest power of two >= n (and at least 1).

@@ -64,8 +64,9 @@ func TestFFTLinearity(t *testing.T) {
 	}
 }
 
-// TestFFTRoundTripProperty: IFFT(FFT(x)) == x for arbitrary lengths,
-// including non-powers of two (Bluestein path).
+// TestFFTRoundTripProperty: the transform inverts, conj(FFT(conj(FFT(x))))/N
+// == x, for arbitrary lengths, including non-powers of two (Bluestein
+// path).
 func TestFFTRoundTripProperty(t *testing.T) {
 	seed := int64(0)
 	f := func() bool {
@@ -76,7 +77,14 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		for i := range x {
 			x[i] = complex(r.Norm(), r.Norm())
 		}
-		y := IFFT(FFT(x))
+		y := FFT(x)
+		for i := range y {
+			y[i] = cmplx.Conj(y[i])
+		}
+		y = FFT(y)
+		for i := range y {
+			y[i] = cmplx.Conj(y[i]) / complex(float64(n), 0)
+		}
 		for i := range x {
 			if !approxEqualC(x[i], y[i], 1e-8) {
 				t.Logf("n=%d mismatch at %d: %v vs %v", n, i, x[i], y[i])
@@ -107,25 +115,6 @@ func TestFFTParseval(t *testing.T) {
 		}
 		if math.Abs(ef/float64(n)-ex) > 1e-8*ex {
 			t.Fatalf("Parseval violated for n=%d: %v vs %v", n, ef/float64(n), ex)
-		}
-	}
-}
-
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	s := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", s, want)
-		}
-	}
-	odd := []complex128{0, 1, 2, 3, 4}
-	so := FFTShift(odd)
-	wantOdd := []complex128{3, 4, 0, 1, 2}
-	for i := range wantOdd {
-		if so[i] != wantOdd[i] {
-			t.Fatalf("odd FFTShift = %v, want %v", so, wantOdd)
 		}
 	}
 }
@@ -164,32 +153,19 @@ func TestPowerSpectrumTone(t *testing.T) {
 func fftRef(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	fftInPlaceRef(out, false)
+	fftInPlaceRef(out)
 	return out
 }
 
-func ifftRef(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlaceRef(out, true)
-	return out
-}
-
-func fftInPlaceRef(x []complex128, inverse bool) {
+func fftInPlaceRef(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
 	if n&(n-1) == 0 {
-		radix2Ref(x, inverse)
+		radix2Ref(x, false)
 	} else {
-		bluesteinRef(x, inverse)
-	}
-	if inverse {
-		scale := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= scale
-		}
+		bluesteinRef(x)
 	}
 }
 
@@ -223,16 +199,12 @@ func radix2Ref(x []complex128, inverse bool) {
 	}
 }
 
-func bluesteinRef(x []complex128, inverse bool) {
+func bluesteinRef(x []complex128) {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % (2 * int64(n))
-		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+		chirp[k] = cmplx.Rect(1, -1.0*math.Pi*float64(kk)/float64(n))
 	}
 	m := 1
 	for m < 2*n-1 {
@@ -277,7 +249,7 @@ func bitsReverse64(v uint64) uint64 {
 }
 
 // TestFFTPlannedBitIdenticalToReference: for power-of-two and Bluestein
-// sizes alike, forward and inverse, the production kernels reproduce the
+// sizes alike, the production kernel reproduces the
 // reference bit for bit, so a kernel rewrite changes no downstream
 // output.
 func TestFFTPlannedBitIdenticalToReference(t *testing.T) {
@@ -290,22 +262,17 @@ func TestFFTPlannedBitIdenticalToReference(t *testing.T) {
 		// Run each transform twice: a repeated call must match too.
 		for pass := 0; pass < 2; pass++ {
 			fwd, wantFwd := FFT(x), fftRef(x)
-			inv, wantInv := IFFT(x), ifftRef(x)
 			for i := 0; i < n; i++ {
 				if fwd[i] != wantFwd[i] {
 					t.Fatalf("n=%d pass=%d: FFT bin %d = %v, reference %v", n, pass, i, fwd[i], wantFwd[i])
-				}
-				if inv[i] != wantInv[i] {
-					t.Fatalf("n=%d pass=%d: IFFT bin %d = %v, reference %v", n, pass, i, inv[i], wantInv[i])
 				}
 			}
 		}
 	}
 }
 
-// TestFFTIntoMatchesFFT: the buffered forms are the same kernels; in-place
-// (dst == x) and out-of-place agree bit for bit with the allocating entry
-// points.
+// TestFFTIntoMatchesFFT: the buffered form is the same kernel; in-place
+// (dst == x) and out-of-place agree bit for bit with FFT.
 func TestFFTIntoMatchesFFT(t *testing.T) {
 	r := rng.New(6)
 	for _, n := range []int{8, 60, 64} {
@@ -325,13 +292,6 @@ func TestFFTIntoMatchesFFT(t *testing.T) {
 				t.Fatalf("n=%d bin %d: FFTInto %v / in-place %v, want %v", n, i, dst[i], inPlace[i], want[i])
 			}
 		}
-		wantI := IFFT(x)
-		gotI := IFFTInto(make([]complex128, n), x)
-		for i := range wantI {
-			if gotI[i] != wantI[i] {
-				t.Fatalf("n=%d bin %d: IFFTInto %v, want %v", n, i, gotI[i], wantI[i])
-			}
-		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -342,7 +302,7 @@ func TestFFTIntoMatchesFFT(t *testing.T) {
 }
 
 // TestFFTIntoNoAllocs: a power-of-two transform computes its twiddles on
-// the fly, so the buffered transforms allocate nothing.
+// the fly, so the buffered transform allocates nothing.
 func TestFFTIntoNoAllocs(t *testing.T) {
 	const n = 64
 	x := make([]complex128, n)
@@ -352,9 +312,6 @@ func TestFFTIntoNoAllocs(t *testing.T) {
 	dst := make([]complex128, n)
 	if avg := testing.AllocsPerRun(100, func() { FFTInto(dst, x) }); avg != 0 {
 		t.Errorf("n=%d: FFTInto allocates %.1f per op, want 0", n, avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { IFFTInto(dst, x) }); avg != 0 {
-		t.Errorf("n=%d: IFFTInto allocates %.1f per op, want 0", n, avg)
 	}
 }
 
@@ -421,28 +378,6 @@ func TestPowerSpectrumInto(t *testing.T) {
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("aliased bin %d: %v, want %v", i, dst[i], want[i])
-		}
-	}
-}
-
-// TestFFTShiftInto: the buffered form matches FFTShift for even and odd
-// lengths and allocates nothing.
-func TestFFTShiftInto(t *testing.T) {
-	for _, n := range []int{4, 5} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(float64(i), 0)
-		}
-		want := FFTShift(x)
-		dst := make([]complex128, n)
-		FFTShiftInto(dst, x)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("n=%d bin %d: %v, want %v", n, i, dst[i], want[i])
-			}
-		}
-		if avg := testing.AllocsPerRun(50, func() { FFTShiftInto(dst, x) }); avg != 0 {
-			t.Errorf("n=%d: FFTShiftInto allocates %.1f per op, want 0", n, avg)
 		}
 	}
 }

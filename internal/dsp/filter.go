@@ -67,50 +67,6 @@ func MatchedFilter(x, t []float64) []float64 {
 	return out
 }
 
-// MovingAverage smooths x with a centered window of the given (odd
-// preferred) size. Edges use a shrunken window. size <= 1 returns a copy.
-func MovingAverage(x []float64, size int) []float64 {
-	out := make([]float64, len(x))
-	if size <= 1 {
-		copy(out, x)
-		return out
-	}
-	half := size / 2
-	// Prefix sums for O(n).
-	prefix := make([]float64, len(x)+1)
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v
-	}
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(x) {
-			hi = len(x)
-		}
-		out[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
-	}
-	return out
-}
-
-// Detrend removes the mean of x in place and returns x.
-func Detrend(x []float64) []float64 {
-	if len(x) == 0 {
-		return x
-	}
-	var m float64
-	for _, v := range x {
-		m += v
-	}
-	m /= float64(len(x))
-	for i := range x {
-		x[i] -= m
-	}
-	return x
-}
-
 // TriangleTemplate returns a unit-peak triangular pulse of length n:
 // 0 -> 1 -> 0. This is the matched-filter template for one gesture step
 // (the angle-energy of a step rises and falls as the arm of the triangle in
@@ -127,44 +83,6 @@ func TriangleTemplate(n int) []float64 {
 	mid := float64(n-1) / 2
 	for i := range out {
 		out[i] = 1 - math.Abs(float64(i)-mid)/mid
-	}
-	return out
-}
-
-// Decimate returns every factor-th sample of x starting at index 0.
-// factor <= 1 returns a copy.
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// AverageBlocksComplex averages consecutive blocks of blockSize complex
-// samples, producing len(x)/blockSize outputs. This models the sample
-// averaging Wi-Vi performs when collapsing 0.32 s of samples into a w=100
-// emulated antenna array (§7.1). Trailing partial blocks are dropped.
-func AverageBlocksComplex(x []complex128, blockSize int) []complex128 {
-	if blockSize <= 1 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	n := len(x) / blockSize
-	out := make([]complex128, n)
-	inv := complex(1/float64(blockSize), 0)
-	for i := 0; i < n; i++ {
-		var s complex128
-		for j := i * blockSize; j < (i+1)*blockSize; j++ {
-			s += x[j]
-		}
-		out[i] = s * inv
 	}
 	return out
 }

@@ -116,45 +116,6 @@ func TestMatchedFilterLengthAndEmpty(t *testing.T) {
 	}
 }
 
-func TestMovingAverageConstancy(t *testing.T) {
-	x := []float64{2, 2, 2, 2, 2}
-	out := MovingAverage(x, 3)
-	for _, v := range out {
-		if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("MovingAverage of constant = %v", out)
-		}
-	}
-	// size <= 1 copies
-	cp := MovingAverage(x, 1)
-	for i := range x {
-		if cp[i] != x[i] {
-			t.Fatal("size-1 moving average should copy input")
-		}
-	}
-}
-
-func TestMovingAverageReducesVariance(t *testing.T) {
-	r := rng.New(9)
-	x := make([]float64, 500)
-	for i := range x {
-		x[i] = r.Norm()
-	}
-	sm := MovingAverage(x, 9)
-	if Variance(sm) >= Variance(x) {
-		t.Fatalf("smoothing did not reduce variance: %v >= %v", Variance(sm), Variance(x))
-	}
-}
-
-func TestDetrend(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	Detrend(x)
-	if m := Mean(x); math.Abs(m) > 1e-12 {
-		t.Fatalf("detrended mean = %v", m)
-	}
-	var empty []float64
-	Detrend(empty) // must not panic
-}
-
 func TestTriangleTemplate(t *testing.T) {
 	tpl := TriangleTemplate(5)
 	want := []float64{0, 0.5, 1, 0.5, 0}
@@ -168,31 +129,5 @@ func TestTriangleTemplate(t *testing.T) {
 	}
 	if one := TriangleTemplate(1); len(one) != 1 || one[0] != 1 {
 		t.Fatalf("TriangleTemplate(1) = %v", one)
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Decimate len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Decimate = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestAverageBlocksComplex(t *testing.T) {
-	x := []complex128{1, 3, 5, 7, 9} // trailing 9 dropped
-	got := AverageBlocksComplex(x, 2)
-	if len(got) != 2 || got[0] != 2 || got[1] != 6 {
-		t.Fatalf("AverageBlocksComplex = %v", got)
-	}
-	same := AverageBlocksComplex(x, 1)
-	if len(same) != len(x) {
-		t.Fatal("blockSize 1 should copy")
 	}
 }

@@ -17,23 +17,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Variance returns the population variance of x (0 for empty input).
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // Median returns the median of x (0 for empty input). x is not modified.
 func Median(x []float64) float64 { return Percentile(x, 50) }
 

@@ -43,9 +43,6 @@ func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 // Scale returns v scaled by a.
 func (v Vec) Scale(a float64) Vec { return Vec{v.X * a, v.Y * a} }
 
-// Add returns v + w.
-func (v Vec) Add(w Vec) Vec { return Vec{v.X + w.X, v.Y + w.Y} }
-
 // Dot returns the dot product v . w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
 
@@ -66,46 +63,6 @@ func (v Vec) Unit() Vec {
 func (v Vec) Rotate(theta float64) Vec {
 	c, s := math.Cos(theta), math.Sin(theta)
 	return Vec{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
-// Segment is a line segment between two points.
-type Segment struct {
-	A, B Point
-}
-
-// Len returns the segment length.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
-
-// Intersects reports whether segments s and t properly intersect or touch.
-func (s Segment) Intersects(t Segment) bool {
-	d1 := t.B.Sub(t.A).Cross(s.A.Sub(t.A))
-	d2 := t.B.Sub(t.A).Cross(s.B.Sub(t.A))
-	d3 := s.B.Sub(s.A).Cross(t.A.Sub(s.A))
-	d4 := s.B.Sub(s.A).Cross(t.B.Sub(s.A))
-	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
-		return true
-	}
-	onSeg := func(p, a, b Point) bool {
-		return math.Min(a.X, b.X)-1e-12 <= p.X && p.X <= math.Max(a.X, b.X)+1e-12 &&
-			math.Min(a.Y, b.Y)-1e-12 <= p.Y && p.Y <= math.Max(a.Y, b.Y)+1e-12
-	}
-	switch {
-	case d1 == 0 && onSeg(s.A, t.A, t.B):
-		return true
-	case d2 == 0 && onSeg(s.B, t.A, t.B):
-		return true
-	case d3 == 0 && onSeg(t.A, s.A, s.B):
-		return true
-	case d4 == 0 && onSeg(t.B, s.A, s.B):
-		return true
-	}
-	return false
 }
 
 // Rect is an axis-aligned rectangle (e.g. a room footprint).

@@ -66,33 +66,6 @@ func TestRotatePreservesLength(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersects(t *testing.T) {
-	s := Segment{Point{0, 0}, Point{2, 2}}
-	u := Segment{Point{0, 2}, Point{2, 0}}
-	if !s.Intersects(u) {
-		t.Fatal("crossing segments should intersect")
-	}
-	w := Segment{Point{3, 3}, Point{4, 4}}
-	if s.Intersects(w) {
-		t.Fatal("disjoint segments should not intersect")
-	}
-	// Touching endpoint counts.
-	v := Segment{Point{2, 2}, Point{3, 1}}
-	if !s.Intersects(v) {
-		t.Fatal("touching segments should intersect")
-	}
-}
-
-func TestSegmentLenMidpoint(t *testing.T) {
-	s := Segment{Point{0, 0}, Point{0, 4}}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %v", s.Len())
-	}
-	if m := s.Midpoint(); m.X != 0 || m.Y != 2 {
-		t.Fatalf("Midpoint = %v", m)
-	}
-}
-
 func TestRect(t *testing.T) {
 	r := NewRect(Point{5, 5}, Point{1, 2})
 	if r.Min.X != 1 || r.Min.Y != 2 || r.Max.X != 5 || r.Max.Y != 5 {

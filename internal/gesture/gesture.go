@@ -449,33 +449,3 @@ func DecodeImage(img *isar.Image, cfg DecoderConfig) (*Result, error) {
 	series := AngleEnergySeries(img, cfg.GuardAngleDeg)
 	return DecodeWithPower(series, img.MotionPower, img.Times, cfg)
 }
-
-// BitsFromBytes expands a byte message into its gesture bits, MSB first.
-func BitsFromBytes(msg []byte) []motion.Bit {
-	out := make([]motion.Bit, 0, len(msg)*8)
-	for _, b := range msg {
-		for i := 7; i >= 0; i-- {
-			if b>>uint(i)&1 == 1 {
-				out = append(out, motion.Bit1)
-			} else {
-				out = append(out, motion.Bit0)
-			}
-		}
-	}
-	return out
-}
-
-// BytesFromBits packs bits (MSB first) into bytes; the bit count must be
-// a multiple of 8.
-func BytesFromBits(bits []motion.Bit) ([]byte, error) {
-	if len(bits)%8 != 0 {
-		return nil, fmt.Errorf("gesture: %d bits is not a whole number of bytes", len(bits))
-	}
-	out := make([]byte, len(bits)/8)
-	for i, b := range bits {
-		if b == motion.Bit1 {
-			out[i/8] |= 1 << uint(7-i%8)
-		}
-	}
-	return out, nil
-}

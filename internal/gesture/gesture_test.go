@@ -229,26 +229,6 @@ func TestAngleEnergyScalesWithMotionPower(t *testing.T) {
 	}
 }
 
-func TestBitsBytesRoundTrip(t *testing.T) {
-	msg := []byte{0xA5, 0x00, 0xFF, 0x3C}
-	bits := BitsFromBytes(msg)
-	if len(bits) != 32 {
-		t.Fatalf("bit count %d", len(bits))
-	}
-	back, err := BytesFromBits(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range msg {
-		if back[i] != msg[i] {
-			t.Fatalf("round trip %x -> %x", msg, back)
-		}
-	}
-	if _, err := BytesFromBits(bits[:5]); err == nil {
-		t.Fatal("partial byte accepted")
-	}
-}
-
 func TestDecodeImageEmpty(t *testing.T) {
 	img := &isar.Image{ThetaDeg: []float64{0}}
 	if _, err := DecodeImage(img, decCfg()); err == nil {

@@ -38,11 +38,11 @@ var requiredHotpath = map[string][]string{
 		"MulVecInto", "AddOuter", "Dot",
 	},
 	"wivi/internal/dsp": {
-		"FFTInto", "IFFTInto", "fftInPlace", "radix2", "bluestein",
-		"FFTShiftInto", "PowerSpectrumInto", "MedianBuf", "PercentileBuf",
+		"FFTInto", "fftInPlace", "radix2", "bluestein",
+		"PowerSpectrumInto", "MedianBuf", "PercentileBuf",
 	},
 	"wivi/internal/ofdm": {
-		"ModulateInto", "DemodulateInto", "AverageSubcarriersAppend",
+		"AverageSubcarriersAppend",
 	},
 	"wivi/internal/sim": {
 		"movingChannelsInto", "synthBlock", "phasor",

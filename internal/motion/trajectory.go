@@ -119,52 +119,35 @@ func (w *Waypoint) Velocity(t float64) geom.Vec {
 
 // RandomWalkConfig parameterizes NewRandomWalk.
 type RandomWalkConfig struct {
-	// Room bounds the walk; waypoints stay within Room shrunk by Margin.
+	// Room bounds the walk; waypoints stay within Room shrunk by
+	// walkMargin.
 	Room geom.Rect
-	// Margin keeps walkers away from the walls (meters). Default 0.5.
-	Margin float64
 	// Duration is the total walk time in seconds.
 	Duration float64
-	// MeanSpeed is the average walking speed (m/s). The paper assumes
-	// comfortable indoor walking, v = 1 m/s (§5.1). Default 1.0.
-	MeanSpeed float64
-	// SpeedJitter is the std-dev of per-leg speed variation. Default 0.15.
-	SpeedJitter float64
-	// PauseProb is the probability of pausing at each waypoint. Default 0.2.
-	PauseProb float64
-	// PauseMax is the maximum pause duration in seconds. Default 1.5.
-	PauseMax float64
-	// Start optionally fixes the starting point; when nil a random point
-	// in the room is used.
-	Start *geom.Point
 }
 
-func (c *RandomWalkConfig) applyDefaults() {
-	if c.Margin == 0 {
-		c.Margin = 0.5
-	}
-	if c.MeanSpeed == 0 {
-		c.MeanSpeed = 1.0
-	}
-	if c.SpeedJitter == 0 {
-		c.SpeedJitter = 0.15
-	}
-	if c.PauseProb == 0 {
-		c.PauseProb = 0.2
-	}
-	if c.PauseMax == 0 {
-		c.PauseMax = 1.5
-	}
-}
+// The random walk's gait.
+const (
+	// walkMargin keeps walkers away from the walls (meters).
+	walkMargin = 0.5
+	// meanSpeed is the average walking speed (m/s). The paper assumes
+	// comfortable indoor walking, v = 1 m/s (§5.1).
+	meanSpeed = 1.0
+	// speedJitter is the std-dev of per-leg speed variation (m/s).
+	speedJitter = 0.15
+	// pauseProb is the probability of pausing at each waypoint.
+	pauseProb = 0.2
+	// pauseMax is the maximum pause duration in seconds.
+	pauseMax = 1.5
+)
 
 // NewRandomWalk generates a "move at will" trajectory inside a room
 // (§7.2: subjects enter the room, close the door, and move at will).
 func NewRandomWalk(s *rng.Stream, cfg RandomWalkConfig) (*Waypoint, error) {
-	cfg.applyDefaults()
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("motion: random walk needs positive duration")
 	}
-	area := cfg.Room.Shrink(cfg.Margin)
+	area := cfg.Room.Shrink(walkMargin)
 	randPoint := func() geom.Point {
 		return geom.Point{
 			X: s.Uniform(area.Min.X, area.Max.X),
@@ -172,9 +155,6 @@ func NewRandomWalk(s *rng.Stream, cfg RandomWalkConfig) (*Waypoint, error) {
 		}
 	}
 	start := randPoint()
-	if cfg.Start != nil {
-		start = area.Clamp(*cfg.Start)
-	}
 	times := []float64{0}
 	points := []geom.Point{start}
 	t := 0.0
@@ -185,13 +165,13 @@ func NewRandomWalk(s *rng.Stream, cfg RandomWalkConfig) (*Waypoint, error) {
 		if d < 0.3 {
 			continue // skip degenerate hops
 		}
-		speed := math.Max(0.3, s.Gaussian(cfg.MeanSpeed, cfg.SpeedJitter))
+		speed := math.Max(0.3, s.Gaussian(meanSpeed, speedJitter))
 		t += d / speed
 		times = append(times, t)
 		points = append(points, next)
 		cur = next
-		if s.Float64() < cfg.PauseProb {
-			pause := s.Uniform(0.2, cfg.PauseMax)
+		if s.Float64() < pauseProb {
+			pause := s.Uniform(0.2, pauseMax)
 			t += pause
 			times = append(times, t)
 			points = append(points, cur)

@@ -1,141 +1,15 @@
-// Package ofdm implements the Wi-Fi OFDM physical layer the Wi-Vi
-// prototype transmits (§7.1): 64-subcarrier symbols with a cyclic prefix,
-// known BPSK preambles, per-subcarrier channel estimation, and the
-// cross-subcarrier combining step that improves the tracking SNR.
+// Package ofdm holds the cross-subcarrier combining step of §7.1 ("the
+// channel measurements across the different subcarriers are combined to
+// improve the SNR"). The prototype's OFDM modem is not reproduced: the
+// simulator synthesizes each subcarrier's channel estimate directly
+// (DESIGN §2), so no symbol is ever modulated or demodulated.
 package ofdm
 
-import (
-	"fmt"
-
-	"wivi/internal/dsp"
-	"wivi/internal/rng"
-)
-
-// Standard Wi-Fi OFDM parameters.
-const (
-	// NumSubcarriers is the FFT size: 64 subcarriers including the DC
-	// (§7.1: "each OFDM symbol consists of 64 subcarriers including the
-	// DC").
-	NumSubcarriers = 64
-	// CyclicPrefixLen is the guard interval in samples (802.11 uses 16).
-	CyclicPrefixLen = 16
-	// SymbolLen is the total time-domain symbol length.
-	SymbolLen = NumSubcarriers + CyclicPrefixLen
-)
-
-// Preamble is a known frequency-domain training symbol used for channel
-// estimation. The DC subcarrier is nulled, as in 802.11 and as required
-// for the estimation divide.
-type Preamble struct {
-	// Freq holds the frequency-domain symbol, Freq[k] for k in
-	// [0, NumSubcarriers). Index 0 is the DC bin and is always zero.
-	Freq []complex128
-}
-
-// NewPreamble generates a deterministic BPSK preamble from the seed.
-func NewPreamble(seed int64) *Preamble {
-	s := rng.New(seed)
-	f := make([]complex128, NumSubcarriers)
-	for k := 1; k < NumSubcarriers; k++ {
-		if s.Float64() < 0.5 {
-			f[k] = 1
-		} else {
-			f[k] = -1
-		}
-	}
-	return &Preamble{Freq: f}
-}
-
-// ActiveBins returns the indices of non-nulled subcarriers.
-func (p *Preamble) ActiveBins() []int {
-	var bins []int
-	for k, v := range p.Freq {
-		if v != 0 {
-			bins = append(bins, k)
-		}
-	}
-	return bins
-}
-
-// Modulate converts a frequency-domain symbol into the time-domain
-// waveform with cyclic prefix. ModulateInto is the allocation-free form
-// for per-symbol loops.
-func Modulate(freq []complex128) ([]complex128, error) {
-	return ModulateInto(make([]complex128, SymbolLen), freq)
-}
-
-// ModulateInto is Modulate writing the SymbolLen-sample waveform into
-// dst, which must not alias freq. The IFFT lands directly in the symbol
-// body and the cyclic prefix is copied from its tail, and the 64-point
-// transform is radix-2, so the whole synthesis is allocation-free.
-// Returns dst.
-//
-//wivi:hotpath
-func ModulateInto(dst, freq []complex128) ([]complex128, error) {
-	if len(freq) != NumSubcarriers {
-		return nil, fmt.Errorf("ofdm: Modulate needs %d bins, got %d", NumSubcarriers, len(freq))
-	}
-	if len(dst) != SymbolLen {
-		return nil, fmt.Errorf("ofdm: ModulateInto needs a %d-sample dst, got %d", SymbolLen, len(dst))
-	}
-	dsp.IFFTInto(dst[CyclicPrefixLen:], freq)
-	copy(dst[:CyclicPrefixLen], dst[SymbolLen-CyclicPrefixLen:])
-	return dst, nil
-}
-
-// Demodulate strips the cyclic prefix and returns the frequency-domain
-// symbol. DemodulateInto is the allocation-free form.
-func Demodulate(td []complex128) ([]complex128, error) {
-	return DemodulateInto(make([]complex128, NumSubcarriers), td)
-}
-
-// DemodulateInto is Demodulate writing the NumSubcarriers-bin symbol into
-// dst, which must not alias td. Returns dst.
-//
-//wivi:hotpath
-func DemodulateInto(dst, td []complex128) ([]complex128, error) {
-	if len(td) != SymbolLen {
-		return nil, fmt.Errorf("ofdm: Demodulate needs %d samples, got %d", SymbolLen, len(td))
-	}
-	if len(dst) != NumSubcarriers {
-		return nil, fmt.Errorf("ofdm: DemodulateInto needs a %d-bin dst, got %d", NumSubcarriers, len(dst))
-	}
-	dsp.FFTInto(dst, td[CyclicPrefixLen:])
-	return dst, nil
-}
-
-// ApplyChannelFlat applies a per-subcarrier channel h[k] to a
-// frequency-domain symbol (the standard OFDM flat-per-subcarrier model).
-func ApplyChannelFlat(freq, h []complex128) ([]complex128, error) {
-	if len(freq) != len(h) {
-		return nil, fmt.Errorf("ofdm: channel length %d != symbol length %d", len(h), len(freq))
-	}
-	out := make([]complex128, len(freq))
-	for k := range freq {
-		out[k] = freq[k] * h[k]
-	}
-	return out, nil
-}
-
-// EstimateChannel computes per-subcarrier channel estimates h[k] =
-// rx[k]/tx[k] over the preamble's active bins; nulled bins estimate to 0.
-func EstimateChannel(rx []complex128, p *Preamble) ([]complex128, error) {
-	if len(rx) != len(p.Freq) {
-		return nil, fmt.Errorf("ofdm: EstimateChannel rx length %d != %d", len(rx), len(p.Freq))
-	}
-	h := make([]complex128, len(rx))
-	for k, x := range p.Freq {
-		if x == 0 {
-			continue
-		}
-		h[k] = rx[k] / x
-	}
-	return h, nil
-}
+import "fmt"
 
 // ActiveSubcarriers returns the non-nil subcarrier series of a capture
-// after validating that they share one length — the prologue of the
-// streaming chunk adapter, matching AverageSubcarriersAppend's checks so
+// after validating that they share one length — the prologue of
+// core.EmitChunks, which replays a recorded capture in chunks, matching AverageSubcarriersAppend's checks so
 // batch combining and stream chunking can never diverge on how inactive
 // bins or ragged input are treated.
 func ActiveSubcarriers(hs [][]complex128) ([][]complex128, error) {

@@ -228,12 +228,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.cfg.Workers }
-
-// MaxStreams returns the concurrent-stream admission cap.
-func (e *Engine) MaxStreams() int { return e.cfg.MaxStreams }
-
 // Stats is a point-in-time snapshot of engine load plus lifetime
 // throughput counters.
 type Stats struct {

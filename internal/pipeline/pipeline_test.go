@@ -346,18 +346,19 @@ func TestConcurrentSubmitStress(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	eng := New(Config{})
 	defer eng.Close()
-	if eng.Workers() < 1 {
-		t.Fatalf("default workers %d", eng.Workers())
+	st := eng.Stats()
+	if st.Workers < 1 {
+		t.Fatalf("default workers %d", st.Workers)
 	}
-	if cap(eng.jobs) != 2*eng.Workers() {
-		t.Fatalf("default queue depth %d, want %d", cap(eng.jobs), 2*eng.Workers())
+	if cap(eng.jobs) != 2*st.Workers {
+		t.Fatalf("default queue depth %d, want %d", cap(eng.jobs), 2*st.Workers)
 	}
-	want := eng.Workers() - 1
+	want := st.Workers - 1
 	if want < 1 {
 		want = 1
 	}
-	if eng.MaxStreams() != want {
-		t.Fatalf("default max streams %d, want %d", eng.MaxStreams(), want)
+	if st.MaxStreams != want {
+		t.Fatalf("default max streams %d, want %d", st.MaxStreams, want)
 	}
 }
 

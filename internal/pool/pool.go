@@ -17,9 +17,8 @@
 //     serialize on a shared radio and the wire-identity invariant
 //     (fresh same-seed replicas capture bit-identical data) holds within
 //     each tenant independently.
-//   - Tenants drain independently (DrainTenant) or together (Close),
-//     both reusing Engine.Close semantics: in-flight work finishes, new
-//     submits fail typed.
+//   - Close drains every tenant with Engine.Close semantics: new submits
+//     fail typed, in-flight work finishes, then each engine closes.
 //   - Idle tenants are evicted on the core.Clock seam: a tenant with no
 //     in-flight work for IdleTimeout has its engine closed and its
 //     devices released (Sweep, or the janitor when SweepEvery is set).
@@ -59,10 +58,6 @@ var (
 	// ErrUnknownTenant is returned for tenant names outside the router's
 	// allow-list (HTTP 404 "unknown_tenant").
 	ErrUnknownTenant = errors.New("pool: unknown tenant")
-	// ErrTenantDraining is returned by Submit while the tenant drains
-	// (HTTP 503 "tenant_draining"). Once the drain completes the tenant
-	// accepts work again on a fresh engine.
-	ErrTenantDraining = errors.New("pool: tenant draining")
 	// ErrClosed is returned after Close (HTTP 503 "engine_closed").
 	ErrClosed = errors.New("pool: router closed")
 )
@@ -172,10 +167,13 @@ type tenant struct {
 	// requests (released when the request's result resolves); streams is
 	// its streaming subset. Both are the router's own view — always ≥
 	// the engine's occupancy, so admission here means no blocking there.
-	inflight   int
-	streams    int
-	draining   bool
-	drainDone  chan struct{} // closed when the active drain's inflight hits 0
+	inflight int
+	streams  int
+	// closed is set once, by Router.Close, and never cleared: Submit and
+	// Devices refuse the tenant under this mutex from then on. idle is
+	// closed when Close is waiting and the last in-flight request settles.
+	closed     bool
+	idle       chan struct{}
 	lastActive time.Time
 	// Lifetime counters; they survive eviction (the engine's own Stats
 	// reset with its engine — these are the tenant's, not the engine's).
@@ -296,18 +294,14 @@ func (t *tenant) ensureEngineLocked(r *Router) {
 }
 
 // Handle is the future of a routed request: a thin wrapper over the
-// tenant engine's handle that remembers which tenant served it.
+// tenant engine's handle that frees the request's budget slot.
 type Handle struct {
-	tenant string
-	inner  engineHandle
+	inner engineHandle
 	// release returns the request's budget slot; it runs once, from Wait
 	// or from Submit's settle goroutine, whichever sees the request
 	// settle first.
 	release func()
 }
-
-// Tenant names the tenant whose engine runs the request.
-func (h *Handle) Tenant() string { return h.tenant }
 
 // Wait joins the request's result (wivi.Handle.Wait semantics). Once the
 // request has settled, its budget slot is free before Wait returns, so a
@@ -332,7 +326,7 @@ func (h *Handle) Stream(ctx context.Context) (*wivi.TrackStream, error) { return
 // decided here, against the tenant's own budget only:
 //
 //   - unknown tenant        → ErrUnknownTenant
-//   - tenant draining       → ErrTenantDraining
+//   - router closed         → ErrClosed
 //   - at in-flight budget   → ErrTenantSaturated
 //   - stream at stream cap  → ErrTenantSaturated
 //
@@ -345,11 +339,18 @@ func (r *Router) Submit(ctx context.Context, tenantName string, req wivi.Request
 	if err != nil {
 		return nil, err
 	}
+	return t.submit(ctx, r, req)
+}
 
+// submit is Submit's admission against one resolved tenant. It checks
+// closed under t.mu, the lock Close marks it under, so a Submit that
+// resolved its tenant before Close began is still refused once Close has
+// reached the tenant.
+func (t *tenant) submit(ctx context.Context, r *Router, req wivi.Request) (*Handle, error) {
 	t.mu.Lock()
-	if t.draining {
+	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTenantDraining, t.name)
+		return nil, ErrClosed
 	}
 	if t.inflight >= t.budget.maxInflight() || (req.Stream && t.streams >= t.budget.MaxStreams) {
 		t.rejected++
@@ -384,10 +385,10 @@ func (r *Router) Submit(ctx context.Context, tenantName string, req wivi.Request
 		_, _ = h.Wait(context.Background())
 		release()
 	}()
-	return &Handle{tenant: t.name, inner: h, release: release}, nil
+	return &Handle{inner: h, release: release}, nil
 }
 
-// release returns one admission slot and wakes a drain waiting on idle.
+// release returns one admission slot and wakes a Close waiting on idle.
 func (t *tenant) release(r *Router, stream bool) {
 	t.mu.Lock()
 	t.inflight--
@@ -395,9 +396,9 @@ func (t *tenant) release(r *Router, stream bool) {
 		t.streams--
 	}
 	t.lastActive = r.clock.Now()
-	if t.draining && t.inflight == 0 && t.drainDone != nil {
-		close(t.drainDone)
-		t.drainDone = nil
+	if t.inflight == 0 && t.idle != nil {
+		close(t.idle)
+		t.idle = nil
 	}
 	t.mu.Unlock()
 }
@@ -410,10 +411,16 @@ func (r *Router) Devices(tenantName string) (names []string, devices map[string]
 	if err != nil {
 		return nil, nil, err
 	}
+	return t.devicesFor(r)
+}
+
+// devicesFor is Devices against one resolved tenant; like submit, it
+// checks closed under t.mu.
+func (t *tenant) devicesFor(r *Router) (names []string, devices map[string]*wivi.Device, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.draining {
-		return nil, nil, fmt.Errorf("%w: %q", ErrTenantDraining, t.name)
+	if t.closed {
+		return nil, nil, ErrClosed
 	}
 	if t.devices == nil && r.opts.Devices != nil {
 		devs, err := r.opts.Devices(t.name)
@@ -431,53 +438,28 @@ func (r *Router) Devices(tenantName string) (names []string, devices map[string]
 	return t.names, t.devices, nil
 }
 
-// DrainTenant gracefully drains one tenant: new submits fail with
-// ErrTenantDraining, in-flight requests (streams included) run to
-// completion, then the tenant's engine is closed and its devices
-// released. The tenant slot itself survives — the next Submit rebuilds
-// engine and devices fresh, which is how a tenant is recycled in place.
-// Concurrent drains of one tenant join the same completion.
-func (r *Router) DrainTenant(ctx context.Context, tenantName string) error {
-	t, err := r.tenantFor(tenantName)
-	if err != nil {
-		return err
-	}
-	return r.drain(ctx, t)
-}
-
-func (r *Router) drain(ctx context.Context, t *tenant) error {
+// close refuses the tenant for good, waits for its in-flight requests
+// (streams included) to settle, then closes its engine and releases its
+// devices.
+func (t *tenant) close() {
 	t.mu.Lock()
-	if !t.draining {
-		t.draining = true
-		if t.inflight > 0 {
-			t.drainDone = make(chan struct{})
-		}
+	t.closed = true
+	var idle chan struct{}
+	if t.inflight > 0 {
+		idle = make(chan struct{})
+		t.idle = idle
 	}
-	done := t.drainDone // nil means already idle
 	t.mu.Unlock()
-
-	if done != nil {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			// The drain stays pending (draining=true keeps refusing
-			// submits); the caller retries or abandons the tenant.
-			return ctx.Err()
-		}
+	if idle != nil {
+		<-idle
 	}
-
 	t.mu.Lock()
 	eng := t.eng
-	t.eng = nil
-	t.devices = nil
-	t.names = nil
-	t.draining = false
-	t.lastActive = r.clock.Now()
+	t.eng, t.devices, t.names = nil, nil, nil
 	t.mu.Unlock()
 	if eng != nil {
 		_ = eng.Close()
 	}
-	return nil
 }
 
 // Sweep evicts every tenant whose engine has sat idle — nothing in
@@ -493,7 +475,7 @@ func (r *Router) Sweep() int {
 	evicted := 0
 	for _, t := range r.snapshotTenants() {
 		t.mu.Lock()
-		idle := t.eng != nil && !t.draining && t.inflight == 0 &&
+		idle := t.eng != nil && !t.closed && t.inflight == 0 &&
 			now.Sub(t.lastActive) >= r.opts.IdleTimeout
 		var eng tenantEngine
 		if idle {
@@ -524,8 +506,9 @@ func (r *Router) snapshotTenants() []*tenant {
 }
 
 // Close drains the whole pool: the router stops accepting submits
-// (ErrClosed), every tenant drains in place, and the janitor stops.
-// Idempotent; blocks until every tenant engine has shut down.
+// (ErrClosed), the janitor stops, and each tenant waits for its
+// in-flight work to settle before its engine closes. Idempotent; the
+// first call blocks until every tenant engine has shut down.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -542,22 +525,19 @@ func (r *Router) Close() error {
 		<-r.janitorDone
 	}
 	for _, t := range r.snapshotTenants() {
-		_ = r.drain(context.Background(), t)
+		t.close()
 	}
 	return nil
 }
 
 // TenantStats is one tenant's slice of Stats. Engine is the zero value
-// while the tenant has no live engine (never used, drained, or
-// evicted); the lifetime counters are the router's own and survive all
-// three.
+// while the tenant has no live engine (never used, closed, or evicted);
+// the lifetime counters are the router's own and survive all three.
 type TenantStats struct {
 	// Tenant is the tenant name.
 	Tenant string `json:"tenant"`
 	// Active reports whether the tenant currently holds a live engine.
 	Active bool `json:"active"`
-	// Draining reports an in-progress DrainTenant.
-	Draining bool `json:"draining"`
 	// InFlight counts admitted-but-unsettled requests; ActiveStreams is
 	// the streaming subset. Both are the router's admission view.
 	InFlight      int `json:"in_flight"`
@@ -595,7 +575,6 @@ func (r *Router) Stats() Stats {
 		ts := TenantStats{
 			Tenant:        t.name,
 			Active:        t.eng != nil,
-			Draining:      t.draining,
 			InFlight:      t.inflight,
 			ActiveStreams: t.streams,
 			Budget:        t.budget,

@@ -3,7 +3,7 @@ package pool
 // Router semantics under scripted engines (the tenantEngine seam keeps
 // requests in flight deterministically) plus one end-to-end pass over
 // real engines/devices. The edge cases here are the isolation contract:
-// unknown tenant, typed saturation, submit racing drain, idle eviction
+// unknown tenant, typed saturation, submit racing close, idle eviction
 // vs in-flight work on a FakeClock, exact per-tenant counter settling,
 // and zero goroutine leaks under -race.
 
@@ -229,87 +229,75 @@ func TestStreamCapSeparateFromBatch(t *testing.T) {
 	}
 }
 
-func TestSubmitRacingDrain(t *testing.T) {
+// TestSubmitRacingClose: a Submit that resolved its tenant just before
+// Close began must still be refused once Close has reached the tenant,
+// not admitted onto a fresh engine that nothing would ever close.
+func TestSubmitRacingClose(t *testing.T) {
+	r, f := newFakeRouter(t, Options{Tenants: []string{"a"}})
+	ta, err := r.tenantFor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ta.submit(context.Background(), r, wivi.Request{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit on a tenant resolved before Close = %v, want ErrClosed", err)
+	}
+	if got := f.buildCount(); got != 0 {
+		t.Fatalf("engines built = %d, want 0", got)
+	}
+}
+
+// TestCloseWaitsForInFlight: while Close waits on an in-flight request,
+// every submit is refused and the engine stays open; once the request
+// settles, Close closes that engine and returns, and no second engine
+// was ever built.
+func TestCloseWaitsForInFlight(t *testing.T) {
 	r, f := newFakeRouter(t, Options{Tenants: []string{"a"}})
 	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); err != nil {
 		t.Fatal(err)
 	}
 	eng := f.last()
+	ta, err := r.tenantFor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	drained := make(chan error, 1)
-	go func() { drained <- r.DrainTenant(context.Background(), "a") }()
-
-	// The drain is pending on the in-flight request; submits racing it
-	// must fail typed, not enqueue behind the drain.
-	settle(t, "tenant draining", func() bool {
-		ts, _ := r.TenantStats("a")
-		return ts.Draining
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	settle(t, "Close reaching tenant a", func() bool {
+		ta.mu.Lock()
+		defer ta.mu.Unlock()
+		return ta.closed
 	})
-	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); !errors.Is(err, ErrTenantDraining) {
-		t.Fatalf("submit during drain = %v, want ErrTenantDraining", err)
+	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit while Close waits = %v, want ErrClosed", err)
+	}
+	if _, err := ta.submit(context.Background(), r, wivi.Request{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("tenant submit while Close waits = %v, want ErrClosed", err)
+	}
+	if _, _, err := ta.devicesFor(r); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Devices while Close waits = %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with a request in flight", err)
+	default:
+	}
+	if eng.isClosed() {
+		t.Fatal("engine closed with a request in flight")
 	}
 
 	eng.finishAll()
-	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	if !eng.isClosed() {
-		t.Fatal("drained tenant's engine not closed")
+		t.Fatal("Close returned with the tenant's engine open")
 	}
-	// The tenant recycles in place: next submit builds a fresh engine.
-	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); err != nil {
-		t.Fatalf("submit after drain: %v", err)
-	}
-	if got := f.buildCount(); got != 2 {
-		t.Fatalf("engines built = %d, want 2 (fresh after drain)", got)
-	}
-}
-
-func TestDrainContextCancel(t *testing.T) {
-	r, f := newFakeRouter(t, Options{Tenants: []string{"a"}})
-	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := r.DrainTenant(ctx, "a"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled drain = %v, want context.Canceled", err)
-	}
-	// The drain stays pending: submits keep failing typed until a
-	// completed drain resets the tenant.
-	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); !errors.Is(err, ErrTenantDraining) {
-		t.Fatalf("submit after abandoned drain = %v, want ErrTenantDraining", err)
-	}
-	f.last().finishAll()
-	if err := r.DrainTenant(context.Background(), "a"); err != nil {
-		t.Fatalf("retried drain: %v", err)
-	}
-}
-
-func TestConcurrentDrainsJoin(t *testing.T) {
-	r, f := newFakeRouter(t, Options{Tenants: []string{"a"}})
-	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = r.DrainTenant(context.Background(), "a")
-		}()
-	}
-	settle(t, "tenant draining", func() bool {
-		ts, _ := r.TenantStats("a")
-		return ts.Draining
-	})
-	f.last().finishAll()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("drain %d: %v", i, err)
-		}
+	if got := f.buildCount(); got != 1 {
+		t.Fatalf("engines built = %d, want 1", got)
 	}
 }
 
@@ -512,9 +500,6 @@ func TestEndToEndRealEngines(t *testing.T) {
 		h, err := r.Submit(context.Background(), tn, wivi.Request{Device: devs["dev0"], Duration: 1.0})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if h.Tenant() != tn {
-			t.Fatalf("Tenant() = %q, want %q", h.Tenant(), tn)
 		}
 		res, err := h.Wait(context.Background())
 		if err != nil {

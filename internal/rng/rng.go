@@ -87,11 +87,5 @@ func (s *Stream) UnitPhasor() complex128 {
 	return complex(math.Cos(th), math.Sin(th))
 }
 
-// LogNormalDB returns a multiplicative power factor whose dB value is
-// normal with zero mean and the given standard deviation (shadow fading).
-func (s *Stream) LogNormalDB(stdDB float64) float64 {
-	return math.Pow(10, s.Gaussian(0, stdDB)/10)
-}
-
 // Shuffle permutes the n elements addressed by swap uniformly at random.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }

@@ -87,22 +87,6 @@ func TestUnitPhasor(t *testing.T) {
 	}
 }
 
-func TestLogNormalDB(t *testing.T) {
-	s := New(2)
-	const n = 20000
-	var sumDB float64
-	for i := 0; i < n; i++ {
-		f := s.LogNormalDB(3)
-		if f <= 0 {
-			t.Fatal("log-normal factor must be positive")
-		}
-		sumDB += 10 * math.Log10(f)
-	}
-	if mean := sumDB / n; math.Abs(mean) > 0.2 {
-		t.Fatalf("log-normal dB mean = %v, want ~0", mean)
-	}
-}
-
 func TestGaussianMoments(t *testing.T) {
 	s := New(77)
 	const n = 30000

@@ -187,44 +187,32 @@ func (s *ClientStream) Result() *TrackResponse { return s.res }
 // Close releases the underlying response body; safe after exhaustion.
 func (s *ClientStream) Close() error { return s.body.Close() }
 
-// Devices fetches the server's device registry.
-func (c *Client) Devices(ctx context.Context) (*DevicesResponse, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/devices"+c.tenantQuery(), nil)
-	if err != nil {
+// Stats fetches /v1/stats.
+func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
+	var out StatsResponse
+	if err := c.getJSON(ctx, "/v1/stats", &out); err != nil {
 		return nil, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out DevicesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding devices response: %w", err)
 	}
 	return &out, nil
 }
 
-// Stats fetches /v1/stats.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats"+c.tenantQuery(), nil)
+// getJSON fetches path, scoped to the client's tenant, and decodes a 200
+// response into out; any other status is the server's *APIError.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path+c.tenantQuery(), nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := c.http().Do(hr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
+		return decodeError(resp)
 	}
-	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding stats response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("serve: decoding %s response: %w", path, err)
 	}
-	return &out, nil
+	return nil
 }

@@ -256,8 +256,6 @@ func mapError(err error, timedOut, clientGone bool) (int, string) {
 		return http.StatusTooManyRequests, CodeTenantSaturated
 	case errors.Is(err, pool.ErrUnknownTenant):
 		return http.StatusNotFound, CodeUnknownTenant
-	case errors.Is(err, pool.ErrTenantDraining):
-		return http.StatusServiceUnavailable, CodeTenantDraining
 	case errors.Is(err, pool.ErrClosed):
 		return http.StatusServiceUnavailable, CodeEngineClosed
 	case errors.Is(err, wivi.ErrDeadlineInfeasible):

@@ -529,8 +529,8 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Fatalf("/v1/track 200 count %d, want 1 (%+v)", n, st.Serve.RequestsByCode)
 	}
 
-	dr, err := client.Devices(context.Background())
-	if err != nil {
+	var dr DevicesResponse
+	if err := client.getJSON(context.Background(), "/v1/devices", &dr); err != nil {
 		t.Fatal(err)
 	}
 	if dr.Tenant != pool.DefaultTenant || len(dr.Devices) != 1 || dr.Devices[0] != "dev0" {
@@ -593,8 +593,8 @@ func TestDefaultCaptureCap(t *testing.T) {
 	if _, err := client.Track(ctx, TrackRequest{Device: "dev0", DurationS: 2}); err != nil {
 		t.Fatalf("2 s track: %v", err)
 	}
-	devs, err := client.Devices(ctx)
-	if err != nil {
+	var devs DevicesResponse
+	if err := client.getJSON(ctx, "/v1/devices", &devs); err != nil {
 		t.Fatal(err)
 	}
 	if devs.MaxDurationS != 10 {

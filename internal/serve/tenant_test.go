@@ -94,7 +94,7 @@ func TestUnknownTenantOverTheWire(t *testing.T) {
 	client.Tenant = "ghost"
 	_, err := client.Track(context.Background(), TrackRequest{DurationS: trackDur})
 	apiError(t, err, http.StatusNotFound, CodeUnknownTenant)
-	_, err = client.Devices(context.Background())
+	err = client.getJSON(context.Background(), "/v1/devices", &DevicesResponse{})
 	apiError(t, err, http.StatusNotFound, CodeUnknownTenant)
 	_, err = client.Stats(context.Background())
 	apiError(t, err, http.StatusNotFound, CodeUnknownTenant)

@@ -145,9 +145,6 @@ const (
 	// CodeUnknownTenant: the named tenant is not provisioned on this
 	// server (HTTP 404).
 	CodeUnknownTenant = "unknown_tenant"
-	// CodeTenantDraining: the request's tenant is draining; its
-	// in-flight work finishes but new work is refused (HTTP 503).
-	CodeTenantDraining = "tenant_draining"
 	// CodeInternal: any other failure (HTTP 500).
 	CodeInternal = "internal"
 )

@@ -58,23 +58,27 @@ type Device struct {
 	synthWorkers int
 }
 
-// DeviceConfig positions the device.
-type DeviceConfig struct {
-	// Standoff is the distance from the wall in meters. Default 1 (§7.3).
-	Standoff float64
-	// AntennaSpacing separates the two transmit antennas (the receive
-	// antenna sits roughly midway). Default 0.7 m.
-	AntennaSpacing float64
-	// StandoffStagger offsets the second transmit antenna's standoff. A
+// The device geometry, in meters.
+const (
+	// standoff is the distance from the wall (§7.3).
+	standoff = 1.0
+	// antennaSpacing separates the two transmit antennas (the receive
+	// antenna sits roughly midway).
+	antennaSpacing = 0.7
+	// standoffStagger offsets the second transmit antenna's standoff. A
 	// perfectly symmetric layout is degenerate: the two flash channels
 	// become identical, the precoder converges to p = -1, and the null
 	// then also suppresses any mover on the symmetry axis. Physical rigs
-	// are never symmetric; the default 0.094 m (~3 lambda/4) keeps the
-	// flash-phase difference near pi so movers are never co-nulled.
-	StandoffStagger float64
-	// RxOffset shifts the receive antenna off the midline (same
-	// asymmetry rationale). Default 0.05 m.
-	RxOffset float64
+	// are never symmetric; 0.094 m (~3 lambda/4) keeps the flash-phase
+	// difference near pi so movers are never co-nulled.
+	standoffStagger = 0.094
+	// rxOffset shifts the receive antenna off the midline (same
+	// asymmetry rationale).
+	rxOffset = 0.05
+)
+
+// DeviceConfig seeds the device and sizes its synthesis fan-out.
+type DeviceConfig struct {
 	// Seed drives the device's noise stream.
 	Seed int64
 	// SynthWorkers bounds how many goroutines share the channel synthesis
@@ -89,30 +93,12 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	if err := cal.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Standoff == 0 {
-		cfg.Standoff = 1
-	}
-	if cfg.Standoff < 0 {
-		return nil, fmt.Errorf("sim: negative standoff %v", cfg.Standoff)
-	}
-	if cfg.AntennaSpacing == 0 {
-		cfg.AntennaSpacing = 0.7
-	}
-	if cfg.AntennaSpacing <= 0 {
-		return nil, fmt.Errorf("sim: non-positive antenna spacing %v", cfg.AntennaSpacing)
-	}
-	if cfg.StandoffStagger == 0 {
-		cfg.StandoffStagger = 0.094
-	}
-	if cfg.RxOffset == 0 {
-		cfg.RxOffset = 0.05
-	}
-	y := sc.WallY - cfg.Standoff
+	y := sc.WallY - standoff
 	up := geom.Vec{X: 0, Y: 1}
 	d := &Device{
-		Tx1:   rf.NewDirectional(geom.Point{X: -cfg.AntennaSpacing / 2, Y: y}, up),
-		Tx2:   rf.NewDirectional(geom.Point{X: +cfg.AntennaSpacing / 2, Y: y + cfg.StandoffStagger}, up),
-		Rx:    rf.NewDirectional(geom.Point{X: cfg.RxOffset, Y: y}, up),
+		Tx1:   rf.NewDirectional(geom.Point{X: -antennaSpacing / 2, Y: y}, up),
+		Tx2:   rf.NewDirectional(geom.Point{X: +antennaSpacing / 2, Y: y + standoffStagger}, up),
+		Rx:    rf.NewDirectional(geom.Point{X: rxOffset, Y: y}, up),
 		Cal:   cal,
 		scene: sc,
 		noise: rng.DeriveSeed(cfg.Seed^sc.Seed, "device-noise"),
@@ -639,12 +625,12 @@ func (d *Device) Capture(p []complex128, boostDB float64, startT float64, n int)
 	return s.Read(n)
 }
 
-// StreamCapture implements core.StreamFrontEnd: it runs a chunked
+// StreamCapture implements core.FrontEnd's chunked capture: it runs a chunked
 // capture of total samples, delivering consecutive chunks of up to
 // chunk samples to emit as they are recorded. An emit error aborts the
 // capture and is returned (the cancellation path). Concatenating the
 // chunks reproduces Capture bit for bit. The chunk buffers are reused
-// between emit calls (as the StreamFrontEnd contract allows), so a
+// between emit calls (as the core.FrontEnd contract allows), so a
 // steady-state stream allocates nothing per chunk.
 func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error {
 	if chunk < 1 {

@@ -109,13 +109,16 @@ type SceneConfig struct {
 	// RoomWidth and RoomDepth give the room footprint in meters.
 	// Defaults: the paper's first conference room, 7 x 4 m (§7.2).
 	RoomWidth, RoomDepth float64
-	// ClutterCount is the number of static furniture scatterers inside
-	// the room. Default 6 (tables, chairs, boards, §7.2).
-	ClutterCount int
-	// FrontClutterCount is the number of static scatterers on the device
-	// side (the table the radio sits on, the floor, the case; §4.1).
-	FrontClutterCount int
 }
+
+const (
+	// clutterCount is the number of static furniture scatterers inside
+	// the room (tables, chairs, boards, §7.2).
+	clutterCount = 6
+	// frontClutterCount is the number of static scatterers on the device
+	// side (the table the radio sits on, the floor, the case; §4.1).
+	frontClutterCount = 3
+)
 
 func (c *SceneConfig) applyDefaults() {
 	if c.Wall.Name == "" {
@@ -126,12 +129,6 @@ func (c *SceneConfig) applyDefaults() {
 	}
 	if c.RoomDepth == 0 {
 		c.RoomDepth = 4
-	}
-	if c.ClutterCount == 0 {
-		c.ClutterCount = 6
-	}
-	if c.FrontClutterCount == 0 {
-		c.FrontClutterCount = 3
 	}
 }
 
@@ -146,7 +143,7 @@ func NewScene(cfg SceneConfig) *Scene {
 		Seed:  cfg.Seed,
 	}
 	inner := sc.Room.Shrink(0.3)
-	for i := 0; i < cfg.ClutterCount; i++ {
+	for i := 0; i < clutterCount; i++ {
 		sc.Clutter = append(sc.Clutter, Scatterer{
 			Pos: geom.Point{
 				X: s.Uniform(inner.Min.X, inner.Max.X),
@@ -156,7 +153,7 @@ func NewScene(cfg SceneConfig) *Scene {
 			BehindWall: true,
 		})
 	}
-	for i := 0; i < cfg.FrontClutterCount; i++ {
+	for i := 0; i < frontClutterCount; i++ {
 		sc.Clutter = append(sc.Clutter, Scatterer{
 			Pos: geom.Point{
 				X: s.Uniform(-1.5, 1.5),

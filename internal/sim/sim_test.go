@@ -358,12 +358,6 @@ func channelPower(h []complex128) float64 {
 
 func TestDeviceConfigValidation(t *testing.T) {
 	sc := testScene(41)
-	if _, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{Standoff: -1}); err == nil {
-		t.Fatal("negative standoff accepted")
-	}
-	if _, err := NewDevice(sc, DefaultCalibration(), DeviceConfig{AntennaSpacing: -1}); err == nil {
-		t.Fatal("negative spacing accepted")
-	}
 	bad := DefaultCalibration()
 	bad.ADCBits = 0
 	if _, err := NewDevice(sc, bad, DeviceConfig{}); err == nil {

@@ -29,8 +29,9 @@ var Magic = [4]byte{'W', 'I', 'V', 'I'}
 // Version is the current format version.
 const Version uint32 = 1
 
-// maxDim bounds header dimensions to keep corrupted headers from causing
-// huge allocations.
+// maxDim bounds each header dimension. Read allocates for the data it
+// actually receives, not for what the header claims, so a corrupt header
+// cannot force a huge allocation.
 const maxDim = 1 << 24
 
 // Record is the serializable form of a channel capture.
@@ -150,17 +151,27 @@ func Read(rd io.Reader) (*Record, error) {
 	if nSub == 0 || nSamp == 0 || nSub > maxDim || nSamp > maxDim {
 		return nil, fmt.Errorf("%w: %d subcarriers x %d samples", ErrCorrupt, nSub, nSamp)
 	}
+	// Read the data before sizing anything from the header: ReadAll grows
+	// its buffer only as bytes arrive, so a header that claims more than
+	// the file holds costs about the file's size, not the claim's.
+	size := int64(nSub) * int64(nSamp) * 16
+	data, err := io.ReadAll(io.LimitReader(rd, size))
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading samples: %w", err)
+	}
+	if int64(len(data)) < size {
+		return nil, fmt.Errorf("trace: reading samples: %w", io.ErrUnexpectedEOF)
+	}
+	all := make([]complex128, len(data)/16)
+	for i := range all {
+		re := math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
+		im := math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
+		all[i] = complex(re, im)
+	}
+	n := int(nSamp)
 	r.PerSub = make([][]complex128, nSub)
-	buf := make([]float64, 2*nSamp)
 	for k := range r.PerSub {
-		if err := binary.Read(rd, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("trace: reading subcarrier %d: %w", k, err)
-		}
-		sub := make([]complex128, nSamp)
-		for i := range sub {
-			sub[i] = complex(buf[2*i], buf[2*i+1])
-		}
-		r.PerSub[k] = sub
+		r.PerSub[k] = all[k*n : (k+1)*n : (k+1)*n]
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err

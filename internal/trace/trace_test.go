@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,4 +173,59 @@ func TestReadRejectsNonFiniteSample(t *testing.T) {
 			t.Fatalf("%v sample: err = %v, want it named as subcarrier 2 sample 17", bad, err)
 		}
 	}
+}
+
+// TestReadCorruptHeaderAllocatesLittle: a 32-byte file whose header
+// claims 2^24 subcarriers x 1 sample, or 1 x 2^24, fails on the missing
+// data without allocating what the header claims (256 MiB of samples).
+func TestReadCorruptHeaderAllocatesLittle(t *testing.T) {
+	for _, dims := range [][2]uint32{{1 << 24, 1}, {1, 1 << 24}} {
+		var buf bytes.Buffer
+		buf.Write(Magic[:])
+		for _, v := range []any{Version, 0.0032, 0.125, dims[0], dims[1]} {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		file := buf.Bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d x %d header on a %d-byte file: err = %v, want io.ErrUnexpectedEOF", dims[0], dims[1], len(file), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%d x %d header on a %d-byte file allocated %d bytes, want under 1 MiB", dims[0], dims[1], len(file), got)
+		}
+	}
+}
+
+// FuzzRead: Read never panics on arbitrary bytes, and whatever it
+// accepts is a valid record that Write reproduces bit for bit.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleRecord(6, 2, 3)); err != nil {
+		f.Fatal(err)
+	}
+	rec := buf.Bytes()
+	for _, n := range []int{len(rec), len(rec) - 1, 40, 32, 31, 8, 4, 0} {
+		f.Add(rec[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("Read accepted an invalid record: %v", err)
+		}
+		var out bytes.Buffer
+		if err := Write(&out, r); err != nil {
+			t.Fatalf("Write of a read record: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatal("Write does not reproduce the bytes Read accepted")
+		}
+	})
 }

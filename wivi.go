@@ -188,9 +188,6 @@ func (s *Scene) NumSubjects() int { return len(s.inner.Humans) }
 
 // DeviceOptions configures the Wi-Vi device.
 type DeviceOptions struct {
-	// StandoffMeters is the device's distance from the wall; default 1
-	// (§7.3).
-	StandoffMeters float64
 	// Seed drives the device's noise; defaults to the scene seed.
 	Seed int64
 	// FrameWorkers bounds the per-capture fan-out: the ISAR frames of a
@@ -233,7 +230,6 @@ func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 		seed = scene.seed
 	}
 	fe, err := sim.NewDevice(scene.inner, sim.DefaultCalibration(), sim.DeviceConfig{
-		Standoff:     opts.StandoffMeters,
 		Seed:         seed,
 		SynthWorkers: opts.FrameWorkers,
 	})
