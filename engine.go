@@ -180,9 +180,8 @@ func latencyProfile(s pipeline.LatencyStats) LatencyProfile {
 	return LatencyProfile{Count: s.Count, P50: s.P50, P95: s.P95, P99: s.P99}
 }
 
-// Stats snapshots the engine's counters. Batch requests settle their
-// counters before Wait returns; streaming requests settle within one
-// scheduling beat of their final frame.
+// Stats snapshots the engine's counters. Every request, batch or
+// streaming, settles its counters before Wait returns.
 func (e *Engine) Stats() EngineStats {
 	s := e.inner.Stats()
 	return EngineStats{
@@ -247,14 +246,12 @@ type Result struct {
 // result; Stream (for Stream requests) returns the live frame stream.
 // Handles are safe for concurrent use.
 type Handle struct {
-	dev  *Device
-	mode Mode
-	bh   *pipeline.Handle       // batch requests
-	sh   *pipeline.StreamHandle // streaming requests
+	dev   *Device
+	mode  Mode
+	inner *pipeline.Handle
 
 	once sync.Once
 	res  *Result
-	err  error
 }
 
 // Submit enqueues one request and returns its future. It blocks while
@@ -266,31 +263,18 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Handle, error) {
 	if req.Device == nil {
 		return nil, errors.New("wivi: nil device in request")
 	}
-	if req.Stream {
-		sh, err := e.inner.SubmitStream(ctx, pipeline.StreamRequest{
-			Tracker:      req.Device.pipeline,
-			Mode:         req.Mode.core(),
-			Duration:     req.Duration,
-			ChunkSamples: req.Device.streamChunk,
-			Deadline:     req.Deadline,
-			Paced:        req.Device.paced,
-		})
-		if err != nil {
-			return nil, translateErr(err)
-		}
-		return &Handle{dev: req.Device, mode: req.Mode, sh: sh}, nil
-	}
-	bh, err := e.inner.Submit(ctx, pipeline.Request{
+	h, err := e.inner.Submit(ctx, pipeline.Request{
 		Tracker:  req.Device.pipeline,
 		Mode:     req.Mode.core(),
 		Duration: req.Duration,
+		Stream:   req.Stream,
 		Deadline: req.Deadline,
 		Paced:    req.Device.paced,
 	})
 	if err != nil {
 		return nil, translateErr(err)
 	}
-	return &Handle{dev: req.Device, mode: req.Mode, bh: bh}, nil
+	return &Handle{dev: req.Device, mode: req.Mode, inner: h}, nil
 }
 
 // Wait blocks until the request finishes and returns its result. A
@@ -300,38 +284,14 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Handle, error) {
 // For streaming requests Wait joins the assembled end state (frames can
 // be consumed concurrently via Stream).
 func (h *Handle) Wait(ctx context.Context) (*Result, error) {
-	if h.sh != nil {
-		st, err := h.sh.Stream(ctx)
-		if err != nil {
-			return nil, translateErr(err)
-		}
-		select {
-		case <-st.Done():
-		case <-ctx.Done():
-			select {
-			case <-st.Done():
-			default:
-				return nil, ctx.Err()
-			}
-		}
-		h.once.Do(func() {
-			obs, err := st.Observation()
-			if err != nil {
-				h.err = translateErr(err)
-				return
-			}
-			h.res = h.newResult(obs.Image, obs.Gestures, h.sh.QueueWait())
-		})
-		return h.res, h.err
-	}
-	r := h.bh.Wait(ctx)
+	r := h.inner.Wait(ctx)
 	if r.Err != nil {
 		return nil, translateErr(r.Err)
 	}
 	h.once.Do(func() {
 		h.res = h.newResult(r.Image, r.Gestures, r.QueueWait)
 	})
-	return h.res, h.err
+	return h.res, nil
 }
 
 func (h *Handle) newResult(img *isar.Image, g *gesture.Result, wait time.Duration) *Result {
@@ -350,10 +310,7 @@ func (h *Handle) newResult(img *isar.Image, g *gesture.Result, wait time.Duratio
 // until the capture has started (or failed to). Requests submitted
 // without Stream have no frame stream and get an error.
 func (h *Handle) Stream(ctx context.Context) (*TrackStream, error) {
-	if h.sh == nil {
-		return nil, errors.New("wivi: request was not submitted with Stream")
-	}
-	st, err := h.sh.Stream(ctx)
+	st, err := h.inner.Stream(ctx)
 	if err != nil {
 		return nil, translateErr(err)
 	}

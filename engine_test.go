@@ -11,7 +11,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"wivi/internal/core"
 )
@@ -317,17 +316,10 @@ func TestEngineStatsUnderLoad(t *testing.T) {
 	}
 	frames += int64(sres.Tracking.NumFrames())
 
-	// Stream counters settle one scheduling beat after the final frame.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s = eng.Stats()
-		if s.Completed == batchN+1 && s.InFlight == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never settled: %+v", s)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Every counter, the stream's included, settles before Wait returns.
+	s = eng.Stats()
+	if s.Completed != batchN+1 || s.InFlight != 0 {
+		t.Fatalf("stats not settled after Wait: %+v", s)
 	}
 	if s.Failed != 0 || s.Queued != 0 || s.ActiveStreams != 0 {
 		t.Fatalf("settled stats inconsistent: %+v", s)

@@ -29,9 +29,9 @@ func TestPacedStreamSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := NewFakeClock(time.Unix(1000, 0), true)
-	paced := NewPacedFrontEnd(fe, clk)
-	dev, err := New(paced, DefaultConfig(paced))
+	cfg := DefaultConfig(fe)
+	cfg.Pace = NewFakeClock(time.Unix(1000, 0), true)
+	dev, err := New(fe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 package core
 
-// Wall-clock abstraction for the pacing subsystem. The real system is
+// Wall-clock abstraction and real-time pacing. The real system is
 // clock-bound: the USRP delivers samples at the radio's cadence whatever
 // the CPU does, so every latency figure that matters is measured against
 // wall time. The simulator, by contrast, synthesizes samples as fast as
-// the CPU allows. Clock is the seam between the two: the pacing wrapper
-// (PacedFrontEnd) and the per-frame lag accounting (Stream) take their
-// time from an injected Clock, so production runs against RealClock
-// while tests drive a FakeClock and assert exact cadence with zero
-// wall-time cost.
+// the CPU allows. Clock is the seam between the two. With Config.Pace
+// set, the capture loop releases each chunk only at the instant its last
+// sample would have left a real radio, so time-to-first-frame and
+// per-frame lag become honest real-time figures; the samples themselves
+// are untouched, so every batch/stream identity carries over. Pacing and
+// the per-frame lag accounting (Stream) take their time from the
+// injected Clock, so production runs against RealClock while tests drive
+// a FakeClock and assert exact cadence with zero wall-time cost.
 
 import (
 	"context"

@@ -20,6 +20,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"time"
 
 	"wivi/internal/detect"
 	"wivi/internal/gesture"
@@ -29,23 +30,20 @@ import (
 )
 
 // FrontEnd abstracts the radio hardware the pipeline drives. It extends
-// the nulling sounder with batch and chunked tracking capture and radio
-// metadata. The methods use only basic types, so implementations satisfy
-// it structurally without importing this package.
+// the nulling sounder with chunked tracking capture and radio metadata.
+// The methods use only basic types, so implementations satisfy it
+// structurally without importing this package.
 type FrontEnd interface {
 	nulling.Sounder
 
-	// Capture records n tracking samples starting at startT (seconds)
-	// with the given precoding and transmit boost; the result is indexed
-	// [subcarrier][sample].
-	Capture(p []complex128, boostDB float64, startT float64, n int) ([][]complex128, error)
-
-	// StreamCapture runs a chunked capture of total samples starting at
-	// startT with the given precoding and boost, delivering consecutive
-	// chunks of up to chunk samples (indexed [subcarrier][sample]) to
-	// emit as they are recorded. An emit error aborts the capture and is
-	// returned — the cancellation path. The concatenated chunks must be
-	// bit-identical to Capture(p, boostDB, startT, total).
+	// StreamCapture records total tracking samples starting at startT
+	// (seconds) with the given precoding and transmit boost, delivering
+	// consecutive chunks of up to chunk samples (indexed
+	// [subcarrier][sample]) to emit as they are recorded. An emit error
+	// aborts the capture and is returned — the cancellation path. The
+	// samples must not depend on the chunk size: a capture read in one
+	// chunk and the same capture read hop by hop concatenate to the same
+	// bits.
 	//
 	// A chunk is valid only until emit returns: implementations may reuse
 	// the chunk buffers for the next chunk (internal/sim does), so emit
@@ -61,13 +59,6 @@ type FrontEnd interface {
 	// NoiseFloor returns the expected noise power of one combined
 	// tracking sample (measurable with the transmitter off).
 	NoiseFloor() float64
-}
-
-// ctxCapturer is an optional FrontEnd extension: a batch capture whose
-// completion wait honors a context. PacedFrontEnd implements it — its
-// captures take real wall-clock time, so the wait must be abortable.
-type ctxCapturer interface {
-	CaptureCtx(ctx context.Context, p []complex128, boostDB float64, startT float64, n int) ([][]complex128, error)
 }
 
 // Mode selects the device's operating mode (§3.2).
@@ -99,11 +90,8 @@ type TrackRequest struct {
 	// chain. The capture and imaging stages are mode-independent — the
 	// paper runs one pipeline for both — so mode only selects the decode.
 	Mode Mode
-	// StartT and Duration delimit the capture in seconds.
-	StartT, Duration float64
-	// ChunkSamples is the capture chunk granularity for streamed
-	// requests (0 = Config.StreamChunk); batch Observe ignores it.
-	ChunkSamples int
+	// Duration is the capture length in seconds, from the scene's t = 0.
+	Duration float64
 }
 
 // Observation is the outcome of one request: the shared capture+image
@@ -134,17 +122,14 @@ type Config struct {
 	// for every worker count). Values <= 1 process frames sequentially;
 	// DefaultConfig uses GOMAXPROCS.
 	FrameWorkers int
-	// StreamChunk is the default capture chunk, in samples, for streamed
-	// requests (ObserveStream with TrackRequest.ChunkSamples == 0).
-	// Defaults to the ISAR hop: one potential new frame per chunk.
-	StreamChunk int
-	// Clock supplies wall-clock time for the per-frame lag accounting in
-	// streamed captures (frame emit instant vs. the arrival of its
-	// window's last sample). nil defaults to the front end's pacing clock
-	// when it is a PacedFrontEnd, else the real wall clock. The clock
-	// never affects the computed samples or images, only latency
-	// measurement and pacing.
-	Clock Clock
+	// Pace delivers captures at the radio's real cadence on this clock:
+	// the capture loop releases each chunk only once its last sample
+	// would have left a real radio (epoch + delivered·SampleT), in a wait
+	// the request's context cancels, and streamed frame lags are timed on
+	// it. nil captures as fast as the front end synthesizes and times
+	// lags on the real clock. Pacing moves delivery times only, never the
+	// samples or images.
+	Pace Clock
 }
 
 // DefaultConfig returns the paper-matched pipeline configuration for a
@@ -158,18 +143,20 @@ func DefaultConfig(fe FrontEnd) Config {
 		ISAR:         ic,
 		Gesture:      gesture.DefaultDecoderConfig(float64(ic.Hop) * ic.SampleT),
 		FrameWorkers: runtime.GOMAXPROCS(0),
-		StreamChunk:  ic.Hop,
 	}
 }
 
-// Trace is one recorded capture: the per-subcarrier residual channel and
-// the subcarrier-combined stream the ISAR core consumes.
+// Trace is one recorded capture: the subcarrier-combined stream the ISAR
+// core consumes and, from CaptureTrace, the per-subcarrier residual
+// channel.
 type Trace struct {
 	// SampleT is the sample period in seconds.
 	SampleT float64
 	// Lambda is the center wavelength in meters.
 	Lambda float64
-	// PerSub is the raw capture, indexed [subcarrier][sample].
+	// PerSub is the raw capture, indexed [subcarrier][sample]. Only
+	// CaptureTrace records it; tracked and streamed captures keep just
+	// the combined stream.
 	PerSub [][]complex128
 	// Combined is the coherently combined channel stream.
 	Combined []complex128
@@ -179,9 +166,6 @@ type Trace struct {
 
 // Samples returns the trace length in samples.
 func (t *Trace) Samples() int { return len(t.Combined) }
-
-// Duration returns the trace length in seconds.
-func (t *Trace) Duration() float64 { return float64(len(t.Combined)) * t.SampleT }
 
 // Device is the integrated Wi-Vi pipeline over a front end.
 //
@@ -198,6 +182,9 @@ type Device struct {
 	fe   FrontEnd
 	cfg  Config
 	proc *isar.Processor
+	// clock times streamed frame lags: Config.Pace, or the real clock
+	// when the device is unpaced.
+	clock Clock
 
 	// mu serializes front-end measurements and guards the mutable
 	// nulling state. Mode is deliberately NOT device state: it arrives
@@ -216,21 +203,15 @@ func New(fe FrontEnd, cfg Config) (*Device, error) {
 	cfg.ISAR.Lambda = fe.Wavelength()
 	cfg.ISAR.SampleT = fe.SampleT()
 	cfg.Gesture.FrameT = float64(cfg.ISAR.Hop) * cfg.ISAR.SampleT
-	if cfg.StreamChunk <= 0 {
-		cfg.StreamChunk = cfg.ISAR.Hop
-	}
-	if cfg.Clock == nil {
-		if paced, ok := fe.(*PacedFrontEnd); ok {
-			cfg.Clock = paced.Clock()
-		} else {
-			cfg.Clock = RealClock()
-		}
-	}
 	proc, err := isar.NewProcessor(cfg.ISAR)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Device{fe: fe, cfg: cfg, proc: proc}, nil
+	clock := cfg.Pace
+	if clock == nil {
+		clock = RealClock()
+	}
+	return &Device{fe: fe, cfg: cfg, proc: proc, clock: clock}, nil
 }
 
 // Config returns the active configuration.
@@ -295,21 +276,38 @@ func (d *Device) samples(duration float64, imaged bool) (int, error) {
 	return n, nil
 }
 
-// CaptureTraceCtx is CaptureTrace with cancellation. The front end is
-// one stateful radio, so concurrent captures serialize on the device
-// mutex; the context is checked before the measurement starts (a capture
-// in progress runs to completion, mirroring real hardware DMA).
+// CaptureTraceCtx is CaptureTrace with cancellation: the capture loop
+// checks ctx before the measurement, once the capture is read and in a
+// paced capture's wait.
 func (d *Device) CaptureTraceCtx(ctx context.Context, startT, duration float64) (*Trace, error) {
 	n, err := d.samples(duration, false)
 	if err != nil {
 		return nil, err
 	}
-	return d.captureTrace(ctx, startT, n)
+	perSub := make([][]complex128, d.fe.NumSubcarriers())
+	tr, err := d.capture(ctx, startT, n, n, func(sub [][]complex128, _ []complex128) error {
+		for k := range perSub {
+			perSub[k] = append(perSub[k], sub[k]...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.PerSub = perSub
+	return tr, nil
 }
 
-// captureTrace records n samples starting at startT, nulling first if
-// the device has not been nulled yet.
-func (d *Device) captureTrace(ctx context.Context, startT float64, n int) (*Trace, error) {
+// capture is the one capture loop behind every request. It holds the
+// device lock for the whole capture (one radio is one stateful
+// instrument: interleaved captures would corrupt both sample streams),
+// nulls first if the device has not been nulled yet, and reads n samples
+// from startT in chunks of chunk samples. When Config.Pace is set, each
+// chunk is released only at the instant its last sample arrives. Each
+// chunk is then combined into one capture-length buffer and, if each is
+// non-nil, handed to it with its combined view ready. ctx is checked
+// before the measurement, at every chunk and in every pacing wait.
+func (d *Device) capture(ctx context.Context, startT float64, n, chunk int, each func(sub [][]complex128, ready []complex128) error) (*Trace, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -319,39 +317,60 @@ func (d *Device) captureTrace(ctx context.Context, startT float64, n int) (*Trac
 		if _, err := d.nullLocked(); err != nil {
 			return nil, fmt.Errorf("core: auto-null: %w", err)
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	if err := ctx.Err(); err != nil {
+	pace, sampleT := d.cfg.Pace, d.fe.SampleT()
+	var epoch time.Time
+	if pace != nil {
+		epoch = pace.Now()
+	}
+	tr := &Trace{SampleT: sampleT, Lambda: d.fe.Wavelength(), Combined: make([]complex128, 0, n), Nulling: d.nullRes}
+	err := d.fe.StreamCapture(d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n, min(chunk, n), func(sub [][]complex128) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if pace != nil {
+			due := epoch.Add(sampleSpan(len(tr.Combined)+chunkSamples(sub), sampleT))
+			if err := pace.Sleep(ctx, due.Sub(pace.Now())); err != nil {
+				return err
+			}
+		}
+		// Causal per-sample averaging (see ofdm.AverageSubcarriers for
+		// why alignment is skipped) does not depend on the chunk size, so
+		// a batch capture read in one chunk and a stream read hop by hop
+		// combine to the same bits.
+		old := len(tr.Combined)
+		var err error
+		if tr.Combined, err = ofdm.AverageSubcarriersAppend(tr.Combined, sub); err != nil {
+			return fmt.Errorf("core: combining subcarriers: %w", err)
+		}
+		if each == nil {
+			return nil
+		}
+		return each(sub, tr.Combined[old:])
+	})
+	if err != nil {
 		return nil, err
 	}
-	var perSub [][]complex128
-	var err error
-	if cc, ok := d.fe.(ctxCapturer); ok {
-		// A paced front end's capture spans real wall clock; thread the
-		// request context so cancellation interrupts the pacing wait
-		// instead of pinning the device mutex for the remaining span.
-		perSub, err = cc.CaptureCtx(ctx, d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n)
-	} else {
-		perSub, err = d.fe.Capture(d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n)
+	return tr, nil
+}
+
+// sampleSpan converts a sample count into its wall-clock span.
+func sampleSpan(n int, sampleT float64) time.Duration {
+	return time.Duration(float64(n) * sampleT * float64(time.Second))
+}
+
+// chunkSamples returns the per-subcarrier sample count of a chunk (the
+// length of its first populated row; guard subcarriers may be empty).
+func chunkSamples(sub [][]complex128) int {
+	for _, row := range sub {
+		if len(row) > 0 {
+			return len(row)
+		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: capture: %w", err)
-	}
-	// Causal per-sample averaging, not the acausal whole-capture
-	// alignment: batch and streamed captures must run the identical
-	// combining math for the stream/batch byte-identity guarantee to
-	// hold (see ofdm.AverageSubcarriers for why alignment is skipped).
-	// The output is sized once for the capture, as the stream path does.
-	combined, err := ofdm.AverageSubcarriersAppend(make([]complex128, 0, n), perSub)
-	if err != nil {
-		return nil, fmt.Errorf("core: combining subcarriers: %w", err)
-	}
-	return &Trace{
-		SampleT:  d.fe.SampleT(),
-		Lambda:   d.fe.Wavelength(),
-		PerSub:   perSub,
-		Combined: combined,
-		Nulling:  d.nullRes,
-	}, nil
+	return 0
 }
 
 // ImageCtx runs the smoothed-MUSIC ISAR chain over a trace; the frame
@@ -368,17 +387,19 @@ func (d *Device) Track(startT, duration float64) (*isar.Image, *Trace, error) {
 	return d.TrackCtx(context.Background(), startT, duration)
 }
 
-// TrackCtx is Track with cancellation: the capture serializes on the
-// device (stateful radio), then the ISAR stages fan out per frame. This
-// is the entry point the concurrent engine (internal/pipeline) drives.
-// A duration shorter than one analysis window fails with
+// TrackCtx is Track with cancellation. The capture reads the whole span
+// as one chunk, so the front end can fan its synthesis out over sample
+// blocks; the ISAR stages then fan out per frame after the device lock
+// is released, so other captures of the device can overlap the imaging.
+// This is the entry point the concurrent engine (internal/pipeline)
+// drives. A duration shorter than one analysis window fails with
 // ErrShortCapture before any measurement.
 func (d *Device) TrackCtx(ctx context.Context, startT, duration float64) (*isar.Image, *Trace, error) {
 	n, err := d.samples(duration, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := d.captureTrace(ctx, startT, n)
+	tr, err := d.capture(ctx, startT, n, n, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -396,7 +417,7 @@ func (d *Device) TrackCtx(ctx context.Context, startT, duration float64) (*isar.
 // state, so concurrent Observe calls with different modes on one device
 // are safe and each sees exactly its own mode.
 func (d *Device) Observe(ctx context.Context, req TrackRequest) (*Observation, error) {
-	img, tr, err := d.TrackCtx(ctx, req.StartT, req.Duration)
+	img, tr, err := d.TrackCtx(ctx, 0, req.Duration)
 	if err != nil {
 		return nil, err
 	}

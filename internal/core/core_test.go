@@ -186,8 +186,8 @@ func TestCaptureTraceAutoNulls(t *testing.T) {
 	if tr.Samples() < 100 {
 		t.Fatalf("trace samples = %d", tr.Samples())
 	}
-	if math.Abs(tr.Duration()-1.0) > 0.05 {
-		t.Fatalf("trace duration = %v", tr.Duration())
+	if d := float64(tr.Samples()) * tr.SampleT; math.Abs(d-1.0) > 0.05 {
+		t.Fatalf("trace duration = %v", d)
 	}
 	if _, err := dev.CaptureTrace(0, -1); err == nil {
 		t.Fatal("negative duration accepted")

@@ -13,15 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"wivi/internal/isar"
 	"wivi/internal/sim"
 )
 
-// Compile-time check: the pacing wrapper is a front end.
-var _ FrontEnd = (*PacedFrontEnd)(nil)
-
-// newPacedWalkerDevice builds a paced core device over a fresh walker
-// scene, sharing one auto-advance fake clock between pacing and lag
-// accounting.
+// newPacedWalkerDevice builds a core device paced on clock over a fresh
+// walker scene; the clock also times the frame lags.
 func newPacedWalkerDevice(t *testing.T, seed int64, clock Clock) *Device {
 	t.Helper()
 	sc := sim.NewScene(sim.SceneConfig{Seed: seed})
@@ -32,8 +29,9 @@ func newPacedWalkerDevice(t *testing.T, seed int64, clock Clock) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paced := NewPacedFrontEnd(fe, clock)
-	dev, err := New(paced, DefaultConfig(paced))
+	cfg := DefaultConfig(fe)
+	cfg.Pace = clock
+	dev, err := New(fe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,42 +72,28 @@ func TestFakeClockSleepAndAdvance(t *testing.T) {
 	}
 }
 
-// TestPacedStreamCaptureCadence drives a paced chunked capture on an
+// TestPacedStreamCaptureCadence drives the paced capture loop on an
 // auto-advance fake clock and asserts every chunk is delivered exactly
 // at the instant its last sample arrives: due_k = epoch + n_k*SampleT,
 // with zero cadence jitter on the fake clock.
 func TestPacedStreamCaptureCadence(t *testing.T) {
-	sc := sim.NewScene(sim.SceneConfig{Seed: 5})
-	if _, err := sc.AddWalker(2); err != nil {
-		t.Fatal(err)
-	}
-	fe, err := sim.NewDevice(sc, sim.DefaultCalibration(), sim.DeviceConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk := NewFakeClock(time.Unix(1000, 0), true)
-	paced := NewPacedFrontEnd(fe, clk)
+	dev := newPacedWalkerDevice(t, 5, clk)
 
 	const total, chunk = 260, 50 // deliberately non-divisible: last chunk is short
 	epoch := clk.Now()
-	sampleT := fe.SampleT()
+	sampleT := dev.fe.SampleT()
 	var deliveredAt []time.Time
 	var sizes []int
-	emit := func(sub [][]complex128) error {
+	each := func(sub [][]complex128, ready []complex128) error {
+		if n := chunkSamples(sub); n != len(ready) {
+			t.Fatalf("chunk of %d samples combined to %d", n, len(ready))
+		}
 		deliveredAt = append(deliveredAt, clk.Now())
-		sizes = append(sizes, chunkSamples(sub))
+		sizes = append(sizes, len(ready))
 		return nil
 	}
-	// Null first so the capture has a precoding vector to replay.
-	dev, err := New(paced, DefaultConfig(paced))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := dev.Null()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := paced.StreamCapture(nr.P, dev.cfg.Nulling.BoostDB, 0, total, chunk, emit); err != nil {
+	if _, err := dev.capture(context.Background(), 0, total, chunk, each); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,10 +116,10 @@ func TestPacedStreamCaptureCadence(t *testing.T) {
 }
 
 // TestPacedCaptureMatchesUnpaced: pacing delays delivery but never
-// touches the samples — a paced chunked capture concatenates to exactly
-// the unpaced batch capture of an identical device.
+// touches the samples — a paced batch track and the raw capture that
+// follows it equal those of an identical unpaced device.
 func TestPacedCaptureMatchesUnpaced(t *testing.T) {
-	build := func() (*Device, *sim.Device) {
+	capture := func(pace Clock) (*isar.Image, *Trace, *Trace) {
 		sc := sim.NewScene(sim.SceneConfig{Seed: 9})
 		if _, err := sc.AddWalker(2); err != nil {
 			t.Fatal(err)
@@ -144,41 +128,32 @@ func TestPacedCaptureMatchesUnpaced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev, err := New(fe, DefaultConfig(fe))
+		cfg := DefaultConfig(fe)
+		cfg.Pace = pace
+		dev, err := New(fe, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dev, fe
+		img, tr, err := dev.TrackCtx(context.Background(), 0, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := dev.CaptureTrace(1.0, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img, tr, raw
 	}
-	dev, _ := build()
-	wantImg, wantTr, err := dev.TrackCtx(context.Background(), 0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	clk := NewFakeClock(time.Unix(0, 0), true)
-	sc := sim.NewScene(sim.SceneConfig{Seed: 9})
-	if _, err := sc.AddWalker(2); err != nil {
-		t.Fatal(err)
-	}
-	fe2, err := sim.NewDevice(sc, sim.DefaultCalibration(), sim.DeviceConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paced := NewPacedFrontEnd(fe2, clk)
-	pdev2, err := New(paced, DefaultConfig(paced))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotImg, gotTr, err := pdev2.TrackCtx(context.Background(), 0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantImg, wantTr, wantRaw := capture(nil)
+	gotImg, gotTr, gotRaw := capture(NewFakeClock(time.Unix(0, 0), true))
 	if !reflect.DeepEqual(gotImg, wantImg) {
 		t.Fatal("paced batch image differs from unpaced")
 	}
-	if !reflect.DeepEqual(gotTr.Combined, wantTr.Combined) || !reflect.DeepEqual(gotTr.PerSub, wantTr.PerSub) {
+	if !reflect.DeepEqual(gotTr.Combined, wantTr.Combined) {
 		t.Fatal("paced trace differs from unpaced")
+	}
+	if !reflect.DeepEqual(gotRaw.PerSub, wantRaw.PerSub) || !reflect.DeepEqual(gotRaw.Combined, wantRaw.Combined) {
+		t.Fatal("paced raw capture differs from unpaced")
 	}
 }
 
@@ -198,6 +173,7 @@ func TestPacedBatchCaptureCancel(t *testing.T) {
 		_, _, err := dev.TrackCtx(ctx, 0, 1.0)
 		done <- err
 	}()
+	clk.AwaitSleepers(1)
 	cancel()
 	select {
 	case err := <-done:
@@ -206,6 +182,30 @@ func TestPacedBatchCaptureCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("paced capture did not abort on cancellation")
+	}
+}
+
+// TestPacedStreamCancel: a canceled paced stream stops inside its pacing
+// wait. The fake clock is manual, so the stream's first chunk waits for
+// an Advance that never comes; only the request's context can end it.
+func TestPacedStreamCancel(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0), false)
+	dev := newPacedWalkerDevice(t, 14, clk)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := dev.ObserveStream(ctx, TrackRequest{Duration: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.AwaitSleepers(1)
+	cancel()
+	select {
+	case <-st.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("paced stream did not stop on cancellation")
+	}
+	if _, _, err := st.Result(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Result err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 package core
 
 // Streaming tracking: the capture→combine→frame→image chain run
-// incrementally. The batch path buffers the whole capture before the
-// first frame is computed, so a 30 s track has 30 s of dead latency; the
-// streamed path reads the radio in chunks, combines subcarriers per
-// sample (ofdm.AverageSubcarriers), schedules each ISAR frame the moment its window
-// closes (isar.Streamer) and emits frames in index order while the
-// capture is still running. Every per-sample operation is shared with
-// the batch path, so the streamed frames — and the Image and Trace the
+// incrementally. A batch track reads the whole capture as one chunk of
+// the capture loop before the first frame is computed, so a 30 s track
+// has 30 s of dead latency; a stream runs the same loop one ISAR hop per
+// chunk, schedules each frame the moment its window closes
+// (isar.Streamer) and emits frames in index order while the capture is
+// still running. Every per-sample operation is shared with the batch
+// path, so the streamed frames — and the Image and combined Trace the
 // stream assembles at the end — are byte-identical to Track's output for
 // every worker count and chunk size.
 
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"wivi/internal/isar"
-	"wivi/internal/nulling"
 	"wivi/internal/ofdm"
 )
 
@@ -64,7 +63,6 @@ type Stream struct {
 	mode        Mode
 	totalFrames int
 	thetas      []float64
-	clock       Clock
 	windowDur   time.Duration
 
 	// arrival[i] is the clock instant frame i's window closed — when its
@@ -90,37 +88,31 @@ type Stream struct {
 
 // ObserveStream is the streaming form of Observe: the same per-request
 // mode threading, with frames emitted while the capture runs. The
-// capture holds the device lock for its whole span (one radio is one
-// stateful instrument: interleaved captures would corrupt both sample
-// streams), reads the front end in chunks of req.ChunkSamples (0 means
-// Config.StreamChunk; the chunk size never affects the emitted frames,
-// only latency), and honors ctx at chunk granularity — a cancel aborts
-// the capture at the next chunk boundary and the Stream finishes with
-// ctx's error. Frame processing fans out over Config.FrameWorkers
-// exactly like the batch path. In gesture mode the decode stage needs
-// the full angle-time image, so it runs at assembly time —
-// Observation() returns the decoded message alongside the image,
-// byte-identical to what a batch Observe of the same request would have
-// produced.
+// capture loop reads one ISAR hop per chunk (one potential new frame per
+// chunk) and honors ctx at chunk granularity — a cancel aborts the
+// capture at the next chunk boundary, or inside a paced chunk's wait,
+// and the Stream finishes with ctx's error. Frame processing fans out
+// over Config.FrameWorkers exactly like the batch path. In gesture mode
+// the decode stage needs the full angle-time image, so it runs at
+// assembly time — Observation() returns the decoded message alongside
+// the image, byte-identical to what a batch Observe of the same request
+// would have produced.
 func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, error) {
+	return d.observeStream(ctx, req, d.cfg.ISAR.Hop)
+}
+
+// observeStream is ObserveStream reading chunk samples per chunk. The
+// chunk size never affects the emitted frames, only latency.
+func (d *Device) observeStream(ctx context.Context, req TrackRequest, chunk int) (*Stream, error) {
 	n, err := d.samples(req.Duration, true)
 	if err != nil {
 		return nil, err
-	}
-	startT := req.StartT
-	chunk := req.ChunkSamples
-	if chunk <= 0 {
-		chunk = d.cfg.StreamChunk
-	}
-	if chunk > n {
-		chunk = n
 	}
 	s := &Stream{
 		dev:         d,
 		mode:        req.Mode,
 		totalFrames: len(d.proc.FrameSpecs(n)),
 		thetas:      d.proc.Thetas(),
-		clock:       d.cfg.Clock,
 		windowDur:   sampleSpan(d.cfg.ISAR.Window, d.fe.SampleT()),
 		wait:        make(chan struct{}),
 		doneCh:      make(chan struct{}),
@@ -131,79 +123,31 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 	// emerged. The streamer emits in index order, so lags stays
 	// frame-aligned.
 	streamer := d.proc.NewStreamer(isar.StreamConfig{Workers: d.cfg.FrameWorkers}, func(fr isar.Frame) {
-		lag := s.clock.Now().Sub(s.arrival[fr.Spec.Index])
+		lag := d.clock.Now().Sub(s.arrival[fr.Spec.Index])
 		s.mu.Lock()
 		s.frames = append(s.frames, fr)
 		s.lags = append(s.lags, lag)
 		s.signalLocked()
 		s.mu.Unlock()
 	})
-
-	var (
-		perSub   [][]complex128
-		combined []complex128
-		nullRes  *nulling.Result
-	)
-	// The capture loop: serialize on the radio, then read, combine and
-	// hand samples to the streamer chunk by chunk.
-	capture := func() error {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return err
+	window, hop := d.cfg.ISAR.Window, d.cfg.ISAR.Hop
+	read, closed := 0, 0 // samples combined; frames whose windows have closed
+	each := func(_ [][]complex128, ready []complex128) error {
+		// Stamp the arrival of every window this chunk closed BEFORE
+		// appending: Append may process a frame inline, and the
+		// streamer's emit reads arrival[i] as soon as frame i emerges.
+		read += len(ready)
+		now := d.clock.Now()
+		for closed < s.totalFrames && closed*hop+window <= read {
+			s.arrival[closed] = now
+			closed++
 		}
-		if d.nullRes == nil {
-			if _, err := d.nullLocked(); err != nil {
-				return fmt.Errorf("core: auto-null: %w", err)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		nullRes = d.nullRes
-		perSub = make([][]complex128, d.fe.NumSubcarriers())
-		for k := range perSub {
-			perSub[k] = make([]complex128, 0, n)
-		}
-		combined = make([]complex128, 0, n)
-		closed := 0 // frames whose windows have closed (arrival recorded)
-		window, hop := d.cfg.ISAR.Window, d.cfg.ISAR.Hop
-		emit := func(sub [][]complex128) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for k := range perSub {
-				perSub[k] = append(perSub[k], sub[k]...)
-			}
-			// Combine straight into the capture-length buffer: ready is the
-			// chunk's view of it, owned by this stream (the front end may
-			// reuse sub's buffers after emit returns).
-			old := len(combined)
-			var err error
-			combined, err = ofdm.AverageSubcarriersAppend(combined, sub)
-			if err != nil {
-				return fmt.Errorf("core: combining subcarriers: %w", err)
-			}
-			ready := combined[old:]
-			// Stamp the arrival of every window this chunk closed BEFORE
-			// appending: Append may process a frame inline, and the
-			// streamer's emit reads arrival[i] as soon as frame i emerges.
-			now := s.clock.Now()
-			for closed < s.totalFrames && closed*hop+window <= len(combined) {
-				s.arrival[closed] = now
-				closed++
-			}
-			return streamer.Append(ctx, ready)
-		}
-		if err := d.fe.StreamCapture(d.nullRes.P, d.cfg.Nulling.BoostDB, startT, n, chunk, emit); err != nil {
-			return err
-		}
-		return ctx.Err()
+		return streamer.Append(ctx, ready)
 	}
 	// The capture goroutine finalizes the stream once the streamer has
 	// emitted its last frame.
 	go func() {
-		err := capture()
+		tr, err := d.capture(ctx, 0, n, chunk, each)
 		if cerr := streamer.Close(); err == nil {
 			err = cerr
 		}
@@ -211,13 +155,7 @@ func (d *Device) ObserveStream(ctx context.Context, req TrackRequest) (*Stream, 
 		s.err = err
 		if err == nil {
 			s.img = d.proc.AssembleImage(s.frames)
-			s.tr = &Trace{
-				SampleT:  d.fe.SampleT(),
-				Lambda:   d.fe.Wavelength(),
-				PerSub:   perSub,
-				Combined: combined,
-				Nulling:  nullRes,
-			}
+			s.tr = tr
 		}
 		s.done = true
 		s.signalLocked()

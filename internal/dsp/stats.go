@@ -135,9 +135,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the empirical median.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Len returns the number of samples backing the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // Points returns (x, P(X<=x)) pairs suitable for plotting the CDF as a
 // step function; one point per sample.
 func (c *CDF) Points() (xs, ps []float64) {

@@ -13,11 +13,15 @@ import (
 	"wivi/internal/core"
 )
 
-// neverStreamTracker satisfies StreamTracker for requests that must be
-// rejected at admission and therefore never run.
-type neverStreamTracker struct{}
+// neverTracker is a Tracker for requests that must be rejected at
+// admission and therefore never run.
+type neverTracker struct{}
 
-func (neverStreamTracker) ObserveStream(ctx context.Context, req core.TrackRequest) (*core.Stream, error) {
+func (neverTracker) Observe(ctx context.Context, req core.TrackRequest) (*core.Observation, error) {
+	panic("Observe called on a request that must be rejected at admission")
+}
+
+func (neverTracker) ObserveStream(ctx context.Context, req core.TrackRequest) (*core.Stream, error) {
 	panic("ObserveStream called on a request that must be rejected at admission")
 }
 
@@ -65,14 +69,15 @@ func TestDeadlineInfeasiblePacedBatch(t *testing.T) {
 func TestDeadlineInfeasiblePacedStream(t *testing.T) {
 	eng := New(Config{Workers: 2})
 	defer eng.Close()
-	_, err := eng.SubmitStream(context.Background(), StreamRequest{
-		Tracker:  neverStreamTracker{},
+	_, err := eng.Submit(context.Background(), Request{
+		Tracker:  neverTracker{},
 		Duration: 3,
+		Stream:   true,
 		Paced:    true,
 		Deadline: time.Second,
 	})
 	if !errors.Is(err, ErrDeadlineInfeasible) {
-		t.Fatalf("SubmitStream err = %v, want ErrDeadlineInfeasible", err)
+		t.Fatalf("Submit err = %v, want ErrDeadlineInfeasible", err)
 	}
 	// The admission slot must have been released (nothing was admitted):
 	// a subsequent feasible-deadline rejection-free submit would hang

@@ -18,9 +18,18 @@
 // requests before their capture starts and stops in-flight frame
 // processing between frames.
 //
-// SubmitStream schedules a streaming capture (stream.go): the request
-// occupies one worker slot from its first chunk to its last frame, with
-// admissions capped at Workers-1 so batch submits always keep a worker.
+// A stream is a Request with Stream set, served by the same Submit,
+// worker and Handle: Handle.Stream returns its live frames once a worker
+// has started the capture, and the worker assembles its result after the
+// last frame, as it does a batch request's. A stream occupies its worker
+// from first chunk to last frame, so the engine carves stream admissions
+// out of the worker budget: at most MaxStreams (default Workers-1) run
+// at once, one worker always stays free for batch requests, and Submit
+// blocks — honoring its context — until an admission slot frees up.
+// A 1-worker engine (GOMAXPROCS=1 hosts) still admits one stream —
+// refusing all streams would be worse — so there batch submits DO queue
+// behind an in-flight stream until it completes or its context is
+// canceled. Reservation needs at least two workers.
 package pipeline
 
 import (
@@ -40,9 +49,13 @@ import (
 // tests substitute fakes. The request carries the mode, so one Tracker
 // serves mixed track/gesture traffic without any mutable mode state.
 type Tracker interface {
-	// Observe executes one request (capture + image + mode-selected
-	// decode) and returns the observation.
+	// Observe executes one batch request (capture + image +
+	// mode-selected decode) and returns the observation.
 	Observe(ctx context.Context, req core.TrackRequest) (*core.Observation, error)
+	// ObserveStream starts an incremental capture of the request's span;
+	// frames arrive through the returned Stream, and the request's mode
+	// selects the decode applied at assembly (Stream.Observation).
+	ObserveStream(ctx context.Context, req core.TrackRequest) (*core.Stream, error)
 }
 
 // Config sizes the engine.
@@ -89,15 +102,20 @@ type Request struct {
 	// Mode is the per-request processing mode, threaded to the tracker
 	// unchanged (no device state is mutated to select it).
 	Mode core.Mode
-	// StartT and Duration delimit the capture in seconds.
-	StartT, Duration float64
+	// Duration is the capture length in seconds.
+	Duration float64
+	// Stream runs the capture incrementally: Handle.Stream returns the
+	// live frames while the capture runs, and the request holds one of
+	// Config.MaxStreams admission slots from Submit until its result is
+	// assembled.
+	Stream bool
 	// Deadline bounds the request's acceptable end-to-end latency
 	// (accept to completion); zero means none. Submit rejects the
 	// request with ErrDeadlineInfeasible when the pool provably cannot
 	// meet it — see Engine.admitDeadline for the model.
 	Deadline time.Duration
 	// Paced marks a request whose capture is delivered at the radio's
-	// real sample cadence (core.PacedFrontEnd): its wall-clock service
+	// real sample cadence (core.Config.Pace): its wall-clock service
 	// time is floored at Duration whatever the CPU does, which is what
 	// makes deadline admission decidable.
 	Paced bool
@@ -109,8 +127,6 @@ type Result struct {
 	Mode core.Mode
 	// Image is the angle-time image (nil on error).
 	Image *isar.Image
-	// Trace is the captured channel trace (nil on error).
-	Trace *core.Trace
 	// Gestures is the decode result for ModeGesture requests.
 	Gestures *gesture.Result
 	// QueueWait is how long the request sat queued before a worker
@@ -122,18 +138,21 @@ type Result struct {
 
 // Handle is the future for a submitted request.
 type Handle struct {
-	done chan struct{}
-	res  Result
+	// started is closed once a worker has started a stream request's
+	// capture (stream set) or the request resolved without starting it;
+	// it is nil for batch requests.
+	started chan struct{}
+	stream  *core.Stream
+	done    chan struct{}
+	res     Result
 }
-
-// Done returns a channel closed when the result is ready.
-func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the result is ready or ctx is done. A result that is
 // already ready is always returned, even when ctx is also done — work
 // that completed is never discarded. On cancellation it returns a Result
 // carrying ctx's error; the request itself may still complete in the
-// background.
+// background. A stream's result is ready once its last frame is emitted
+// and its image assembled.
 func (h *Handle) Wait(ctx context.Context) Result {
 	select {
 	case <-h.done:
@@ -148,22 +167,50 @@ func (h *Handle) Wait(ctx context.Context) Result {
 	}
 }
 
+// Stream blocks until a worker has started a stream request's capture
+// and returns the live stream, or the error that kept it from starting.
+// On ctx cancellation the request itself stays queued — like Wait, work
+// already submitted is never retracted. A request submitted without
+// Stream has no frame stream and gets an error at once.
+func (h *Handle) Stream(ctx context.Context) (*core.Stream, error) {
+	if h.started == nil {
+		return nil, errors.New("pipeline: request was not submitted with Stream")
+	}
+	select {
+	case <-h.started:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if h.stream == nil {
+		<-h.done
+		return nil, h.res.Err
+	}
+	return h.stream, nil
+}
+
+// resolve publishes a request's result; a stream that never started
+// learns its error through it too.
+func (h *Handle) resolve(res Result) {
+	h.res = res
+	if h.started != nil && h.stream == nil {
+		close(h.started)
+	}
+	close(h.done)
+}
+
 type job struct {
 	ctx context.Context
 	req Request
 	h   *Handle
 	// enq timestamps the enqueue, for queue-wait accounting.
 	enq time.Time
-	// stream/sh are set instead of req/h for streaming jobs.
-	stream *StreamRequest
-	sh     *StreamHandle
 }
 
 // ErrClosed is returned by Submit after Close, and delivered to handles
 // whose requests were still queued when the engine shut down.
 var ErrClosed = errors.New("pipeline: engine closed")
 
-// ErrDeadlineInfeasible is returned by Submit and SubmitStream when the
+// ErrDeadlineInfeasible is returned by Submit when the
 // request carries a Deadline the pool provably cannot meet: a paced
 // capture's wall-clock floor (its Duration) plus the estimated queue
 // wait already exceeds it. Failing at submission beats accepting work
@@ -181,7 +228,7 @@ type Engine struct {
 
 	// streamSlots admits long-lived streaming jobs: capacity
 	// Config.MaxStreams (default Workers-1, so batch submits always have
-	// a worker left). See SubmitStream.
+	// a worker left). Submit takes a slot; the worker releases it.
 	streamSlots chan struct{}
 
 	// Observability counters behind Stats(). Queued is read off the jobs
@@ -255,11 +302,10 @@ type Stats struct {
 	QueueWait, FrameLag, EndToEnd LatencyStats
 }
 
-// Stats returns a snapshot of the engine's counters. Batch counters are
-// updated before a request's handle resolves; stream counters settle
-// just after the stream's Done fires, so a caller that has waited out
-// every submitted handle sees Completed+Failed reach the submission
-// count within one scheduling beat.
+// Stats returns a snapshot of the engine's counters. Every counter
+// settles before the request's handle resolves, for streams as for
+// batch requests, so a caller that has waited out every submitted handle
+// sees Completed+Failed equal the submission count.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Workers:       e.cfg.Workers,
@@ -324,8 +370,8 @@ func (e *Engine) admitDeadline(deadline time.Duration, durationSec float64, pace
 	return nil
 }
 
-// finishJob records a batch result in the stats counters. Must run
-// before the handle resolves so Stats never under-counts settled work.
+// finishJob records a result in the stats counters. Must run before the
+// handle resolves so Stats never under-counts settled work.
 func (e *Engine) finishJob(res Result) {
 	if res.Err != nil {
 		e.failed.Add(1)
@@ -362,52 +408,77 @@ func (e *Engine) worker() {
 				return
 			default:
 			}
-			if j.stream != nil {
-				e.runStream(j)
-				continue
-			}
-			e.running.Add(1)
-			wait := e.clock.Now().Sub(j.enq)
-			serviceStart := e.clock.Now()
-			res := run(j.ctx, j.req)
-			service := e.clock.Now().Sub(serviceStart)
-			res.QueueWait = wait
-			e.queueWaitHist.Observe(wait)
-			e.e2eHist.Observe(wait + service)
-			if res.Err == nil {
-				e.noteService(service)
-			}
-			j.h.res = res
-			e.finishJob(res)
-			e.running.Add(-1)
-			close(j.h.done)
+			e.serve(j)
 		}
 	}
 }
 
-func run(ctx context.Context, req Request) Result {
-	if req.Tracker == nil {
-		return Result{Mode: req.Mode, Err: errors.New("pipeline: nil tracker")}
+// serve executes one job on the calling worker and resolves its handle
+// once every counter has settled. A stream holds the worker, and its
+// admission slot, until its result is assembled.
+func (e *Engine) serve(j job) {
+	e.running.Add(1)
+	if j.req.Stream {
+		e.activeStreams.Add(1)
 	}
-	if err := ctx.Err(); err != nil {
+	start := e.clock.Now()
+	res := e.run(j)
+	service := e.clock.Now().Sub(start)
+	res.QueueWait = start.Sub(j.enq)
+	e.queueWaitHist.Observe(res.QueueWait)
+	e.e2eHist.Observe(res.QueueWait + service)
+	if res.Err == nil && !j.req.Stream {
+		e.noteService(service)
+	}
+	e.finishJob(res)
+	if j.req.Stream {
+		e.activeStreams.Add(-1)
+		<-e.streamSlots
+	}
+	e.running.Add(-1)
+	j.h.resolve(res)
+}
+
+// run executes one request. A stream is handed to its submitter as soon
+// as its capture starts; the stream honors its context at chunk
+// granularity, so a canceled caller frees the worker promptly.
+func (e *Engine) run(j job) Result {
+	req := j.req
+	if err := j.ctx.Err(); err != nil {
 		return Result{Mode: req.Mode, Err: err}
 	}
-	obs, err := req.Tracker.Observe(ctx, core.TrackRequest{
-		Mode:     req.Mode,
-		StartT:   req.StartT,
-		Duration: req.Duration,
-	})
+	treq := core.TrackRequest{Mode: req.Mode, Duration: req.Duration}
+	var obs *core.Observation
+	var err error
+	if req.Stream {
+		var st *core.Stream
+		if st, err = req.Tracker.ObserveStream(j.ctx, treq); err != nil {
+			return Result{Mode: req.Mode, Err: err}
+		}
+		j.h.stream = st
+		close(j.h.started)
+		obs, err = st.Observation()
+		for _, lag := range st.Lags() {
+			e.frameLagHist.Observe(lag)
+		}
+	} else {
+		obs, err = req.Tracker.Observe(j.ctx, treq)
+	}
 	if err != nil {
 		return Result{Mode: req.Mode, Err: err}
 	}
-	return Result{Mode: req.Mode, Image: obs.Image, Trace: obs.Trace, Gestures: obs.Gestures}
+	return Result{Mode: req.Mode, Image: obs.Image, Gestures: obs.Gestures}
 }
 
 // Submit enqueues one request and returns its future. It blocks while
-// the queue is full, until ctx is done, or until the engine closes. The
-// request observes ctx again when a worker picks it up and during its
-// frame processing.
+// the queue is full (or, for a stream, while every stream admission slot
+// is taken), until ctx is done, or until the engine closes. The request
+// observes ctx again when a worker picks it up and during its capture
+// and frame processing.
 func (e *Engine) Submit(ctx context.Context, req Request) (*Handle, error) {
+	if req.Tracker == nil {
+		return nil, errors.New("pipeline: nil tracker")
+	}
 	if err := e.admitDeadline(req.Deadline, req.Duration, req.Paced); err != nil {
 		return nil, err
 	}
@@ -420,14 +491,31 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Handle, error) {
 	e.mu.Unlock()
 	defer e.inflight.Done()
 	h := &Handle{done: make(chan struct{})}
+	if req.Stream {
+		// Admission first: holding at most MaxStreams stream slots
+		// (default Workers-1) keeps a worker for batch submits.
+		select {
+		case e.streamSlots <- struct{}{}:
+		case <-e.quit:
+			return nil, ErrClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		h.started = make(chan struct{})
+	}
+	var err error
 	select {
 	case e.jobs <- job{ctx: ctx, req: req, h: h, enq: e.clock.Now()}:
 		return h, nil
 	case <-e.quit:
-		return nil, ErrClosed
+		err = ErrClosed
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		err = ctx.Err()
 	}
+	if req.Stream {
+		<-e.streamSlots
+	}
+	return nil, err
 }
 
 // Close stops the workers and fails any still-queued requests with
@@ -463,11 +551,8 @@ func (e *Engine) Close() {
 // releasing a stream job's admission slot.
 func (e *Engine) failJob(j job) {
 	e.failed.Add(1)
-	if j.stream != nil {
-		failStream(j)
+	if j.req.Stream {
 		<-e.streamSlots
-		return
 	}
-	j.h.res = Result{Mode: j.req.Mode, Err: ErrClosed}
-	close(j.h.done)
+	j.h.resolve(Result{Mode: j.req.Mode, Err: ErrClosed})
 }

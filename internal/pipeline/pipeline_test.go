@@ -15,9 +15,18 @@ import (
 // Compile-time check: the integrated device is a Tracker.
 var _ Tracker = (*core.Device)(nil)
 
+// batchOnly gives a batch-only fake the Tracker's stream method; no test
+// submits such a fake with Stream set.
+type batchOnly struct{}
+
+func (batchOnly) ObserveStream(context.Context, core.TrackRequest) (*core.Stream, error) {
+	return nil, errors.New("batch-only fake tracker")
+}
+
 // fakeTracker stamps its id into the image so ordering is observable,
 // and records the last request mode it saw (mode is per-request data).
 type fakeTracker struct {
+	batchOnly
 	id       int
 	delay    time.Duration
 	err      error
@@ -43,7 +52,7 @@ func (f *fakeTracker) Observe(ctx context.Context, req core.TrackRequest) (*core
 	}
 	return &core.Observation{
 		Mode:  req.Mode,
-		Image: &isar.Image{Times: []float64{float64(f.id), req.StartT, req.Duration}},
+		Image: &isar.Image{Times: []float64{float64(f.id), req.Duration}},
 	}, nil
 }
 
@@ -78,7 +87,7 @@ func TestBatchPreservesRequestOrder(t *testing.T) {
 func TestSubmitHandleWait(t *testing.T) {
 	eng := New(Config{Workers: 2})
 	defer eng.Close()
-	h, err := eng.Submit(context.Background(), Request{Tracker: &fakeTracker{id: 7}, StartT: 2, Duration: 3})
+	h, err := eng.Submit(context.Background(), Request{Tracker: &fakeTracker{id: 7}, Duration: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +95,8 @@ func TestSubmitHandleWait(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Image.Times[0] != 7 || res.Image.Times[1] != 2 || res.Image.Times[2] != 3 {
+	if res.Image.Times[0] != 7 || res.Image.Times[1] != 3 {
 		t.Fatalf("request fields not threaded through: %v", res.Image.Times)
-	}
-	select {
-	case <-h.Done():
-	default:
-		t.Fatal("Done not closed after Wait")
 	}
 }
 
@@ -104,7 +108,6 @@ func TestErrorPropagation(t *testing.T) {
 	for _, req := range []Request{
 		{Tracker: &fakeTracker{id: 0}, Duration: 1},
 		{Tracker: &fakeTracker{id: 1, err: boom}, Duration: 1},
-		{Tracker: nil},
 	} {
 		h, err := eng.Submit(context.Background(), req)
 		if err != nil {
@@ -118,7 +121,7 @@ func TestErrorPropagation(t *testing.T) {
 	if !errors.Is(results[1].Err, boom) {
 		t.Fatalf("error not propagated: %v", results[1].Err)
 	}
-	if results[2].Err == nil {
+	if _, err := eng.Submit(context.Background(), Request{}); err == nil {
 		t.Fatal("nil tracker accepted")
 	}
 }
@@ -203,6 +206,7 @@ func fillQueue(t *testing.T, eng *Engine) {
 }
 
 type slowTracker struct {
+	batchOnly
 	started chan struct{} // closed when the capture begins (may be nil)
 	release chan struct{}
 }
@@ -439,7 +443,7 @@ func TestMaxStreamsOverride(t *testing.T) {
 	eng := New(Config{Workers: 3, MaxStreams: 2})
 	defer eng.Close()
 	ctx := context.Background()
-	sh1, err := eng.SubmitStream(ctx, StreamRequest{Tracker: newPacedStreamDevice(t, 61, 20*time.Millisecond), Duration: 1.5})
+	sh1, err := eng.Submit(ctx, Request{Tracker: newPacedStreamDevice(t, 61, 20*time.Millisecond), Duration: 1.5, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +457,7 @@ func TestMaxStreamsOverride(t *testing.T) {
 	// Second stream admitted concurrently (default cap would allow it
 	// too with 3 workers; the third proves the override is the binding
 	// limit).
-	sh2, err := eng.SubmitStream(ctx, StreamRequest{Tracker: newPacedStreamDevice(t, 62, 20*time.Millisecond), Duration: 1.5})
+	sh2, err := eng.Submit(ctx, Request{Tracker: newPacedStreamDevice(t, 62, 20*time.Millisecond), Duration: 1.5, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +473,7 @@ func TestMaxStreamsOverride(t *testing.T) {
 	}
 	admitCtx, cancelAdmit := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancelAdmit()
-	if _, err := eng.SubmitStream(admitCtx, StreamRequest{Tracker: newStreamDevice(t, 63), Duration: 0.5}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.Submit(admitCtx, Request{Tracker: newStreamDevice(t, 63), Duration: 0.5, Stream: true}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("third stream admission: %v, want deadline exceeded", err)
 	}
 	if _, _, err := st1.Result(); err != nil {

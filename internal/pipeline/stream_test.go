@@ -11,9 +11,6 @@ import (
 	"wivi/internal/sim"
 )
 
-// Compile-time check: the integrated device is a StreamTracker.
-var _ StreamTracker = (*core.Device)(nil)
-
 func newStreamDevice(t *testing.T, seed int64) *core.Device {
 	t.Helper()
 	return newPacedStreamDevice(t, seed, 0)
@@ -58,8 +55,8 @@ func (p pacedFrontEnd) StreamCapture(pc []complex128, boostDB float64, startT fl
 }
 
 // TestSubmitStreamMatchesBatchSubmit runs the same scene through a batch
-// Submit and a SubmitStream on one engine: identical images, and the
-// stream emits every frame.
+// Submit and a stream Submit on one engine: identical images, the stream
+// emits every frame, and its handle's Wait carries the same image.
 func TestSubmitStreamMatchesBatchSubmit(t *testing.T) {
 	const duration = 0.6
 	e := New(Config{Workers: 2})
@@ -75,7 +72,7 @@ func TestSubmitStreamMatchesBatchSubmit(t *testing.T) {
 		t.Fatal(batch.Err)
 	}
 
-	sh, err := e.SubmitStream(ctx, StreamRequest{Tracker: newStreamDevice(t, 31), Duration: duration})
+	sh, err := e.Submit(ctx, Request{Tracker: newStreamDevice(t, 31), Duration: duration, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +97,16 @@ func TestSubmitStreamMatchesBatchSubmit(t *testing.T) {
 	if !reflect.DeepEqual(img, batch.Image) {
 		t.Fatal("streamed image differs from batch submit")
 	}
+	res := sh.Wait(ctx)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if !reflect.DeepEqual(res.Image, batch.Image) {
+		t.Fatal("stream handle's result differs from batch submit")
+	}
+	if _, err := h.Stream(ctx); err == nil {
+		t.Fatal("batch handle returned a frame stream")
+	}
 }
 
 // TestSubmitStreamLeavesWorkerForBatch pins the no-starvation guarantee:
@@ -112,7 +119,7 @@ func TestSubmitStreamLeavesWorkerForBatch(t *testing.T) {
 	defer e.Close()
 	ctx := context.Background()
 
-	sh, err := e.SubmitStream(ctx, StreamRequest{Tracker: newPacedStreamDevice(t, 32, 20*time.Millisecond), Duration: 1.5})
+	sh, err := e.Submit(ctx, Request{Tracker: newPacedStreamDevice(t, 32, 20*time.Millisecond), Duration: 1.5, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestSubmitStreamLeavesWorkerForBatch(t *testing.T) {
 	// engine caps streams at Workers-1 = 1.
 	admitCtx, cancelAdmit := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancelAdmit()
-	if _, err := e.SubmitStream(admitCtx, StreamRequest{Tracker: newStreamDevice(t, 33), Duration: 0.5}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.Submit(admitCtx, Request{Tracker: newStreamDevice(t, 33), Duration: 0.5, Stream: true}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("second stream admission: %v, want deadline exceeded", err)
 	}
 
@@ -146,30 +153,28 @@ func TestSubmitStreamLeavesWorkerForBatch(t *testing.T) {
 		t.Fatal("stream finished before the batch completed — not concurrent")
 	default:
 	}
-	if _, _, err := st.Result(); err != nil {
-		t.Fatal(err)
+	if res := sh.Wait(ctx); res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	// With the first stream done, a new stream is admitted.
-	sh2, err := e.SubmitStream(ctx, StreamRequest{Tracker: newStreamDevice(t, 33), Duration: 0.5})
+	// With the first stream done, a new stream is admitted at once.
+	admitCtx2, cancelAdmit2 := context.WithTimeout(ctx, 5*time.Second)
+	defer cancelAdmit2()
+	sh2, err := e.Submit(admitCtx2, Request{Tracker: newStreamDevice(t, 33), Duration: 0.5, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := sh2.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st2.Result(); err != nil {
-		t.Fatal(err)
+	if res := sh2.Wait(ctx); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }
 
 func TestSubmitStreamValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
-	if _, err := e.SubmitStream(context.Background(), StreamRequest{}); err == nil {
+	if _, err := e.Submit(context.Background(), Request{Stream: true}); err == nil {
 		t.Fatal("nil tracker accepted")
 	}
 	e.Close()
-	if _, err := e.SubmitStream(context.Background(), StreamRequest{Tracker: newStreamDevice(t, 35), Duration: 1}); !errors.Is(err, ErrClosed) {
+	if _, err := e.Submit(context.Background(), Request{Tracker: newStreamDevice(t, 35), Duration: 1, Stream: true}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -180,7 +185,7 @@ func TestSubmitStreamCanceledMidFlight(t *testing.T) {
 	e := New(Config{Workers: 2})
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	sh, err := e.SubmitStream(ctx, StreamRequest{Tracker: newPacedStreamDevice(t, 36, 10*time.Millisecond), Duration: 5})
+	sh, err := e.Submit(ctx, Request{Tracker: newPacedStreamDevice(t, 36, 10*time.Millisecond), Duration: 5, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +201,15 @@ func TestSubmitStreamCanceledMidFlight(t *testing.T) {
 	if _, _, err := st.Result(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Result err = %v, want context.Canceled", err)
 	}
+	if res := sh.Wait(context.Background()); !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("Wait err = %v, want context.Canceled", res.Err)
+	}
 	// The admission slot is free again.
-	sh2, err := e.SubmitStream(context.Background(), StreamRequest{Tracker: newStreamDevice(t, 37), Duration: 0.4})
+	sh2, err := e.Submit(context.Background(), Request{Tracker: newStreamDevice(t, 37), Duration: 0.4, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := sh2.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st2.Result(); err != nil {
-		t.Fatal(err)
+	if res := sh2.Wait(context.Background()); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }

@@ -194,6 +194,9 @@ type Router struct {
 	mu      sync.Mutex
 	tenants map[string]*tenant
 	closed  bool
+	// drained is closed by the first Close once every tenant has closed;
+	// later Close calls wait on it.
+	drained chan struct{}
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -212,6 +215,7 @@ func NewRouter(opts Options) *Router {
 		clock:     clock,
 		newEngine: func(b Budget) tenantEngine { return realEngine{wivi.NewEngine(wivi.EngineOptions(b))} },
 		tenants:   make(map[string]*tenant),
+		drained:   make(chan struct{}),
 	}
 	now := clock.Now()
 	add := func(name string) {
@@ -507,15 +511,13 @@ func (r *Router) snapshotTenants() []*tenant {
 
 // Close drains the whole pool: the router stops accepting submits
 // (ErrClosed), the janitor stops, and each tenant waits for its
-// in-flight work to settle before its engine closes. Idempotent; the
-// first call blocks until every tenant engine has shut down.
+// in-flight work to settle before its engine closes. Idempotent; every
+// call blocks until every tenant engine has shut down.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		if r.janitorDone != nil {
-			<-r.janitorDone
-		}
+		<-r.drained
 		return nil
 	}
 	r.closed = true
@@ -527,6 +529,7 @@ func (r *Router) Close() error {
 	for _, t := range r.snapshotTenants() {
 		t.close()
 	}
+	close(r.drained)
 	return nil
 }
 

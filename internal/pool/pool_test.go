@@ -301,6 +301,44 @@ func TestCloseWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestSecondCloseWaitsForFirst: a Close that arrives while the first is
+// still waiting on an in-flight request waits with it, and returns only
+// once the tenant's engine has closed.
+func TestSecondCloseWaitsForFirst(t *testing.T) {
+	r, f := newFakeRouter(t, Options{Tenants: []string{"a"}})
+	if _, err := r.Submit(context.Background(), "a", wivi.Request{}); err != nil {
+		t.Fatal(err)
+	}
+	eng := f.last()
+	ta, err := r.tenantFor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() { first <- r.Close() }()
+	settle(t, "Close reaching tenant a", func() bool {
+		ta.mu.Lock()
+		defer ta.mu.Unlock()
+		return ta.closed
+	})
+	second := make(chan error, 1)
+	go func() { second <- r.Close() }()
+	select {
+	case err := <-second:
+		t.Fatalf("second Close returned %v with the engine still open", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	eng.finishAll()
+	for _, c := range []chan error{first, second} {
+		if err := <-c; err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	if !eng.isClosed() {
+		t.Fatal("Close returned with the tenant's engine open")
+	}
+}
+
 func TestIdleEvictionOnFakeClock(t *testing.T) {
 	clk := core.NewFakeClock(time.Unix(0, 0), false)
 	r, f := newFakeRouter(t, Options{

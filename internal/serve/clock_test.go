@@ -63,7 +63,7 @@ func newClockServer(t *testing.T, clk *core.FakeClock, timeout time.Duration,
 	submit func(ctx context.Context, tenant string, req wivi.Request) (handle, error)) *Server {
 	t.Helper()
 	router := pool.NewRouter(oneTenant(pool.Budget{Workers: 1},
-		map[string]*wivi.Device{"dev0": newWalkerDevice(t, 91, 0, 0, false)}))
+		map[string]*wivi.Device{"dev0": newWalkerDevice(t, 91, 0, false)}))
 	t.Cleanup(func() { router.Close() })
 	srv, err := New(Config{Pool: router, RequestTimeout: timeout, Clock: clk})
 	if err != nil {

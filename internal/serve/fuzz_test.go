@@ -39,7 +39,7 @@ func FuzzTrackRequest(f *testing.F) {
 	f.Add([]byte(`{"device":"dev0","duration_s":1}`), "ghost")
 
 	router := pool.NewRouter(oneTenant(pool.Budget{Workers: 1},
-		map[string]*wivi.Device{"dev0": newWalkerDevice(f, 93, 0, 0, false)}))
+		map[string]*wivi.Device{"dev0": newWalkerDevice(f, 93, 0, false)}))
 	f.Cleanup(func() { router.Close() })
 	srv, err := New(Config{Pool: router, MaxDurationS: validationMaxDurationS})
 	if err != nil {

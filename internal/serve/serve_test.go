@@ -28,16 +28,15 @@ const trackDur = 1.0 // seconds; 9 frames at the default calibration
 
 // newWalkerDevice builds the deterministic one-walker device of the
 // identity tests: same seed ⇒ byte-identical captures.
-func newWalkerDevice(t testing.TB, seed int64, workers, chunk int, paced bool) *wivi.Device {
+func newWalkerDevice(t testing.TB, seed int64, workers int, paced bool) *wivi.Device {
 	t.Helper()
 	sc := wivi.NewScene(wivi.SceneOptions{Seed: seed})
 	if err := sc.AddWalker(3); err != nil {
 		t.Fatal(err)
 	}
 	dev, err := wivi.NewDevice(sc, wivi.DeviceOptions{
-		FrameWorkers:       workers,
-		StreamChunkSamples: chunk,
-		Paced:              paced,
+		FrameWorkers: workers,
+		Paced:        paced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,94 +103,92 @@ func batchTrack(t testing.TB, eng *wivi.Engine, dev *wivi.Device) *wivi.Tracking
 // TestWireIdentity is the tentpole acceptance test: frames streamed
 // over HTTP and decoded client-side must be bit-identical to the
 // in-process stream — which is itself verified identical to batch
-// Track — for worker counts {1, 4} and several chunk sizes. Identity
-// must survive JSON serialization because encoding/json emits the
-// shortest float64 representation that re-parses exactly.
+// Track — for worker counts {1, 4}. Identity must survive JSON
+// serialization because encoding/json emits the shortest float64
+// representation that re-parses exactly.
 func TestWireIdentity(t *testing.T) {
 	const seed = 71
 	eng := wivi.NewEngine(wivi.EngineOptions{Workers: 2})
 	defer eng.Close()
-	want := batchTrack(t, eng, newWalkerDevice(t, seed, 0, 0, false))
+	want := batchTrack(t, eng, newWalkerDevice(t, seed, 0, false))
 
 	for _, workers := range []int{1, 4} {
-		for _, chunk := range []int{0, 57} {
-			// In-process stream with the same knobs: collect the reference
-			// frames and pin the in-process half of the invariant.
-			devIn := newWalkerDevice(t, seed, workers, chunk, false)
-			h, err := eng.Submit(context.Background(), wivi.Request{Device: devIn, Duration: trackDur, Stream: true})
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			st, err := h.Stream(context.Background())
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			var ref []wivi.StreamFrame
-			for fr := range st.Frames() {
-				ref = append(ref, fr)
-			}
-			if err := st.Err(); err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			inRes, err := st.Result()
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			if !inRes.Equal(want) {
-				t.Fatalf("workers=%d chunk=%d: in-process stream differs from batch Track", workers, chunk)
-			}
+		// In-process stream with the same knobs: collect the reference
+		// frames and pin the in-process half of the invariant.
+		devIn := newWalkerDevice(t, seed, workers, false)
+		h, err := eng.Submit(context.Background(), wivi.Request{Device: devIn, Duration: trackDur, Stream: true})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st, err := h.Stream(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var ref []wivi.StreamFrame
+		for fr := range st.Frames() {
+			ref = append(ref, fr)
+		}
+		if err := st.Err(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		inRes, err := st.Result()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !inRes.Equal(want) {
+			t.Fatalf("workers=%d: in-process stream differs from batch Track", workers)
+		}
 
-			// The same capture over the wire.
-			devWire := newWalkerDevice(t, seed, workers, chunk, false)
-			_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": devWire}), nil)
-			cs, err := client.TrackStream(context.Background(), TrackRequest{Device: "dev0", DurationS: trackDur})
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+		// The same capture over the wire.
+		devWire := newWalkerDevice(t, seed, workers, false)
+		_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": devWire}), nil)
+		cs, err := client.TrackStream(context.Background(), TrackRequest{Device: "dev0", DurationS: trackDur})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var wire []Frame
+		for {
+			fr, ok := cs.Next()
+			if !ok {
+				break
 			}
-			var wire []Frame
-			for {
-				fr, ok := cs.Next()
-				if !ok {
-					break
-				}
-				wire = append(wire, fr)
-			}
-			if err := cs.Err(); err != nil {
-				t.Fatalf("workers=%d chunk=%d: stream error: %v", workers, chunk, err)
-			}
-			cs.Close()
+			wire = append(wire, fr)
+		}
+		if err := cs.Err(); err != nil {
+			t.Fatalf("workers=%d: stream error: %v", workers, err)
+		}
+		cs.Close()
 
-			if len(wire) != len(ref) {
-				t.Fatalf("workers=%d chunk=%d: %d wire frames, want %d", workers, chunk, len(wire), len(ref))
+		if len(wire) != len(ref) {
+			t.Fatalf("workers=%d: %d wire frames, want %d", workers, len(wire), len(ref))
+		}
+		for i, fr := range wire {
+			if fr.Index != ref[i].Index {
+				t.Fatalf("workers=%d frame %d: index %d, want %d", workers, i, fr.Index, ref[i].Index)
 			}
-			for i, fr := range wire {
-				if fr.Index != ref[i].Index {
-					t.Fatalf("workers=%d chunk=%d frame %d: index %d, want %d", workers, chunk, i, fr.Index, ref[i].Index)
+			if math.Float64bits(fr.TimeS) != math.Float64bits(ref[i].Time) {
+				t.Fatalf("workers=%d frame %d: time %v != %v", workers, i, fr.TimeS, ref[i].Time)
+			}
+			if len(fr.Power) != len(ref[i].Power) {
+				t.Fatalf("workers=%d frame %d: %d power bins, want %d", workers, i, len(fr.Power), len(ref[i].Power))
+			}
+			for k := range fr.Power {
+				if math.Float64bits(fr.Power[k]) != math.Float64bits(ref[i].Power[k]) {
+					t.Fatalf("workers=%d frame %d bin %d: %x != %x",
+						workers, i, k, math.Float64bits(fr.Power[k]), math.Float64bits(ref[i].Power[k]))
 				}
-				if math.Float64bits(fr.TimeS) != math.Float64bits(ref[i].Time) {
-					t.Fatalf("workers=%d chunk=%d frame %d: time %v != %v", workers, chunk, i, fr.TimeS, ref[i].Time)
-				}
-				if len(fr.Power) != len(ref[i].Power) {
-					t.Fatalf("workers=%d chunk=%d frame %d: %d power bins, want %d", workers, chunk, i, len(fr.Power), len(ref[i].Power))
-				}
-				for k := range fr.Power {
-					if math.Float64bits(fr.Power[k]) != math.Float64bits(ref[i].Power[k]) {
-						t.Fatalf("workers=%d chunk=%d frame %d bin %d: %x != %x",
-							workers, chunk, i, k, math.Float64bits(fr.Power[k]), math.Float64bits(ref[i].Power[k]))
-					}
-				}
 			}
-			res := cs.Result()
-			if res == nil {
-				t.Fatalf("workers=%d chunk=%d: no terminal result event", workers, chunk)
-			}
-			if res.NumFrames != want.NumFrames() || res.NumFrames != len(wire) {
-				t.Fatalf("workers=%d chunk=%d: result num_frames %d, want %d (streamed %d)",
-					workers, chunk, res.NumFrames, want.NumFrames(), len(wire))
-			}
-			if res.WindowMs <= 0 {
-				t.Fatalf("workers=%d chunk=%d: streamed result missing window_ms", workers, chunk)
-			}
+		}
+		res := cs.Result()
+		if res == nil {
+			t.Fatalf("workers=%d: no terminal result event", workers)
+		}
+		if res.NumFrames != want.NumFrames() || res.NumFrames != len(wire) {
+			t.Fatalf("workers=%d: result num_frames %d, want %d (streamed %d)",
+				workers, res.NumFrames, want.NumFrames(), len(wire))
+		}
+		if res.WindowMs <= 0 {
+			t.Fatalf("workers=%d: streamed result missing window_ms", workers)
 		}
 	}
 }
@@ -260,7 +257,7 @@ func TestBatchAndGestureOverWire(t *testing.T) {
 // deadline must answer 503 with code "deadline_infeasible" — without
 // running any capture.
 func TestDeadlineInfeasible503(t *testing.T) {
-	dev := newWalkerDevice(t, 31, 0, 0, true)
+	dev := newWalkerDevice(t, 31, 0, true)
 	router, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	_, err := client.Track(context.Background(), TrackRequest{Device: "dev0", DurationS: 1, DeadlineMs: 10})
@@ -280,7 +277,7 @@ func TestDeadlineInfeasible503(t *testing.T) {
 // stream finishes every frame, late submits answer 503 "draining",
 // /healthz flips to 503, and Drain returns once the stream is done.
 func TestDrain(t *testing.T) {
-	dev := newWalkerDevice(t, 33, 0, 0, true) // paced: the stream outlives Drain's start
+	dev := newWalkerDevice(t, 33, 0, true) // paced: the stream outlives Drain's start
 	_, srv, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	cs, err := client.TrackStream(context.Background(), TrackRequest{Device: "dev0", DurationS: 0.6})
@@ -346,7 +343,7 @@ func TestDrain(t *testing.T) {
 // goroutines. Run under -race this doubles as the tier's concurrency
 // stress.
 func TestClientDisconnectNoLeak(t *testing.T) {
-	dev := newWalkerDevice(t, 35, 0, 0, true) // paced: the capture is slow enough to abandon
+	dev := newWalkerDevice(t, 35, 0, true) // paced: the capture is slow enough to abandon
 	router, srv, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	// Warm up: one complete stream stabilizes the engine pool and the
@@ -444,7 +441,7 @@ const validationMaxDurationS = 3
 
 // TestRequestValidation pins the typed 4xx contract.
 func TestRequestValidation(t *testing.T) {
-	dev := newWalkerDevice(t, 37, 0, 0, false)
+	dev := newWalkerDevice(t, 37, 0, false)
 	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}),
 		func(c *Config) { c.MaxDurationS = validationMaxDurationS })
 
@@ -480,7 +477,7 @@ func TestRequestValidation(t *testing.T) {
 // (the request of the benchmark's serve_short workload) answers 200
 // with one frame.
 func TestSubWindowDuration(t *testing.T) {
-	dev := newWalkerDevice(t, 43, 0, 0, false)
+	dev := newWalkerDevice(t, 43, 0, false)
 	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 2}, map[string]*wivi.Device{"dev0": dev}), nil)
 	ctx := context.Background()
 	short := TrackRequest{Device: "dev0", DurationS: 0.1}
@@ -505,7 +502,7 @@ func TestSubWindowDuration(t *testing.T) {
 // and the Prometheus rendering both reflect a completed request, with
 // every engine series labelled by its tenant.
 func TestStatsAndMetrics(t *testing.T) {
-	dev := newWalkerDevice(t, 39, 0, 0, false)
+	dev := newWalkerDevice(t, 39, 0, false)
 	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	if _, err := client.Track(context.Background(), TrackRequest{Device: "dev0", DurationS: trackDur}); err != nil {
@@ -582,7 +579,7 @@ func TestNewValidation(t *testing.T) {
 // /v1/devices reports the 10 s default. A negative, NaN or infinite cap
 // is refused.
 func TestDefaultCaptureCap(t *testing.T) {
-	dev := newWalkerDevice(t, 47, 0, 0, false)
+	dev := newWalkerDevice(t, 47, 0, false)
 	router, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 	ctx := context.Background()
 	_, err := client.Track(ctx, TrackRequest{Device: "dev0", DurationS: 11})

@@ -104,7 +104,7 @@ func TestUnknownTenantOverTheWire(t *testing.T) {
 // the default tenant serves that tenant, echoed by name, and nothing
 // else.
 func TestSingleTenantServerRejectsTenants(t *testing.T) {
-	dev := newWalkerDevice(t, 31, 0, 0, false)
+	dev := newWalkerDevice(t, 31, 0, false)
 	_, _, client := newTestServer(t, oneTenant(pool.Budget{Workers: 1}, map[string]*wivi.Device{"dev0": dev}), nil)
 
 	client.Tenant = pool.DefaultTenant
@@ -206,7 +206,7 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	refEng := wivi.NewEngine(wivi.EngineOptions{Workers: 1})
 	defer refEng.Close()
 	rh, err := refEng.Submit(context.Background(), wivi.Request{
-		Device: newWalkerDevice(t, seed, 0, 0, false), Duration: trackDur, Stream: true,
+		Device: newWalkerDevice(t, seed, 0, false), Duration: trackDur, Stream: true,
 	})
 	if err != nil {
 		t.Fatal(err)

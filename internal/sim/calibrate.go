@@ -5,7 +5,11 @@
 // DESIGN.md §2 for the substitution rationale.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"wivi/internal/rf"
+)
 
 // Calibration centralizes the constants that map the simulator onto the
 // paper's operating point. Amplitudes are in normalized receiver units:
@@ -93,8 +97,8 @@ func DefaultCalibration() Calibration {
 		LimbRCS:        0.15,
 		SampleT:        0.0032,
 		NumSubcarriers: 16,
-		CenterHz:       2.4e9,
-		BandwidthHz:    5e6,
+		CenterHz:       rf.ISMCenterHz,
+		BandwidthHz:    rf.DefaultBandwidthHz,
 	}
 }
 

@@ -165,11 +165,13 @@ func TestPhasor(t *testing.T) {
 	}
 }
 
-// TestCaptureFanOutIdentity checks that the synthesis fan-out width never
-// changes a sample. For reads of 1 to 1,250 samples, on either side of
-// the two-block threshold, a one-shot Capture, chunked Reads, a
-// StreamCapture and a CaptureRaw on a fresh device of each width must
-// equal, bit for bit, the same call on a fresh width-1 device.
+// TestCaptureFanOutIdentity checks that neither the synthesis fan-out
+// width nor the chunking changes a sample. For reads of 1 to 1,250
+// samples, on either side of the two-block threshold, a one-shot
+// Capture, chunked Reads, a StreamCapture and a CaptureRaw on a fresh
+// device of each width must equal, bit for bit, the same call on a fresh
+// width-1 device; and the width-1 chunked Reads and StreamCapture must
+// equal the width-1 one-shot Capture.
 func TestCaptureFanOutIdentity(t *testing.T) {
 	const (
 		seed   = 23
@@ -231,26 +233,43 @@ func TestCaptureFanOutIdentity(t *testing.T) {
 			return d.CaptureRaw(startT, n)
 		}},
 	}
+	// same fails the test unless got equals want bit for bit.
+	same := func(what string, got, want [][]complex128) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d subcarriers, want %d", what, len(got), len(want))
+		}
+		for k := range want {
+			if len(got[k]) != len(want[k]) {
+				t.Fatalf("%s: subcarrier %d has %d samples, want %d", what, k, len(got[k]), len(want[k]))
+			}
+			for i := range want[k] {
+				if math.Float64bits(real(got[k][i])) != math.Float64bits(real(want[k][i])) ||
+					math.Float64bits(imag(got[k][i])) != math.Float64bits(imag(want[k][i])) {
+					t.Fatalf("%s: subcarrier %d sample %d is %v, want %v", what, k, i, got[k][i], want[k][i])
+				}
+			}
+		}
+	}
 	for _, n := range []int{1, 25, 31, 32, 100, 1250} {
+		var oneShot [][]complex128
 		for _, f := range forms {
 			want, err := f.capture(device(1), n)
 			if err != nil {
 				t.Fatal(err)
+			}
+			switch f.name {
+			case "Capture":
+				oneShot = want
+			case "Read", "StreamCapture":
+				same(fmt.Sprintf("%s of %d samples at width 1 vs one-shot Capture", f.name, n), want, oneShot)
 			}
 			for _, w := range []int{2, 3, 8} {
 				got, err := f.capture(device(w), n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := range want {
-					for i := range want[k] {
-						if math.Float64bits(real(got[k][i])) != math.Float64bits(real(want[k][i])) ||
-							math.Float64bits(imag(got[k][i])) != math.Float64bits(imag(want[k][i])) {
-							t.Fatalf("%s of %d samples, width %d: subcarrier %d sample %d is %v, width 1 gives %v",
-								f.name, n, w, k, i, got[k][i], want[k][i])
-						}
-					}
-				}
+				same(fmt.Sprintf("%s of %d samples, width %d vs width 1", f.name, n, w), got, want)
 			}
 		}
 	}

@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// newStreamScene builds the deterministic one-walker device used by the
-// stream/batch identity tests, with explicit worker and chunk knobs.
-func newStreamDevice(t testing.TB, seed int64, frameWorkers, chunk int) *Device {
+// newStreamDevice builds the deterministic one-walker device used by the
+// stream/batch identity tests, with an explicit worker knob.
+func newStreamDevice(t testing.TB, seed int64, frameWorkers int) *Device {
 	t.Helper()
 	sc := NewScene(SceneOptions{Seed: seed})
 	if err := sc.AddWalker(2); err != nil {
 		t.Fatal(err)
 	}
-	dev, err := NewDevice(sc, DeviceOptions{FrameWorkers: frameWorkers, StreamChunkSamples: chunk})
+	dev, err := NewDevice(sc, DeviceOptions{FrameWorkers: frameWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,45 +25,44 @@ func newStreamDevice(t testing.TB, seed int64, frameWorkers, chunk int) *Device 
 
 // TestTrackStreamMatchesTrack is the acceptance criterion of the
 // streaming refactor: the streamed image is byte-identical to batch
-// Track for worker counts {1, 4, GOMAXPROCS} and several chunk sizes.
+// Track for worker counts {1, 4, GOMAXPROCS}. Chunk sizes other than the
+// hop a stream reads are core's TestTrackStreamMatchesBatch.
 func TestTrackStreamMatchesTrack(t *testing.T) {
 	const seed = 41
-	want, err := newStreamDevice(t, seed, 0, 0).Track(context.Background(), trackDuration)
+	want, err := newStreamDevice(t, seed, 0).Track(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, chunk := range []int{0, 7, 100} {
-			dev := newStreamDevice(t, seed, workers, chunk)
-			ts, err := dev.TrackStream(context.Background(), trackDuration)
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+		dev := newStreamDevice(t, seed, workers)
+		ts, err := dev.TrackStream(context.Background(), trackDuration)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// Consume the frames as they arrive; indices must ascend.
+		frames := 0
+		for fr := range ts.Frames() {
+			if fr.Index != frames {
+				t.Fatalf("frame %d emitted at position %d", fr.Index, frames)
 			}
-			// Consume the frames as they arrive; indices must ascend.
-			frames := 0
-			for fr := range ts.Frames() {
-				if fr.Index != frames {
-					t.Fatalf("frame %d emitted at position %d", fr.Index, frames)
-				}
-				if len(fr.Power) != len(ts.Thetas()) {
-					t.Fatalf("frame %d spectrum length %d, want %d", fr.Index, len(fr.Power), len(ts.Thetas()))
-				}
-				frames++
+			if len(fr.Power) != len(ts.Thetas()) {
+				t.Fatalf("frame %d spectrum length %d, want %d", fr.Index, len(fr.Power), len(ts.Thetas()))
 			}
-			if err := ts.Err(); err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			got, err := ts.Result()
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			if frames != ts.TotalFrames() || frames != got.NumFrames() {
-				t.Fatalf("workers=%d chunk=%d: %d frames emitted, total %d, image %d",
-					workers, chunk, frames, ts.TotalFrames(), got.NumFrames())
-			}
-			if !got.Equal(want) {
-				t.Fatalf("workers=%d chunk=%d: streamed image differs from batch Track", workers, chunk)
-			}
+			frames++
+		}
+		if err := ts.Err(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got, err := ts.Result()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if frames != ts.TotalFrames() || frames != got.NumFrames() {
+			t.Fatalf("workers=%d: %d frames emitted, total %d, image %d",
+				workers, frames, ts.TotalFrames(), got.NumFrames())
+		}
+		if !got.Equal(want) {
+			t.Fatalf("workers=%d: streamed image differs from batch Track", workers)
 		}
 	}
 }
@@ -134,15 +133,15 @@ func TestTrackStreamWholeChain(t *testing.T) {
 // calls on other devices through the shared engine: both paths complete
 // and the stream result stays byte-identical.
 func TestTrackStreamWhileBatchTracks(t *testing.T) {
-	want, err := newStreamDevice(t, 43, 0, 0).Track(context.Background(), trackDuration)
+	want, err := newStreamDevice(t, 43, 0).Track(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := newStreamDevice(t, 43, 0, 0).TrackStream(context.Background(), trackDuration)
+	ts, err := newStreamDevice(t, 43, 0).TrackStream(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newStreamDevice(t, 44, 0, 0).Track(context.Background(), trackDuration); err != nil {
+	if _, err := newStreamDevice(t, 44, 0).Track(context.Background(), trackDuration); err != nil {
 		t.Fatalf("batch track alongside stream: %v", err)
 	}
 	got, err := ts.Result()
@@ -160,7 +159,7 @@ func TestTrackStreamWhileBatchTracks(t *testing.T) {
 // baseline is measured after a first stream has warmed it up.
 func TestTrackStreamCancelNoLeaks(t *testing.T) {
 	// Warm up the shared engine and the frame-token pool.
-	warm, err := newStreamDevice(t, 45, 0, 0).TrackStream(context.Background(), trackDuration)
+	warm, err := newStreamDevice(t, 45, 0).TrackStream(context.Background(), trackDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestTrackStreamCancelNoLeaks(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		ts, err := newStreamDevice(t, int64(50+i), 0, 1).TrackStream(ctx, 1.5)
+		ts, err := newStreamDevice(t, int64(50+i), 0).TrackStream(ctx, 1.5)
 		if err != nil {
 			cancel()
 			t.Fatal(err)

@@ -188,8 +188,6 @@ func (s *Scene) NumSubjects() int { return len(s.inner.Humans) }
 
 // DeviceOptions configures the Wi-Vi device.
 type DeviceOptions struct {
-	// Seed drives the device's noise; defaults to the scene seed.
-	Seed int64
 	// FrameWorkers bounds the per-capture fan-out: the ISAR frames of a
 	// capture, and the channel synthesis of each capture read, which is
 	// split into contiguous sample blocks. 0 means one per CPU, 1
@@ -197,11 +195,6 @@ type DeviceOptions struct {
 	// count never affects the samples or the image, only the scheduling —
 	// see internal/isar's stage decomposition and DESIGN §2.
 	FrameWorkers int
-	// StreamChunkSamples is the capture chunk granularity for
-	// TrackStream, in samples; 0 uses the ISAR hop (one potential frame
-	// per chunk). The chunk size never affects the streamed image, only
-	// latency and cancellation granularity.
-	StreamChunkSamples int
 	// Paced delivers capture samples at the radio's real cadence (one
 	// sample per SampleT of wall clock, like the paper's USRP) instead
 	// of as fast as the simulator can synthesize them. A paced capture
@@ -214,41 +207,36 @@ type DeviceOptions struct {
 
 // Device is a Wi-Vi device observing one scene.
 type Device struct {
-	pipeline    *core.Device
-	fe          *sim.Device
-	streamChunk int
-	paced       bool
+	pipeline *core.Device
+	fe       *sim.Device
+	paced    bool
 }
 
-// NewDevice places a device in front of the scene's wall.
+// NewDevice places a device in front of the scene's wall. The scene's
+// seed also seeds the device's noise.
 func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 	if scene == nil {
 		return nil, errors.New("wivi: nil scene")
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = scene.seed
-	}
 	fe, err := sim.NewDevice(scene.inner, sim.DefaultCalibration(), sim.DeviceConfig{
-		Seed:         seed,
+		Seed:         scene.seed,
 		SynthWorkers: opts.FrameWorkers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var front core.FrontEnd = fe
-	if opts.Paced {
-		front = core.NewPacedFrontEnd(fe, nil)
-	}
-	cfg := core.DefaultConfig(front)
+	cfg := core.DefaultConfig(fe)
 	if opts.FrameWorkers > 0 {
 		cfg.FrameWorkers = opts.FrameWorkers
 	}
-	pipeline, err := core.New(front, cfg)
+	if opts.Paced {
+		cfg.Pace = core.RealClock()
+	}
+	pipeline, err := core.New(fe, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Device{pipeline: pipeline, fe: fe, streamChunk: opts.StreamChunkSamples, paced: opts.Paced}, nil
+	return &Device{pipeline: pipeline, fe: fe, paced: opts.Paced}, nil
 }
 
 // NullingSummary reports the flash-elimination outcome (§4).
@@ -334,11 +322,11 @@ type TrackStream struct {
 // Track submits keep a worker (except on single-worker engines —
 // GOMAXPROCS=1 hosts — where one stream is still admitted and batch
 // submits queue behind it). Canceling ctx aborts the capture at the
-// next chunk boundary.
+// next chunk boundary, or inside a paced device's wait for the chunk.
 //
 // The streamed frames are byte-identical to the batch path: for the
 // same scene and duration, Result().Equal(Track's result) always holds,
-// whatever the worker count or chunk size.
+// whatever the worker count.
 func (d *Device) TrackStream(ctx context.Context, duration float64) (*TrackStream, error) {
 	h, err := defaultEngine().Submit(ctx, Request{Device: d, Duration: duration, Stream: true})
 	if err != nil {
