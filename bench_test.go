@@ -9,6 +9,7 @@ package wivi
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -164,6 +165,35 @@ func BenchmarkTrackPaced(b *testing.B) {
 	}
 	if frames > 0 {
 		b.ReportMetric(float64(lagSum)/float64(frames)/1e6, "lag-ms/frame")
+	}
+}
+
+// BenchmarkBuildDevice times one device build as a tenant pool pays it
+// on a tenant's first request and after each idle eviction: a
+// hollow-wall scene with 1, 2 or 3 walkers moving for one 0.32 s window,
+// the device, and its nulling. It is the in-process yardstick of the
+// benchmark's pool.device_build_ms layer, which builds the same way.
+// Iterations cycle over 16 scene seeds.
+func BenchmarkBuildDevice(b *testing.B) {
+	for walkers := 1; walkers <= 3; walkers++ {
+		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := NewScene(SceneOptions{Seed: int64(1 + i%16), Wall: HollowWall})
+				for k := 0; k < walkers; k++ {
+					if err := sc.AddWalker(0.32); err != nil {
+						b.Fatal(err)
+					}
+				}
+				dev, err := NewDevice(sc, DeviceOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dev.Null(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

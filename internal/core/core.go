@@ -46,8 +46,8 @@ type FrontEnd interface {
 	// bits.
 	//
 	// A chunk is valid only until emit returns: implementations may reuse
-	// the chunk buffers for the next chunk (internal/sim does), so emit
-	// must copy whatever it needs to retain.
+	// the chunk's rows for the next chunk (internal/sim does), so emit
+	// must copy whatever it needs to retain and leave the rows in place.
 	StreamCapture(p []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error
 
 	// Wavelength returns the center carrier wavelength in meters.

@@ -33,31 +33,52 @@ func SubcarrierFreq(centerHz, bandwidthHz float64, k, n int) float64 {
 }
 
 // Path is one propagation path contributing to a channel: a total
-// geometric length and a real amplitude factor. The complex channel
-// contribution at wavelength lambda is Amp * e^{-j 2 pi Length / lambda}.
+// geometric length and the factors of its amplitude that do not depend
+// on the wavelength. The complex channel contribution at wavelength
+// lambda is Amp(lambda) * e^{-j 2 pi Length / lambda}. A path's
+// geometry and antenna gains are evaluated once, when it is built, and
+// serve every wavelength.
 type Path struct {
 	// Length is the total path length in meters.
 	Length float64
-	// Amp is the linear amplitude gain along this path (antenna gains,
-	// spreading loss, transmission and reflection coefficients).
-	Amp float64
+	// gain is the product of both antennas' amplitude gains along the
+	// path, times sqrt(rcs/4π) for a point scatterer.
+	gain float64
+	// den is the spreading denominator: 4π·d, or 4π·d1·d2 for a point
+	// scatterer.
+	den float64
+	// extra multiplies the amplitude: obstruction transmission and
+	// reflection coefficients.
+	extra float64
+}
+
+// Amp returns the path's linear amplitude gain at the given wavelength:
+// antenna gains, spreading loss, transmission and reflection
+// coefficients. It combines them as ((gain·lambda)/den)·extra: the
+// static sums' bits depend on that order (internal/sim's
+// TestStaticSumsMatchPerSubcarrierReference).
+func (p Path) Amp(lambda float64) float64 {
+	return p.gain * lambda / p.den * p.extra
 }
 
 // Channel returns the path's complex baseband channel coefficient at the
 // given wavelength.
 func (p Path) Channel(lambda float64) complex128 {
 	phase := -2 * math.Pi * p.Length / lambda
-	return cmplx.Rect(p.Amp, phase)
+	return cmplx.Rect(p.Amp(lambda), phase)
 }
 
 // DirectPath returns the line-of-sight path between a transmit and a
 // receive antenna: Friis spreading with both antenna patterns applied.
 // extraAmp multiplies the amplitude (e.g. obstruction transmission).
-func DirectPath(tx, rx Antenna, lambda, extraAmp float64) Path {
+func DirectPath(tx, rx Antenna, extraAmp float64) Path {
 	d := math.Max(tx.Pos.Dist(rx.Pos), MinRange)
-	amp := tx.AmplitudeGainToward(rx.Pos) * rx.AmplitudeGainToward(tx.Pos) *
-		lambda / (4 * math.Pi * d) * extraAmp
-	return Path{Length: d, Amp: amp}
+	return Path{
+		Length: d,
+		gain:   tx.AmplitudeGainToward(rx.Pos) * rx.AmplitudeGainToward(tx.Pos),
+		den:    4 * math.Pi * d,
+		extra:  extraAmp,
+	}
 }
 
 // MirrorPath returns the specular "flash" reflection off a large planar
@@ -69,16 +90,19 @@ func DirectPath(tx, rx Antenna, lambda, extraAmp float64) Path {
 //
 // wallY is the y-coordinate of the wall plane (the wall is parallel to
 // the x axis in scene coordinates).
-func MirrorPath(tx, rx Antenna, wallY, lambda, reflectivity float64) Path {
+func MirrorPath(tx, rx Antenna, wallY, reflectivity float64) Path {
 	// Image of the receiver across the wall plane.
 	img := geom.Point{X: rx.Pos.X, Y: 2*wallY - rx.Pos.Y}
 	d := math.Max(tx.Pos.Dist(img), MinRange)
 	// Specular point on the wall for antenna pattern evaluation.
 	t := (wallY - tx.Pos.Y) / (img.Y - tx.Pos.Y)
 	spec := geom.Point{X: tx.Pos.X + t*(img.X-tx.Pos.X), Y: wallY}
-	amp := tx.AmplitudeGainToward(spec) * rx.AmplitudeGainToward(spec) *
-		lambda / (4 * math.Pi * d) * reflectivity
-	return Path{Length: d, Amp: amp}
+	return Path{
+		Length: d,
+		gain:   tx.AmplitudeGainToward(spec) * rx.AmplitudeGainToward(spec),
+		den:    4 * math.Pi * d,
+		extra:  reflectivity,
+	}
 }
 
 // ScatterPath returns a bistatic point-scatterer path
@@ -89,13 +113,17 @@ func MirrorPath(tx, rx Antenna, wallY, lambda, reflectivity float64) Path {
 //
 // times any transmission factor (e.g. traversing the wall twice).
 // This models both moving humans and static clutter behind the wall.
-func ScatterPath(tx, rx Antenna, at geom.Point, lambda, rcs, extraAmp float64) Path {
+func ScatterPath(tx, rx Antenna, at geom.Point, rcs, extraAmp float64) Path {
 	d1 := math.Max(tx.Pos.Dist(at), MinRange)
 	d2 := math.Max(rx.Pos.Dist(at), MinRange)
 	gt := tx.AmplitudeGainToward(at)
 	gr := rx.AmplitudeGainToward(at)
-	amp := gt * gr * math.Sqrt(rcs/(4*math.Pi)) * lambda / (4 * math.Pi * d1 * d2) * extraAmp
-	return Path{Length: d1 + d2, Amp: amp}
+	return Path{
+		Length: d1 + d2,
+		gain:   gt * gr * math.Sqrt(rcs/(4*math.Pi)),
+		den:    4 * math.Pi * d1 * d2,
+		extra:  extraAmp,
+	}
 }
 
 // TwoWayTransmission returns the amplitude factor for traversing the

@@ -252,13 +252,13 @@ func TestOmniAntenna(t *testing.T) {
 
 func TestPathChannelPhase(t *testing.T) {
 	lambda := 0.125
-	p := Path{Length: lambda, Amp: 2}
+	p := Path{Length: lambda, gain: 2, den: lambda, extra: 1}
 	h := p.Channel(lambda)
 	// One full wavelength -> phase -2pi -> back to positive real.
 	if math.Abs(real(h)-2) > 1e-9 || math.Abs(imag(h)) > 1e-9 {
 		t.Fatalf("Channel = %v, want 2+0i", h)
 	}
-	q := Path{Length: lambda / 2, Amp: 1}
+	q := Path{Length: lambda / 2, gain: 1, den: lambda, extra: 1}
 	hq := q.Channel(lambda)
 	if math.Abs(real(hq)+1) > 1e-9 {
 		t.Fatalf("half-wavelength channel = %v, want -1", hq)
@@ -270,9 +270,9 @@ func TestDirectPathInverseDistance(t *testing.T) {
 	tx := NewOmni(geom.Point{X: 0, Y: 0})
 	rx1 := NewOmni(geom.Point{X: 0, Y: 2})
 	rx2 := NewOmni(geom.Point{X: 0, Y: 4})
-	p1 := DirectPath(tx, rx1, lambda, 1)
-	p2 := DirectPath(tx, rx2, lambda, 1)
-	if ratio := p1.Amp / p2.Amp; math.Abs(ratio-2) > 1e-9 {
+	p1 := DirectPath(tx, rx1, 1)
+	p2 := DirectPath(tx, rx2, 1)
+	if ratio := p1.Amp(lambda) / p2.Amp(lambda); math.Abs(ratio-2) > 1e-9 {
 		t.Fatalf("LOS amplitude ratio = %v, want 2 (1/d law)", ratio)
 	}
 	if p1.Length != 2 || p2.Length != 4 {
@@ -285,9 +285,9 @@ func TestScatterPathInverseD4Power(t *testing.T) {
 	// amplitude falls as 1/d^2.
 	lambda := Wavelength(ISMCenterHz)
 	dev := NewOmni(geom.Point{X: 0, Y: 0})
-	p1 := ScatterPath(dev, dev, geom.Point{X: 0, Y: 3}, lambda, 1, 1)
-	p2 := ScatterPath(dev, dev, geom.Point{X: 0, Y: 6}, lambda, 1, 1)
-	if ratio := p1.Amp / p2.Amp; math.Abs(ratio-4) > 1e-9 {
+	p1 := ScatterPath(dev, dev, geom.Point{X: 0, Y: 3}, 1, 1)
+	p2 := ScatterPath(dev, dev, geom.Point{X: 0, Y: 6}, 1, 1)
+	if ratio := p1.Amp(lambda) / p2.Amp(lambda); math.Abs(ratio-4) > 1e-9 {
 		t.Fatalf("scatter amplitude ratio = %v, want 4 (1/d^2 law)", ratio)
 	}
 	if p1.Length != 6 {
@@ -303,10 +303,10 @@ func TestFlashDominatesHumanReflection(t *testing.T) {
 	tx := NewDirectional(geom.Point{X: -0.3, Y: -1}, geom.Vec{X: 0, Y: 1})
 	rx := NewDirectional(geom.Point{X: 0.3, Y: -1}, geom.Vec{X: 0, Y: 1})
 	wallY := 0.0
-	flash := MirrorPath(tx, rx, wallY, lambda, HollowWall.Reflectivity)
-	human := ScatterPath(tx, rx, geom.Point{X: 0, Y: 4}, lambda, 1.0,
+	flash := MirrorPath(tx, rx, wallY, HollowWall.Reflectivity)
+	human := ScatterPath(tx, rx, geom.Point{X: 0, Y: 4}, 1.0,
 		TwoWayTransmission(HollowWall))
-	gapDB := 20 * math.Log10(flash.Amp/human.Amp)
+	gapDB := 20 * math.Log10(flash.Amp(lambda)/human.Amp(lambda))
 	if gapDB < 18 || gapDB > 80 {
 		t.Fatalf("flash-to-human gap = %.1f dB, want within [18, 80] (paper: 18-36 dB wall "+
 			"attenuation alone, plus cross-section and spreading)", gapDB)
@@ -314,10 +314,9 @@ func TestFlashDominatesHumanReflection(t *testing.T) {
 }
 
 func TestMirrorPathGeometry(t *testing.T) {
-	lambda := Wavelength(ISMCenterHz)
 	tx := NewOmni(geom.Point{X: -1, Y: -1})
 	rx := NewOmni(geom.Point{X: 1, Y: -1})
-	p := MirrorPath(tx, rx, 0, lambda, 1)
+	p := MirrorPath(tx, rx, 0, 1)
 	// Unfolded distance: |(-1,-1) -> (1,1)| = 2*sqrt(2).
 	want := 2 * math.Sqrt2
 	if math.Abs(p.Length-want) > 1e-9 {
@@ -329,12 +328,12 @@ func TestMinRangeClamp(t *testing.T) {
 	lambda := Wavelength(ISMCenterHz)
 	tx := NewOmni(geom.Point{})
 	rx := NewOmni(geom.Point{})
-	p := DirectPath(tx, rx, lambda, 1)
-	if math.IsInf(p.Amp, 1) || math.IsNaN(p.Amp) {
+	p := DirectPath(tx, rx, 1)
+	if a := p.Amp(lambda); math.IsInf(a, 1) || math.IsNaN(a) {
 		t.Fatal("zero-distance direct path must be clamped")
 	}
-	s := ScatterPath(tx, rx, geom.Point{}, lambda, 1, 1)
-	if math.IsInf(s.Amp, 1) || math.IsNaN(s.Amp) {
+	s := ScatterPath(tx, rx, geom.Point{}, 1, 1)
+	if a := s.Amp(lambda); math.IsInf(a, 1) || math.IsNaN(a) {
 		t.Fatal("zero-distance scatter path must be clamped")
 	}
 }

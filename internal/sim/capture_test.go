@@ -29,8 +29,7 @@ func directMovingChannel(d *Device, txa rf.Antenna, t float64) []complex128 {
 		amp0 := gain(txa, pos) * gain(d.Rx, pos) * math.Sqrt(rcs/(4*math.Pi)) *
 			d.lambda0 / (4 * math.Pi * d1 * d2) * extra
 		for k, lambda := range d.lambdas {
-			p := rf.Path{Length: d1 + d2, Amp: amp0 * lambda / d.lambda0}
-			out[k] += p.Channel(lambda)
+			out[k] += cmplx.Rect(amp0*lambda/d.lambda0, -2*math.Pi*(d1+d2)/lambda)
 		}
 	}
 	wallAmp := d.scene.TwoWayWallAmp()

@@ -46,10 +46,12 @@ type Device struct {
 
 	// static per-antenna, per-subcarrier channel sums (geometry frozen).
 	static [2][]complex128
-	// nullTime freezes the moving scene during nulling (t = 0).
-	nullTime float64
-	// stage1Gain is the AGC gain used for un-nulled sounding; computed
-	// lazily from the strongest static channel.
+	// frozen is each transmit antenna's per-subcarrier channel with the
+	// moving scene frozen at nullTime: the static sums plus every body
+	// part where it stands then. Every sounding measures it.
+	frozen [2][]complex128
+	// stage1Gain is the AGC gain of un-nulled sounding: it places the
+	// strongest frozen channel at AGCTargetFrac of ADC full scale.
 	stage1Gain float64
 	// oscPhase is the oscillator phase-noise state (OU process).
 	oscPhase float64
@@ -77,6 +79,11 @@ const (
 	rxOffset = 0.05
 )
 
+// nullTime is the time at which nulling freezes the moving scene. Wi-Vi
+// nulls once per placement (§4, Algorithm 1), so every sounding of every
+// subcarrier measures the same frozen scene.
+const nullTime = 0.0
+
 // DeviceConfig seeds the device and sizes its synthesis fan-out.
 type DeviceConfig struct {
 	// Seed drives the device's noise stream.
@@ -88,7 +95,9 @@ type DeviceConfig struct {
 	SynthWorkers int
 }
 
-// NewDevice builds a device in front of the scene's wall.
+// NewDevice builds a device in front of the scene's wall. The device
+// freezes the scene's static paths and its nulling scene here, so the
+// scene's humans must be added before the device is built.
 func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	if err := cal.Validate(); err != nil {
 		return nil, err
@@ -127,6 +136,7 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	d.rxPat = d.Rx.Pattern()
 	d.static[0] = d.computeStatic(1)
 	d.static[1] = d.computeStatic(2)
+	d.freeze()
 	return d, nil
 }
 
@@ -162,29 +172,35 @@ func (d *Device) txAntenna(ant int) rf.Antenna {
 
 // computeStatic sums all static paths for one transmit antenna across
 // subcarriers: the direct Tx->Rx leak, the wall flash, a back-wall
-// reflection, and the static clutter.
+// reflection, and the static clutter in scene order. No path's geometry
+// or pattern gains depend on the wavelength, so the antenna's path list
+// is built once and each subcarrier sums its paths' channels in list
+// order.
 func (d *Device) computeStatic(ant int) []complex128 {
-	txa := d.txAntenna(ant)
+	txa, sc := d.txAntenna(ant), d.scene
+	paths := make([]rf.Path, 0, 3+len(sc.Clutter))
+	// Direct leakage between the antennas (attenuated by the directional
+	// patterns, §4.1).
+	paths = append(paths, rf.DirectPath(txa, d.Rx, 1))
+	if sc.HasWall() {
+		// The flash: specular reflection off the wall face, then the
+		// room's back wall, a weaker mirror behind two wall traversals.
+		paths = append(paths,
+			rf.MirrorPath(txa, d.Rx, sc.WallY, sc.Wall.Reflectivity),
+			rf.MirrorPath(txa, d.Rx, sc.Room.Max.Y, 0.4*sc.TwoWayWallAmp()))
+	}
+	for _, c := range sc.Clutter {
+		extra := 1.0
+		if c.BehindWall {
+			extra = sc.TwoWayWallAmp()
+		}
+		paths = append(paths, rf.ScatterPath(txa, d.Rx, c.Pos, c.RCS, extra))
+	}
 	out := make([]complex128, len(d.lambdas))
 	for k, lambda := range d.lambdas {
 		var h complex128
-		// Direct leakage between the antennas (attenuated by the
-		// directional patterns, §4.1).
-		h += rf.DirectPath(txa, d.Rx, lambda, 1).Channel(lambda)
-		if d.scene.HasWall() {
-			// The flash: specular reflection off the wall face.
-			h += rf.MirrorPath(txa, d.Rx, d.scene.WallY, lambda, d.scene.Wall.Reflectivity).Channel(lambda)
-			// Back wall of the room: weaker mirror behind two wall
-			// traversals.
-			h += rf.MirrorPath(txa, d.Rx, d.scene.Room.Max.Y, lambda,
-				0.4*d.scene.TwoWayWallAmp()).Channel(lambda)
-		}
-		for _, c := range d.scene.Clutter {
-			extra := 1.0
-			if c.BehindWall {
-				extra = d.scene.TwoWayWallAmp()
-			}
-			h += rf.ScatterPath(txa, d.Rx, c.Pos, lambda, c.RCS, extra).Channel(lambda)
+		for _, p := range paths {
+			h += p.Channel(lambda)
 		}
 		out[k] = h
 	}
@@ -397,18 +413,9 @@ func atLeastMinRange(dist float64) float64 {
 	return dist
 }
 
-// channelsAt returns the full per-subcarrier channel of both transmit
-// antennas at time t.
-func (d *Device) channelsAt(t float64) (h1, h2 []complex128) {
-	h1 = make([]complex128, len(d.lambdas))
-	h2 = make([]complex128, len(d.lambdas))
-	d.channelsAtInto(h1, h2, t, d.scatterPaths(nil))
-	return h1, h2
-}
-
-// channelsAtInto is channelsAt computing into h1 and h2, given the
-// scene's path table: the moving channels plus each antenna's static
-// sum.
+// channelsAtInto writes the full per-subcarrier channel of both transmit
+// antennas at time t into h1 and h2, given the scene's path table: the
+// moving channels plus each antenna's static sum.
 func (d *Device) channelsAtInto(h1, h2 []complex128, t float64, paths []scatterPath) {
 	d.movingChannelsInto(h1, h2, t, paths)
 	for k := range h1 {
@@ -417,17 +424,18 @@ func (d *Device) channelsAtInto(h1, h2 []complex128, t float64, paths []scatterP
 	}
 }
 
-// ensureStage1Gain computes the AGC gain that places the strongest
-// un-nulled channel at AGCTargetFrac of ADC full scale.
-func (d *Device) ensureStage1Gain() float64 {
-	if d.stage1Gain > 0 {
-		return d.stage1Gain
-	}
+// freeze synthesizes the scene frozen at nullTime into d.frozen and sets
+// the stage-1 AGC gain that places the strongest un-nulled channel at
+// AGCTargetFrac of ADC full scale. It needs the static sums.
+func (d *Device) freeze() {
+	nsub := len(d.lambdas)
+	h := make([]complex128, 2*nsub)
+	d.frozen = [2][]complex128{h[:nsub:nsub], h[nsub:]}
+	d.channelsAtInto(d.frozen[0], d.frozen[1], nullTime, d.scatterPaths(nil))
 	peak := 0.0
-	h1, h2 := d.channelsAt(d.nullTime)
-	for _, hs := range [][]complex128{h1, h2} {
-		for _, h := range hs {
-			if a := cAbs(h) * d.Cal.TxRefAmp; a > peak {
+	for _, hs := range d.frozen {
+		for _, x := range hs {
+			if a := cAbs(x) * d.Cal.TxRefAmp; a > peak {
 				peak = a
 			}
 		}
@@ -435,9 +443,7 @@ func (d *Device) ensureStage1Gain() float64 {
 	if peak <= 0 {
 		peak = 1e-12
 	}
-	d.stage1Gain = d.Cal.AGCTargetFrac * d.Cal.ADCFullScale / peak
-	d.stage1Gain = d.capGain(d.stage1Gain)
-	return d.stage1Gain
+	d.stage1Gain = d.capGain(d.Cal.AGCTargetFrac * d.Cal.ADCFullScale / peak)
 }
 
 // capGain limits the receive gain so amplified noise stays below 1/8 of
@@ -532,14 +538,9 @@ func (d *Device) MeasureSingle(ant int) ([]complex128, error) {
 	if ant != 1 && ant != 2 {
 		return nil, fmt.Errorf("sim: MeasureSingle antenna %d (want 1 or 2)", ant)
 	}
-	gain := d.ensureStage1Gain()
-	h1, h2 := d.channelsAt(d.nullTime)
-	h := h1
-	if ant == 2 {
-		h = h2
-	}
+	h := d.frozen[ant-1]
 	out := make([]complex128, len(h))
-	rx := d.receiver(gain, d.Cal.EstAverages)
+	rx := d.receiver(d.stage1Gain, d.Cal.EstAverages)
 	jitter := d.phaseJitter()
 	for k := range h {
 		y, clipped := d.sound(&rx, h[k]*complex(d.Cal.TxRefAmp, 0), jitter, d.Cal.TxRefAmp)
@@ -559,7 +560,7 @@ func (d *Device) MeasureCombined(p []complex128, boostDB float64) ([]complex128,
 		return nil, fmt.Errorf("sim: precoding length %d != %d subcarriers", len(p), len(d.lambdas))
 	}
 	amp, _ := d.tx.Output(complex(d.Cal.TxRefAmp*math.Pow(10, boostDB/20), 0))
-	h1, h2 := d.channelsAt(d.nullTime)
+	h1, h2 := d.frozen[0], d.frozen[1]
 	// AGC: aim the residual at the target fraction of full scale.
 	peak := 0.0
 	for k := range h1 {
@@ -592,12 +593,11 @@ func (d *Device) MeasureCombinedFixedGain(p []complex128, boostDB float64) ([]co
 	if len(p) != len(d.lambdas) {
 		return nil, 0, fmt.Errorf("sim: precoding length %d != %d subcarriers", len(p), len(d.lambdas))
 	}
-	gain := d.ensureStage1Gain()
 	amp, _ := d.tx.Output(complex(d.Cal.TxRefAmp*math.Pow(10, boostDB/20), 0))
-	h1, h2 := d.channelsAt(d.nullTime)
+	h1, h2 := d.frozen[0], d.frozen[1]
 	out := make([]complex128, len(h1))
 	clipped := 0
-	rx := d.receiver(gain, d.Cal.EstAverages)
+	rx := d.receiver(d.stage1Gain, d.Cal.EstAverages)
 	jitter := d.phaseJitter()
 	for k := range h1 {
 		y, c := d.sound(&rx, (h1[k]+p[k]*h2[k])*amp, jitter, real(amp))
@@ -629,9 +629,10 @@ func (d *Device) Capture(p []complex128, boostDB float64, startT float64, n int)
 // capture of total samples, delivering consecutive chunks of up to
 // chunk samples to emit as they are recorded. An emit error aborts the
 // capture and is returned (the cancellation path). Concatenating the
-// chunks reproduces Capture bit for bit. The chunk buffers are reused
+// chunks reproduces Capture bit for bit. The chunk rows are reused
 // between emit calls (as the core.FrontEnd contract allows), so a
-// steady-state stream allocates nothing per chunk.
+// steady-state stream allocates nothing per chunk; emit receives the
+// rows themselves, cut short in place for a short last chunk.
 func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, total, chunk int, emit func([][]complex128) error) error {
 	if chunk < 1 {
 		return fmt.Errorf("sim: chunk length %d", chunk)
@@ -641,19 +642,17 @@ func (d *Device) StreamCapture(p []complex128, boostDB float64, startT float64, 
 		return err
 	}
 	buf := rows(len(d.lambdas), chunk)
-	views := make([][]complex128, len(d.lambdas))
 	for s.Remaining() > 0 {
-		c := chunk
-		if c > s.Remaining() {
-			c = s.Remaining()
+		n := min(chunk, s.Remaining())
+		if n < chunk {
+			for k := range buf {
+				buf[k] = buf[k][:n]
+			}
 		}
-		for k := range views {
-			views[k] = buf[k][:c]
-		}
-		if _, err := s.readInto(views, c); err != nil {
+		if _, err := s.readInto(buf, n); err != nil {
 			return err
 		}
-		if err := emit(views); err != nil {
+		if err := emit(buf); err != nil {
 			return err
 		}
 	}
@@ -846,7 +845,7 @@ func (d *Device) CaptureRaw(startT float64, n int) ([][]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.gain = d.ensureStage1Gain()
+	s.gain = d.stage1Gain
 	return s.Read(n)
 }
 

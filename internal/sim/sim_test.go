@@ -149,7 +149,7 @@ func TestMeasureSingleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, _ := d.channelsAt(0)
+	truth := d.frozen[0]
 	var errPwr, sigPwr float64
 	for k := range est {
 		e := est[k] - truth[k]

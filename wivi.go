@@ -208,12 +208,12 @@ type DeviceOptions struct {
 // Device is a Wi-Vi device observing one scene.
 type Device struct {
 	pipeline *core.Device
-	fe       *sim.Device
 	paced    bool
 }
 
 // NewDevice places a device in front of the scene's wall. The scene's
-// seed also seeds the device's noise.
+// seed also seeds the device's noise. Add the scene's subjects first:
+// the device freezes the scene it nulls against when it is built.
 func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 	if scene == nil {
 		return nil, errors.New("wivi: nil scene")
@@ -236,7 +236,7 @@ func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{pipeline: pipeline, fe: fe, paced: opts.Paced}, nil
+	return &Device{pipeline: pipeline, paced: opts.Paced}, nil
 }
 
 // NullingSummary reports the flash-elimination outcome (§4).
