@@ -1,5 +1,12 @@
 // Package rng provides deterministic, seedable random streams for the
-// Wi-Vi simulator: complex AWGN, log-normal shadowing, and uniform helpers.
+// Wi-Vi simulator: uniform, Gaussian and complex Gaussian draws and
+// shuffles.
+//
+// A Stream is math/rand's generator: rand.New over a source whose
+// register, lags and outputs are math/rand's (rand.NewSource), so every
+// draw equals math/rand's for the same seed. Only the seeding is
+// computed differently: by jumping ahead in math/rand's seeding chain
+// rather than walking it (see source).
 //
 // Every stochastic component of the simulator draws from a Stream derived
 // from an experiment seed plus a string label, so that (a) whole
@@ -20,11 +27,13 @@ type Stream struct {
 
 // New returns a Stream seeded with the given seed.
 func New(seed int64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(seed))}
+	return &Stream{r: rand.New(newSource(seed))}
 }
 
-// Derive returns an independent sub-stream identified by label. The same
-// (parent seed, label) pair always produces the same sub-stream.
+// Derive returns an independent sub-stream identified by label. It
+// consumes one draw of the parent, so the sub-stream is reproducible for
+// a fixed sequence of calls on the parent: two Derive calls with the
+// same label on one parent return different sub-streams.
 func (s *Stream) Derive(label string) *Stream {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(label))

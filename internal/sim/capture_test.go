@@ -34,7 +34,7 @@ func directMovingChannel(d *Device, txa rf.Antenna, t float64) []complex128 {
 	}
 	wallAmp := d.scene.TwoWayWallAmp()
 	east, west := d.scene.Room.Max.X, d.scene.Room.Min.X
-	for _, h := range d.scene.Humans {
+	for _, h := range d.humans {
 		for _, part := range h.Parts {
 			pos := part.Traj.At(t)
 			addPath(pos, part.RCS, wallAmp)

@@ -26,7 +26,11 @@ type Device struct {
 	// Cal is the calibration (hardware operating point).
 	Cal Calibration
 
-	scene   *Scene
+	scene *Scene
+	// humans is the scene's subjects when the device was built. The
+	// device nulled against them, so it measures them alone: a subject
+	// added to the scene later is not part of its channel.
+	humans  []*Human
 	lambdas []float64 // per-subcarrier wavelengths
 	lambda0 float64   // center wavelength
 	// ampRatio[k] = lambdas[k]/lambda0 scales a path's center-wavelength
@@ -96,8 +100,10 @@ type DeviceConfig struct {
 }
 
 // NewDevice builds a device in front of the scene's wall. The device
-// freezes the scene's static paths and its nulling scene here, so the
-// scene's humans must be added before the device is built.
+// freezes the scene's static paths and its nulling scene here, and it
+// keeps the scene's humans as they are now: it does not see a human
+// added to the scene after it is built (Truth, which samples the
+// scene's ground truth, does).
 func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	if err := cal.Validate(); err != nil {
 		return nil, err
@@ -105,12 +111,13 @@ func NewDevice(sc *Scene, cal Calibration, cfg DeviceConfig) (*Device, error) {
 	y := sc.WallY - standoff
 	up := geom.Vec{X: 0, Y: 1}
 	d := &Device{
-		Tx1:   rf.NewDirectional(geom.Point{X: -antennaSpacing / 2, Y: y}, up),
-		Tx2:   rf.NewDirectional(geom.Point{X: +antennaSpacing / 2, Y: y + standoffStagger}, up),
-		Rx:    rf.NewDirectional(geom.Point{X: rxOffset, Y: y}, up),
-		Cal:   cal,
-		scene: sc,
-		noise: rng.DeriveSeed(cfg.Seed^sc.Seed, "device-noise"),
+		Tx1:    rf.NewDirectional(geom.Point{X: -antennaSpacing / 2, Y: y}, up),
+		Tx2:    rf.NewDirectional(geom.Point{X: +antennaSpacing / 2, Y: y + standoffStagger}, up),
+		Rx:     rf.NewDirectional(geom.Point{X: rxOffset, Y: y}, up),
+		Cal:    cal,
+		scene:  sc,
+		humans: slices.Clone(sc.Humans),
+		noise:  rng.DeriveSeed(cfg.Seed^sc.Seed, "device-noise"),
 	}
 	adc, err := sdr.NewADC(cal.ADCBits, cal.ADCFullScale)
 	if err != nil {
@@ -241,19 +248,19 @@ type scatterPath struct {
 	z, step [2]complex128
 }
 
-// scatterPaths appends to dst the path table of the scene: three rows
-// per body part of every human in scene order (the part, then its east
-// and west side-wall images), each with its amp set. The table is the
-// kernel's per-block scratch; a read builds it once, since neither the
-// parts nor their amplitudes change within a read.
+// scatterPaths appends to dst the path table of the device's humans:
+// three rows per body part of every human in scene order (the part,
+// then its east and west side-wall images), each with its amp set. The
+// table is the kernel's per-block scratch; a read builds it once, since
+// neither the parts nor their amplitudes change within a read.
 func (d *Device) scatterPaths(dst []scatterPath) []scatterPath {
 	n := 0
-	for _, h := range d.scene.Humans {
+	for _, h := range d.humans {
 		n += len(h.Parts)
 	}
 	dst = slices.Grow(dst, 3*n)
 	wallAmp := d.scene.TwoWayWallAmp()
-	for _, h := range d.scene.Humans {
+	for _, h := range d.humans {
 		for _, part := range h.Parts {
 			amp := math.Sqrt(part.RCS/(4*math.Pi)) * d.lambda0 / (4 * math.Pi) * wallAmp
 			side := amp * sideWallReflectivity
@@ -264,7 +271,7 @@ func (d *Device) scatterPaths(dst []scatterPath) []scatterPath {
 }
 
 // movingChannelsInto writes the per-subcarrier channel contribution of
-// all humans at time t for transmit antennas 1 and 2 into h1 and h2
+// the device's humans at time t for transmit antennas 1 and 2 into h1 and h2
 // (length NumSubcarriers, zeroed here): the direct through-wall return
 // of every body part plus its two side-wall bounce images. Each scatter
 // point contributes one path per transmit antenna, amp/(dTx·dRx) times
@@ -290,7 +297,7 @@ func (d *Device) scatterPaths(dst []scatterPath) []scatterPath {
 func (d *Device) movingChannelsInto(h1, h2 []complex128, t float64, paths []scatterPath) {
 	east2, west2 := 2*d.scene.Room.Max.X, 2*d.scene.Room.Min.X
 	j := 0
-	for _, h := range d.scene.Humans {
+	for _, h := range d.humans {
 		for _, part := range h.Parts {
 			pos := part.Traj.At(t)
 			paths[j].at = pos

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/cmplx"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -119,5 +120,52 @@ func TestSoundingsAllocateOnlyTheirEstimate(t *testing.T) {
 		if allocs != 1 {
 			t.Errorf("%s makes %v allocations, want 1 (its estimate)", c.name, allocs)
 		}
+	}
+}
+
+// TestLateSubjectUnseen: a device measures only the subjects its scene
+// held when it was built, the ones it nulled against. A walker added to
+// the scene afterwards moves neither its nulling nor its capture: both
+// equal, bit for bit, those of a device built on a same-seed scene that
+// never had the walker.
+func TestLateSubjectUnseen(t *testing.T) {
+	const n = 200
+	run := func(late bool) (*nulling.Result, [][]complex128) {
+		sc := testScene(11)
+		if _, err := sc.AddWalker(2); err != nil {
+			t.Fatal(err)
+		}
+		d := testDevice(t, sc)
+		if late {
+			if _, err := sc.AddWalker(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := nulling.Run(d, nulling.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Capture(res.P, d.Cal.BoostDB, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, got
+	}
+	wantRes, want := run(false)
+	gotRes, got := run(true)
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("nulling with a walker added after the build differs from nulling without it")
+	}
+	diff, total := 0, 0
+	for k := range want {
+		for i := range want[k] {
+			total++
+			if got[k][i] != want[k][i] {
+				diff++
+			}
+		}
+	}
+	if diff > 0 {
+		t.Errorf("capture with a walker added after the build differs in %d of %d values from the capture without it", diff, total)
 	}
 }

@@ -140,7 +140,8 @@ func NewScene(opts SceneOptions) *Scene {
 }
 
 // AddWalker adds a person who moves at will inside the room for the
-// given duration in seconds (§7.2).
+// given duration in seconds (§7.2). A device already built on the scene
+// does not see the person: add every subject before building devices.
 func (s *Scene) AddWalker(duration float64) error {
 	_, err := s.inner.AddWalker(duration)
 	return err
@@ -161,7 +162,9 @@ type GestureMessage struct {
 }
 
 // AddGestureSender adds a subject transmitting the message and returns
-// the total transmission duration in seconds.
+// the total transmission duration in seconds. A device already built on
+// the scene does not see the subject: add every subject before building
+// devices.
 func (s *Scene) AddGestureSender(msg GestureMessage) (float64, error) {
 	if len(msg.Bits) == 0 {
 		return 0, errors.New("wivi: empty gesture message")
@@ -212,8 +215,9 @@ type Device struct {
 }
 
 // NewDevice places a device in front of the scene's wall. The scene's
-// seed also seeds the device's noise. Add the scene's subjects first:
-// the device freezes the scene it nulls against when it is built.
+// seed also seeds the device's noise. The device nulls against the
+// scene's subjects as they are when it is built and measures only
+// those: a subject added to the scene later is not seen by it.
 func NewDevice(scene *Scene, opts DeviceOptions) (*Device, error) {
 	if scene == nil {
 		return nil, errors.New("wivi: nil scene")
