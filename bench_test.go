@@ -173,27 +173,41 @@ func BenchmarkTrackPaced(b *testing.B) {
 // hollow-wall scene with 1, 2 or 3 walkers moving for one 0.32 s window,
 // the device, and its nulling. It is the in-process yardstick of the
 // benchmark's pool.device_build_ms layer, which builds the same way.
-// Iterations cycle over 16 scene seeds.
+// The walkers=N+track forms then track one 0.32 s capture, as the pool's
+// first request on a fresh device does, so the body sway that the
+// capture draws on first read counts with the build. Iterations cycle
+// over 16 scene seeds.
 func BenchmarkBuildDevice(b *testing.B) {
 	for walkers := 1; walkers <= 3; walkers++ {
-		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sc := NewScene(SceneOptions{Seed: int64(1 + i%16), Wall: HollowWall})
-				for k := 0; k < walkers; k++ {
-					if err := sc.AddWalker(0.32); err != nil {
+		for _, track := range []bool{false, true} {
+			name := fmt.Sprintf("walkers=%d", walkers)
+			if track {
+				name += "+track"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc := NewScene(SceneOptions{Seed: int64(1 + i%16), Wall: HollowWall})
+					for k := 0; k < walkers; k++ {
+						if err := sc.AddWalker(0.32); err != nil {
+							b.Fatal(err)
+						}
+					}
+					dev, err := NewDevice(sc, DeviceOptions{})
+					if err != nil {
 						b.Fatal(err)
 					}
+					if _, err := dev.Null(); err != nil {
+						b.Fatal(err)
+					}
+					if track {
+						if _, err := dev.Track(context.Background(), 0.32); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-				dev, err := NewDevice(sc, DeviceOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := dev.Null(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package motion
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"wivi/internal/geom"
 	"wivi/internal/rng"
@@ -11,12 +13,30 @@ import (
 // and limbs move in a loosely coupled way, which is why tracking lines in
 // the paper's figures are fuzzy (§7.3: "a human can move his body parts
 // differently as he moves"). The jitter is an Ornstein-Uhlenbeck process
-// pre-sampled on a fixed grid so that At stays pure.
+// sampled on a fixed grid, point i being the i-th pair of Norm draws of
+// its stream.
+//
+// The grid is drawn as read: At draws every point up to the last one it
+// needs, in grid order, the first time it reads past what is drawn. So
+// each point is the same whichever goroutine, or whichever order of
+// reads, reaches it first, and At stays a pure function of t, safe for
+// concurrent use. A read within what is drawn costs one atomic load;
+// the points past the last read, the padding included, are never drawn.
 type Jitter struct {
-	base Trajectory
-	dt   float64
-	dx   []float64
-	dy   []float64
+	base         Trajectory
+	dt           float64
+	alpha, sigma float64
+	dx, dy       []float64
+	// drawn counts the grid points drawn so far. At loads it
+	// atomically; draw stores it once the points below it are written.
+	drawn atomic.Int64
+	// mu serializes draw, which alone writes the fields below and the
+	// grid past drawn.
+	mu sync.Mutex
+	// x and y are the OU state at the last drawn point.
+	x, y float64
+	// s is the sway's stream, nil once the last point is drawn.
+	s *rng.Stream
 }
 
 // JitterConfig parameterizes body micro-motion.
@@ -40,7 +60,8 @@ func LimbJitter() JitterConfig {
 }
 
 // NewJitter wraps base with micro-motion over its whole duration
-// (plus padding seconds beyond it).
+// (plus padding seconds beyond it), drawn from s. It sizes the grid
+// and draws nothing: At draws each point on first read.
 func NewJitter(base Trajectory, cfg JitterConfig, padding float64, s *rng.Stream) *Jitter {
 	if cfg.SampleDT <= 0 {
 		cfg.SampleDT = 0.02
@@ -50,21 +71,20 @@ func NewJitter(base Trajectory, cfg JitterConfig, padding float64, s *rng.Stream
 	}
 	dur := base.Duration() + padding
 	n := int(dur/cfg.SampleDT) + 2
-	j := &Jitter{base: base, dt: cfg.SampleDT, dx: make([]float64, n), dy: make([]float64, n)}
 	// Ornstein-Uhlenbeck: x' = -x/tau + sqrt(2/tau)*amp*noise
 	alpha := cfg.SampleDT / cfg.CorrTime
 	if alpha > 1 {
 		alpha = 1
 	}
-	sigma := cfg.AmpMeters * math.Sqrt(2*alpha)
-	var x, y float64
-	for i := 0; i < n; i++ {
-		x += -alpha*x + sigma*s.Norm()
-		y += -alpha*y + sigma*s.Norm()
-		j.dx[i] = x
-		j.dy[i] = y
+	return &Jitter{
+		base:  base,
+		dt:    cfg.SampleDT,
+		alpha: alpha,
+		sigma: cfg.AmpMeters * math.Sqrt(2*alpha),
+		dx:    make([]float64, n),
+		dy:    make([]float64, n),
+		s:     s,
 	}
-	return j
 }
 
 // At implements Trajectory: base position plus interpolated sway.
@@ -78,6 +98,9 @@ func (j *Jitter) At(t float64) geom.Point {
 	if i >= len(j.dx)-1 {
 		i = len(j.dx) - 2
 	}
+	if int(j.drawn.Load()) < i+2 {
+		j.draw(i + 2)
+	}
 	frac := idx - float64(i)
 	if frac < 0 {
 		frac = 0
@@ -87,6 +110,27 @@ func (j *Jitter) At(t float64) geom.Point {
 	return geom.Point{
 		X: p.X + j.dx[i]*(1-frac) + j.dx[i+1]*frac,
 		Y: p.Y + j.dy[i]*(1-frac) + j.dy[i+1]*frac,
+	}
+}
+
+// draw draws the grid points below n that no read has drawn yet, in
+// grid order, and publishes the new count.
+func (j *Jitter) draw(n int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	i := int(j.drawn.Load())
+	if i >= n {
+		return // another read drew them first
+	}
+	for ; i < n; i++ {
+		j.x += -j.alpha*j.x + j.sigma*j.s.Norm()
+		j.y += -j.alpha*j.y + j.sigma*j.s.Norm()
+		j.dx[i] = j.x
+		j.dy[i] = j.y
+	}
+	j.drawn.Store(int64(n))
+	if n == len(j.dx) {
+		j.s = nil
 	}
 }
 

@@ -117,6 +117,31 @@ func TestRandomWalkDeterminism(t *testing.T) {
 	}
 }
 
+// TestRandomWalkTightArea: an area whose diagonal is under the shortest
+// hop is refused, and an area that holds such a hop only from near its
+// corners gives up after maxSkippedHops skips in a row, where both used
+// to skip hops forever.
+func TestRandomWalkTightArea(t *testing.T) {
+	room := func(side float64) geom.Rect {
+		return geom.NewRect(geom.Point{X: 0, Y: 0}, geom.Point{X: side, Y: side})
+	}
+	if _, err := NewRandomWalk(rng.New(1), RandomWalkConfig{Room: room(1.2), Duration: 2}); err == nil {
+		t.Fatal("a 0.2 m walkable area accepted")
+	}
+	// A 0.3 m square holds a 0.3 m hop only between points near opposite
+	// corners, so a walk from its center can never leave.
+	failed := 0
+	for seed := range int64(20) {
+		if _, err := NewRandomWalk(rng.New(seed), RandomWalkConfig{Room: room(1.3), Duration: 2}); err != nil {
+			failed++
+		}
+	}
+	t.Logf("%d of 20 walks in a 0.3 m walkable square gave up", failed)
+	if failed == 0 {
+		t.Fatal("no walk in a 0.3 m walkable square gave up")
+	}
+}
+
 func TestRandomWalkRejectsZeroDuration(t *testing.T) {
 	if _, err := NewRandomWalk(rng.New(1), RandomWalkConfig{Room: geom.NewRect(geom.Point{}, geom.Point{X: 5, Y: 5})}); err == nil {
 		t.Fatal("zero duration accepted")

@@ -139,15 +139,28 @@ const (
 	pauseProb = 0.2
 	// pauseMax is the maximum pause duration in seconds.
 	pauseMax = 1.5
+	// minHop is the shortest hop taken (meters); a shorter draw is
+	// skipped and drawn again.
+	minHop = 0.3
+	// maxSkippedHops is how many hops in a row may be skipped before the
+	// walk gives up: in an area too tight for hops of minHop, skipping
+	// would never end. In the 6 × 3 m walkable area of the default room a
+	// hop is skipped with probability under 0.02.
+	maxSkippedHops = 1000
 )
 
 // NewRandomWalk generates a "move at will" trajectory inside a room
 // (§7.2: subjects enter the room, close the door, and move at will).
+// It returns an error when the room, shrunk by the wall margin, cannot
+// hold a hop of minHop, or when maxSkippedHops hops in a row fall short.
 func NewRandomWalk(s *rng.Stream, cfg RandomWalkConfig) (*Waypoint, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("motion: random walk needs positive duration")
 	}
 	area := cfg.Room.Shrink(walkMargin)
+	if w, h := area.Width(), area.Height(); math.Hypot(w, h) < minHop {
+		return nil, fmt.Errorf("motion: random walk area %.2f x %.2f m cannot hold a %.1f m hop", w, h, minHop)
+	}
 	randPoint := func() geom.Point {
 		return geom.Point{
 			X: s.Uniform(area.Min.X, area.Max.X),
@@ -159,12 +172,18 @@ func NewRandomWalk(s *rng.Stream, cfg RandomWalkConfig) (*Waypoint, error) {
 	points := []geom.Point{start}
 	t := 0.0
 	cur := start
+	skipped := 0
 	for t < cfg.Duration {
 		next := randPoint()
 		d := next.Dist(cur)
-		if d < 0.3 {
-			continue // skip degenerate hops
+		if d < minHop {
+			skipped++
+			if skipped == maxSkippedHops {
+				return nil, fmt.Errorf("motion: random walk skipped %d hops in a row shorter than %.1f m", skipped, minHop)
+			}
+			continue
 		}
+		skipped = 0
 		speed := math.Max(0.3, s.Gaussian(meanSpeed, speedJitter))
 		t += d / speed
 		times = append(times, t)

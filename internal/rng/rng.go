@@ -4,9 +4,12 @@
 //
 // A Stream is math/rand's generator: rand.New over a source whose
 // register, lags and outputs are math/rand's (rand.NewSource), so every
-// draw equals math/rand's for the same seed. Only the seeding is
-// computed differently: by jumping ahead in math/rand's seeding chain
-// rather than walking it (see source).
+// draw equals math/rand's for the same seed. Only how the register is
+// reached differs (see source): seeding keeps only the reduced seed,
+// the first 273 outputs are computed from it by jumping ahead in
+// math/rand's seeding chain, and the 4.9 KB register is allocated and
+// filled only when output 273 (counting from 0) needs it. Most streams
+// a scene derives draw fewer values than that and never hold one.
 //
 // Every stochastic component of the simulator draws from a Stream derived
 // from an experiment seed plus a string label, so that (a) whole
@@ -21,13 +24,19 @@ import (
 )
 
 // Stream is a deterministic random source with distribution helpers.
+// It holds its source, so a new Stream is two heap objects, itself and
+// its rand.Rand, until its source allocates a register.
 type Stream struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src source
 }
 
 // New returns a Stream seeded with the given seed.
 func New(seed int64) *Stream {
-	return &Stream{r: rand.New(newSource(seed))}
+	s := new(Stream)
+	s.src.Seed(seed)
+	s.r = rand.New(&s.src)
+	return s
 }
 
 // Derive returns an independent sub-stream identified by label. It

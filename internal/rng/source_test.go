@@ -29,19 +29,81 @@ func referenceSeeds() []int64 {
 
 // TestSourceMatchesMathRand holds the source's Uint64 and Int63 outputs
 // equal to rand.NewSource's, both from a new source and after Seed
-// re-seeds a drawn one.
+// re-seeds one that has drawn 0, 1, 272, 273, 274 or 400 values: before,
+// at and after the output that allocates its register.
 func TestSourceMatchesMathRand(t *testing.T) {
-	reseeded := newSource(7)
+	drawn := []int{0, 1, rngTap - 1, rngTap, rngTap + 1, 400}
+	reseeded := make([]source, len(drawn))
 	for _, seed := range referenceSeeds() {
-		got, want := newSource(seed), rand.NewSource(seed).(rand.Source64)
-		reseeded.Seed(seed)
+		var got source
+		got.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for j, n := range drawn {
+			reseeded[j].Seed(7)
+			for range n {
+				reseeded[j].Uint64()
+			}
+			reseeded[j].Seed(seed)
+		}
 		for i := range referenceDraws {
 			w := want.Uint64()
 			if g := got.Uint64(); g != w {
 				t.Fatalf("seed %d: Uint64 draw %d = %#x, math/rand %#x", seed, i, g, w)
 			}
-			if g := reseeded.Int63(); g != int64(w&rngMask) {
-				t.Fatalf("seed %d after Seed: Int63 draw %d = %#x, math/rand %#x", seed, i, g, w&rngMask)
+			for j := range reseeded {
+				if g := reseeded[j].Int63(); g != int64(w&rngMask) {
+					t.Fatalf("seed %d after Seed on %d draws: Int63 draw %d = %#x, math/rand %#x",
+						seed, drawn[j], i, g, w&rngMask)
+				}
+			}
+		}
+	}
+}
+
+// TestRegisterAllocatedOnDemand holds a stream to its Stream and
+// rand.Rand until a draw needs the register: 273 draws allocate nothing
+// more, and the 274th allocates the register alone.
+func TestRegisterAllocatedOnDemand(t *testing.T) {
+	allocs := func(draws int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			s := New(2029)
+			for range draws {
+				s.r.Int63()
+			}
+		})
+	}
+	if got := allocs(0); got != 2 {
+		t.Errorf("New allocates %v objects, want 2: the Stream and its rand.Rand", got)
+	}
+	if got := allocs(rngTap); got != 2 {
+		t.Errorf("New and %d draws allocate %v objects, want 2: no register", rngTap, got)
+	}
+	if got := allocs(rngTap + 1); got != 3 {
+		t.Errorf("New and %d draws allocate %v objects, want 3: the register", rngTap+1, got)
+	}
+}
+
+// TestDrawsAcrossRegisterFill holds draws that straddle outputs 272 to
+// 274, where the register is allocated, equal to math/rand's, with
+// Derive calls interleaved: a parent that has drawn 268 to 275 values
+// alternates Derive and Float64, and each sub-stream takes rotating
+// draw kinds past its own 274th output.
+func TestDrawsAcrossRegisterFill(t *testing.T) {
+	for _, seed := range referenceSeeds()[:40] {
+		for pre := rngTap - 5; pre <= rngTap+2; pre++ {
+			got, want := New(seed), rand.New(rand.NewSource(seed))
+			name := fmt.Sprintf("seed %d after %d draws", seed, pre)
+			for i := range pre {
+				if g, w := got.r.Int63(), want.Int63(); g != w {
+					t.Fatalf("%s: Int63 draw %d = %#x, math/rand %#x", name, i, g, w)
+				}
+			}
+			for i := range 4 {
+				label := fmt.Sprintf("sub-%d", i)
+				compareDraws(t, name+" "+label, got.Derive(label), deriveReference(want, label), 2*rngTap)
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("%s: Float64 after %s = %v, math/rand %v", name, label, g, w)
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMaterialTable(t *testing.T) {
@@ -49,6 +50,31 @@ func TestSceneBuilders(t *testing.T) {
 	}
 	if _, err := s.AddGestureSender(GestureMessage{Bits: []Bit{Bit0}}); err == nil {
 		t.Fatal("zero distance accepted")
+	}
+}
+
+// TestAddWalkerSmallRoom: a room whose walkable area, inside the 0.5 m
+// wall margin, cannot hold the random walk's shortest hop refuses a
+// walker, where AddWalker used to skip hops forever; a 1.5 m room still
+// takes one. Each call runs in a goroutine under a deadline, so a
+// regression fails instead of hanging the test.
+func TestAddWalkerSmallRoom(t *testing.T) {
+	for _, c := range []struct {
+		side   float64
+		wantOK bool
+	}{{1, false}, {1.5, true}} {
+		done := make(chan error, 1)
+		go func() {
+			done <- NewScene(SceneOptions{Seed: 1, RoomWidth: c.side, RoomDepth: c.side}).AddWalker(2)
+		}()
+		select {
+		case err := <-done:
+			if (err == nil) != c.wantOK {
+				t.Errorf("%g m room: AddWalker error %v, want success %v", c.side, err, c.wantOK)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%g m room: AddWalker has not returned after 5 s", c.side)
+		}
 	}
 }
 
