@@ -50,9 +50,10 @@ test:
 
 # Short native-fuzzing passes over the three decoders: /v1/track body
 # decoding and validation (FuzzTrackRequest stubs the pool, so no capture
-# runs), the client's NDJSON stream decoder (FuzzClientStream) and the
-# trace file reader (FuzzRead). -fuzz takes one target per run, hence
-# the anchored patterns. CI runs this target.
+# runs), the client's NDJSON stream decoder (FuzzClientStream, which also
+# holds its hand-written frame parser to what encoding/json decodes from
+# the same line) and the trace file reader (FuzzRead). -fuzz takes one
+# target per run, hence the anchored patterns. CI runs this target.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzTrackRequest$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzClientStream$$' -fuzztime 10s ./internal/serve
@@ -127,10 +128,13 @@ eval:
 # call on the radix-2 and Bluestein paths, which compute their twiddles
 # per call;
 # BenchmarkCapture times capture synthesis per sample for 1-3 walkers,
-# fanned out over the CPUs and, as workers=1, on one core).
+# fanned out over the CPUs and, as workers=1, on one core;
+# BenchmarkFrameCodec times one streamed 181-angle frame each way,
+# through encoding/json and through the frame codec).
 bench:
 	go test -run '^$$' -bench 'BenchmarkTrack(Sequential|Parallel|Stream|Paced)' -benchtime 5x -benchmem .
 	go test -run '^$$' -bench 'Benchmark(ProcessFrame|ComputeImage)' -benchtime 20x -benchmem ./internal/isar
 	go test -run '^$$' -bench 'BenchmarkCapture' -benchtime 20x -benchmem ./internal/sim
 	go test -run '^$$' -bench 'Benchmark(HermitianEig|EigStages)' -benchmem ./internal/cmath
 	go test -run '^$$' -bench 'BenchmarkFFT' -benchmem ./internal/dsp
+	go test -run '^$$' -bench 'BenchmarkFrameCodec' -benchmem ./internal/serve

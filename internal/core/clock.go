@@ -34,16 +34,28 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
+// timers holds stopped or expired *time.Timers for realClock.Sleep, which
+// a paced capture calls once per chunk. With the module's go line at
+// 1.23 or later, Stop and Reset leave no stale tick in a timer's
+// channel, so a pooled timer needs no draining.
+var timers sync.Pool
+
 func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	defer timers.Put(t)
 	select {
 	case <-t.C:
 		return nil
 	case <-ctx.Done():
+		t.Stop()
 		return ctx.Err()
 	}
 }

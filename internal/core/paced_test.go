@@ -72,6 +72,34 @@ func TestFakeClockSleepAndAdvance(t *testing.T) {
 	}
 }
 
+// TestRealClockSleepReusesTimers holds a wait on the real clock to no
+// allocation once its timer pool is warm, and a timer left by a
+// canceled wait to sleep its full span when reused.
+func TestRealClockSleepReusesTimers(t *testing.T) {
+	clk := RealClock()
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := clk.Sleep(ctx, time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Sleep allocates %v times per call, want 0", allocs)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := clk.Sleep(canceled, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Sleep returned %v", err)
+	}
+	const d = 5 * time.Millisecond
+	start := time.Now()
+	if err := clk.Sleep(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited < d {
+		t.Fatalf("Sleep(%v) on a reused timer returned after %v", d, waited)
+	}
+}
+
 // TestPacedStreamCaptureCadence drives the paced capture loop on an
 // auto-advance fake clock and asserts every chunk is delivered exactly
 // at the instant its last sample arrives: due_k = epoch + n_k*SampleT,

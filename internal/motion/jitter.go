@@ -20,8 +20,11 @@ import (
 // needs, in grid order, the first time it reads past what is drawn. So
 // each point is the same whichever goroutine, or whichever order of
 // reads, reaches it first, and At stays a pure function of t, safe for
-// concurrent use. A read within what is drawn costs one atomic load;
-// the points past the last read, the padding included, are never drawn.
+// concurrent use. A read within what is drawn costs one atomic load.
+// The points past the last read, the padding included, are drawn only
+// once a read needs more than rng.OutputsBeforeRegister/2 points. The
+// stream then holds its register, so the whole grid is drawn and the
+// stream, register and all, is dropped.
 type Jitter struct {
 	base         Trajectory
 	dt           float64
@@ -121,6 +124,11 @@ func (j *Jitter) draw(n int) {
 	i := int(j.drawn.Load())
 	if i >= n {
 		return // another read drew them first
+	}
+	// A point takes two Norm draws, each at least one source output, so
+	// past OutputsBeforeRegister/2 points the stream holds its register.
+	if 2*n > rng.OutputsBeforeRegister {
+		n = len(j.dx)
 	}
 	for ; i < n; i++ {
 		j.x += -j.alpha*j.x + j.sigma*j.s.Norm()

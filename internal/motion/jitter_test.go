@@ -202,3 +202,23 @@ func TestJitterDrawsAsRead(t *testing.T) {
 		t.Errorf("after a read past the end: %d of %d points drawn, stream kept %v", j.drawn.Load(), n, j.s != nil)
 	}
 }
+
+// TestJitterDropsStreamWithRegister holds a Jitter to drawing its whole
+// grid, and dropping its stream, at the first read that needs more
+// points than the stream draws without a register, so that a device
+// whose captures never read the padded end does not keep the register
+// for its life.
+func TestJitterDropsStreamWithRegister(t *testing.T) {
+	cfg := DefaultJitter()
+	lazy := rng.OutputsBeforeRegister / 2 // points whose draws need no register
+	j := NewJitter(Static{P: geom.Point{X: 1, Y: 2}}, cfg, 6, rng.New(11))
+	// A read between points i and i+1 needs i+2 points.
+	j.At((float64(lazy-2) + 0.5) * cfg.SampleDT)
+	if got := j.drawn.Load(); got != int64(lazy) || j.s == nil {
+		t.Fatalf("after a read of %d points: %d drawn, stream kept %v", lazy, got, j.s != nil)
+	}
+	j.At((float64(lazy-1) + 0.5) * cfg.SampleDT)
+	if got, n := j.drawn.Load(), int64(len(j.dx)); got != n || j.s != nil {
+		t.Fatalf("after a read of %d points: %d of %d drawn, stream kept %v", lazy+1, got, n, j.s != nil)
+	}
+}

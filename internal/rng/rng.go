@@ -23,6 +23,12 @@ import (
 	"math/rand"
 )
 
+// OutputsBeforeRegister is how many source outputs a Stream draws
+// before it allocates its register. Every draw takes at least one
+// output, so a Stream that has made more draws than this holds its
+// register until the Stream itself is dropped.
+const OutputsBeforeRegister = rngTap
+
 // Stream is a deterministic random source with distribution helpers.
 // It holds its source, so a new Stream is two heap objects, itself and
 // its rand.Rand, until its source allocates a register.

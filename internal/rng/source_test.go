@@ -61,8 +61,9 @@ func TestSourceMatchesMathRand(t *testing.T) {
 }
 
 // TestRegisterAllocatedOnDemand holds a stream to its Stream and
-// rand.Rand until a draw needs the register: 273 draws allocate nothing
-// more, and the 274th allocates the register alone.
+// rand.Rand until a draw needs the register: OutputsBeforeRegister (273)
+// draws allocate nothing more, and the next allocates the register
+// alone.
 func TestRegisterAllocatedOnDemand(t *testing.T) {
 	allocs := func(draws int) float64 {
 		return testing.AllocsPerRun(100, func() {
@@ -75,11 +76,11 @@ func TestRegisterAllocatedOnDemand(t *testing.T) {
 	if got := allocs(0); got != 2 {
 		t.Errorf("New allocates %v objects, want 2: the Stream and its rand.Rand", got)
 	}
-	if got := allocs(rngTap); got != 2 {
-		t.Errorf("New and %d draws allocate %v objects, want 2: no register", rngTap, got)
+	if got := allocs(OutputsBeforeRegister); got != 2 {
+		t.Errorf("New and %d draws allocate %v objects, want 2: no register", OutputsBeforeRegister, got)
 	}
-	if got := allocs(rngTap + 1); got != 3 {
-		t.Errorf("New and %d draws allocate %v objects, want 3: the register", rngTap+1, got)
+	if got := allocs(OutputsBeforeRegister + 1); got != 3 {
+		t.Errorf("New and %d draws allocate %v objects, want 3: the register", OutputsBeforeRegister+1, got)
 	}
 }
 

@@ -4,7 +4,9 @@ package serve
 // identity and noisy-neighbor tests, the benchmark in bench/, and the
 // examples. It decodes exactly what the server encodes (the wire.go
 // types), so a frame that crosses the wire and back carries the same
-// float64 bits the engine emitted.
+// float64 bits the engine emitted. A frame line in the server's
+// canonical shape is parsed by hand (codec.go); every other line goes
+// to encoding/json.
 
 import (
 	"bufio"
@@ -145,6 +147,9 @@ func (s *ClientStream) Next() (Frame, bool) {
 			break
 		}
 		line := s.sc.Bytes()
+		if fr, ok := parseFrameEvent(line); ok {
+			return fr, true
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}

@@ -143,7 +143,10 @@ func FuzzTrackRequest(f *testing.F) {
 // malformed or bodiless event, a truncated line or no terminal event at
 // all — once Next returns false exactly one of Err and Result is set,
 // so a caller that checks Err can never mistake a broken stream for a
-// complete one.
+// complete one. The frames Next yields must be, bit for bit, those
+// json.Unmarshal decodes from the body's lines up to the first line
+// that is not a frame event: the hand-written frame parser may neither
+// accept nor alter a line that encoding/json would not.
 //
 //	go test -run '^$' -fuzz '^FuzzClientStream$' -fuzztime 10s ./internal/serve
 func FuzzClientStream(f *testing.F) {
@@ -164,18 +167,87 @@ func FuzzClientStream(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
+	// Canonical frame lines carrying the values where the float format
+	// turns, then lines one step off canonical: numbers JSON refuses but
+	// strconv takes, out-of-range numbers, and other spellings that
+	// encoding/json reads as the same frame.
+	var lines []byte
+	for i, v := range edgeFloats {
+		fr := Frame{Index: edgeIndices[i%len(edgeIndices)], TimeS: v, Power: []float64{v, 1, v}, LagMs: v}
+		var err error
+		if lines, err = appendFrameEvent(lines, &fr); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(append(lines, result...))
+	canonical := func(index, timeS, power, lagMs string) string {
+		return `{"type":"frame","frame":{"index":` + index + `,"time_s":` + timeS +
+			`,"power":[` + power + `],"lag_ms":` + lagMs + "}}\n"
+	}
+	for _, body := range []string{
+		canonical("0", "+1", "1", "2"),
+		canonical("0", "1", "Inf", "2"),
+		canonical("0", "1", "1,NaN", "2"),
+		canonical("0", "1", "0x1p-2", "2"),
+		canonical("0", "1", "1_0", "2"),
+		canonical("0", "1", "01", "2"),
+		canonical("0", "1", "1.", "2"),
+		canonical("0", "1", ".5", "2"),
+		canonical("0", "1", "1e", "2"),
+		canonical("0", "1", "-", "2"),
+		canonical("0", "1", "1e400", "2"),
+		canonical("0", "1", "1,,2", "2"),
+		canonical("0", "1", "1,2,", "2"),
+		canonical("1e2", "1", "1", "2"),
+		canonical("1.0", "1", "1", "2"),
+		canonical("9223372036854775808", "1", "1", "2"),
+		canonical("-0", "-0", "-0,1E5,2.5e-7,1e+21", "1e-400"),
+		canonical("0", "1", " 1", "2"),
+		`{"type":"frame","frame":{"index":0,"time_s":1,"power":null,"lag_ms":2}}` + "\n",
+		`{"type":"frame","frame":{"index":0,"time_s":1,"power":[1],"lag_ms":2}} ` + "\n",
+		`{"type":"frame","frame":{"index":0,"time_s":1,"power":[1],"lag_ms":2},"type":"result"}` + "\n",
+		`{"type":"frame","frame":{"index":0,"time_s":1,"lag_ms":2,"power":[1]}}` + "\n",
+		`{"TYPE":"frame","frame":{"index":0,"time_s":1,"power":[1],"lag_ms":2}}` + "\r\n",
+	} {
+		f.Add([]byte(body + result))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		cs := newClientStream(io.NopCloser(bytes.NewReader(body)))
+		var got []Frame
 		for {
-			if _, ok := cs.Next(); !ok {
+			fr, ok := cs.Next()
+			if !ok {
 				break
 			}
+			got = append(got, fr)
 		}
 		if (cs.Err() == nil) == (cs.Result() == nil) {
 			t.Fatalf("stream ended with Err %v and Result %+v, want exactly one set", cs.Err(), cs.Result())
 		}
 		if _, ok := cs.Next(); ok {
 			t.Fatal("Next yielded a frame after the stream ended")
+		}
+
+		var want []Frame
+		sc := bufio.NewScanner(bytes.NewReader(body))
+		sc.Buffer(nil, maxStreamLine)
+		for sc.Scan() {
+			if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+				continue
+			}
+			var ev StreamEvent
+			if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Type != EventFrame || ev.Frame == nil {
+				break
+			}
+			want = append(want, *ev.Frame)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Next yielded %d frames, json.Unmarshal decodes %d", len(got), len(want))
+		}
+		for i := range got {
+			if !sameFrame(got[i], want[i]) {
+				t.Fatalf("frame %d: Next yielded %+v, json.Unmarshal decodes %+v", i, got[i], want[i])
+			}
 		}
 	})
 }

@@ -436,8 +436,9 @@ func (s *Server) trackResponse(tenant, device, mode string, res *wivi.Result, wi
 
 // serveStream writes the NDJSON frame stream: a 200 header up front,
 // then one StreamEvent per line, flushed per frame so the client's
-// heatmap accrues live. Errors after the first byte become the terminal
-// "error" event — the only channel left once the status line is gone.
+// heatmap accrues live. Errors after the first byte, a frame holding a
+// value JSON cannot carry among them, become the terminal "error"
+// event — the only channel left once the status line is gone.
 func (s *Server) serveStream(w http.ResponseWriter, ctx context.Context, endpoint, tenant, device, mode string,
 	h handle, timedOut, clientGone func() bool) {
 	fs, err := h.Stream(ctx)
@@ -454,29 +455,48 @@ func (s *Server) serveStream(w http.ResponseWriter, ctx context.Context, endpoin
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) {
-		_ = enc.Encode(ev)
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	enc := json.NewEncoder(w)
+	emit := func(ev StreamEvent) {
+		_ = enc.Encode(ev)
+		flush()
+	}
 
+	// Frame lines are appended into one buffer, reused for the whole
+	// stream (codec.go); the terminal event goes through encoding/json.
+	var line []byte
 	nframes := 0
 	for {
 		fr, ok := fs.Next()
 		if !ok {
 			break
 		}
-		nframes++
-		s.m.framesStreamed.Add(1)
-		s.m.frameLag.Observe(fr.Lag)
-		emit(StreamEvent{Type: EventFrame, Frame: &Frame{
+		var err error
+		line, err = appendFrameEvent(line[:0], &Frame{
 			Index: fr.Index,
 			TimeS: fr.Time,
 			Power: fr.Power,
 			LagMs: float64(fr.Lag) / float64(time.Millisecond),
-		}})
+		})
+		if err != nil {
+			s.m.countRequest(endpoint, http.StatusInternalServerError)
+			emit(StreamEvent{Type: EventError, Err: &ErrorBody{
+				Code:    CodeInternal,
+				Message: fmt.Sprintf("stream failed after %d frames: %v", nframes, err),
+			}})
+			return
+		}
+		nframes++
+		s.m.framesStreamed.Add(1)
+		s.m.frameLag.Observe(fr.Lag)
+		// A failed write means the client is gone, which cancels ctx
+		// and so ends the stream on its own.
+		_, _ = w.Write(line)
+		flush()
 	}
 
 	if err := fs.Err(); err != nil {

@@ -4,7 +4,8 @@ package serve
 // plain NDJSON-able JSON: every streamed line is one StreamEvent, every
 // error body is one ErrorResponse, and all float64 values round-trip
 // bit-exactly (encoding/json emits the shortest representation that
-// re-parses to the identical float64), which is what lets the wire
+// re-parses to the identical float64, and the frame codec in codec.go
+// writes frame events in the same bytes), which is what lets the wire
 // identity tests demand byte-identical spectra after a full
 // serialize/deserialize cycle.
 
